@@ -28,16 +28,12 @@ Commands:
   file for later replay;
 * ``cache`` — inspect (``stats``), bound (``gc``), or wipe (``clear``)
   the content-addressed result cache that ``--cache-dir`` runs consult;
-* ``experiments`` — shorthand for ``python -m repro.experiments``;
-* ``serve`` — run the campaign job server: accepts sweep, fault- and
-  attack-campaign submissions over HTTP, schedules them fairly across
-  tenants, journals every job, and survives SIGKILL (restart with the
-  same ``--data-dir`` resumes every in-flight job byte-identically);
-* ``submit`` / ``status`` / ``watch`` / ``cancel`` — client verbs for
-  a running service; ``watch --telemetry`` follows the live per-trial
-  feed instead of the progress events;
-* ``top`` — a refreshing terminal view of a running service (health
-  line plus per-job progress bars; ``--once`` prints a single frame).
+* ``experiments`` — shorthand for ``python -m repro.experiments``.
+
+``faults``, ``attack`` and ``python -m repro.experiments`` take their
+execution flags (``--jobs``, ``--resume``, ``--timeout``, ``--retries``,
+the result-cache flags and ``--batch``) from one shared declaration,
+:func:`repro.sim.options.execution_parser`.
 """
 
 from __future__ import annotations
@@ -58,6 +54,12 @@ from repro.controller.factory import build_controller, build_layout
 from repro.crypto.keys import ProcessorKeys
 from repro.errors import ReproError
 from repro.sim.engine import run_simulation
+from repro.sim.options import (
+    ExecutionOptions,
+    add_batch_argument,
+    add_cache_dir_argument,
+    execution_parser,
+)
 from repro.traces.io import write_trace
 from repro.traces.profiles import profile, profile_names
 from repro.traces.synthetic import generate_trace
@@ -442,73 +444,52 @@ def _resolve_faults_system(args: argparse.Namespace):
     return config
 
 
-def _add_cache_arguments(parser: argparse.ArgumentParser) -> None:
+def _add_campaign_arguments(
+    parser: argparse.ArgumentParser, crash_points: int
+) -> None:
+    """The system and warmup arguments ``faults`` and ``attack`` share;
+    :func:`_resolve_faults_system` reads the system half."""
     parser.add_argument(
-        "--cache-dir",
-        metavar="DIR",
+        "--scheme",
+        choices=[kind.value for kind in SchemeKind] + ["anubis"],
+        default="anubis",
+        help="persistence scheme; 'anubis' = AGIT+ (bonsai) / ASIT (sgx)",
+    )
+    parser.add_argument(
+        "--tree",
+        choices=[kind.value for kind in TreeKind] + ["bmt"],
         default=None,
-        help="content-addressed result cache: restore completed trials "
-        "from prior runs and store fresh ones (default: "
-        "$REPRO_RESULT_CACHE if set, else no cache)",
+        help="integrity-tree family; 'bmt' is an alias for bonsai",
     )
     parser.add_argument(
-        "--no-result-cache",
-        action="store_true",
-        help="ignore --cache-dir and $REPRO_RESULT_CACHE for this run",
+        "--capacity-gib",
+        type=int,
+        default=1,
+        help="memory capacity in GiB (default: 1 — campaigns fork the "
+        "image per trial, smaller is faster)",
     )
     parser.add_argument(
-        "--cache-stamp",
-        metavar="STAMP",
-        nargs="?",
-        const="auto",
-        default=None,
-        help="scope result-cache keys to a code version (e.g. a git "
-        "revision); entries written under another stamp miss instead "
-        "of replaying.  Bare --cache-stamp (or --cache-stamp auto) "
-        "derives the stamp from the installed package version or git "
-        "HEAD (default: $REPRO_CACHE_STAMP if set, else "
-        "version-agnostic keys)",
+        "--cache-kib",
+        type=int,
+        default=32,
+        help="metadata cache size in KiB (default: 32)",
     )
-
-
-def _add_batch_argument(parser: argparse.ArgumentParser) -> None:
-    from repro.traces.replay import BATCH_MODES
-
+    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
-        "--batch",
-        choices=BATCH_MODES,
-        default=None,
-        help="batch replay mode: 'auto' vectorizes steady-state "
-        "windows, 'on' forces batching even for mostly-cold chunks, "
-        "'off' replays request-by-request; results are identical in "
-        "all three (default: auto)",
+        "--workload",
+        choices=["hammer"] + profile_names(),
+        default="hammer",
+        help="warmup workload (default: hammer, a rewrite-heavy hot set)",
     )
-
-
-def _resolve_result_cache(args: argparse.Namespace):
-    """The run's result cache per flags/environment, or None."""
-    from repro.sim.result_cache import ResultCache, derive_cache_stamp
-
-    if getattr(args, "no_result_cache", False):
-        return None
-    directory = getattr(args, "cache_dir", None) or os.environ.get(
-        "REPRO_RESULT_CACHE"
+    parser.add_argument("--length", type=int, default=2_000)
+    parser.add_argument(
+        "--crash-points",
+        type=int,
+        default=crash_points,
+        help=f"crash points sampled from the trace (default: "
+        f"{crash_points})",
     )
-    if not directory:
-        return None
-    stamp = getattr(args, "cache_stamp", None) or os.environ.get(
-        "REPRO_CACHE_STAMP"
-    ) or None
-    if stamp == "auto":
-        stamp = derive_cache_stamp()
-        if stamp is None:
-            print(
-                "warning: --cache-stamp auto found neither an installed "
-                "package version nor a git revision; using version-"
-                "agnostic cache keys",
-                file=sys.stderr,
-            )
-    return ResultCache(directory, code_stamp=stamp)
+    parser.add_argument("--probe-reads", type=int, default=8)
 
 
 def _print_cache_traffic(cache) -> None:
@@ -534,9 +515,6 @@ def _command_faults(args: argparse.Namespace) -> int:
     from repro.faults import CampaignConfig, Outcome, run_campaign
     from repro.faults.report import format_matrix, format_summary
     from repro.sim.checkpoint import write_artifact
-    from repro.sim.parallel import ParallelSweepExecutor
-    from repro.sim.result_cache import configure_result_cache
-    from repro.traces.replay import active_batch_mode, configure_batch_mode
 
     config = _resolve_faults_system(args)
     campaign = CampaignConfig(
@@ -549,20 +527,12 @@ def _command_faults(args: argparse.Namespace) -> int:
         probe_reads=args.probe_reads,
         nested_crash_fraction=args.nested_fraction,
     )
-    executor = ParallelSweepExecutor(
-        args.jobs, timeout=args.timeout, retries=args.retries
-    )
-    cache = configure_result_cache(_resolve_result_cache(args))
-    previous_batch = active_batch_mode()
-    if args.batch is not None:
-        configure_batch_mode(args.batch)
-    try:
+    options = ExecutionOptions.from_args(args)
+    with options.applied() as cache:
         result = run_campaign(
-            campaign, checkpoint_dir=args.resume, executor=executor
+            campaign, checkpoint_dir=options.resume,
+            executor=options.executor(),
         )
-    finally:
-        configure_result_cache(None)
-        configure_batch_mode(previous_batch)
     print(format_summary(result))
     print()
     print(format_matrix(result))
@@ -613,9 +583,6 @@ def _command_attack(args: argparse.Namespace) -> int:
     )
     from repro.faults.models import WINDOW_AT_CRASH, WINDOW_MID_RECOVERY
     from repro.sim.checkpoint import write_artifact
-    from repro.sim.parallel import ParallelSweepExecutor
-    from repro.sim.result_cache import configure_result_cache
-    from repro.traces.replay import active_batch_mode, configure_batch_mode
 
     if args.list:
         rows = [("attack class", "windows", "description")] + [
@@ -647,20 +614,12 @@ def _command_attack(args: argparse.Namespace) -> int:
         probe_reads=args.probe_reads,
         windows=windows,
     )
-    executor = ParallelSweepExecutor(
-        args.jobs, timeout=args.timeout, retries=args.retries
-    )
-    cache = configure_result_cache(_resolve_result_cache(args))
-    previous_batch = active_batch_mode()
-    if args.batch is not None:
-        configure_batch_mode(args.batch)
-    try:
+    options = ExecutionOptions.from_args(args)
+    with options.applied() as cache:
         result = run_attack_campaign(
-            campaign, checkpoint_dir=args.resume, executor=executor
+            campaign, checkpoint_dir=options.resume,
+            executor=options.executor(),
         )
-    finally:
-        configure_result_cache(None)
-        configure_batch_mode(previous_batch)
     print(format_attack_summary(result))
     print()
     print(format_attack_matrix(result))
@@ -744,229 +703,6 @@ def _command_experiments(args: argparse.Namespace) -> int:
     return experiments_main(forwarded)
 
 
-#: Default service endpoint for the client verbs; overridable per-call
-#: with --server or globally with $REPRO_SERVICE_URL.
-_DEFAULT_SERVICE_URL = "http://127.0.0.1:8023"
-
-
-def _service_url(args: argparse.Namespace) -> str:
-    return (
-        args.server
-        or os.environ.get("REPRO_SERVICE_URL")
-        or _DEFAULT_SERVICE_URL
-    )
-
-
-def _add_server_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--server",
-        metavar="URL",
-        default=None,
-        help="service endpoint (default: $REPRO_SERVICE_URL or "
-        f"{_DEFAULT_SERVICE_URL})",
-    )
-
-
-def _parse_submit_params(pairs) -> dict:
-    """``--param key=value`` pairs; values parse as JSON, falling back
-    to plain strings (so ``--param trials=25`` is an int and
-    ``--param workload=hammer`` a string)."""
-    import json
-
-    from repro.errors import ValidationError
-
-    params: dict = {}
-    for pair in pairs or ():
-        key, sep, raw = pair.partition("=")
-        if not sep or not key:
-            raise ValidationError(
-                f"--param expects key=value, got {pair!r}"
-            )
-        try:
-            params[key] = json.loads(raw)
-        except json.JSONDecodeError:
-            params[key] = raw
-    return params
-
-
-def _command_serve(args: argparse.Namespace) -> int:
-    import asyncio
-    import signal
-
-    from repro.service import JobServer, ServiceConfig
-    from repro.sim.parallel import resolve_jobs
-
-    config = ServiceConfig(
-        data_dir=args.data_dir,
-        host=args.host,
-        port=args.port,
-        workers=args.workers,
-        jobs_per_job=resolve_jobs(args.jobs),
-        max_queue=args.max_queue,
-        tenant_max_running=args.tenant_max_running,
-        tenant_max_queued=args.tenant_max_queued,
-        tenant_max_trials=args.tenant_max_trials,
-        retry_after=args.retry_after,
-        timeout=args.timeout,
-        retries=args.retries,
-        cache_dir=args.cache_dir
-        or os.environ.get("REPRO_RESULT_CACHE"),
-        cache_stamp=args.cache_stamp
-        or os.environ.get("REPRO_CACHE_STAMP"),
-        memory_soft_mb=args.memory_soft_mb,
-        memory_hard_mb=args.memory_hard_mb,
-    )
-
-    async def amain() -> None:
-        server = JobServer(config)
-        await server.start()
-        print(
-            f"serving on http://{config.host}:{server.port} "
-            f"(generation {server.generation}, data {config.data_dir})",
-            flush=True,
-        )
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            loop.add_signal_handler(signum, server.request_stop)
-        await server.wait_stopped()
-        print("drained; queued jobs stay journaled for the next start")
-
-    asyncio.run(amain())
-    return 0
-
-
-def _command_submit(args: argparse.Namespace) -> int:
-    from repro.service import ServiceClient
-
-    client = ServiceClient(_service_url(args))
-    doc = client.submit(
-        args.kind,
-        tenant=args.tenant,
-        params=_parse_submit_params(args.param),
-        timeout=args.timeout,
-        retries=args.retries,
-    )
-    job = doc["job"]
-    verb = "attached to" if doc.get("attached") else "submitted"
-    print(f"{verb} job {job['id']} ({job['state']})")
-    if args.watch:
-        return _follow_job(client, job["id"])
-    return 0
-
-
-def _follow_job(client, jid: str, telemetry: bool = False) -> int:
-    import json
-
-    stream = client.telemetry(jid) if telemetry else client.watch(jid)
-    for event in stream:
-        print(json.dumps(event, sort_keys=True), flush=True)
-    final = client.status(jid)
-    print(f"job {jid}: {final['state']}")
-    return 0 if final["state"] == "SUCCEEDED" else 1
-
-
-def _command_status(args: argparse.Namespace) -> int:
-    from repro.service import ServiceClient
-
-    client = ServiceClient(_service_url(args))
-    if args.job:
-        if args.wait:
-            docs = client.wait(args.job, timeout=args.wait_timeout)
-        else:
-            docs = [client.status(args.job)]
-    elif args.wait:
-        docs = client.wait(timeout=args.wait_timeout)
-    else:
-        docs = client.jobs(tenant=args.tenant)["jobs"]
-    if not docs:
-        print("no jobs")
-        return 0
-    width = max(len(d["id"]) for d in docs)
-    failed = 0
-    for doc in docs:
-        progress = (
-            f" {doc['done']}/{doc['total']}" if doc["total"] else ""
-        )
-        detail = f" — {doc['error']}" if doc.get("error") else ""
-        print(
-            f"{doc['id']:<{width}}  {doc['tenant']:<12} "
-            f"{doc['kind']:<7} {doc['state']}{progress}{detail}"
-        )
-        if doc["state"] == "FAILED":
-            failed += 1
-    return 1 if failed and args.wait else 0
-
-
-def _command_watch(args: argparse.Namespace) -> int:
-    from repro.service import ServiceClient
-
-    return _follow_job(
-        ServiceClient(_service_url(args)),
-        args.job,
-        telemetry=args.telemetry,
-    )
-
-
-def _render_top(health: dict, docs: list) -> list:
-    """One ``repro top`` frame as a list of lines."""
-    lines = [
-        f"repro service — generation {health['generation']}, "
-        f"level {health['level']}, queue {health['queue_depth']}, "
-        f"inflight {health['inflight']}, active {health['active']}"
-    ]
-    if not docs:
-        lines.append("(no jobs)")
-        return lines
-    width = max(len(doc["id"]) for doc in docs)
-    for doc in docs:
-        total = doc.get("total") or 0
-        done = doc.get("done") or 0
-        if total:
-            filled = int(round(done / total * 20))
-            bar = "#" * filled + "-" * (20 - filled)
-            progress = f"[{bar}] {done}/{total}"
-        else:
-            progress = " " * 22 + "—"
-        error = f" — {doc['error']}" if doc.get("error") else ""
-        lines.append(
-            f"{doc['id']:<{width}}  {doc['tenant']:<12} "
-            f"{doc['kind']:<7} {doc['state']:<9} {progress}{error}"
-        )
-    return lines
-
-
-def _command_top(args: argparse.Namespace) -> int:
-    import time
-
-    from repro.service import ServiceClient
-
-    client = ServiceClient(_service_url(args))
-    try:
-        while True:
-            health = client.healthz()
-            docs = client.jobs()["jobs"]
-            if not args.once:
-                # Home the cursor and clear: a flicker-free refresh
-                # without curses.
-                print("\x1b[H\x1b[2J", end="")
-            print("\n".join(_render_top(health, docs)), flush=True)
-            if args.once:
-                return 0
-            time.sleep(args.interval)
-    except KeyboardInterrupt:
-        return 0
-
-
-def _command_cancel(args: argparse.Namespace) -> int:
-    from repro.service import ServiceClient
-
-    doc = ServiceClient(_service_url(args)).cancel(args.job)
-    job = doc["job"]
-    note = " (cancelling)" if doc.get("cancelling") else ""
-    print(f"job {job['id']}: {job['state']}{note}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Construct the CLI argument parser."""
     parser = argparse.ArgumentParser(
@@ -985,7 +721,7 @@ def build_parser() -> argparse.ArgumentParser:
         "simulate", help="replay a workload under a scheme"
     )
     _add_system_arguments(simulate)
-    _add_batch_argument(simulate)
+    add_batch_argument(simulate)
     simulate.add_argument(
         "--workload", choices=profile_names(), default="gcc"
     )
@@ -1088,36 +824,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     demo.set_defaults(handler=_command_crash_demo)
 
+    execution = execution_parser()
     faults = commands.add_parser(
         "faults",
+        parents=[execution],
         help="deterministic fault-injection campaign with coverage matrix",
     )
-    faults.add_argument(
-        "--scheme",
-        choices=[kind.value for kind in SchemeKind] + ["anubis"],
-        default="anubis",
-        help="persistence scheme; 'anubis' = AGIT+ (bonsai) / ASIT (sgx)",
-    )
-    faults.add_argument(
-        "--tree",
-        choices=[kind.value for kind in TreeKind] + ["bmt"],
-        default=None,
-        help="integrity-tree family; 'bmt' is an alias for bonsai",
-    )
-    faults.add_argument(
-        "--capacity-gib",
-        type=int,
-        default=1,
-        help="memory capacity in GiB (default: 1 — campaigns fork the "
-        "image per trial, smaller is faster)",
-    )
-    faults.add_argument(
-        "--cache-kib",
-        type=int,
-        default=32,
-        help="metadata cache size in KiB (default: 32)",
-    )
-    faults.add_argument("--seed", type=int, default=0)
+    _add_campaign_arguments(faults, crash_points=8)
     faults.add_argument(
         "--trials", type=int, default=100, help="number of fault trials"
     )
@@ -1126,20 +839,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="ignore --trials and run every crash point x every fault once",
     )
-    faults.add_argument(
-        "--workload",
-        choices=["hammer"] + profile_names(),
-        default="hammer",
-        help="warmup workload (default: hammer, a rewrite-heavy hot set)",
-    )
-    faults.add_argument("--length", type=int, default=2_000)
-    faults.add_argument(
-        "--crash-points",
-        type=int,
-        default=8,
-        help="crash points sampled from the trace",
-    )
-    faults.add_argument("--probe-reads", type=int, default=8)
     faults.add_argument(
         "--nested-fraction",
         type=float,
@@ -1156,45 +855,11 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="exit 0 even when trials classify RECOVERY_FAILED",
     )
-    faults.add_argument(
-        "--jobs",
-        metavar="N",
-        default="1",
-        help="worker processes for the trials ('auto' = one per core; "
-        "the coverage matrix is identical for any job count)",
-    )
-    faults.add_argument(
-        "--resume",
-        metavar="DIR",
-        default=None,
-        help="checkpoint directory: journal every completed trial there "
-        "and skip trials already journaled, so an interrupted campaign "
-        "re-run with the same DIR finishes the remaining work and "
-        "produces output identical to an uninterrupted run (also writes "
-        "DIR/campaign.json)",
-    )
-    faults.add_argument(
-        "--timeout",
-        type=float,
-        metavar="SECONDS",
-        default=None,
-        help="per-trial-slice timeout; hung or killed workers are "
-        "detected, torn down, and their work retried (default: no limit)",
-    )
-    faults.add_argument(
-        "--retries",
-        type=int,
-        metavar="N",
-        default=2,
-        help="retry rounds for failed worker slices before degrading to "
-        "in-process execution (default: 2)",
-    )
-    _add_cache_arguments(faults)
-    _add_batch_argument(faults)
     faults.set_defaults(handler=_command_faults)
 
     attack = commands.add_parser(
         "attack",
+        parents=[execution],
         help="active-adversary campaign judged against per-scheme "
         "security claims",
     )
@@ -1203,31 +868,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="enumerate the attack catalogue and exit",
     )
-    attack.add_argument(
-        "--scheme",
-        choices=[kind.value for kind in SchemeKind] + ["anubis"],
-        default="anubis",
-        help="persistence scheme; 'anubis' = AGIT+ (bonsai) / ASIT (sgx)",
-    )
-    attack.add_argument(
-        "--tree",
-        choices=[kind.value for kind in TreeKind] + ["bmt"],
-        default=None,
-        help="integrity-tree family; 'bmt' is an alias for bonsai",
-    )
-    attack.add_argument(
-        "--capacity-gib",
-        type=int,
-        default=1,
-        help="memory capacity in GiB (default: 1)",
-    )
-    attack.add_argument(
-        "--cache-kib",
-        type=int,
-        default=32,
-        help="metadata cache size in KiB (default: 32)",
-    )
-    attack.add_argument("--seed", type=int, default=0)
+    _add_campaign_arguments(attack, crash_points=6)
     attack.add_argument(
         "--trials",
         type=int,
@@ -1242,56 +883,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="tamper window(s) to exercise (default: both)",
     )
     attack.add_argument(
-        "--workload",
-        choices=["hammer"] + profile_names(),
-        default="hammer",
-        help="warmup workload (default: hammer, a rewrite-heavy hot set)",
-    )
-    attack.add_argument("--length", type=int, default=2_000)
-    attack.add_argument(
-        "--crash-points",
-        type=int,
-        default=6,
-        help="crash points sampled from the trace",
-    )
-    attack.add_argument("--probe-reads", type=int, default=8)
-    attack.add_argument(
         "--allow-violations",
         action="store_true",
         help="exit 0 even when trials contradict the declared claims "
         "(debugging only)",
     )
-    attack.add_argument(
-        "--jobs",
-        metavar="N",
-        default="1",
-        help="worker processes for the trials ('auto' = one per core; "
-        "verdicts are identical for any job count)",
-    )
-    attack.add_argument(
-        "--resume",
-        metavar="DIR",
-        default=None,
-        help="checkpoint directory: journal every completed trial and "
-        "skip journaled trials on re-run (also writes "
-        "DIR/attack_campaign.json)",
-    )
-    attack.add_argument(
-        "--timeout",
-        type=float,
-        metavar="SECONDS",
-        default=None,
-        help="per-trial-slice timeout (default: no limit)",
-    )
-    attack.add_argument(
-        "--retries",
-        type=int,
-        metavar="N",
-        default=2,
-        help="retry rounds for failed worker slices (default: 2)",
-    )
-    _add_cache_arguments(attack)
-    _add_batch_argument(attack)
     attack.set_defaults(handler=_command_attack)
 
     cache = commands.add_parser(
@@ -1304,11 +900,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="stats: what is on disk; gc: bounded eviction (oldest "
         "first); clear: remove every entry",
     )
-    cache.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        default=None,
-        help="store directory (default: $REPRO_RESULT_CACHE)",
+    add_cache_dir_argument(
+        cache, "store directory (default: $REPRO_RESULT_CACHE)"
     )
     cache.add_argument(
         "--max-bytes",
@@ -1341,204 +934,6 @@ def build_parser() -> argparse.ArgumentParser:
     # REMAINDER so flags like --json pass through to the harness.
     experiments.add_argument("experiment_args", nargs=argparse.REMAINDER)
     experiments.set_defaults(handler=_command_experiments)
-
-    serve = commands.add_parser(
-        "serve",
-        help="run the campaign job server (crash-surviving, "
-        "multi-tenant, journaled)",
-    )
-    serve.add_argument(
-        "--data-dir",
-        metavar="DIR",
-        required=True,
-        help="service state root: job journal, per-job checkpoints, "
-        "artifacts, manifest — restarting with the same DIR resumes "
-        "every in-flight job",
-    )
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument(
-        "--port",
-        type=int,
-        default=8023,
-        help="listen port (0 = ephemeral; default: 8023)",
-    )
-    serve.add_argument(
-        "--workers",
-        type=int,
-        default=2,
-        help="maximum concurrently running jobs (default: 2)",
-    )
-    serve.add_argument(
-        "--jobs",
-        metavar="N",
-        default="1",
-        help="worker processes inside each job ('auto' = one per "
-        "core; degradation level 1 forces 1)",
-    )
-    serve.add_argument(
-        "--max-queue",
-        type=int,
-        default=8,
-        help="global queued-job bound; beyond it submissions get "
-        "429 + Retry-After (default: 8)",
-    )
-    serve.add_argument(
-        "--tenant-max-running",
-        type=int,
-        default=2,
-        help="per-tenant concurrent-job cap (default: 2)",
-    )
-    serve.add_argument(
-        "--tenant-max-queued",
-        type=int,
-        default=4,
-        help="per-tenant queued-job cap (default: 4)",
-    )
-    serve.add_argument(
-        "--tenant-max-trials",
-        type=int,
-        default=100_000,
-        help="per-tenant queued+running trial-weight cap "
-        "(default: 100000)",
-    )
-    serve.add_argument(
-        "--retry-after",
-        type=int,
-        default=2,
-        help="Retry-After seconds on 429/503 (default: 2)",
-    )
-    serve.add_argument(
-        "--timeout",
-        type=float,
-        metavar="SECONDS",
-        default=None,
-        help="default per-trial-slice timeout for jobs (a submission "
-        "may override)",
-    )
-    serve.add_argument(
-        "--retries",
-        type=int,
-        metavar="N",
-        default=2,
-        help="default retry rounds for failed worker slices "
-        "(default: 2)",
-    )
-    serve.add_argument(
-        "--memory-soft-mb",
-        type=float,
-        default=None,
-        help="ru_maxrss soft limit: degrade to serial execution "
-        "beyond it",
-    )
-    serve.add_argument(
-        "--memory-hard-mb",
-        type=float,
-        default=None,
-        help="ru_maxrss hard limit: stop admitting work beyond it "
-        "(accepted jobs still finish)",
-    )
-    _add_cache_arguments(serve)
-    serve.set_defaults(handler=_command_serve)
-
-    submit = commands.add_parser(
-        "submit", help="submit a job to a running campaign service"
-    )
-    _add_server_argument(submit)
-    submit.add_argument(
-        "kind",
-        choices=["sweep", "faults", "attack", "probe"],
-        help="job kind",
-    )
-    submit.add_argument("--tenant", default="default")
-    submit.add_argument(
-        "--param",
-        action="append",
-        metavar="KEY=VALUE",
-        help="job parameter (repeatable); values parse as JSON, e.g. "
-        "--param trials=25 --param 'experiments=[\"fig07\"]'",
-    )
-    submit.add_argument(
-        "--timeout",
-        type=float,
-        metavar="SECONDS",
-        default=None,
-        help="per-trial-slice timeout override for this job",
-    )
-    submit.add_argument(
-        "--retries",
-        type=int,
-        metavar="N",
-        default=None,
-        help="retry-round override for this job",
-    )
-    submit.add_argument(
-        "--watch",
-        action="store_true",
-        help="stream the job's NDJSON events until it finishes",
-    )
-    submit.set_defaults(handler=_command_submit)
-
-    status = commands.add_parser(
-        "status", help="show job states on a campaign service"
-    )
-    _add_server_argument(status)
-    status.add_argument(
-        "job", nargs="?", default=None, help="job id (default: all)"
-    )
-    status.add_argument("--tenant", default=None)
-    status.add_argument(
-        "--wait",
-        action="store_true",
-        help="poll until the job(s) are terminal; exit 1 if any "
-        "FAILED",
-    )
-    status.add_argument(
-        "--wait-timeout",
-        type=float,
-        metavar="SECONDS",
-        default=600.0,
-    )
-    status.set_defaults(handler=_command_status)
-
-    watch = commands.add_parser(
-        "watch",
-        help="stream a job's NDJSON progress events until terminal",
-    )
-    _add_server_argument(watch)
-    watch.add_argument("job", help="job id")
-    watch.add_argument(
-        "--telemetry",
-        action="store_true",
-        help="follow the live telemetry feed (per-trial outcomes and "
-        "sampled progress) instead of the progress events",
-    )
-    watch.set_defaults(handler=_command_watch)
-
-    top = commands.add_parser(
-        "top",
-        help="refreshing terminal view of a running campaign service",
-    )
-    _add_server_argument(top)
-    top.add_argument(
-        "--once",
-        action="store_true",
-        help="print a single frame and exit (scripts, CI)",
-    )
-    top.add_argument(
-        "--interval",
-        type=float,
-        metavar="SECONDS",
-        default=1.0,
-        help="refresh period (default: 1.0)",
-    )
-    top.set_defaults(handler=_command_top)
-
-    cancel = commands.add_parser(
-        "cancel", help="cancel a queued or running job"
-    )
-    _add_server_argument(cancel)
-    cancel.add_argument("job", help="job id")
-    cancel.set_defaults(handler=_command_cancel)
 
     return parser
 

@@ -224,6 +224,7 @@ class AgitRecovery:
             if self.codec.is_sane(plaintext, opened[:ECC_BYTES]):
                 return candidate
             return None
+        correctable: Optional[int] = None
         for delta in range(self.stop_loss):
             candidate = stale + delta
             if candidate > minor_max:
@@ -235,15 +236,18 @@ class AgitRecovery:
             if self.codec.is_sane(plaintext, opened[:ECC_BYTES]):
                 return candidate
             # A single soft-error bit flip must not make the whole
-            # system unrecoverable: accept a candidate whose decrypt is
-            # one SECDED-correctable bit away (a wrong counter produces
-            # whole-line garbage, which correction rejects).
-            corrected, _repaired = self.codec.correct_line(
-                plaintext, opened[:ECC_BYTES]
-            )
-            if corrected:
-                return candidate
-        return None
+            # system unrecoverable: fall back to the first candidate
+            # whose decrypt is one SECDED-correctable bit away.  Only a
+            # fallback — garbage from a wrong counter occasionally
+            # passes correction too, so an exactly-sane candidate later
+            # in the window wins.
+            if correctable is None:
+                corrected, _repaired = self.codec.correct_line(
+                    plaintext, opened[:ECC_BYTES]
+                )
+                if corrected:
+                    correctable = candidate
+        return correctable
 
     # ------------------------------------------------------------------
     # tree repair

@@ -137,26 +137,13 @@ class ArtifactCorruptError(ReproError):
 
 
 class ValidationError(ReproError, ValueError):
-    """A submitted configuration value is unusable and was rejected at
-    admission time (e.g. ``timeout <= 0`` or ``retries < 0``).
+    """An execution setting is unusable (e.g. ``timeout <= 0`` or
+    ``retries < 0``) and was rejected before any work started.
 
-    Subclasses :class:`ValueError` too so call sites that predate the
-    service layer — and tests written against them — keep working, while
-    the service can map this class to an HTTP 400 response instead of
-    letting a worker crash on the bad value mid-job."""
-
-
-class ServiceError(ReproError):
-    """The campaign service cannot honor a request in its current state
-    (unknown job id, cancel of a finished job, malformed request body).
-
-    Distinct from :class:`ValidationError`: a *service* error depends on
-    server state, a *validation* error is wrong in any state."""
-
-
-class QuotaExceededError(ServiceError):
-    """A tenant exceeded its admission quota (max concurrent jobs or max
-    queued trials); the request must be retried later, never queued."""
+    Subclasses :class:`ValueError` too, so the CLI flag parsers report
+    it as a usage error (exit 2) and callers catching ``ValueError``
+    keep working; rejecting up front beats a worker crashing on the bad
+    value mid-run."""
 
 
 class CheckpointMismatchError(ReproError):

@@ -35,18 +35,12 @@ from repro.sim.checkpoint import (
     fingerprint,
     write_artifact,
 )
-from repro.sim.parallel import configure_executor_defaults, resolve_jobs
-from repro.sim.result_cache import ResultCache, configure_result_cache
+from repro.sim.options import ExecutionOptions, execution_parser
 from repro.telemetry.runtime import (
     TelemetrySpec,
     build_manifest,
     configure_telemetry,
     write_manifest,
-)
-from repro.traces.replay import (
-    BATCH_MODES,
-    active_batch_mode,
-    configure_batch_mode,
 )
 
 from repro.experiments import (
@@ -63,13 +57,12 @@ from repro.experiments import (
 )
 
 
-def _run_fig05(full: bool, jobs: int = 1, out=None) -> dict:
-    out = out if out is not None else sys.stdout
+def _run_fig05(full: bool, jobs: int = 1) -> dict:
     result = fig05_recovery_osiris.run()
-    print("Figure 5 — Osiris recovery time vs memory size", file=out)
-    print(fig05_recovery_osiris.format_table(result), file=out)
-    print(file=out)
-    print(fig05_recovery_osiris.format_chart(result), file=out)
+    print("Figure 5 — Osiris recovery time vs memory size")
+    print(fig05_recovery_osiris.format_table(result))
+    print()
+    print(fig05_recovery_osiris.format_chart(result))
     return {
         "recovery_seconds": {
             str(capacity): result.recovery_seconds[capacity]
@@ -83,13 +76,12 @@ def _run_fig05(full: bool, jobs: int = 1, out=None) -> dict:
     }
 
 
-def _run_fig07(full: bool, jobs: int = 1, out=None) -> dict:
-    out = out if out is not None else sys.stdout
+def _run_fig07(full: bool, jobs: int = 1) -> dict:
     result = fig07_clean_evictions.run(
         trace_length=40_000 if full else 12_000, jobs=jobs
     )
-    print("Figure 7 — counter-cache eviction split (write-back baseline)", file=out)
-    print(fig07_clean_evictions.format_table(result), file=out)
+    print("Figure 7 — counter-cache eviction split (write-back baseline)")
+    print(fig07_clean_evictions.format_table(result))
     return {
         "clean_fraction": {
             name: result.clean_fraction(name) for name in result.benchmarks
@@ -97,13 +89,12 @@ def _run_fig07(full: bool, jobs: int = 1, out=None) -> dict:
     }
 
 
-def _run_fig10(full: bool, jobs: int = 1, out=None) -> dict:
-    out = out if out is not None else sys.stdout
+def _run_fig10(full: bool, jobs: int = 1) -> dict:
     result = fig10_agit_perf.run(
         trace_length=30_000 if full else 10_000, jobs=jobs
     )
-    print("Figure 10 — AGIT performance (normalized to write-back)", file=out)
-    print(fig10_agit_perf.format_table(result), file=out)
+    print("Figure 10 — AGIT performance (normalized to write-back)")
+    print(fig10_agit_perf.format_table(result))
     return {
         "gmean_overhead_percent": {
             scheme.value: value for scheme, value in result.averages.items()
@@ -118,13 +109,12 @@ def _run_fig10(full: bool, jobs: int = 1, out=None) -> dict:
     }
 
 
-def _run_fig11(full: bool, jobs: int = 1, out=None) -> dict:
-    out = out if out is not None else sys.stdout
+def _run_fig11(full: bool, jobs: int = 1) -> dict:
     result = fig11_asit_perf.run(
         trace_length=30_000 if full else 10_000, jobs=jobs
     )
-    print("Figure 11 — ASIT performance (normalized to write-back)", file=out)
-    print(fig11_asit_perf.format_table(result), file=out)
+    print("Figure 11 — ASIT performance (normalized to write-back)")
+    print(fig11_asit_perf.format_table(result))
     return {
         "gmean_overhead_percent": {
             scheme.value: value for scheme, value in result.averages.items()
@@ -136,11 +126,10 @@ def _run_fig11(full: bool, jobs: int = 1, out=None) -> dict:
     }
 
 
-def _run_fig12(full: bool, jobs: int = 1, out=None) -> dict:
-    out = out if out is not None else sys.stdout
+def _run_fig12(full: bool, jobs: int = 1) -> dict:
     result = fig12_recovery_time.run(functional=full)
-    print("Figure 12 — Anubis recovery time vs metadata cache size", file=out)
-    print(fig12_recovery_time.format_table(result), file=out)
+    print("Figure 12 — Anubis recovery time vs metadata cache size")
+    print(fig12_recovery_time.format_table(result))
     return {
         "agit_analytic": {
             str(size): result.agit_analytic[size]
@@ -177,13 +166,12 @@ def _run_fig12(full: bool, jobs: int = 1, out=None) -> dict:
     }
 
 
-def _run_fig13(full: bool, jobs: int = 1, out=None) -> dict:
-    out = out if out is not None else sys.stdout
+def _run_fig13(full: bool, jobs: int = 1) -> dict:
     result = fig13_cache_sensitivity.run(
         trace_length=20_000 if full else 8_000, jobs=jobs
     )
-    print(f"Figure 13 — cache-size sensitivity ({result.benchmark})", file=out)
-    print(fig13_cache_sensitivity.format_table(result), file=out)
+    print(f"Figure 13 — cache-size sensitivity ({result.benchmark})")
+    print(fig13_cache_sensitivity.format_table(result))
     return {
         "normalized": {
             scheme.value: {str(size): value for size, value in series.items()}
@@ -192,11 +180,10 @@ def _run_fig13(full: bool, jobs: int = 1, out=None) -> dict:
     }
 
 
-def _run_headline(full: bool, jobs: int = 1, out=None) -> dict:
-    out = out if out is not None else sys.stdout
+def _run_headline(full: bool, jobs: int = 1) -> dict:
     result = headline.run()
-    print("Headline — recovery-time comparison", file=out)
-    print(headline.format_table(result), file=out)
+    print("Headline — recovery-time comparison")
+    print(headline.format_table(result))
     return {
         "osiris_seconds": result.osiris_seconds,
         "agit_seconds": result.agit_seconds,
@@ -204,12 +191,11 @@ def _run_headline(full: bool, jobs: int = 1, out=None) -> dict:
     }
 
 
-def _run_dirty_footprint(full: bool, jobs: int = 1, out=None) -> dict:
-    out = out if out is not None else sys.stdout
+def _run_dirty_footprint(full: bool, jobs: int = 1) -> dict:
     footprints = None if full else [64, 256, 1024, 2048]
     result = extra_dirty_footprint.run(footprints=footprints)
-    print("Extra — AGIT recovery work vs dirty footprint", file=out)
-    print(extra_dirty_footprint.format_table(result), file=out)
+    print("Extra — AGIT recovery work vs dirty footprint")
+    print(extra_dirty_footprint.format_table(result))
     return {
         "tracked_blocks": {
             str(pages): result.tracked_blocks[pages]
@@ -222,28 +208,26 @@ def _run_dirty_footprint(full: bool, jobs: int = 1, out=None) -> dict:
     }
 
 
-def _run_fault_coverage(full: bool, jobs: int = 1, out=None) -> dict:
-    out = out if out is not None else sys.stdout
+def _run_fault_coverage(full: bool, jobs: int = 1) -> dict:
     result = extra_fault_coverage.run(
         trials=240 if full else 60, jobs=jobs
     )
-    print("Extra — fault-injection coverage by scheme", file=out)
-    print(extra_fault_coverage.format_table(result), file=out)
+    print("Extra — fault-injection coverage by scheme")
+    print(extra_fault_coverage.format_table(result))
     return {
         f"{campaign.scheme.value}/{campaign.tree.value}": campaign.matrix()
         for campaign in result.results
     }
 
 
-def _run_security_matrix(full: bool, jobs: int = 1, out=None) -> dict:
-    out = out if out is not None else sys.stdout
+def _run_security_matrix(full: bool, jobs: int = 1) -> dict:
     result = security_matrix.run(
         trace_length=2_000 if full else 1_200,
         num_crash_points=4 if full else 3,
         jobs=jobs,
     )
-    print("Extra — scheme x attack security matrix", file=out)
-    print(security_matrix.format_table(result), file=out)
+    print("Extra — scheme x attack security matrix")
+    print(security_matrix.format_table(result))
     # A violated claim is an experiment failure, not a table footnote.
     result.require_as_claimed()
     return result.to_dict()
@@ -263,11 +247,12 @@ EXPERIMENTS: Dict[str, Callable[..., dict]] = {
 }
 
 
-def main(argv=None) -> int:
-    """Entry point for ``python -m repro.experiments``."""
+def build_parser() -> argparse.ArgumentParser:
+    """The ``python -m repro.experiments`` argument parser."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
         description="Reproduce the Anubis paper's figures.",
+        parents=[execution_parser()],
     )
     parser.add_argument(
         "experiments",
@@ -285,37 +270,6 @@ def main(argv=None) -> int:
         metavar="PATH",
         default=None,
         help="also write structured results to a JSON file",
-    )
-    parser.add_argument(
-        "--jobs",
-        metavar="N",
-        default="1",
-        help="worker processes for sweep grids and campaign trials "
-        "('auto' = one per core; default: 1, fully serial)",
-    )
-    parser.add_argument(
-        "--resume",
-        metavar="DIR",
-        default=None,
-        help="checkpoint directory: journal each finished experiment "
-        "there and skip experiments already journaled, so interrupted "
-        "runs resume instead of restarting (also writes DIR/results.json)",
-    )
-    parser.add_argument(
-        "--timeout",
-        type=float,
-        metavar="SECONDS",
-        default=None,
-        help="per-cell timeout for parallel grids; hung or killed "
-        "workers are torn down and retried (default: no limit)",
-    )
-    parser.add_argument(
-        "--retries",
-        type=int,
-        metavar="N",
-        default=2,
-        help="retry rounds for failed cells before degrading to "
-        "in-process execution (default: 2)",
     )
     parser.add_argument(
         "--trace-out",
@@ -358,43 +312,11 @@ def main(argv=None) -> int:
         action="store_true",
         help="render a live progress line on stderr as grid cells finish",
     )
-    parser.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        default=None,
-        help="content-addressed result cache: reuse any grid cell or "
-        "campaign trial whose config/trace/seed already completed in a "
-        "prior run, and store fresh ones (default: $REPRO_RESULT_CACHE "
-        "if set, else no cache); warm output is byte-identical to cold",
-    )
-    parser.add_argument(
-        "--no-result-cache",
-        action="store_true",
-        help="ignore --cache-dir and $REPRO_RESULT_CACHE for this run",
-    )
-    parser.add_argument(
-        "--cache-stamp",
-        metavar="STAMP",
-        nargs="?",
-        const="auto",
-        default=None,
-        help="scope result-cache keys to a code version (e.g. a git "
-        "revision); entries written under another stamp miss instead "
-        "of replaying.  Bare --cache-stamp (or --cache-stamp auto) "
-        "derives the stamp from the installed package version or git "
-        "HEAD (default: $REPRO_CACHE_STAMP if set, else "
-        "version-agnostic keys)",
-    )
-    parser.add_argument(
-        "--batch",
-        choices=BATCH_MODES,
-        default=None,
-        help="batch replay mode for simulation cells: 'auto' "
-        "vectorizes steady-state windows, 'on' forces batching even "
-        "for mostly-cold chunks, 'off' replays request-by-request; "
-        "results are identical in all three (default: process "
-        "setting, normally auto)",
-    )
+    return parser
+
+
+def main(argv=None) -> int:
+    """Entry point for ``python -m repro.experiments``."""
     if argv is None:
         argv = sys.argv[1:]
     argv = list(argv)
@@ -402,15 +324,8 @@ def main(argv=None) -> int:
     # (and drop) the optional "run" verb before the experiment names.
     if argv and argv[0] == "run":
         argv = argv[1:]
-    args = parser.parse_args(argv)
-    jobs = resolve_jobs(args.jobs)
-    configure_executor_defaults(timeout=args.timeout, retries=args.retries)
-    # --batch changes execution strategy only, never results, so it is
-    # deliberately absent from the run fingerprint and cache keys.
-    previous_batch = active_batch_mode()
-    if args.batch is not None:
-        configure_batch_mode(args.batch)
-    cache = configure_result_cache(_resolve_cache(args))
+    args = build_parser().parse_args(argv)
+    options = ExecutionOptions.from_args(args)
     selected = args.experiments or list(EXPERIMENTS)
 
     run_fingerprint = fingerprint("experiments", args.full)
@@ -428,41 +343,41 @@ def main(argv=None) -> int:
     started = time.perf_counter()
 
     journal: Optional[CheckpointJournal] = None
-    if args.resume:
+    if options.resume:
         # The fingerprint covers everything that changes results —
-        # notably --full — but not --jobs, which only changes speed.
+        # notably --full — but not the execution options, which only
+        # change how (and how fast) the results are produced.
         journal = CheckpointJournal(
-            os.path.join(args.resume, "experiments.jsonl"),
+            os.path.join(options.resume, "experiments.jsonl"),
             run_fingerprint,
         )
 
     collected: Dict[str, dict] = {}
     try:
-        for name in selected:
-            key = f"experiment:{name}"
-            if journal is not None and key in journal:
+        with options.applied() as cache:
+            for name in selected:
+                key = f"experiment:{name}"
+                if journal is not None and key in journal:
+                    print("=" * 72)
+                    print(f"[{name} restored from checkpoint — skipping]\n")
+                    collected[name] = journal.get(key)
+                    continue
+                start = time.time()
                 print("=" * 72)
-                print(f"[{name} restored from checkpoint — skipping]\n")
-                collected[name] = journal.get(key)
-                continue
-            start = time.time()
-            print("=" * 72)
-            collected[name] = EXPERIMENTS[name](args.full, jobs)
-            if journal is not None:
-                journal.record(key, collected[name])
-            print(f"[{name} finished in {time.time() - start:.1f}s]\n")
+                collected[name] = EXPERIMENTS[name](args.full, options.jobs)
+                if journal is not None:
+                    journal.record(key, collected[name])
+                print(f"[{name} finished in {time.time() - start:.1f}s]\n")
     finally:
         if journal is not None:
             journal.close()
         if collector is not None:
             collector.close_progress()
         configure_telemetry(None)
-        configure_result_cache(None)
-        configure_batch_mode(previous_batch)
 
     outputs: Dict[str, str] = {}
-    if args.resume:
-        artifact = os.path.join(args.resume, "results.json")
+    if options.resume:
+        artifact = os.path.join(options.resume, "results.json")
         write_artifact(artifact, collected, kind="experiment-results")
         outputs["results"] = artifact
         print(f"experiment artifact written to {artifact}")
@@ -508,7 +423,7 @@ def main(argv=None) -> int:
                 arguments={
                     "experiments": selected,
                     "full": args.full,
-                    "jobs": jobs,
+                    "jobs": options.jobs,
                     "trace_detail": args.trace_detail,
                     "sample_interval": sample_interval or 0,
                 },
@@ -520,28 +435,6 @@ def main(argv=None) -> int:
         )
         print(f"run manifest written to {manifest_path}")
     return 0
-
-
-def _resolve_cache(args: argparse.Namespace) -> Optional[ResultCache]:
-    """The run's result cache, honoring flags then the environment."""
-    if args.no_result_cache:
-        return None
-    directory = args.cache_dir or os.environ.get("REPRO_RESULT_CACHE")
-    if not directory:
-        return None
-    stamp = args.cache_stamp or os.environ.get("REPRO_CACHE_STAMP") or None
-    if stamp == "auto":
-        from repro.sim.result_cache import derive_cache_stamp
-
-        stamp = derive_cache_stamp()
-        if stamp is None:
-            print(
-                "warning: --cache-stamp auto found neither an installed "
-                "package version nor a git revision; using version-"
-                "agnostic cache keys",
-                file=sys.stderr,
-            )
-    return ResultCache(directory, code_stamp=stamp)
 
 
 def _manifest_path(args: argparse.Namespace) -> Optional[str]:

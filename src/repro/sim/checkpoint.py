@@ -405,17 +405,10 @@ class CheckpointJournal:
         self._stream.flush()
         os.fsync(self._stream.fileno())
 
-    def record(self, key: str, payload: Any, replace: bool = False) -> None:
-        """Durably append one completed unit (idempotent per key).
-
-        With ``replace=True`` the key may be re-recorded with a new
-        payload — replay keeps the *latest* record for a key, so
-        mutable state machines (job states, leases) can journal every
-        transition through the same torn-tail-safe append path.
-        """
+    def record(self, key: str, payload: Any) -> None:
+        """Durably append one completed unit (idempotent per key)."""
         if key in self._records:
-            if not replace or self._records[key] == plain(payload):
-                return
+            return
         payload = plain(payload)
         self._records[key] = payload
         self._append_line(

@@ -1,0 +1,225 @@
+"""The execution flags every work-running entry point shares.
+
+``python -m repro.experiments``, ``repro faults`` and ``repro attack``
+all take the same eight flags — ``--jobs``, ``--resume``, ``--timeout``,
+``--retries``, ``--cache-dir``, ``--no-result-cache``, ``--cache-stamp``
+and ``--batch`` — from :func:`execution_parser`, and turn the parsed
+namespace into one :class:`ExecutionOptions`.  None of the flags changes
+a result: they choose how work runs (worker count, supervision, replay
+strategy), where it is journaled, and which prior results it may reuse.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import sys
+from contextlib import contextmanager
+from dataclasses import dataclass, fields
+from typing import Iterator, Optional
+
+from repro.sim.parallel import (
+    ParallelSweepExecutor,
+    configure_executor_defaults,
+    resolve_jobs,
+    validate_supervision,
+)
+from repro.sim.result_cache import (
+    ResultCache,
+    active_result_cache,
+    configure_result_cache,
+    derive_cache_stamp,
+)
+from repro.traces.replay import (
+    BATCH_MODES,
+    active_batch_mode,
+    configure_batch_mode,
+)
+
+
+@dataclass(frozen=True)
+class ExecutionOptions:
+    """How one run executes its work; see the module docstring."""
+
+    jobs: int = 1
+    resume: Optional[str] = None
+    timeout: Optional[float] = None
+    retries: int = 2
+    cache_dir: Optional[str] = None
+    no_result_cache: bool = False
+    cache_stamp: Optional[str] = None
+    batch: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        validate_supervision(timeout=self.timeout, retries=self.retries)
+
+    @classmethod
+    def from_args(cls, args: argparse.Namespace) -> "ExecutionOptions":
+        """The options parsed by :func:`execution_parser`."""
+        return cls(**{
+            field.name: getattr(args, field.name) for field in fields(cls)
+        })
+
+    def result_cache(self) -> Optional[ResultCache]:
+        """The run's result cache, honoring flags then the environment."""
+        if self.no_result_cache:
+            return None
+        directory = self.cache_dir or os.environ.get("REPRO_RESULT_CACHE")
+        if not directory:
+            return None
+        stamp = self.cache_stamp or os.environ.get("REPRO_CACHE_STAMP") or None
+        if stamp == "auto":
+            stamp = derive_cache_stamp()
+            if stamp is None:
+                print(
+                    "warning: --cache-stamp auto found neither an installed "
+                    "package version nor a git revision; using version-"
+                    "agnostic cache keys",
+                    file=sys.stderr,
+                )
+        return ResultCache(directory, code_stamp=stamp)
+
+    def executor(self) -> ParallelSweepExecutor:
+        """A supervised executor with these worker and retry settings."""
+        return ParallelSweepExecutor(
+            self.jobs, timeout=self.timeout, retries=self.retries
+        )
+
+    @contextmanager
+    def applied(self) -> Iterator[Optional[ResultCache]]:
+        """Install the batch mode, executor defaults and result cache for
+        the duration of the block, then restore what was there before.
+
+        Yields the installed result cache (or None).  The executor
+        defaults reach executors built deep inside experiment modules.
+        """
+        previous_batch = active_batch_mode()
+        previous_cache = active_result_cache()
+        if self.batch is not None:
+            configure_batch_mode(self.batch)
+        previous_defaults = configure_executor_defaults(
+            timeout=self.timeout, retries=self.retries
+        )
+        try:
+            yield configure_result_cache(self.result_cache())
+        finally:
+            configure_result_cache(previous_cache)
+            configure_executor_defaults(**previous_defaults)
+            configure_batch_mode(previous_batch)
+
+
+def _argument_type(convert):
+    """Wrap ``convert`` as an argparse ``type`` whose ValueError —
+    :class:`~repro.errors.ValidationError` included — exits 2 carrying
+    its own message rather than argparse's generic one."""
+
+    def parse(text: str):
+        try:
+            return convert(text)
+        except ValueError as error:
+            raise argparse.ArgumentTypeError(str(error)) from None
+
+    return parse
+
+
+def _timeout(text: str) -> float:
+    value = float(text)
+    validate_supervision(timeout=value)
+    return value
+
+
+def _retries(text: str) -> int:
+    value = int(text)
+    validate_supervision(retries=value)
+    return value
+
+
+def add_batch_argument(parser) -> None:
+    """``--batch``; also used alone by ``repro simulate``."""
+    parser.add_argument(
+        "--batch",
+        choices=BATCH_MODES,
+        default=None,
+        help="batch replay mode: 'auto' vectorizes steady-state "
+        "windows, 'on' forces batching even for mostly-cold chunks, "
+        "'off' replays request-by-request; results are identical in "
+        "all three (default: process setting, normally auto)",
+    )
+
+
+_CACHE_DIR_HELP = (
+    "content-addressed result cache: reuse any grid cell or campaign "
+    "trial that already completed in a prior run, and store fresh ones "
+    "(default: $REPRO_RESULT_CACHE if set, else no cache); warm output "
+    "is byte-identical to cold"
+)
+
+
+def add_cache_dir_argument(parser, help_text: str = _CACHE_DIR_HELP) -> None:
+    """``--cache-dir``; also used by ``repro cache`` to name the store."""
+    parser.add_argument(
+        "--cache-dir", metavar="DIR", default=None, help=help_text
+    )
+
+
+def execution_parser() -> argparse.ArgumentParser:
+    """The argparse parent declaring the eight execution flags."""
+    parser = argparse.ArgumentParser(add_help=False)
+    group = parser.add_argument_group("execution")
+    group.add_argument(
+        "--jobs",
+        type=_argument_type(resolve_jobs),
+        metavar="N",
+        default="1",
+        help="worker processes for grid cells and campaign trials "
+        "('auto' = one per core; default: 1, fully serial); output is "
+        "identical for any job count",
+    )
+    group.add_argument(
+        "--resume",
+        metavar="DIR",
+        default=None,
+        help="checkpoint directory: journal every completed experiment "
+        "or trial there and skip those already journaled, so an "
+        "interrupted run re-run with the same DIR finishes the "
+        "remaining work with output identical to an uninterrupted run "
+        "(the final artifact is written to DIR too)",
+    )
+    group.add_argument(
+        "--timeout",
+        type=_argument_type(_timeout),
+        metavar="SECONDS",
+        default=None,
+        help="per-cell timeout for worker processes; hung or killed "
+        "workers are torn down and their work retried (default: no "
+        "limit)",
+    )
+    group.add_argument(
+        "--retries",
+        type=_argument_type(_retries),
+        metavar="N",
+        default=2,
+        help="retry rounds for failed cells before degrading to "
+        "in-process execution (default: 2)",
+    )
+    add_cache_dir_argument(group)
+    group.add_argument(
+        "--no-result-cache",
+        action="store_true",
+        help="ignore --cache-dir and $REPRO_RESULT_CACHE for this run",
+    )
+    group.add_argument(
+        "--cache-stamp",
+        metavar="STAMP",
+        nargs="?",
+        const="auto",
+        default=None,
+        help="scope result-cache keys to a code version (e.g. a git "
+        "revision); entries written under another stamp miss instead "
+        "of replaying.  Bare --cache-stamp (or --cache-stamp auto) "
+        "derives the stamp from the installed package version or git "
+        "HEAD (default: $REPRO_CACHE_STAMP if set, else "
+        "version-agnostic keys)",
+    )
+    add_batch_argument(group)
+    return parser

@@ -85,18 +85,22 @@ _EXECUTOR_DEFAULTS: Dict[str, object] = {
 }
 
 
-def configure_executor_defaults(**overrides: object) -> None:
+def configure_executor_defaults(**overrides: object) -> Dict[str, object]:
     """Set process-wide defaults for supervision parameters.
 
     Recognized keys: ``timeout`` (seconds or None), ``retries``,
-    ``backoff``, ``maxtasksperchild``.  Experiment entry points call
-    this once from their CLI flags; executors created afterwards with
-    unspecified parameters pick the new defaults up.
+    ``backoff``, ``maxtasksperchild``.  Entry points call this from
+    their CLI flags; executors created afterwards with unspecified
+    parameters pick the new defaults up.  Returns the replaced values,
+    so ``configure_executor_defaults(**previous)`` restores them.
     """
+    previous: Dict[str, object] = {}
     for key, value in overrides.items():
         if key not in _EXECUTOR_DEFAULTS:
             raise ValueError(f"unknown executor default {key!r}")
+        previous[key] = _EXECUTOR_DEFAULTS[key]
         _EXECUTOR_DEFAULTS[key] = value
+    return previous
 
 
 def validate_supervision(
@@ -106,10 +110,10 @@ def validate_supervision(
 ) -> None:
     """Reject unusable supervision parameters with a typed error.
 
-    Called at executor construction *and* by the job service at
-    admission time, so a bad ``timeout``/``retries`` in a submission
-    becomes an HTTP 400 instead of a worker-side crash hours later.
-    ``None`` values are skipped (meaning "not specified").
+    Called at executor construction and when the ``--timeout`` and
+    ``--retries`` flags are parsed, so a bad value stops the run before
+    any work starts instead of crashing a worker hours later.  ``None``
+    values are skipped (meaning "not specified").
     """
     if timeout is not None:
         try:
@@ -238,10 +242,6 @@ class ParallelSweepExecutor:
     maxtasksperchild:
         Cells a worker executes before being replaced by a fresh
         process — bounds slow memory growth over multi-hour campaigns.
-    chunksize:
-        Accepted for backwards compatibility; the supervised executor
-        dispatches one cell per task so any cell can be individually
-        timed out and retried.
     """
 
     #: Pools always use the spawn start method: workers import the code
@@ -252,14 +252,12 @@ class ParallelSweepExecutor:
     def __init__(
         self,
         jobs: Union[int, str, None] = 1,
-        chunksize: Optional[int] = None,
         timeout: Union[float, None, object] = _UNSET,
         retries: Union[int, object] = _UNSET,
         backoff: Union[float, object] = _UNSET,
         maxtasksperchild: Union[int, None, object] = _UNSET,
     ) -> None:
         self.jobs = resolve_jobs(jobs)
-        self.chunksize = chunksize
 
         def pick(name: str, value):
             return _EXECUTOR_DEFAULTS[name] if value is _UNSET else value
@@ -280,29 +278,6 @@ class ParallelSweepExecutor:
         self.maxtasksperchild = pick("maxtasksperchild", maxtasksperchild)
         #: Diagnostics: (cell index, error repr) per failed attempt.
         self.retry_log: List[Tuple[int, str]] = []
-
-    def with_overrides(
-        self,
-        jobs: Union[int, str, None, object] = _UNSET,
-        timeout: Union[float, None, object] = _UNSET,
-        retries: Union[int, object] = _UNSET,
-    ) -> "ParallelSweepExecutor":
-        """A fresh executor sharing this one's policy, selectively
-        overridden.
-
-        The job service holds one template executor and derives a
-        per-job handle from it (per-job timeout/retry without mutating
-        the shared policy); the derived executor gets its own clean
-        ``retry_log``.
-        """
-        return ParallelSweepExecutor(
-            jobs=self.jobs if jobs is _UNSET else jobs,
-            chunksize=self.chunksize,
-            timeout=self.timeout if timeout is _UNSET else timeout,
-            retries=self.retries if retries is _UNSET else retries,
-            backoff=self.backoff,
-            maxtasksperchild=self.maxtasksperchild,
-        )
 
     @property
     def is_parallel(self) -> bool:

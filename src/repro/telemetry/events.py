@@ -108,40 +108,6 @@ EVENT_SCHEMA: Dict[str, Tuple[Tuple[str, ...], str]] = {
         ("tree", "ok"),
         "integrity-tree child verification (detail-level only)",
     ),
-    "service.submit": (
-        ("job", "tenant", "job_kind"),
-        "the job server accepted a submission into its queue",
-    ),
-    "service.attach": (
-        ("job", "tenant"),
-        "an idempotent resubmission attached to an existing job",
-    ),
-    "service.reject": (
-        ("tenant", "reason"),
-        "a submission was refused (backpressure, quota, validation)",
-    ),
-    "service.start": (
-        ("job", "tenant", "job_kind"),
-        "a queued job began executing on the worker pool",
-    ),
-    "service.progress": (
-        ("job", "done", "total"),
-        "a running job completed more work units",
-    ),
-    "service.complete": (
-        ("job", "state"),
-        "a job reached a terminal state (succeeded/failed/cancelled)",
-    ),
-    "service.adopt": (
-        ("job", "generation"),
-        "a restarted server re-adopted an orphaned job from a dead "
-        "generation's lease",
-    ),
-    "service.degrade": (
-        ("level", "reason"),
-        "the server changed its degradation level (serial shed / "
-        "admission freeze)",
-    ),
 }
 
 

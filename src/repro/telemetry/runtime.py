@@ -477,16 +477,13 @@ def build_manifest(
     outputs: Optional[Dict[str, str]] = None,
     started: Optional[float] = None,
     result_cache: Optional[dict] = None,
-    service: Optional[dict] = None,
 ) -> dict:
     """Assemble the per-run manifest written next to ``results.json``.
 
     Wall-clock values are welcome here — the manifest documents a run,
     it is never byte-compared between runs.  ``result_cache`` is the
     hit/miss/bytes-saved stats block of the run's content-addressed
-    result cache, when one was configured.  ``service`` is the job
-    server's state block (generation, queue-depth/inflight gauges,
-    admission counters) when the manifest documents a service period.
+    result cache, when one was configured.
     """
     manifest = {
         "schema": MANIFEST_SCHEMA,
@@ -502,8 +499,6 @@ def build_manifest(
         "telemetry": collector.summary() if collector is not None else None,
         "result_cache": result_cache,
     }
-    if service is not None:
-        manifest["service"] = service
     session_now = current_session()
     if session_now is not None:
         manifest["spans"] = session_now.registry.snapshot(deterministic=False)

@@ -3,6 +3,10 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.errors import ValidationError
+from repro.experiments import runner
+from repro.sim.options import ExecutionOptions
+from repro.sim.parallel import validate_supervision
 
 
 class TestParser:
@@ -159,3 +163,67 @@ class TestFaultsResume:
             str(victim / "campaign.json"), kind="fault-campaign"
         )
         assert len(payload["trials"]) == 8
+
+
+def _validation_message(**supervision) -> str:
+    with pytest.raises(ValidationError) as error:
+        validate_supervision(**supervision)
+    return str(error.value)
+
+
+class TestExecutionFlags:
+    """The eight execution flags come from one declaration, so every
+    entry point parses and rejects them the same way."""
+
+    ARGV = [
+        "--jobs", "2", "--resume", "ck", "--timeout", "30",
+        "--retries", "1", "--cache-dir", "store", "--no-result-cache",
+        "--cache-stamp", "--batch", "off",
+    ]
+
+    @pytest.mark.parametrize(
+        "parse",
+        [
+            runner.build_parser().parse_args,
+            lambda argv: build_parser().parse_args(["faults", *argv]),
+            lambda argv: build_parser().parse_args(["attack", *argv]),
+        ],
+        ids=["experiments", "faults", "attack"],
+    )
+    def test_one_declaration_everywhere(self, parse, capsys):
+        assert ExecutionOptions.from_args(parse(self.ARGV)) == (
+            ExecutionOptions(
+                jobs=2, resume="ck", timeout=30.0, retries=1,
+                cache_dir="store", no_result_cache=True,
+                cache_stamp="auto", batch="off",
+            )
+        )
+        for argv, message in (
+            (["--timeout", "0"], _validation_message(timeout=0.0)),
+            (["--retries", "-1"], _validation_message(retries=-1)),
+        ):
+            with pytest.raises(SystemExit) as exit_info:
+                parse(argv)
+            assert exit_info.value.code == 2
+            assert message in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["serve"])
+        assert exit_info.value.code == 2
+
+    def test_applied_restores_process_settings(self, tmp_path):
+        from repro.sim.parallel import ParallelSweepExecutor
+        from repro.sim.result_cache import active_result_cache
+        from repro.traces.replay import active_batch_mode
+
+        options = ExecutionOptions(
+            timeout=5.0, retries=0, cache_dir=str(tmp_path), batch="off"
+        )
+        with options.applied() as cache:
+            assert cache is not None and cache is active_result_cache()
+            assert active_batch_mode() == "off"
+            executor = ParallelSweepExecutor()
+            assert (executor.timeout, executor.retries) == (5.0, 0)
+        assert active_result_cache() is None
+        assert active_batch_mode() == "auto"
+        executor = ParallelSweepExecutor()
+        assert (executor.timeout, executor.retries) == (None, 2)

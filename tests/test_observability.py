@@ -1,4 +1,4 @@
-"""The recovery flight recorder and the live telemetry plane.
+"""The recovery flight recorder and sampled metric series.
 
 The contracts under test, in order of importance:
 
@@ -9,10 +9,6 @@ The contracts under test, in order of importance:
 2. **Sampling is deterministic and inert.**  Sampled metric series are
    byte-identical at any ``--jobs`` count, and arming the sampler
    changes nothing about the simulation results themselves.
-3. **The live plane observes without perturbing.**  The service's
-   telemetry feed streams schema-valid events while the job's
-   artifacts stay what a direct run produces; ``/v1/status`` renders;
-   ``repro top --once`` and ``repro recover-report`` work end to end.
 """
 
 from __future__ import annotations
@@ -338,24 +334,3 @@ def test_stats_from_metrics_rejects_missing_file(tmp_path, capsys):
     assert cli.main(["stats", "--from-metrics", str(missing)]) == 2
     assert "missing.json" in capsys.readouterr().err
 
-
-# ---------------------------------------------------------------------------
-# JobTelemetryFeed: bounded, thread-safe, closable
-# ---------------------------------------------------------------------------
-
-
-def test_job_telemetry_feed_bounds_and_snapshots():
-    from repro.service.telemetry import JobTelemetryFeed
-
-    feed = JobTelemetryFeed("job-1", limit=3)
-    for index in range(5):
-        feed.emit("metric.sample", tick=index, values={})
-    assert len(feed) == 3
-    assert feed.dropped == 2
-    events = feed.snapshot()
-    assert [e["seq"] for e in events] == [0, 1, 2]
-    assert all(e["job"] == "job-1" for e in events)
-    assert feed.snapshot(2) == events[2:]
-    assert not feed.closed
-    feed.close()
-    assert feed.closed

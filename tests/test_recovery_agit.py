@@ -95,6 +95,31 @@ class TestRoundTrip:
         assert report2.counters_repaired == 0  # nothing left to fix
 
 
+class TestOsirisCandidateChoice:
+    @pytest.mark.parametrize("seed", [2, 26])
+    def test_clean_candidate_beats_earlier_correctable_one(self, seed):
+        """A wrong counter's garbage can sit one SECDED correction away;
+        an exactly-sane candidate later in the stop-loss window must win
+        over it, or the rebuilt root mismatches."""
+        from repro.config import KIB, TreeKind, default_table1_config
+        from repro.controller.factory import build_controller
+        from repro.crypto.keys import ProcessorKeys
+        from repro.traces.profiles import profile
+        from repro.traces.replay import replay_batched
+        from repro.traces.synthetic import generate_trace
+
+        config = default_table1_config(
+            SchemeKind.AGIT_PLUS, TreeKind.BONSAI
+        ).with_cache_size(512 * KIB)
+        controller = build_controller(config, keys=ProcessorKeys(seed))
+        replay_batched(
+            controller,
+            generate_trace(profile("libquantum"), 8000, seed=seed),
+        )
+        _reborn, report = crash_and_recover(controller)
+        assert report.root_matched
+
+
 class TestRecoveryBounds:
     def test_work_bounded_by_shadow_tables_not_memory(self):
         """The O(cache) claim: recovery reads scale with tracked blocks,
