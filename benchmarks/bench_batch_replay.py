@@ -6,7 +6,7 @@ set — which is where sweep and campaign wall-clock actually goes.
 This benchmark measures exactly that regime: each workload's footprint
 fits the configured metadata caches, the caches are warmed with a
 scalar prefix, and only the steady-state portion is timed, scalar
-(``replay``) against batched (``replay_batched`` with ``batch="on"``).
+(``replay``) against batched (``replay_batched``).
 Results land in ``BENCH_batch_replay.json``.
 
 Usage::
@@ -132,7 +132,7 @@ def _measure(
             if mode == "scalar":
                 replay(controller, trace)
             else:
-                replay_batched(controller, trace, batch="on")
+                replay_batched(controller, trace)
             best = min(best, time.perf_counter() - start)
         row[f"{mode}_ns_per_access"] = best / length * 1e9
     row["speedup"] = (

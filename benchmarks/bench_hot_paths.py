@@ -97,14 +97,18 @@ def bench_telemetry(trace_length: int = 4_000, repeats: int = 5) -> Dict:
 
     The simulator is permanently instrumented; "bare" means no session
     installed, so every emit site costs one ``NULL_TRACER.enabled``
-    attribute test.  Measures a full simulation with telemetry off and
-    on (best of ``repeats``), plus the per-site guard cost in
-    isolation.
+    attribute test.  Measures a full simulation (build, scalar replay,
+    finalize) with telemetry off and on (best of ``repeats``), plus the
+    per-site guard cost in isolation.
     """
+    from contextlib import nullcontext
+
     from repro.config import SchemeKind, default_table1_config
-    from repro.sim.engine import run_simulation
+    from repro.controller.factory import build_controller
     from repro.telemetry import NULL_TRACER, TelemetrySpec
+    from repro.telemetry.runtime import session
     from repro.traces.profiles import profile
+    from repro.traces.replay import replay
     from repro.traces.synthetic import generate_trace
 
     config = default_table1_config(SchemeKind.AGIT_PLUS)
@@ -112,12 +116,15 @@ def bench_telemetry(trace_length: int = 4_000, repeats: int = 5) -> Dict:
     keys = ProcessorKeys(0)
 
     def one_run_ns(telemetry) -> float:
-        # Pinned scalar: a live tracer forces scalar replay anyway, so
-        # letting the bare run batch would compare different engines and
-        # report the difference as "telemetry overhead".
+        # Scalar replay on both sides: a live tracer forces scalar
+        # replay anyway, so letting the bare run batch would compare
+        # different engines and report the difference as "telemetry
+        # overhead".
         start = time.perf_counter()
-        run_simulation(config, trace, keys, telemetry=telemetry,
-                       batch="off")
+        with session(telemetry) if telemetry is not None else nullcontext():
+            controller = build_controller(config, keys=keys)
+            replay(controller, trace)
+            controller.finalize()
         return (time.perf_counter() - start) * 1e9 / trace_length
 
     # Interleave the A/B (bare, enabled, bare, enabled, ...) and keep

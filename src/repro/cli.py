@@ -31,8 +31,8 @@ Commands:
 * ``experiments`` — shorthand for ``python -m repro.experiments``.
 
 ``faults``, ``attack`` and ``python -m repro.experiments`` take their
-execution flags (``--jobs``, ``--resume``, ``--timeout``, ``--retries``,
-the result-cache flags and ``--batch``) from one shared declaration,
+execution flags (``--jobs``, ``--resume``, ``--timeout``, ``--retries``
+and the result-cache flags) from one shared declaration,
 :func:`repro.sim.options.execution_parser`.
 """
 
@@ -56,7 +56,6 @@ from repro.errors import ReproError
 from repro.sim.engine import run_simulation
 from repro.sim.options import (
     ExecutionOptions,
-    add_batch_argument,
     add_cache_dir_argument,
     execution_parser,
 )
@@ -127,7 +126,7 @@ def _command_simulate(args: argparse.Namespace) -> int:
     trace = generate_trace(
         profile(args.workload), args.length, seed=args.seed
     )
-    result = run_simulation(config, trace, keys, batch=args.batch)
+    result = run_simulation(config, trace, keys)
     print(f"workload       : {trace}")
     print(f"scheme         : {config.scheme.value} ({config.tree.value})")
     print(f"elapsed        : {result.elapsed_ns / 1e6:.3f} ms "
@@ -721,7 +720,6 @@ def build_parser() -> argparse.ArgumentParser:
         "simulate", help="replay a workload under a scheme"
     )
     _add_system_arguments(simulate)
-    add_batch_argument(simulate)
     simulate.add_argument(
         "--workload", choices=profile_names(), default="gcc"
     )

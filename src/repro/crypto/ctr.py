@@ -157,34 +157,6 @@ class CounterModeEngine:
     def _xor(self, data: bytes, pad: bytes) -> bytes:
         return xor_bytes(data, pad)
 
-    def warm_pads(self, entries, ecc_length: int = 0) -> int:
-        """Bulk-precompute pads for ``(address, major, minor)`` tuples.
-
-        For callers that know IV tuples they are about to need many
-        times (repeated decrypts of a snapshot, recovery sweeps), this
-        runs the pad BLAKE2b work as one tight loop instead of
-        interleaved with other bookkeeping.  Pads are pure functions of
-        the key and the tuple, so warming is exact; a mispredicted
-        tuple only wastes one memo slot.  Note that *seal* streams gain
-        nothing from warming — every write uses a fresh minor, so the
-        batched replay engine computes seal pads inline instead.  With
-        ``ecc_length`` nonzero the matching ECC pads are warmed too.
-        Returns the number of pads computed (memo misses).  No-op when
-        the memo is disabled.
-        """
-        if self._pad_memo is None:
-            return 0
-        computed = 0
-        memo = self._pad_memo
-        for address, major, minor in entries:
-            if (address, major, minor) not in memo:
-                self._line_pad_int(address, major, minor)
-                computed += 1
-            if ecc_length and (address, major, minor, ecc_length) not in memo:
-                self._ecc_pad_int(address, major, minor, ecc_length)
-                computed += 1
-        return computed
-
     def encrypt(self, plaintext: bytes, address: int, major: int, minor: int) -> bytes:
         """Encrypt one line under (address, major, minor)."""
         size = self.block_size

@@ -664,18 +664,9 @@ def _execute_trials(
 def _campaign_worker(payload: Tuple) -> List[TrialResult]:
     """Pool worker: rebuild the plan locally, run one index slice.
 
-    The payload is ``(campaign, indices)`` optionally extended with
-    ``(..., batch_mode)``.  Spawn workers inherit no parent globals, so
-    the parent's resolved ``--batch`` mode must ride in the payload —
-    otherwise a ``--batch off`` campaign would silently run its worker
-    warmups batched (results are identical by contract, but "off" must
-    mean off for debugging and benchmarking to be trustworthy).
+    The payload is ``(campaign, indices)``.
     """
-    from repro.traces.replay import configure_batch_mode
-
-    campaign, indices = payload[:2]
-    if len(payload) > 2 and payload[2] is not None:
-        configure_batch_mode(payload[2])
+    campaign, indices = payload
     plan = _build_plan(campaign)
     return _execute_trials(campaign, plan, indices)
 
@@ -809,15 +800,9 @@ def run_campaign(
                 pending[start : start + step]
                 for start in range(0, len(pending), step)
             ]
-            # Resolve the batch mode here in the parent: spawn workers
-            # inherit no globals, so a configure_batch_mode() call made
-            # before the campaign must be shipped inside each payload.
-            from repro.traces.replay import active_batch_mode
-
-            batch_mode = active_batch_mode()
             executor.map(
                 _campaign_worker,
-                [(campaign, chunk, batch_mode) for chunk in slices],
+                [(campaign, chunk) for chunk in slices],
                 on_result=lambda _slice, trials: [
                     finish(trial) for trial in trials
                 ],

@@ -53,7 +53,6 @@ def run_simulation(
     trace: Trace,
     keys: Optional[ProcessorKeys] = None,
     telemetry: Optional[TelemetrySpec] = None,
-    batch: Optional[str] = None,
 ) -> SimulationResult:
     """Replay one trace on a freshly built system; return its result.
 
@@ -63,15 +62,14 @@ def run_simulation(
     and the result carries the recorded events — the per-cell stream a
     parent-side :class:`~repro.telemetry.runtime.RunCollector` merges.
 
-    ``batch`` overrides the process-wide batch replay mode for this
-    cell ("auto"/"on"/"off"); batched and scalar replay produce
-    identical results, so the knob only affects wall-clock time.  A
-    live telemetry session always replays scalar (the event stream
-    carries per-access events in scalar order).
+    Replay is batched whenever the controller supports it and scalar
+    otherwise; both produce identical results.  A live telemetry
+    session always replays scalar (the event stream carries per-access
+    events in scalar order).
     """
     if telemetry is not None:
         with telemetry_session(telemetry) as active:
-            result = run_simulation(config, trace, keys, batch=batch)
+            result = run_simulation(config, trace, keys)
         tracer = active.tracer
         if tracer.enabled:
             result.events = tracer.drain()
@@ -86,7 +84,7 @@ def run_simulation(
             result.telemetry["samples"] = len(result.samples)
         return result
     controller = build_controller(config, keys=keys)
-    replay_batched(controller, trace, batch=batch)
+    replay_batched(controller, trace)
     elapsed = controller.finalize()
     stats = controller.collect_stats()
     stats.update(_cache_stats(controller))
@@ -114,20 +112,18 @@ class SimulationEngine:
         base_config: SystemConfig,
         keys: Optional[ProcessorKeys] = None,
         executor: Optional["ParallelSweepExecutor"] = None,
-        batch: Optional[str] = None,
     ) -> None:
         self.base_config = base_config
         self.keys = keys if keys is not None else ProcessorKeys()
         self.executor = (
             executor if executor is not None else ParallelSweepExecutor(1)
         )
-        self.batch = batch
 
     def run(self, trace: Trace, scheme: SchemeKind) -> SimulationResult:
         """Run one trace under one scheme."""
         config = self.base_config.with_scheme(scheme)
         with span(f"sim.run.{scheme.value}"):
-            return run_simulation(config, trace, self.keys, batch=self.batch)
+            return run_simulation(config, trace, self.keys)
 
     def compare(
         self,
@@ -152,9 +148,7 @@ class SimulationEngine:
             for scheme in schemes
         ]
         with span("sim.sweep"):
-            results = self.executor.run_simulations(
-                cells, self.keys, batch=self.batch
-            )
+            results = self.executor.run_simulations(cells, self.keys)
         comparisons: List[SchemeComparison] = []
         cursor = 0
         for trace in trace_list:

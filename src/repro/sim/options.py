@@ -1,12 +1,12 @@
 """The execution flags every work-running entry point shares.
 
 ``python -m repro.experiments``, ``repro faults`` and ``repro attack``
-all take the same eight flags — ``--jobs``, ``--resume``, ``--timeout``,
-``--retries``, ``--cache-dir``, ``--no-result-cache``, ``--cache-stamp``
-and ``--batch`` — from :func:`execution_parser`, and turn the parsed
+all take the same seven flags — ``--jobs``, ``--resume``, ``--timeout``,
+``--retries``, ``--cache-dir``, ``--no-result-cache`` and
+``--cache-stamp`` — from :func:`execution_parser`, and turn the parsed
 namespace into one :class:`ExecutionOptions`.  None of the flags changes
-a result: they choose how work runs (worker count, supervision, replay
-strategy), where it is journaled, and which prior results it may reuse.
+a result: they choose how work runs (worker count, supervision), where
+it is journaled, and which prior results it may reuse.
 """
 
 from __future__ import annotations
@@ -30,11 +30,6 @@ from repro.sim.result_cache import (
     configure_result_cache,
     derive_cache_stamp,
 )
-from repro.traces.replay import (
-    BATCH_MODES,
-    active_batch_mode,
-    configure_batch_mode,
-)
 
 
 @dataclass(frozen=True)
@@ -48,7 +43,6 @@ class ExecutionOptions:
     cache_dir: Optional[str] = None
     no_result_cache: bool = False
     cache_stamp: Optional[str] = None
-    batch: Optional[str] = None
 
     def __post_init__(self) -> None:
         validate_supervision(timeout=self.timeout, retries=self.retries)
@@ -87,16 +81,13 @@ class ExecutionOptions:
 
     @contextmanager
     def applied(self) -> Iterator[Optional[ResultCache]]:
-        """Install the batch mode, executor defaults and result cache for
-        the duration of the block, then restore what was there before.
+        """Install the executor defaults and result cache for the
+        duration of the block, then restore what was there before.
 
         Yields the installed result cache (or None).  The executor
         defaults reach executors built deep inside experiment modules.
         """
-        previous_batch = active_batch_mode()
         previous_cache = active_result_cache()
-        if self.batch is not None:
-            configure_batch_mode(self.batch)
         previous_defaults = configure_executor_defaults(
             timeout=self.timeout, retries=self.retries
         )
@@ -105,7 +96,6 @@ class ExecutionOptions:
         finally:
             configure_result_cache(previous_cache)
             configure_executor_defaults(**previous_defaults)
-            configure_batch_mode(previous_batch)
 
 
 def _argument_type(convert):
@@ -134,19 +124,6 @@ def _retries(text: str) -> int:
     return value
 
 
-def add_batch_argument(parser) -> None:
-    """``--batch``; also used alone by ``repro simulate``."""
-    parser.add_argument(
-        "--batch",
-        choices=BATCH_MODES,
-        default=None,
-        help="batch replay mode: 'auto' vectorizes steady-state "
-        "windows, 'on' forces batching even for mostly-cold chunks, "
-        "'off' replays request-by-request; results are identical in "
-        "all three (default: process setting, normally auto)",
-    )
-
-
 _CACHE_DIR_HELP = (
     "content-addressed result cache: reuse any grid cell or campaign "
     "trial that already completed in a prior run, and store fresh ones "
@@ -163,7 +140,7 @@ def add_cache_dir_argument(parser, help_text: str = _CACHE_DIR_HELP) -> None:
 
 
 def execution_parser() -> argparse.ArgumentParser:
-    """The argparse parent declaring the eight execution flags."""
+    """The argparse parent declaring the seven execution flags."""
     parser = argparse.ArgumentParser(add_help=False)
     group = parser.add_argument_group("execution")
     group.add_argument(
@@ -221,5 +198,4 @@ def execution_parser() -> argparse.ArgumentParser:
         "HEAD (default: $REPRO_CACHE_STAMP if set, else "
         "version-agnostic keys)",
     )
-    add_batch_argument(group)
     return parser

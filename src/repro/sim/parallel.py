@@ -203,16 +203,14 @@ def resolve_jobs(spec: Union[int, float, str, None]) -> int:
 def _simulate_cell(payload: Tuple):
     """Module-level worker: one cell per call (spawn/fork picklable).
 
-    The payload is ``(config, trace, keys)`` optionally extended with
-    ``(..., telemetry_spec, batch_mode)`` — both must ride in the
-    payload because spawn workers inherit no parent globals.
+    The payload is ``(config, trace, keys, telemetry_spec)`` — the spec
+    (or None) must ride in the payload because spawn workers inherit no
+    parent globals.
     """
     from repro.sim.engine import run_simulation
 
-    config, trace, keys = payload[:3]
-    telemetry = payload[3] if len(payload) > 3 else None
-    batch = payload[4] if len(payload) > 4 else None
-    return run_simulation(config, trace, keys, telemetry=telemetry, batch=batch)
+    config, trace, keys, telemetry = payload
+    return run_simulation(config, trace, keys, telemetry=telemetry)
 
 
 class ParallelSweepExecutor:
@@ -470,16 +468,8 @@ class ParallelSweepExecutor:
         cells: Sequence[SimCell],
         keys: Optional[ProcessorKeys] = None,
         on_result: Optional[Callable[[int, SimulationResult], None]] = None,
-        batch: Optional[str] = None,
     ) -> List[SimulationResult]:
         """Run every (config, trace) cell; results in cell order.
-
-        ``batch`` selects the replay mode ("auto"/"on"/"off"); ``None``
-        resolves to the process-wide mode *here in the parent*, so
-        spawn workers (which inherit no globals) still honor a
-        ``configure_batch_mode`` call made before the sweep.  The mode
-        never enters result-cache keys: batched and scalar results are
-        identical by contract.
 
         When the run configured telemetry (see
         :func:`repro.telemetry.runtime.configure_telemetry`), the spec
@@ -499,12 +489,10 @@ class ParallelSweepExecutor:
             simulation_cell_key,
         )
         from repro.telemetry.runtime import active_spec, run_collector
-        from repro.traces.replay import resolve_batch_mode
 
         spec = active_spec()
         collector = run_collector()
         cache = active_result_cache()
-        batch_mode = resolve_batch_mode(batch)
 
         cache_keys: Dict[int, str] = {}
         cached: Dict[int, SimulationResult] = {}
@@ -534,7 +522,7 @@ class ParallelSweepExecutor:
         cold = [index for index in range(len(cells)) if index not in cached]
         if cold:
             payloads: List[Tuple] = [
-                (cells[index][0], cells[index][1], keys, spec, batch_mode)
+                (cells[index][0], cells[index][1], keys, spec)
                 for index in cold
             ]
 

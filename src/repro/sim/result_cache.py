@@ -35,9 +35,8 @@ semantics, clear the store (``repro cache clear``), point runs at a
 fresh ``--cache-dir``, or set a *code stamp* (``--cache-stamp`` /
 ``REPRO_CACHE_STAMP``, e.g. a git revision) — the stamp is mixed into
 every key, so entries written under a different stamp simply miss.
-Execution-strategy knobs that provably do not change results — the
-batch replay mode — are deliberately *excluded* from keys: a sweep
-cached scalar must hit when re-run batched, and vice versa.
+How a cell executes — worker count, batched or scalar replay — never
+changes its result, so none of it enters keys.
 """
 
 from __future__ import annotations

@@ -7,12 +7,12 @@ flatten of counter groups) and records one ``metric.sample`` event
 timestamped with the simulated clock.  Because both the trigger (a
 request counter) and the payload (simulated counters, simulated
 nanoseconds) are deterministic, the sampled NDJSON series is
-byte-identical across ``--jobs`` counts and across batch modes —
-the same contract ``--trace-out`` already honours.
+byte-identical across ``--jobs`` counts — the same contract
+``--trace-out`` already honours.
 
-The replay hot path pays for sampling only when it is armed: loops
-fetch :func:`~repro.telemetry.runtime.active_sampler` once per run and
-keep their original body when it returns None.
+The replay hot path pays one ``None`` test per request when sampling
+is off: :func:`~repro.traces.replay.replay` fetches
+:func:`~repro.telemetry.runtime.active_sampler` once per run.
 """
 
 from __future__ import annotations

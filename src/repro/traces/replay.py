@@ -3,69 +3,32 @@
 :func:`replay` drives every request through the controller and, when
 asked, keeps a plain dict of the latest plaintext per address — the
 oracle the crash/recovery tests compare post-recovery reads against.
+It is the one scalar replay loop.
 
 :func:`replay_batched` is the drop-in fast variant: it feeds the
 trace's columnar form through the chunked batch engine
-(:mod:`repro.controller.batch`) wherever that is provably exact, and
-replays request-by-request everywhere else — inside caller-declared
-``scalar_windows`` (crash/fault/attack injection ranges), for
-functional ``check_reads`` runs, under a live telemetry session, and
-for controllers the batch engine does not support.  Results are
-identical to :func:`replay` in all cases; only wall-clock differs.
-
-The module also owns the process-wide batch-mode knob ("auto" / "on" /
-"off") that the CLIs and the experiment runner thread through
-``sim.engine`` — workers resolve it per simulation so parallel sweeps
-inherit the parent's choice.
+(:mod:`repro.controller.batch`) whenever
+:func:`~repro.controller.batch.batch_supported` accepts the controller,
+and runs :func:`replay` otherwise — under a live telemetry session, an
+armed metric sampler, and for controllers the batch engine does not
+support.  Results are identical to :func:`replay` in all cases; only
+wall-clock differs.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.controller.access import Op
 from repro.controller.base import SecureMemoryController
-from repro.errors import ConfigError, IntegrityError
+from repro.errors import IntegrityError
 from repro.traces.trace import Trace
 
-#: Legal values of the batch-mode knob.
-BATCH_MODES = ("auto", "on", "off")
 
-_batch_mode = "auto"
-
-
-def configure_batch_mode(mode: Optional[str]) -> str:
-    """Set the process-wide batch replay mode; returns the new value.
-
-    ``None`` resets to the default ("auto").  "auto" and "on" differ
-    only in heuristics (auto may run mostly-cold chunks scalar); "off"
-    forces request-by-request replay everywhere.
-    """
-    global _batch_mode
-    if mode is None:
-        mode = "auto"
-    if mode not in BATCH_MODES:
-        raise ConfigError(
-            f"batch mode must be one of {BATCH_MODES}, got {mode!r}"
-        )
-    _batch_mode = mode
-    return mode
-
-
-def active_batch_mode() -> str:
-    """The process-wide batch replay mode."""
-    return _batch_mode
-
-
-def resolve_batch_mode(explicit: Optional[str]) -> str:
-    """An explicit per-call mode if given, else the process-wide one."""
-    if explicit is None:
-        return _batch_mode
-    if explicit not in BATCH_MODES:
-        raise ConfigError(
-            f"batch mode must be one of {BATCH_MODES}, got {explicit!r}"
-        )
-    return explicit
+def _bounds(trace: Trace, start: int, stop: Optional[int]) -> Tuple[int, int]:
+    """``[start, stop)`` clipped to the trace (``stop=None``: its end)."""
+    total = len(trace)
+    return max(0, start), total if stop is None else min(total, stop)
 
 
 def replay(
@@ -73,8 +36,10 @@ def replay(
     trace: Trace,
     oracle: Optional[Dict[int, bytes]] = None,
     check_reads: bool = False,
+    start: int = 0,
+    stop: Optional[int] = None,
 ) -> Dict[int, bytes]:
-    """Run every request of ``trace`` through ``controller``.
+    """Run requests ``[start, stop)`` of ``trace`` through ``controller``.
 
     Parameters
     ----------
@@ -84,201 +49,82 @@ def replay(
     check_reads:
         When True, every read's result is compared against the oracle —
         a full functional check, slower but used widely in tests.
+    start, stop:
+        Replay only requests ``[start, stop)`` (default: the whole
+        trace).
 
-    Returns the (possibly updated) oracle mapping address -> plaintext.
+    An armed metric sampler gets one ``tick`` per request.  Returns the
+    (possibly updated) oracle mapping address -> plaintext.
     """
+    from repro.telemetry.runtime import active_sampler
+
     shadow: Dict[int, bytes] = oracle if oracle is not None else {}
     # Never-written lines read back as zeros of the *configured* block
     # size; hard-coding 64 here made every non-64B geometry report
     # phantom IntegrityErrors on cold reads.
     blank = bytes(controller.config.memory.block_size)
-    for request in trace:
-        if request.op == Op.WRITE:
-            controller.access(request)
-            shadow[request.address] = request.data
-        else:
-            data = controller.access(request)
-            if check_reads:
-                expected = shadow.get(request.address, blank)
-                if data != expected:
-                    raise IntegrityError(
-                        f"replay mismatch at {request.address:#x}: "
-                        f"controller returned different plaintext than "
-                        f"the oracle"
-                    )
-    return shadow
-
-
-def _replay_range(
-    controller: SecureMemoryController,
-    trace: Trace,
-    shadow: Dict[int, bytes],
-    blank: bytes,
-    check_reads: bool,
-    start: int,
-    stop: int,
-) -> None:
-    """Scalar replay of ``trace[start:stop)`` — the :func:`replay` body."""
-    from repro.telemetry.runtime import active_sampler
-
     sampler = active_sampler()
-    if sampler is not None:
-        # Duplicated loop: the common no-sampling path must not pay a
-        # per-request None check on top of the access itself.
-        for request in trace.iter_range(start, stop):
-            if request.op == Op.WRITE:
-                controller.access(request)
-                shadow[request.address] = request.data
-            else:
-                data = controller.access(request)
-                if check_reads:
-                    expected = shadow.get(request.address, blank)
-                    if data != expected:
-                        raise IntegrityError(
-                            f"replay mismatch at {request.address:#x}: "
-                            f"controller returned different plaintext "
-                            f"than the oracle"
-                        )
-            sampler.tick(controller)
-        return
+    tick = sampler.tick if sampler is not None else None
+    start, stop = _bounds(trace, start, stop)
     for request in trace.iter_range(start, stop):
         if request.op == Op.WRITE:
             controller.access(request)
             shadow[request.address] = request.data
         else:
             data = controller.access(request)
-            if check_reads:
-                expected = shadow.get(request.address, blank)
-                if data != expected:
-                    raise IntegrityError(
-                        f"replay mismatch at {request.address:#x}: "
-                        f"controller returned different plaintext than "
-                        f"the oracle"
-                    )
-
-
-def _merge_windows(
-    windows: Optional[Iterable[Tuple[int, int]]], total: int
-) -> List[Tuple[int, int]]:
-    """Clip windows to ``[0, total)``, sort, and merge overlaps."""
-    if not windows:
-        return []
-    clipped = sorted(
-        (max(0, int(lo)), min(total, int(hi)))
-        for lo, hi in windows
-    )
-    merged: List[Tuple[int, int]] = []
-    for lo, hi in clipped:
-        if hi <= lo:
-            continue
-        if merged and lo <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
-        else:
-            merged.append((lo, hi))
-    return merged
+            if check_reads and data != shadow.get(request.address, blank):
+                raise IntegrityError(
+                    f"replay mismatch at {request.address:#x}: "
+                    f"controller returned different plaintext than "
+                    f"the oracle"
+                )
+        if tick is not None:
+            tick(controller)
+    return shadow
 
 
 def replay_batched(
     controller: SecureMemoryController,
     trace: Trace,
     oracle: Optional[Dict[int, bytes]] = None,
-    check_reads: bool = False,
-    scalar_windows: Optional[Iterable[Tuple[int, int]]] = None,
-    chunk_size: Optional[int] = None,
-    batch: Optional[str] = None,
     start: int = 0,
     stop: Optional[int] = None,
 ) -> Dict[int, bytes]:
     """Drop-in :func:`replay` that batches the steady-state hot path.
 
-    Parameters mirror :func:`replay`, plus:
-
-    scalar_windows:
-        ``(start, stop)`` request-index ranges that must run through the
-        plain per-request path — crash points, fault-injection spans,
-        attack windows.  Anything a campaign perturbs mid-stream belongs
-        here; the fast path's proof of exactness assumes an undisturbed
-        window (see DESIGN.md).
-    chunk_size:
-        Accesses per planning chunk (default
-        :data:`repro.controller.batch.DEFAULT_CHUNK`).
-    batch:
-        Per-call override of the process-wide mode; "off" degenerates
-        to scalar replay.
-    start, stop:
-        Replay only requests ``[start, stop)`` (default: the whole
-        trace).  Callers that must pause at known indices — the fault
-        campaign snapshotting the persistent domain at crash points —
-        replay segment by segment with the same semantics as one pass.
+    Parameters mirror :func:`replay` (functional ``check_reads`` runs
+    use :func:`replay` itself).  Callers that must pause at known
+    indices — the fault campaign snapshotting the persistent domain at
+    crash points — replay segment by segment through ``start``/``stop``
+    with the same semantics as one pass.
 
     The result — oracle content, controller state, statistics, timing,
     raised errors — is identical to :func:`replay` for every supported
-    configuration; unsupported ones silently run scalar.
+    configuration; unsupported ones run :func:`replay`.
     """
     from repro.controller.batch import (
-        DEFAULT_CHUNK,
         batch_supported,
         run_batched_range,
+        scalar_fallback_reason,
     )
-
-    mode = resolve_batch_mode(batch)
-    shadow: Dict[int, bytes] = oracle if oracle is not None else {}
-    blank = bytes(controller.config.memory.block_size)
-    total = len(trace)
-    if stop is None:
-        stop = total
-    start = max(0, start)
-    stop = min(total, stop)
-    if stop <= start:
-        return shadow
-
     from repro.telemetry.runtime import live_tracer
 
+    shadow: Dict[int, bytes] = oracle if oracle is not None else {}
+    start, stop = _bounds(trace, start, stop)
+    if stop <= start:
+        return shadow
     tracer = live_tracer()
     if tracer.enabled:
-        # A live tracer always forces the whole range scalar, so these
-        # events are identical across batch modes (the cross-mode
-        # bit-identity contract extends to the event stream).
-        from repro.controller.batch import scalar_fallback_reason
-
-        reason = (
-            scalar_fallback_reason(controller, check_reads) or "telemetry"
+        # A live tracer always forces the whole range scalar, so the
+        # event stream carries per-access events in scalar order.
+        tracer.emit(
+            "batch.fallback",
+            reason=scalar_fallback_reason(controller) or "telemetry",
+            start=start,
+            stop=stop,
         )
-        tracer.emit("batch.fallback", reason=reason, start=start, stop=stop)
-        for lo, hi in _merge_windows(scalar_windows, total):
-            lo, hi = max(lo, start), min(hi, stop)
-            if hi > lo:
-                tracer.emit(
-                    "batch.fallback",
-                    reason="scalar_window",
-                    start=lo,
-                    stop=hi,
-                )
-    columns = None
-    if mode != "off" and not check_reads and batch_supported(controller):
-        columns = trace.to_columns()
+    columns = trace.to_columns() if batch_supported(controller) else None
     if columns is None:
-        _replay_range(
-            controller, trace, shadow, blank, check_reads, start, stop
-        )
-        return shadow
-
-    if chunk_size is None:
-        chunk_size = DEFAULT_CHUNK
-    position = start
-    for lo, hi in _merge_windows(scalar_windows, total):
-        lo = max(lo, start)
-        hi = min(hi, stop)
-        if hi <= lo:
-            continue
-        if position < lo:
-            run_batched_range(
-                controller, columns, position, lo, shadow, chunk_size, mode
-            )
-        _replay_range(controller, trace, shadow, blank, check_reads, lo, hi)
-        position = hi
-    if position < stop:
-        run_batched_range(
-            controller, columns, position, stop, shadow, chunk_size, mode
-        )
+        return replay(controller, trace, shadow, start=start, stop=stop)
+    run_batched_range(controller, columns, start, stop, shadow)
     return shadow

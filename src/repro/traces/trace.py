@@ -113,7 +113,7 @@ class TraceColumns:
 
     def iter_requests(self, start: int, stop: int) -> Iterator[MemoryRequest]:
         """Yield request objects for ``[start, stop)`` without building
-        the whole list — scalar-fallback windows use this."""
+        the whole list — scalar replay uses this."""
         addresses = self.addresses[start:stop].tolist()
         writes = self.is_write[start:stop].tolist()
         gaps = self.gaps[start:stop].tolist()

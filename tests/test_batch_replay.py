@@ -4,9 +4,9 @@ The batch engine (:mod:`repro.controller.batch`) vectorizes the
 steady-state hot path; its contract is *bit-identical results* — every
 statistic, clock, cache line, LRU stamp, NVM byte, and raised error
 must match a request-by-request run.  These tests hold it to that
-contract across schemes, trees, workload shapes, mid-chunk scalar
-fallbacks, and segmented replays, and unit-test the vectorized
-helpers against their scalar counterparts.
+contract across schemes, trees, workload shapes, chunk boundaries and
+segmented replays, and unit-test the vectorized helpers against their
+scalar counterparts.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import pytest
 from repro.config import BLOCK_SIZE, SchemeKind, TreeKind
 from repro.controller.factory import build_controller, build_layout
 from repro.crypto.keys import ProcessorKeys
-from repro.errors import ConfigError
 from repro.sim.engine import run_simulation
 from repro.sim.result_cache import (
     CACHE_SCHEMA_VERSION,
@@ -25,12 +24,7 @@ from repro.sim.result_cache import (
 )
 from repro.telemetry.runtime import TelemetrySpec
 from repro.traces.profiles import SyntheticProfile
-from repro.traces.replay import (
-    active_batch_mode,
-    configure_batch_mode,
-    replay,
-    replay_batched,
-)
+from repro.traces.replay import replay, replay_batched
 from repro.traces.synthetic import generate_trace
 from repro.traces.trace import Trace
 
@@ -120,23 +114,22 @@ def fingerprint(controller) -> dict:
     return state
 
 
-def _run(scheme, tree, profile, mode, length=2500, **replay_kwargs):
+def _run(scheme, tree, profile, run, length=2500):
     controller = build_controller(
         small_config(scheme, tree), keys=ProcessorKeys(7)
     )
     trace = generate_trace(profile, length, seed=41)
-    if mode == "scalar":
-        oracle = replay(controller, trace)
-    else:
-        oracle = replay_batched(controller, trace, batch=mode, **replay_kwargs)
+    oracle = run(controller, trace)
     return oracle, fingerprint(controller)
 
 
 class TestBatchScalarIdentity:
     @pytest.mark.parametrize("scheme", BONSAI_SCHEMES)
     def test_bonsai_schemes_uniform(self, scheme):
-        oracle_s, state_s = _run(scheme, TreeKind.BONSAI, UNIFORM, "scalar")
-        oracle_b, state_b = _run(scheme, TreeKind.BONSAI, UNIFORM, "on")
+        oracle_s, state_s = _run(scheme, TreeKind.BONSAI, UNIFORM, replay)
+        oracle_b, state_b = _run(
+            scheme, TreeKind.BONSAI, UNIFORM, replay_batched
+        )
         assert oracle_b == oracle_s
         assert state_b == state_s
 
@@ -144,8 +137,10 @@ class TestBatchScalarIdentity:
         "scheme", [SchemeKind.WRITE_BACK, SchemeKind.OSIRIS]
     )
     def test_bonsai_schemes_hot_cold(self, scheme):
-        oracle_s, state_s = _run(scheme, TreeKind.BONSAI, HOT_COLD, "scalar")
-        oracle_b, state_b = _run(scheme, TreeKind.BONSAI, HOT_COLD, "on")
+        oracle_s, state_s = _run(scheme, TreeKind.BONSAI, HOT_COLD, replay)
+        oracle_b, state_b = _run(
+            scheme, TreeKind.BONSAI, HOT_COLD, replay_batched
+        )
         assert oracle_b == oracle_s
         assert state_b == state_s
 
@@ -155,77 +150,25 @@ class TestBatchScalarIdentity:
     def test_sgx_tree_falls_back_identically(self, scheme):
         # The batch engine only covers Bonsai; SGX must silently run
         # the scalar path with identical results.
-        oracle_s, state_s = _run(scheme, TreeKind.SGX, UNIFORM, "scalar")
-        oracle_b, state_b = _run(scheme, TreeKind.SGX, UNIFORM, "on")
-        assert oracle_b == oracle_s
-        assert state_b == state_s
-
-    def test_auto_mode_identical(self):
-        oracle_s, state_s = _run(
-            SchemeKind.WRITE_BACK, TreeKind.BONSAI, HOT_COLD, "scalar"
-        )
-        oracle_a, state_a = _run(
-            SchemeKind.WRITE_BACK, TreeKind.BONSAI, HOT_COLD, "auto"
-        )
-        assert oracle_a == oracle_s
-        assert state_a == state_s
-
-    def test_off_mode_is_scalar(self):
-        oracle_s, state_s = _run(
-            SchemeKind.OSIRIS, TreeKind.BONSAI, UNIFORM, "scalar"
-        )
-        oracle_o, state_o = _run(
-            SchemeKind.OSIRIS, TreeKind.BONSAI, UNIFORM, "off"
-        )
-        assert oracle_o == oracle_s
-        assert state_o == state_s
-
-
-class TestScalarWindows:
-    @pytest.mark.parametrize("scheme", [SchemeKind.WRITE_BACK, SchemeKind.OSIRIS])
-    def test_mid_chunk_windows_identical(self, scheme):
-        # Windows that start and end inside chunks force the engine to
-        # stop batching mid-chunk, run scalar, and resume — exactly what
-        # crash/fault campaigns do around injection points.
-        windows = [(137, 171), (400, 403), (1201, 1790), (2490, 2500)]
-        oracle_s, state_s = _run(scheme, TreeKind.BONSAI, UNIFORM, "scalar")
+        oracle_s, state_s = _run(scheme, TreeKind.SGX, UNIFORM, replay)
         oracle_b, state_b = _run(
-            scheme,
-            TreeKind.BONSAI,
-            UNIFORM,
-            "on",
-            scalar_windows=windows,
-            chunk_size=256,
-        )
-        assert oracle_b == oracle_s
-        assert state_b == state_s
-
-    def test_overlapping_and_clipped_windows(self):
-        windows = [(-50, 10), (5, 30), (2400, 9999), (100, 100)]
-        oracle_s, state_s = _run(
-            SchemeKind.AGIT_PLUS, TreeKind.BONSAI, UNIFORM, "scalar"
-        )
-        oracle_b, state_b = _run(
-            SchemeKind.AGIT_PLUS,
-            TreeKind.BONSAI,
-            UNIFORM,
-            "on",
-            scalar_windows=windows,
-            chunk_size=128,
+            scheme, TreeKind.SGX, UNIFORM, replay_batched
         )
         assert oracle_b == oracle_s
         assert state_b == state_s
 
 
 class TestSegmentedReplay:
-    def test_start_stop_segments_equal_one_pass(self):
+    def test_start_stop_segments_equal_one_pass(self, monkeypatch):
         # The fault campaign replays segment-by-segment, pausing at
         # snapshot boundaries; the concatenation must equal one pass.
+        # Short chunks put chunk boundaries inside the segments too.
+        monkeypatch.setattr("repro.controller.batch.DEFAULT_CHUNK", 256)
         trace = generate_trace(UNIFORM, 2500, seed=41)
         whole = build_controller(
             small_config(SchemeKind.OSIRIS), keys=ProcessorKeys(7)
         )
-        oracle_whole = replay_batched(whole, trace, batch="on")
+        oracle_whole = replay(whole, trace)
 
         parts = build_controller(
             small_config(SchemeKind.OSIRIS), keys=ProcessorKeys(7)
@@ -234,7 +177,7 @@ class TestSegmentedReplay:
         position = 0
         for boundary in (1, 137, 1000, 1003, 2400, 2500):
             replay_batched(
-                parts, trace, oracle=oracle_parts, batch="on",
+                parts, trace, oracle=oracle_parts,
                 start=position, stop=boundary,
             )
             position = boundary
@@ -258,78 +201,62 @@ class TestSegmentedReplay:
         assert fingerprint(controller) == fingerprint(reference)
 
 
+def _scalar_engine(monkeypatch):
+    """Make ``run_simulation`` replay through scalar :func:`replay`."""
+    monkeypatch.setattr(
+        "repro.sim.engine.replay_batched",
+        lambda controller, trace: replay(controller, trace),
+    )
+
+
 class TestEngineAndKnob:
-    def test_run_simulation_batch_parity(self):
+    def test_run_simulation_batch_parity(self, monkeypatch):
         config = small_config(SchemeKind.WRITE_BACK)
         trace = generate_trace(UNIFORM, 2000, seed=9)
-        scalar = run_simulation(config, trace, ProcessorKeys(2), batch="off")
-        batched = run_simulation(config, trace, ProcessorKeys(2), batch="on")
+        batched = run_simulation(config, trace, ProcessorKeys(2))
+        _scalar_engine(monkeypatch)
+        scalar = run_simulation(config, trace, ProcessorKeys(2))
         assert batched.to_dict() == scalar.to_dict()
 
-    def test_telemetry_runs_force_scalar_with_identical_events(self):
+    def test_telemetry_runs_force_scalar_with_identical_events(
+        self, monkeypatch
+    ):
         # A live tracer makes batch_supported() False: the event stream
-        # must be the full per-access one, whatever the knob says.
+        # is the full per-access one, as if replayed scalar.
         config = small_config(SchemeKind.OSIRIS)
         trace = generate_trace(UNIFORM, 600, seed=9)
         spec = TelemetrySpec(events=True)
+        traced = run_simulation(
+            config, trace, ProcessorKeys(2), telemetry=spec
+        )
+        _scalar_engine(monkeypatch)
         scalar = run_simulation(
-            config, trace, ProcessorKeys(2), telemetry=spec, batch="off"
+            config, trace, ProcessorKeys(2), telemetry=spec
         )
-        batched = run_simulation(
-            config, trace, ProcessorKeys(2), telemetry=spec, batch="on"
+        # The one difference is replay_batched's fallback event, which
+        # shifts every later sequence number by one.
+        first, *rest = traced.events
+        assert (first["kind"], first["reason"]) == (
+            "batch.fallback", "telemetry"
         )
-        assert batched.events == scalar.events
-        assert batched.to_dict() == scalar.to_dict()
+        assert [{**e, "seq": e["seq"] - 1} for e in rest] == scalar.events
+        assert traced.stats == scalar.stats
 
     def test_check_reads_runs_scalar_and_verifies(self):
         controller = build_controller(
             small_config(SchemeKind.WRITE_BACK), keys=ProcessorKeys(7)
         )
         trace = generate_trace(UNIFORM, 500, seed=4)
-        oracle = replay_batched(controller, trace, check_reads=True)
+        oracle = replay(controller, trace, check_reads=True)
         reference = build_controller(
             small_config(SchemeKind.WRITE_BACK), keys=ProcessorKeys(7)
         )
-        assert replay(reference, trace) == oracle
-
-    def test_knob_validation_and_restore(self):
-        previous = active_batch_mode()
-        try:
-            assert configure_batch_mode("on") == "on"
-            assert active_batch_mode() == "on"
-            assert configure_batch_mode(None) == "auto"
-            with pytest.raises(ConfigError):
-                configure_batch_mode("turbo")
-            with pytest.raises(ConfigError):
-                replay_batched(
-                    build_controller(
-                        small_config(), keys=ProcessorKeys(1)
-                    ),
-                    generate_trace(UNIFORM, 10, seed=1),
-                    batch="sideways",
-                )
-        finally:
-            configure_batch_mode(previous)
+        assert replay_batched(reference, trace) == oracle
 
 
 class TestResultCacheKeys:
     def test_schema_version_bumped_for_stamped_keys(self):
         assert CACHE_SCHEMA_VERSION == 2
-
-    def test_batch_mode_never_enters_keys(self, tmp_path):
-        cache = ResultCache(str(tmp_path))
-        config = small_config(SchemeKind.WRITE_BACK)
-        trace = generate_trace(UNIFORM, 50, seed=1)
-        keys = ProcessorKeys(3)
-        previous = active_batch_mode()
-        try:
-            configure_batch_mode("on")
-            key_on = simulation_cell_key(cache, config, trace, keys)
-            configure_batch_mode("off")
-            key_off = simulation_cell_key(cache, config, trace, keys)
-        finally:
-            configure_batch_mode(previous)
-        assert key_on == key_off
 
     def test_code_stamp_scopes_keys(self, tmp_path):
         plain = ResultCache(str(tmp_path / "a"))
@@ -417,83 +344,3 @@ class TestVectorizedHelpers:
         assert ecc.encode_lines(lines) == [
             ecc.encode_line(line) for line in lines
         ]
-
-    def test_warm_pads_is_exact(self):
-        from repro.crypto.ctr import CounterModeEngine
-        from repro.crypto.keys import ProcessorKeys as Keys
-
-        warmed = CounterModeEngine(Keys(5))
-        cold = CounterModeEngine(Keys(5))
-        tuples = [(address * 64, 2, minor) for address in range(8)
-                  for minor in range(3)]
-        warmed.warm_pads(tuples, ecc_length=8)
-        plaintext = bytes(range(64))
-        for address, major, minor in tuples:
-            assert warmed.encrypt(plaintext, address, major, minor) == \
-                cold.encrypt(plaintext, address, major, minor)
-
-
-# ---------------------------------------------------------------------------
-# batch-mode inheritance in campaign workers
-# ---------------------------------------------------------------------------
-
-class _BatchModeProbeFault:
-    """A fault model whose trial record captures the *worker-side*
-    batch mode — module-level so spawn workers can unpickle it."""
-
-    name = "batch_probe"
-    tamper = False
-    window = "at_crash"
-
-    def applies_to(self, config):
-        return True
-
-    def plan_flush(self, rng, pending):
-        return (0, 0)
-
-    def inject(self, rng, ctx):
-        from repro.faults.models import InjectedFault
-
-        return InjectedFault(self.name, f"batch={active_batch_mode()}")
-
-
-class TestCampaignWorkerBatchMode:
-    """``--batch off`` must reach spawn-based campaign workers.
-
-    Spawn workers inherit no parent globals: before the worker payload
-    carried the resolved mode, a parent-side ``configure_batch_mode``
-    call silently reverted to ``auto`` inside every worker, so the
-    scalar-exact setting a user asked for was only honoured at
-    ``--jobs 1``."""
-
-    def _run(self, mode, jobs):
-        from repro.faults.campaign import CampaignConfig, run_campaign
-        from repro.sim.parallel import ParallelSweepExecutor
-
-        previous = active_batch_mode()
-        configure_batch_mode(mode)
-        try:
-            result = run_campaign(
-                CampaignConfig(
-                    system=small_config(),
-                    trials=4,
-                    trace_length=200,
-                    num_crash_points=2,
-                    probe_reads=2,
-                    nested_crash_fraction=0.0,
-                    catalogue=[_BatchModeProbeFault()],
-                ),
-                executor=ParallelSweepExecutor(jobs),
-            )
-        finally:
-            configure_batch_mode(previous)
-        return [trial.description for trial in result.trials]
-
-    def test_off_reaches_spawn_workers(self):
-        assert self._run("off", jobs=2) == ["batch=off"] * 4
-
-    def test_on_reaches_spawn_workers(self):
-        assert self._run("on", jobs=2) == ["batch=on"] * 4
-
-    def test_serial_path_unchanged(self):
-        assert self._run("off", jobs=1) == ["batch=off"] * 4

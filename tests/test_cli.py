@@ -172,13 +172,13 @@ def _validation_message(**supervision) -> str:
 
 
 class TestExecutionFlags:
-    """The eight execution flags come from one declaration, so every
+    """The seven execution flags come from one declaration, so every
     entry point parses and rejects them the same way."""
 
     ARGV = [
         "--jobs", "2", "--resume", "ck", "--timeout", "30",
         "--retries", "1", "--cache-dir", "store", "--no-result-cache",
-        "--cache-stamp", "--batch", "off",
+        "--cache-stamp",
     ]
 
     @pytest.mark.parametrize(
@@ -195,7 +195,7 @@ class TestExecutionFlags:
             ExecutionOptions(
                 jobs=2, resume="ck", timeout=30.0, retries=1,
                 cache_dir="store", no_result_cache=True,
-                cache_stamp="auto", batch="off",
+                cache_stamp="auto",
             )
         )
         for argv, message in (
@@ -213,17 +213,32 @@ class TestExecutionFlags:
     def test_applied_restores_process_settings(self, tmp_path):
         from repro.sim.parallel import ParallelSweepExecutor
         from repro.sim.result_cache import active_result_cache
-        from repro.traces.replay import active_batch_mode
 
         options = ExecutionOptions(
-            timeout=5.0, retries=0, cache_dir=str(tmp_path), batch="off"
+            timeout=5.0, retries=0, cache_dir=str(tmp_path)
         )
         with options.applied() as cache:
             assert cache is not None and cache is active_result_cache()
-            assert active_batch_mode() == "off"
             executor = ParallelSweepExecutor()
             assert (executor.timeout, executor.retries) == (5.0, 0)
         assert active_result_cache() is None
-        assert active_batch_mode() == "auto"
         executor = ParallelSweepExecutor()
         assert (executor.timeout, executor.retries) == (None, 2)
+
+    @pytest.mark.parametrize(
+        "parse",
+        [
+            lambda: runner.build_parser().parse_args(
+                ["headline", "--batch", "off"]
+            ),
+            lambda: build_parser().parse_args(["simulate", "--batch", "off"]),
+        ],
+        ids=["experiments", "simulate"],
+    )
+    def test_no_batch_flag(self, parse, capsys):
+        # Replay batches whenever the controller supports it; there is
+        # no replay-strategy flag left to set.
+        with pytest.raises(SystemExit) as exit_info:
+            parse()
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --batch" in capsys.readouterr().err
