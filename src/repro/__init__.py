@@ -66,7 +66,6 @@ from repro.core import (
 from repro.crypto import ProcessorKeys
 from repro.errors import (
     ArtifactCorruptError,
-    CheckpointMismatchError,
     IntegrityError,
     RecoveryError,
     ReproError,
@@ -86,7 +85,6 @@ from repro.faults import (
 from repro.recovery import OsirisFullRecovery, crash, reincarnate
 from repro.recovery.selective import SelectiveRestore
 from repro.sim import (
-    CheckpointJournal,
     ParallelSweepExecutor,
     SchemeComparison,
     SimulationEngine,
@@ -143,7 +141,6 @@ __all__ = [
     "WorkerTimeoutError",
     "WorkerCrashError",
     "ArtifactCorruptError",
-    "CheckpointMismatchError",
     # recovery
     "crash",
     "reincarnate",
@@ -166,8 +163,7 @@ __all__ = [
     "ParallelSweepExecutor",
     "resolve_jobs",
     "run_simulation",
-    # checkpointing
-    "CheckpointJournal",
+    # artifacts
     "write_artifact",
     "load_artifact",
     # traces

@@ -8,7 +8,7 @@ Three layers, mirroring :mod:`repro.faults`:
 * :mod:`repro.attacks.oracle` — the executable security-claims table:
   what every scheme promises against every attack in every tamper
   window, with citations for known vulnerabilities;
-* :mod:`repro.attacks.campaign` — the journaled, parallel, resumable
+* :mod:`repro.attacks.campaign` — the parallel, resumable
   campaign runner that judges observed outcomes against the claims.
 """
 
@@ -39,10 +39,8 @@ from repro.attacks.campaign import (
     AttackCampaignConfig,
     AttackCampaignResult,
     AttackTrial,
-    attack_campaign_fingerprint,
     format_attack_matrix,
     format_attack_summary,
-    open_attack_journal,
     run_attack_campaign,
 )
 
@@ -66,12 +64,10 @@ __all__ = [
     "SUPPORTED_SYSTEMS",
     "TreeNodeReplayAttack",
     "Verdict",
-    "attack_campaign_fingerprint",
     "attack_catalogue",
     "catalogue_listing",
     "default_oracle",
     "format_attack_matrix",
     "format_attack_summary",
-    "open_attack_journal",
     "run_attack_campaign",
 ]

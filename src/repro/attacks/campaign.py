@@ -2,7 +2,7 @@
 
 A thin, fully deterministic layer over the fault-campaign runner
 (:func:`repro.faults.campaign.run_campaign`): the attack catalogue
-rides in ``CampaignConfig.catalogue``, so checkpoint journaling,
+rides in ``CampaignConfig.catalogue``, so the result store,
 ``--jobs`` fan-out, worker supervision and kill-and-resume semantics
 are inherited unchanged — an attack campaign resumes byte-identically
 at any job count, exactly like a fault campaign.
@@ -35,8 +35,6 @@ from repro.faults.campaign import (
     Outcome,
     TrialResult,
     _build_plan,
-    campaign_fingerprint,
-    open_campaign_journal,
     run_campaign,
 )
 from repro.faults.models import (
@@ -52,7 +50,6 @@ from repro.attacks.oracle import (
     Verdict,
     default_oracle,
 )
-from repro.sim.checkpoint import CheckpointJournal
 from repro.sim.parallel import ParallelSweepExecutor
 from repro.telemetry.runtime import current_tracer
 
@@ -98,19 +95,6 @@ def _fault_campaign(attack: AttackCampaignConfig) -> CampaignConfig:
         nested_crash_fraction=0.0,
         catalogue=catalogue,
     )
-
-
-def attack_campaign_fingerprint(attack: AttackCampaignConfig) -> str:
-    """Work identity — delegates to the fault-campaign fingerprint
-    (the catalogue's model names already identify the attack set)."""
-    return campaign_fingerprint(_fault_campaign(attack))
-
-
-def open_attack_journal(
-    directory: str, attack: AttackCampaignConfig
-) -> CheckpointJournal:
-    """The campaign's checkpoint journal inside ``directory``."""
-    return open_campaign_journal(directory, _fault_campaign(attack))
 
 
 @dataclass
@@ -256,16 +240,15 @@ class AttackCampaignResult:
 def run_attack_campaign(
     attack: AttackCampaignConfig,
     jobs: Union[int, str, None] = 1,
-    checkpoint_dir: Optional[str] = None,
     executor: Optional[ParallelSweepExecutor] = None,
     on_trial: Optional[Callable[[AttackTrial], None]] = None,
 ) -> AttackCampaignResult:
     """Run one adversary campaign and judge it against the oracle.
 
     Identical execution semantics to :func:`~repro.faults.campaign.
-    run_campaign` (jobs, checkpointing, resume, supervision, and the
-    content-addressed result cache — verdicts are re-derived from the
-    merged trials, so cached trials judge identically); the oracle is
+    run_campaign` (jobs, supervision, and the result store that makes
+    resume work — verdicts are re-derived from the merged trials, so
+    stored trials judge identically); the oracle is
     consulted for every (attack, window) pair *up front* so an
     undeclared claim fails before any warmup work happens.
     """
@@ -339,12 +322,11 @@ def run_attack_campaign(
     result = run_campaign(
         campaign,
         jobs=jobs,
-        checkpoint_dir=checkpoint_dir,
         executor=executor,
         on_trial=watch,
     )
     # Judge from the merged result, not the live hook: trials restored
-    # from a resume journal never re-fire ``on_trial`` but still need
+    # from the result store never re-fire ``on_trial`` but still need
     # verdicts, and judging is pure.
     return AttackCampaignResult(
         scheme=scheme,

@@ -7,7 +7,7 @@ model (§3): NVM contents can be recorded, replayed, and spliced, but
 the on-chip state (root register, keys, WPQ) cannot be touched.
 
 Every attack is a :class:`~repro.faults.models.FaultModel` with
-``tamper = True``, so the campaign runner, journal, parallelism and
+``tamper = True``, so the campaign runner, result store, parallelism and
 probe machinery are shared with the accidental-fault campaigns.  Each
 carries a stable ``attack_class`` key — the row of the security-claims
 oracle (:mod:`repro.attacks.oracle`) — and a ``window``:

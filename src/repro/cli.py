@@ -528,10 +528,7 @@ def _command_faults(args: argparse.Namespace) -> int:
     )
     options = ExecutionOptions.from_args(args)
     with options.applied() as cache:
-        result = run_campaign(
-            campaign, checkpoint_dir=options.resume,
-            executor=options.executor(),
-        )
+        result = run_campaign(campaign, executor=options.executor())
     print(format_summary(result))
     print()
     print(format_matrix(result))
@@ -616,8 +613,7 @@ def _command_attack(args: argparse.Namespace) -> int:
     options = ExecutionOptions.from_args(args)
     with options.applied() as cache:
         result = run_attack_campaign(
-            campaign, checkpoint_dir=options.resume,
-            executor=options.executor(),
+            campaign, executor=options.executor()
         )
     print(format_attack_summary(result))
     print()

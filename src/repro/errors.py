@@ -127,7 +127,7 @@ class WorkerCrashError(ExecutionError):
 
 
 class ArtifactCorruptError(ReproError):
-    """A persisted result artifact or checkpoint record failed its
+    """A persisted result artifact or result-store entry failed its
     integrity validation (truncated JSON, checksum mismatch, wrong
     artifact kind, or unsupported version).
 
@@ -145,11 +145,3 @@ class ValidationError(ReproError, ValueError):
     keep working; rejecting up front beats a worker crashing on the bad
     value mid-run."""
 
-
-class CheckpointMismatchError(ReproError):
-    """A checkpoint journal exists but was recorded for *different*
-    work (its fingerprint does not match the requested campaign or
-    sweep), so resuming from it would silently mix results.
-
-    Point ``--resume`` at a fresh directory, or re-run with the exact
-    configuration that produced the journal."""

@@ -8,17 +8,20 @@ Usage::
     python -m repro.experiments --json out.json  # machine-readable results
     python -m repro.experiments --jobs 4         # fan grids over 4 processes
     python -m repro.experiments --jobs auto      # one worker per core
-    python -m repro.experiments --resume out/    # checkpoint + skip done
+    python -m repro.experiments --resume out/    # store results, skip done
 
 ``--jobs`` only changes wall-clock time: grid cells and campaign trials
 are reduced in deterministic submission order, so the printed tables and
 ``--json`` output are byte-identical to a serial run.
 
-``--resume DIR`` journals each finished experiment to a crash-safe
-checkpoint in ``DIR``; re-running after an interrupt (SIGTERM, OOM,
-preemption) skips completed experiments and produces the same final
-JSON an uninterrupted run would have.  ``--timeout`` and ``--retries``
-configure worker supervision for the parallel grids.
+``--resume DIR`` keeps the run's result store in ``DIR`` (unless
+``--cache-dir`` or ``$REPRO_RESULT_CACHE`` names another): every
+finished grid cell and campaign trial is stored there, so re-running
+after an interrupt (SIGTERM, OOM, preemption) skips completed work and
+produces the same ``results.json`` and ``--trace-out`` stream an
+uninterrupted run would have.  Experiments without a grid or campaign
+are simply recomputed; they are deterministic.  ``--timeout`` and
+``--retries`` configure worker supervision for the parallel grids.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ import time
 from typing import Callable, Dict, Optional
 
 from repro.sim.checkpoint import (
-    CheckpointJournal,
     atomic_write_json,
     fingerprint,
     write_artifact,
@@ -328,7 +330,6 @@ def main(argv=None) -> int:
     options = ExecutionOptions.from_args(args)
     selected = args.experiments or list(EXPERIMENTS)
 
-    run_fingerprint = fingerprint("experiments", args.full)
     spec: Optional[TelemetrySpec] = None
     sample_interval = args.sample_interval
     if args.samples_out and sample_interval is None:
@@ -342,35 +343,15 @@ def main(argv=None) -> int:
     collector = configure_telemetry(spec, progress=args.progress)
     started = time.perf_counter()
 
-    journal: Optional[CheckpointJournal] = None
-    if options.resume:
-        # The fingerprint covers everything that changes results —
-        # notably --full — but not the execution options, which only
-        # change how (and how fast) the results are produced.
-        journal = CheckpointJournal(
-            os.path.join(options.resume, "experiments.jsonl"),
-            run_fingerprint,
-        )
-
     collected: Dict[str, dict] = {}
     try:
         with options.applied() as cache:
             for name in selected:
-                key = f"experiment:{name}"
-                if journal is not None and key in journal:
-                    print("=" * 72)
-                    print(f"[{name} restored from checkpoint — skipping]\n")
-                    collected[name] = journal.get(key)
-                    continue
                 start = time.time()
                 print("=" * 72)
                 collected[name] = EXPERIMENTS[name](args.full, options.jobs)
-                if journal is not None:
-                    journal.record(key, collected[name])
                 print(f"[{name} finished in {time.time() - start:.1f}s]\n")
     finally:
-        if journal is not None:
-            journal.close()
         if collector is not None:
             collector.close_progress()
         configure_telemetry(None)
@@ -419,7 +400,7 @@ def main(argv=None) -> int:
             manifest_path,
             build_manifest(
                 command="experiments",
-                config_fingerprint=run_fingerprint,
+                config_fingerprint=fingerprint("experiments", args.full),
                 arguments={
                     "experiments": selected,
                     "full": args.full,
@@ -440,7 +421,7 @@ def main(argv=None) -> int:
 def _manifest_path(args: argparse.Namespace) -> Optional[str]:
     """Where this run's manifest belongs.
 
-    Next to ``results.json`` when checkpointing; otherwise derived from
+    Next to ``results.json`` under ``--resume``; otherwise derived from
     the first requested output file so nothing in the working directory
     is clobbered implicitly.
     """

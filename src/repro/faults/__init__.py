@@ -30,8 +30,6 @@ from repro.faults.campaign import (
     Outcome,
     TrialResult,
     campaign_cache_identity,
-    campaign_fingerprint,
-    open_campaign_journal,
     run_campaign,
 )
 from repro.faults.models import (
@@ -60,8 +58,6 @@ __all__ = [
     "CampaignResult",
     "TrialResult",
     "campaign_cache_identity",
-    "campaign_fingerprint",
-    "open_campaign_journal",
     "run_campaign",
     "FaultModel",
     "InjectedFault",

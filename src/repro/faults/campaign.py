@@ -49,7 +49,6 @@ between the power failure and the first boot.
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass, field
 from enum import Enum
@@ -81,11 +80,7 @@ from repro.mem.wpq import WritePendingQueue
 from repro.recovery.crash import capture_chip_state, restore_chip_state, ChipState
 from repro.recovery.osiris_full import OsirisFullRecovery
 from repro.recovery.selective import SelectiveRestore
-from repro.sim.checkpoint import (
-    CheckpointJournal,
-    fingerprint,
-    full_fingerprint,
-)
+from repro.sim.checkpoint import full_fingerprint
 from repro.sim.result_cache import active_result_cache
 from repro.sim.parallel import ParallelSweepExecutor
 from repro.telemetry.runtime import current_tracer
@@ -204,7 +199,7 @@ class TrialResult:
     degenerate: bool = False
 
     def to_dict(self) -> Dict[str, object]:
-        """Plain-JSON form (checkpoint journal / artifact payload)."""
+        """Plain-JSON form (result-store entry / artifact payload)."""
         return {
             "index": self.index,
             "fault": self.fault,
@@ -249,37 +244,16 @@ class CampaignConfig:
     catalogue: Optional[List[FaultModel]] = None
 
 
-def campaign_fingerprint(campaign: CampaignConfig) -> str:
-    """Deterministic identity of a campaign's *work*.
+def campaign_cache_identity(campaign: CampaignConfig) -> str:
+    """Deterministic identity of a campaign's *work*, the result-store
+    key prefix of its trials.
 
     Everything that changes which trials run or what they compute is
     included; execution knobs (``jobs``, timeouts) deliberately are
-    not, so a journal written at ``--jobs 4`` resumes at ``--jobs 1``.
-    """
-    catalogue = campaign.catalogue
-    return fingerprint(
-        "fault-campaign",
-        campaign.system,
-        campaign.seed,
-        campaign.trials,
-        campaign.workload,
-        campaign.trace_length,
-        list(campaign.crash_points) if campaign.crash_points else None,
-        campaign.num_crash_points,
-        campaign.probe_reads,
-        campaign.nested_crash_fraction,
-        None if catalogue is None else [model.name for model in catalogue],
-    )
-
-
-def campaign_cache_identity(campaign: CampaignConfig) -> str:
-    """Full-width campaign identity for the content-addressed cache.
-
-    Covers the same work-defining inputs as :func:`campaign_fingerprint`
-    (which stays 16-hex for journal-header compatibility) but at the
-    full digest width, and identifies catalogue models by class, name,
-    window, and tamper flag — a cache shared across many campaigns
-    cannot afford name-only aliasing between custom catalogues.
+    not, so trials stored at ``--jobs 4`` resume at ``--jobs 1``.
+    Catalogue models are identified by class, name, window, and tamper
+    flag — a store shared across many campaigns cannot afford
+    name-only aliasing between custom catalogues.
     """
     catalogue = campaign.catalogue
     return full_fingerprint(
@@ -627,7 +601,7 @@ def _execute_trials(
     Each worker process (and the serial path) calls this; trials draw
     from per-index RNGs, so any partition of the indices produces the
     same per-trial results.  ``on_trial`` fires after each trial — the
-    serial path journals through it, so an interrupt loses at most the
+    serial path stores through it, so an interrupt loses at most the
     trial in flight.
     """
     config = campaign.system
@@ -671,36 +645,16 @@ def _campaign_worker(payload: Tuple) -> List[TrialResult]:
     return _execute_trials(campaign, plan, indices)
 
 
-#: Journal key of one trial's record.
-def _trial_key(index: int) -> str:
-    return f"trial:{index}"
-
-
-#: When journaling, parallel slices are capped at this many trials so
-#: an interrupt loses at most ``jobs * cap`` trials of progress (each
-#: slice re-warms, so smaller caps trade warmup time for durability).
+#: With a result store active, parallel slices are capped at this many
+#: trials so an interrupt loses at most ``jobs * cap`` trials of
+#: progress (each slice re-warms, so smaller caps trade warmup time for
+#: durability).
 _JOURNAL_SLICE_CAP = 8
-
-
-def open_campaign_journal(
-    directory: str, campaign: CampaignConfig
-) -> CheckpointJournal:
-    """The campaign's checkpoint journal inside ``directory``.
-
-    Creating it for a *different* campaign than the journal on disk was
-    recorded for raises
-    :class:`~repro.errors.CheckpointMismatchError`.
-    """
-    return CheckpointJournal(
-        os.path.join(directory, "campaign.jsonl"),
-        campaign_fingerprint(campaign),
-    )
 
 
 def run_campaign(
     campaign: CampaignConfig,
     jobs: Union[int, str, None] = 1,
-    checkpoint_dir: Optional[str] = None,
     executor: Optional[ParallelSweepExecutor] = None,
     on_trial: Optional[Callable[[TrialResult], None]] = None,
 ) -> CampaignResult:
@@ -714,23 +668,14 @@ def run_campaign(
     identical for any job count.  Pass a preconfigured ``executor`` to
     set supervision knobs (per-trial-slice timeout, retries).
 
-    ``checkpoint_dir`` makes the campaign *preemption-safe*: every
-    completed trial is appended to a crash-safe journal there, and a
-    re-run with the same directory (and the same campaign — enforced by
-    fingerprint) skips journaled trials and returns a result identical
-    to an uninterrupted run.
-
-    ``on_trial`` fires once per completed trial (journaled trials
-    skipped on resume do not re-fire) — the live-progress hook campaign
-    watchers use.
-
-    When a result cache is configured (see
-    :func:`repro.sim.result_cache.configure_result_cache`), trials are
-    additionally restored from / stored into the content-addressed
-    store, keyed by the full-width campaign identity and trial index.
-    Cache-restored trials behave exactly like journal-restored ones
-    (merged in plan order, no ``on_trial`` re-fire), so warm campaign
-    artifacts are byte-identical to cold ones.
+    When a result store is configured (see
+    :func:`repro.sim.result_cache.configure_result_cache`; ``--resume``
+    and ``--cache-dir`` both install one), the campaign is
+    *preemption-safe*: every completed trial is stored there, keyed by
+    :func:`campaign_cache_identity` and trial index, and a re-run skips
+    stored trials and returns a result identical to an uninterrupted
+    run.  Restored trials are merged in plan order and do not re-fire
+    ``on_trial``, the per-completed-trial progress hook.
     """
     plan = _build_plan(campaign)
     result = CampaignResult(
@@ -742,37 +687,19 @@ def run_campaign(
         crash_points=plan.points,
     )
 
-    journal: Optional[CheckpointJournal] = None
     completed: Dict[int, TrialResult] = {}
-    if checkpoint_dir is not None:
-        journal = open_campaign_journal(checkpoint_dir, campaign)
-        for index in range(len(plan.plan)):
-            payload = journal.get(_trial_key(index))
-            if payload is not None:
-                completed[index] = TrialResult.from_dict(payload)
-
     cache = active_result_cache()
     cache_keys: Dict[int, str] = {}
     if cache is not None:
         identity = campaign_cache_identity(campaign)
         for index in range(len(plan.plan)):
             cache_keys[index] = cache.key("fault-trial", identity, index)
-            if index in completed:
-                continue
             payload = cache.get(cache_keys[index], kind="fault-trial")
             if payload is not None:
-                trial = TrialResult.from_dict(payload)
-                completed[index] = trial
-                if journal is not None:
-                    # Make the restore durable locally too: a later
-                    # resume must not depend on the cache still holding
-                    # this entry.
-                    journal.record(_trial_key(index), trial.to_dict())
+                completed[index] = TrialResult.from_dict(payload)
 
     def finish(trial: TrialResult) -> None:
         completed[trial.index] = trial
-        if journal is not None:
-            journal.record(_trial_key(trial.index), trial.to_dict())
         if cache is not None:
             cache.put(
                 cache_keys[trial.index], trial.to_dict(), kind="fault-trial"
@@ -780,36 +707,32 @@ def run_campaign(
         if on_trial is not None:
             on_trial(trial)
 
-    try:
-        pending = [
-            index for index in range(len(plan.plan)) if index not in completed
+    pending = [
+        index for index in range(len(plan.plan)) if index not in completed
+    ]
+    if executor is None:
+        executor = ParallelSweepExecutor(jobs)
+    workers = min(executor.jobs, len(pending))
+    if pending and workers <= 1:
+        _execute_trials(campaign, plan, pending, on_trial=finish)
+    elif pending:
+        # Contiguous slices keep per-worker warmups rare; with a store
+        # the slices shrink so completed work is durable long before
+        # the campaign ends.
+        step = (len(pending) + workers - 1) // workers
+        if cache is not None:
+            step = max(1, min(step, _JOURNAL_SLICE_CAP))
+        slices = [
+            pending[start : start + step]
+            for start in range(0, len(pending), step)
         ]
-        if executor is None:
-            executor = ParallelSweepExecutor(jobs)
-        workers = min(executor.jobs, len(pending))
-        if pending and workers <= 1:
-            _execute_trials(campaign, plan, pending, on_trial=finish)
-        elif pending:
-            # Contiguous slices keep per-worker warmups rare; with a
-            # journal the slices shrink so completed work is durable
-            # long before the campaign ends.
-            step = (len(pending) + workers - 1) // workers
-            if journal is not None:
-                step = max(1, min(step, _JOURNAL_SLICE_CAP))
-            slices = [
-                pending[start : start + step]
-                for start in range(0, len(pending), step)
-            ]
-            executor.map(
-                _campaign_worker,
-                [(campaign, chunk) for chunk in slices],
-                on_result=lambda _slice, trials: [
-                    finish(trial) for trial in trials
-                ],
-            )
-    finally:
-        if journal is not None:
-            journal.close()
+        executor.map(
+            _campaign_worker,
+            [(campaign, chunk) for chunk in slices],
+            on_result=lambda _slice, trials: [
+                finish(trial) for trial in trials
+            ],
+        )
 
     result.trials = [completed[index] for index in range(len(plan.plan))]
     return result

@@ -1,9 +1,7 @@
 """Simulation engine: build a system, replay a trace, collect results."""
 
 from repro.sim.checkpoint import (
-    CheckpointJournal,
     atomic_write_json,
-    cell_fingerprint,
     fingerprint,
     load_artifact,
     write_artifact,
@@ -24,9 +22,7 @@ __all__ = [
     "ParallelSweepExecutor",
     "configure_executor_defaults",
     "resolve_jobs",
-    "CheckpointJournal",
     "atomic_write_json",
-    "cell_fingerprint",
     "fingerprint",
     "load_artifact",
     "write_artifact",

@@ -1,13 +1,13 @@
-"""Crash-safe checkpointing: journals, fingerprints, atomic artifacts.
+"""Fingerprints and atomic, checksummed artifacts.
 
 Anubis's thesis is that *selective persistence of just-enough state*
 makes crashes survivable; this module applies the same idea to the
-harness itself.  Three layers:
+harness itself.  Two layers:
 
-**Fingerprints** (:func:`fingerprint`, :func:`trace_fingerprint`,
-:func:`cell_fingerprint`) deterministically identify a unit of work —
-a (config, trace, seed) cell or a whole campaign — so a checkpoint can
-refuse to resume the *wrong* work instead of silently mixing results.
+**Fingerprints** (:func:`fingerprint`, :func:`full_fingerprint`,
+:func:`trace_digest`) deterministically identify a unit of work — a
+(config, trace, seed) cell or a whole campaign — so the result store
+(:mod:`repro.sim.result_cache`) can never hand back the *wrong* work.
 
 **Atomic artifacts** (:func:`atomic_write_text`,
 :func:`atomic_write_json`, :func:`write_artifact`,
@@ -18,16 +18,6 @@ final name.  :func:`write_artifact` additionally wraps the payload in a
 versioned envelope with an embedded checksum; :func:`load_artifact`
 validates it and raises :class:`~repro.errors.ArtifactCorruptError` on
 any mismatch.
-
-**The journal** (:class:`CheckpointJournal`): an append-only JSONL file
-with one checksummed record per completed work unit, flushed and
-fsync'd per append.  A crash can tear at most the final line; on reopen
-the journal drops the torn tail (truncating it away so later appends
-stay well-formed) and resumes after the last durable record.  A corrupt
-record *followed by valid ones* is real on-disk damage and raises
-:class:`~repro.errors.ArtifactCorruptError`; a journal whose header
-fingerprint does not match the requested work raises
-:class:`~repro.errors.CheckpointMismatchError`.
 """
 
 from __future__ import annotations
@@ -38,16 +28,12 @@ import hashlib
 import json
 import os
 import tempfile
-from typing import Any, Dict, Iterable, Iterator, Optional
+from typing import Any, Optional
 
-from repro.errors import ArtifactCorruptError, CheckpointMismatchError
+from repro.errors import ArtifactCorruptError
 
 #: Envelope version for :func:`write_artifact` artifacts.
 ARTIFACT_VERSION = 1
-
-#: Magic + version for :class:`CheckpointJournal` headers.
-JOURNAL_MAGIC = "repro-checkpoint"
-JOURNAL_VERSION = 1
 
 
 # ----------------------------------------------------------------------
@@ -107,9 +93,8 @@ def full_fingerprint(*parts: Any) -> str:
 def fingerprint(*parts: Any) -> str:
     """A 16-hex-digit deterministic fingerprint of the given values.
 
-    The short display/journal form — collision-safe within one run's
-    worth of keys.  Content addresses that outlive a run use
-    :func:`full_fingerprint`.
+    The short display form (run manifests) — collision-safe within one
+    run's worth of keys.  Content addresses use :func:`full_fingerprint`.
     """
     return full_fingerprint(*parts)[:16]
 
@@ -119,7 +104,7 @@ def _hash_trace_stream(trace) -> str:
 
     The byte stream is frozen: ``name`` then, per request,
     ``|op:address:gap_ns:`` + data.  Changing it would silently orphan
-    every journal and cache entry keyed on a trace.
+    every result-store entry keyed on a trace.
     """
     digest = hashlib.sha256()
     digest.update(trace.name.encode("utf-8"))
@@ -156,26 +141,6 @@ def trace_digest(trace) -> str:
     if compute is not None:
         return compute()
     return _hash_trace_stream(trace)
-
-
-def trace_fingerprint(trace) -> str:
-    """Fingerprint of a :class:`~repro.traces.trace.Trace`'s content.
-
-    Hashes every request's (op, address, data, gap) — two traces with
-    the same name but different streams get different fingerprints.
-    Short display/journal form of :func:`trace_digest`.
-    """
-    return trace_digest(trace)[:16]
-
-
-def cell_fingerprint(config, trace, seed: Optional[int] = None) -> str:
-    """Deterministic identity of one simulation cell.
-
-    The key a checkpoint journal stores a cell's result under: same
-    config + same trace content + same seed ⇒ same fingerprint, in any
-    process, at any ``--jobs`` count.
-    """
-    return fingerprint(config, trace_fingerprint(trace), seed)
 
 
 # ----------------------------------------------------------------------
@@ -285,172 +250,3 @@ def load_artifact(path: str, kind: Optional[str] = None) -> Any:
             "writing"
         )
     return payload
-
-
-# ----------------------------------------------------------------------
-# The crash-safe journal
-# ----------------------------------------------------------------------
-
-class CheckpointJournal:
-    """Append-only, fsync-per-record JSONL journal of completed work.
-
-    Parameters
-    ----------
-    path:
-        The journal file; parent directories are created.
-    work_fingerprint:
-        Identity of the work being journaled (see :func:`fingerprint`).
-        Reopening a journal recorded for different work raises
-        :class:`CheckpointMismatchError` instead of mixing results.
-    """
-
-    def __init__(self, path: str, work_fingerprint: str) -> None:
-        self.path = os.path.abspath(path)
-        self.work_fingerprint = work_fingerprint
-        self._records: Dict[str, Any] = {}
-        self._stream = None
-        os.makedirs(os.path.dirname(self.path), exist_ok=True)
-        self._open()
-
-    # -- loading -------------------------------------------------------
-
-    def _open(self) -> None:
-        valid_bytes = 0
-        existing = b""
-        if os.path.exists(self.path):
-            with open(self.path, "rb") as stream:
-                existing = stream.read()
-        if existing:
-            valid_bytes = self._load(existing)
-        self._stream = open(self.path, "ab")
-        if valid_bytes < len(existing):
-            # A torn tail (crash mid-append): drop it so the next
-            # append starts on a fresh, well-formed line.
-            self._stream.truncate(valid_bytes)
-            self._stream.seek(valid_bytes)
-        if valid_bytes == 0:
-            # Fresh file, or even the header line was torn: (re)write it.
-            self._append_line(
-                {
-                    "journal": JOURNAL_MAGIC,
-                    "version": JOURNAL_VERSION,
-                    "fingerprint": self.work_fingerprint,
-                }
-            )
-
-    def _load(self, raw: bytes) -> int:
-        """Parse the journal; return the byte length of the valid prefix."""
-        lines = raw.split(b"\n")
-        complete = lines[:-1]  # bytes after the last "\n" are a torn tail
-        records: Dict[str, Any] = {}
-        consumed = 0
-        header = None
-        for number, line in enumerate(complete):
-            try:
-                record = json.loads(line.decode("utf-8"))
-                if not isinstance(record, dict):
-                    raise ValueError("record is not an object")
-            except (ValueError, UnicodeDecodeError):
-                if number == len(complete) - 1:
-                    break  # torn final line — crash mid-append, drop it
-                raise ArtifactCorruptError(
-                    f"journal {self.path!r} line {number + 1} is corrupt "
-                    "but later records exist — the file was damaged after "
-                    "writing"
-                ) from None
-            if number == 0:
-                if record.get("journal") != JOURNAL_MAGIC:
-                    raise ArtifactCorruptError(
-                        f"{self.path!r} is not a checkpoint journal"
-                    )
-                if record.get("version") != JOURNAL_VERSION:
-                    raise ArtifactCorruptError(
-                        f"journal {self.path!r} has unsupported version "
-                        f"{record.get('version')!r}"
-                    )
-                header = record
-            else:
-                key = record.get("key")
-                payload = record.get("payload")
-                checksum = record.get("checksum")
-                if key is None or checksum != fingerprint(key, payload):
-                    if number == len(complete) - 1:
-                        break  # torn/incomplete final record
-                    raise ArtifactCorruptError(
-                        f"journal {self.path!r} record {number} failed its "
-                        "checksum but later records exist — on-disk "
-                        "corruption"
-                    )
-                records[key] = payload
-            consumed += len(line) + 1
-        if header is None:
-            return 0
-        if header.get("fingerprint") != self.work_fingerprint:
-            raise CheckpointMismatchError(
-                f"journal {self.path!r} was recorded for different work "
-                f"(fingerprint {header.get('fingerprint')!r}, expected "
-                f"{self.work_fingerprint!r}) — resume with the original "
-                "configuration or point --resume at a fresh directory"
-            )
-        self._records = records
-        return consumed
-
-    # -- appending -----------------------------------------------------
-
-    def _append_line(self, record: Dict[str, Any]) -> None:
-        if self._stream is None:
-            raise ValueError(f"journal {self.path!r} is closed")
-        line = json.dumps(record, sort_keys=True, separators=(",", ":"))
-        self._stream.write(line.encode("utf-8") + b"\n")
-        self._stream.flush()
-        os.fsync(self._stream.fileno())
-
-    def record(self, key: str, payload: Any) -> None:
-        """Durably append one completed unit (idempotent per key)."""
-        if key in self._records:
-            return
-        payload = plain(payload)
-        self._records[key] = payload
-        self._append_line(
-            {
-                "key": key,
-                "payload": payload,
-                "checksum": fingerprint(key, payload),
-            }
-        )
-
-    # -- reading -------------------------------------------------------
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._records
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def keys(self) -> Iterator[str]:
-        return iter(self._records)
-
-    def get(self, key: str, default: Any = None) -> Any:
-        """The payload recorded under ``key`` (or ``default``)."""
-        return self._records.get(key, default)
-
-    def items(self) -> Iterable:
-        return self._records.items()
-
-    # -- lifecycle -----------------------------------------------------
-
-    def close(self) -> None:
-        if self._stream is not None:
-            self._stream.close()
-            self._stream = None
-
-    def __enter__(self) -> "CheckpointJournal":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
-
-    def __repr__(self) -> str:
-        return (
-            f"CheckpointJournal({self.path!r}, {len(self._records)} records)"
-        )

@@ -6,7 +6,13 @@ all take the same seven flags — ``--jobs``, ``--resume``, ``--timeout``,
 ``--cache-stamp`` — from :func:`execution_parser`, and turn the parsed
 namespace into one :class:`ExecutionOptions`.  None of the flags changes
 a result: they choose how work runs (worker count, supervision), where
-it is journaled, and which prior results it may reuse.
+finished work is stored, and which prior results it may reuse.
+
+One mechanism skips finished work: the result store
+(:class:`~repro.sim.result_cache.ResultCache`).  ``--cache-dir`` names
+a store shared across runs; ``--resume DIR`` makes ``DIR`` the store
+when no other is named, so an interrupted run re-run with the same
+``DIR`` restores every finished cell and trial from it.
 """
 
 from __future__ import annotations
@@ -55,10 +61,13 @@ class ExecutionOptions:
         })
 
     def result_cache(self) -> Optional[ResultCache]:
-        """The run's result cache, honoring flags then the environment."""
-        if self.no_result_cache:
-            return None
-        directory = self.cache_dir or os.environ.get("REPRO_RESULT_CACHE")
+        """The run's one result store: ``--cache-dir``, else
+        ``$REPRO_RESULT_CACHE`` (both ignored under
+        ``--no-result-cache``), else the ``--resume`` directory."""
+        shared = None if self.no_result_cache else (
+            self.cache_dir or os.environ.get("REPRO_RESULT_CACHE")
+        )
+        directory = shared or self.resume
         if not directory:
             return None
         stamp = self.cache_stamp or os.environ.get("REPRO_CACHE_STAMP") or None
@@ -156,11 +165,11 @@ def execution_parser() -> argparse.ArgumentParser:
         "--resume",
         metavar="DIR",
         default=None,
-        help="checkpoint directory: journal every completed experiment "
-        "or trial there and skip those already journaled, so an "
+        help="resume directory: the final artifact is written here, "
+        "and it holds the run's result store unless --cache-dir or "
+        "$REPRO_RESULT_CACHE names another, so an "
         "interrupted run re-run with the same DIR finishes the "
-        "remaining work with output identical to an uninterrupted run "
-        "(the final artifact is written to DIR too)",
+        "remaining work with output identical to an uninterrupted run",
     )
     group.add_argument(
         "--timeout",

@@ -297,7 +297,7 @@ class ParallelSweepExecutor:
         picklable.  Results come back in submission order regardless of
         which worker finished first — the determinism guarantee every
         caller relies on.  ``on_result(index, result)`` fires once per
-        cell as its result is harvested (checkpoint journals hook in
+        cell as its result is harvested (the result store hooks in
         here); indices may arrive out of order across retry rounds, but
         every index fires exactly once.
         """

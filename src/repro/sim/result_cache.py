@@ -1,17 +1,20 @@
 """Content-addressed memoization of completed simulation work.
 
 The evaluation is a grid of independent, deterministic cells — one
-(config, trace, seed) simulation or one campaign trial each.  The same
-identities that let checkpoints resume the *right* work
-(:mod:`repro.sim.checkpoint`) can address a long-lived store of
-finished results: re-running a sweep after a one-line config edit then
-recomputes only the cells whose inputs actually changed.
+(config, trace, seed) simulation or one campaign trial each.  Their
+identities (:mod:`repro.sim.checkpoint`) address a store of finished
+results, the one mechanism that skips finished work: ``--resume DIR``
+keeps an interrupted run's store in ``DIR``, and a shared
+``--cache-dir`` lets a sweep re-run after a one-line config edit
+recompute only the cells whose inputs actually changed.  The store
+reads only its two-hex shard subdirectories, so run artifacts can sit
+beside them in the same directory.
 
 Three guarantees, in order of importance:
 
 **Never replay the wrong result.**  Keys are *full-width* sha256
 fingerprints (see :func:`~repro.sim.checkpoint.full_fingerprint` — the
-16-hex journal form is too collidable for a store that outlives runs),
+16-hex display form is too collidable for a store that outlives runs),
 they incorporate the store schema version, the entry kind, and the
 per-cell seed, and every entry embeds its own key: an entry that does
 not validate end-to-end is a miss, never a hit.  Telemetry specs are
@@ -92,13 +95,8 @@ class ResultCache:
     ----------
     directory:
         Store root; created on first use.  Entries live under two-hex
-        shard subdirectories (``ab/<64-hex-key>.json``).
-    max_bytes:
-        When set, every :meth:`put` is followed by a size-bounded
-        eviction pass (oldest entries first) so the store never grows
-        past the bound.
-    max_age_seconds:
-        When set, eviction passes also drop entries older than this.
+        shard subdirectories (``ab/<64-hex-key>.json``); nothing else
+        in the directory is read.  :meth:`gc` bounds its size.
     code_stamp:
         Optional opaque string (a git revision, a build id) mixed into
         every key.  Set it to scope entries to one code version when
@@ -109,13 +107,9 @@ class ResultCache:
     def __init__(
         self,
         directory: str,
-        max_bytes: Optional[int] = None,
-        max_age_seconds: Optional[float] = None,
         code_stamp: Optional[str] = None,
     ) -> None:
         self.directory = os.path.abspath(directory)
-        self.max_bytes = max_bytes
-        self.max_age_seconds = max_age_seconds
         self.code_stamp = code_stamp
         os.makedirs(self.directory, exist_ok=True)
         #: Session counters (this process's traffic, not the store).
@@ -202,11 +196,6 @@ class ResultCache:
         write_artifact(self._path(key), entry, kind=ENTRY_KIND)
         self.stores += 1
         self._mirror("stores")
-        if self.max_bytes is not None or self.max_age_seconds is not None:
-            self.gc(
-                max_bytes=self.max_bytes,
-                max_age_seconds=self.max_age_seconds,
-            )
 
     def _quarantine(self, path: str) -> None:
         """Move a bad entry aside so it is never consulted again."""

@@ -59,9 +59,9 @@ class SimulationResult:
     def to_dict(self) -> Dict[str, object]:
         """Plain-JSON form, exact-round-trippable via :meth:`from_dict`.
 
-        Used by the checkpoint journal: a resumed sweep deserializes
-        journaled cells back into results indistinguishable from
-        freshly computed ones.
+        Used by the result store: a resumed sweep deserializes stored
+        cells back into results indistinguishable from freshly computed
+        ones.
         """
         payload: Dict[str, object] = {
             "benchmark": self.benchmark,
@@ -70,7 +70,7 @@ class SimulationResult:
             "requests": self.requests,
             "stats": dict(self.stats),
         }
-        # Telemetry fields are omitted when absent so journals written
+        # Telemetry fields are omitted when absent so entries written
         # before (or without) telemetry stay byte-identical.
         if self.events is not None:
             payload["events"] = list(self.events)

@@ -84,7 +84,7 @@ def generate_trace(
     # when the consumer is the batched engine or the digest hasher.  The
     # RNG call sequence below is frozen: it must match what the old
     # object-building loop performed, or every seeded trace digest (and
-    # with it every journal and result-cache key) silently changes.
+    # with it every result-store key) silently changes.
     addresses: list = []
     is_write: list = []
     gaps: list = []

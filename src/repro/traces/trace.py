@@ -141,7 +141,7 @@ class TraceColumns:
         """sha256 digest of the trace stream, bit-identical to
         :func:`repro.sim.checkpoint._hash_trace_stream` over the
         materialized requests (the byte format is frozen — changing it
-        would orphan every journal and cache entry keyed on a trace)."""
+        would orphan every result-store entry keyed on a trace)."""
         digest = hashlib.sha256()
         digest.update(name.encode("utf-8"))
         buffer = bytearray()

@@ -8,7 +8,7 @@ Four layers under test:
   mandatory for known vulnerabilities, loud failure when mis-declared;
 * the campaign runner — claims hold for the paper's schemes, silent
   acceptance appears exactly at the cited known-vulnerable cells,
-  results and journals are byte-identical across job counts and
+  results and result stores are byte-identical across job counts and
   resume, and the attack.* telemetry events fire;
 * the security_matrix experiment — every cell as claimed.
 """
@@ -29,7 +29,6 @@ from repro.attacks import (
     attack_catalogue,
     catalogue_listing,
     default_oracle,
-    open_attack_journal,
     run_attack_campaign,
 )
 from repro.attacks.oracle import ACCEPTED_OUTCOMES, Expectation
@@ -267,48 +266,42 @@ class TestDeterminismAndResume:
         assert serial.to_dict() == fanned.to_dict()
 
     def test_journals_byte_identical_across_job_counts(self, tmp_path):
+        """The result store a ``--resume`` run leaves behind holds the
+        same entries, byte for byte, at any job count."""
         campaign = small_campaign(SchemeKind.AGIT_PLUS)
-        blobs = []
+        stores = []
         for jobs in (1, 2):
-            directory = str(tmp_path / f"jobs{jobs}")
-            run_attack_campaign(
-                campaign, jobs=jobs, checkpoint_dir=directory
-            )
-            journals = [
-                name
-                for name in os.listdir(directory)
-                if name.endswith(".jsonl")
-            ]
-            assert len(journals) == 1
-            with open(os.path.join(directory, journals[0]), "rb") as fh:
-                blobs.append(fh.read())
-        assert blobs[0] == blobs[1]
+            directory = tmp_path / f"jobs{jobs}"
+            _run_resumable(campaign, str(directory), jobs=jobs)
+            entries = {
+                str(path.relative_to(directory)): path.read_bytes()
+                for path in directory.glob("??/*.json")
+            }
+            assert entries
+            stores.append(entries)
+        assert stores[0] == stores[1]
 
     def test_resume_skips_journaled_trials_and_matches(self, tmp_path):
         campaign = small_campaign(SchemeKind.SELECTIVE)
         reference = run_attack_campaign(campaign)
         directory = str(tmp_path / "resume")
-        # First pass journals everything; the re-run must restore every
-        # trial from the journal and still judge identically.
-        first = run_attack_campaign(campaign, checkpoint_dir=directory)
+        # First pass stores everything; the re-run must restore every
+        # trial from the store and still judge identically.
+        first = _run_resumable(campaign, directory)
         replayed = []
-        resumed = run_attack_campaign(
-            campaign,
-            checkpoint_dir=directory,
-            on_trial=replayed.append,
+        resumed = _run_resumable(
+            campaign, directory, on_trial=replayed.append
         )
         assert replayed == []  # nothing re-ran
         assert first.to_dict() == resumed.to_dict() == reference.to_dict()
 
-    def test_journal_fingerprint_pins_the_campaign(self, tmp_path):
-        campaign = small_campaign(SchemeKind.AGIT_PLUS)
-        journal = open_attack_journal(str(tmp_path), campaign)
-        journal.close()
-        different = small_campaign(SchemeKind.AGIT_PLUS, seed=8)
-        from repro.errors import CheckpointMismatchError
 
-        with pytest.raises(CheckpointMismatchError):
-            open_attack_journal(str(tmp_path), different)
+def _run_resumable(campaign, directory, **kwargs):
+    """One ``--resume directory`` run: the directory is the store."""
+    from repro.sim.options import ExecutionOptions
+
+    with ExecutionOptions(resume=directory).applied():
+        return run_attack_campaign(campaign, **kwargs)
 
 
 class TestTelemetry:

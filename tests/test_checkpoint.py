@@ -1,9 +1,8 @@
-"""The checkpoint layer's promises: atomic, validated, resumable.
+"""The checkpoint layer's promises: stable identities, atomic and
+validated artifacts.
 
 Artifacts either load exactly as written or raise
-:class:`ArtifactCorruptError` — never a silently truncated result.  The
-journal survives a torn final line (the only damage a crash mid-append
-can inflict) but refuses real corruption and mismatched work.
+:class:`ArtifactCorruptError` — never a silently truncated result.
 """
 
 import json
@@ -12,16 +11,13 @@ import os
 import pytest
 
 from repro.config import SchemeKind
-from repro.errors import ArtifactCorruptError, CheckpointMismatchError
+from repro.errors import ArtifactCorruptError
 from repro.sim.checkpoint import (
-    CheckpointJournal,
     atomic_write_json,
     canonical_json,
-    cell_fingerprint,
     fingerprint,
     load_artifact,
     plain,
-    trace_fingerprint,
     write_artifact,
 )
 from repro.sim.results import SimulationResult
@@ -54,25 +50,6 @@ class TestFingerprints:
         with pytest.raises(TypeError):
             canonical_json(object())
 
-    def test_trace_fingerprint_tracks_content(self):
-        a = generate_trace(profile("gcc"), 50, seed=1)
-        b = generate_trace(profile("gcc"), 50, seed=2)
-        assert trace_fingerprint(a) == trace_fingerprint(
-            generate_trace(profile("gcc"), 50, seed=1)
-        )
-        assert trace_fingerprint(a) != trace_fingerprint(b)
-
-    def test_cell_fingerprint_keys_config_trace_seed(self):
-        config = small_config()
-        trace = generate_trace(profile("gcc"), 50, seed=1)
-        base = cell_fingerprint(config, trace, seed=0)
-        assert cell_fingerprint(config, trace, seed=0) == base
-        assert cell_fingerprint(config, trace, seed=1) != base
-        assert (
-            cell_fingerprint(small_config(SchemeKind.OSIRIS), trace, seed=0)
-            != base
-        )
-
     def test_full_fingerprint_is_sha256_width(self):
         from repro.sim.checkpoint import full_fingerprint
 
@@ -81,7 +58,7 @@ class TestFingerprints:
         assert len(full) == 64
         assert set(full) <= set("0123456789abcdef")
         # The 16-hex display form is exactly a truncation of the full
-        # digest — journal keys and cache keys agree on prefixes.
+        # digest.
         assert fingerprint(config, 3) == full[:16]
 
     def test_trace_digest_matches_reference_stream(self):
@@ -101,7 +78,6 @@ class TestFingerprints:
             if request.data:
                 reference.update(request.data)
         assert trace_digest(trace) == reference.hexdigest()
-        assert trace_fingerprint(trace) == reference.hexdigest()[:16]
 
     def test_trace_digest_memoized_and_invalidated(self):
         trace = generate_trace(profile("gcc"), 50, seed=1)
@@ -160,68 +136,6 @@ class TestAtomicArtifacts:
         open(path, "w").write('{"just": "json"}')
         with pytest.raises(ArtifactCorruptError, match="envelope"):
             load_artifact(path)
-
-
-class TestJournal:
-    def test_records_survive_reopen(self, tmp_path):
-        path = str(tmp_path / "j.jsonl")
-        with CheckpointJournal(path, "work1") as journal:
-            journal.record("trial:0", {"outcome": "RECOVERED"})
-            journal.record("trial:1", {"outcome": "DETECTED"})
-        with CheckpointJournal(path, "work1") as journal:
-            assert len(journal) == 2
-            assert journal.get("trial:0") == {"outcome": "RECOVERED"}
-            assert "trial:1" in journal
-
-    def test_record_is_idempotent(self, tmp_path):
-        path = str(tmp_path / "j.jsonl")
-        with CheckpointJournal(path, "work1") as journal:
-            journal.record("trial:0", {"n": 1})
-            journal.record("trial:0", {"n": 999})  # ignored: already done
-            assert journal.get("trial:0") == {"n": 1}
-
-    def test_torn_final_line_dropped_and_append_continues(self, tmp_path):
-        path = str(tmp_path / "j.jsonl")
-        with CheckpointJournal(path, "work1") as journal:
-            journal.record("trial:0", {"n": 0})
-        with open(path, "ab") as stream:
-            stream.write(b'{"key":"trial:1","payl')  # crash mid-append
-        with CheckpointJournal(path, "work1") as journal:
-            assert len(journal) == 1
-            journal.record("trial:1", {"n": 1})
-        with CheckpointJournal(path, "work1") as journal:
-            assert journal.get("trial:1") == {"n": 1}
-
-    def test_corrupt_middle_record_raises(self, tmp_path):
-        path = str(tmp_path / "j.jsonl")
-        with CheckpointJournal(path, "work1") as journal:
-            journal.record("trial:0", {"n": 0})
-            journal.record("trial:1", {"n": 1})
-        lines = open(path, "rb").read().splitlines()
-        lines[1] = lines[1].replace(b'"n":0', b'"n":7')  # bad checksum now
-        open(path, "wb").write(b"\n".join(lines) + b"\n")
-        with pytest.raises(ArtifactCorruptError, match="checksum"):
-            CheckpointJournal(path, "work1")
-
-    def test_wrong_work_fingerprint_refused(self, tmp_path):
-        path = str(tmp_path / "j.jsonl")
-        CheckpointJournal(path, "work1").close()
-        with pytest.raises(CheckpointMismatchError, match="different work"):
-            CheckpointJournal(path, "work2")
-
-    def test_foreign_file_refused(self, tmp_path):
-        path = str(tmp_path / "j.jsonl")
-        open(path, "w").write('{"some": "other file"}\n{"x": 1}\n')
-        with pytest.raises(ArtifactCorruptError, match="not a checkpoint"):
-            CheckpointJournal(path, "work1")
-
-    def test_torn_header_recovers(self, tmp_path):
-        path = str(tmp_path / "j.jsonl")
-        open(path, "wb").write(b'{"journal":"repro-chec')  # torn header
-        with CheckpointJournal(path, "work1") as journal:
-            journal.record("trial:0", {"n": 0})
-        with CheckpointJournal(path, "work1") as journal:
-            assert journal.get("trial:0") == {"n": 0}
 
 
 class TestSimulationResultRoundTrip:

@@ -148,12 +148,15 @@ class TestFaultsResume:
         victim = tmp_path / "victim"
         assert main(["faults", *_FAULT_ARGS, "--resume", str(clean)]) == 0
 
-        # First attempt "crashes" after a few trials: keep the journal
-        # header plus 3 records and a torn tail.
+        # First attempt "crashes" after a few trials: only 3 of its
+        # stored trials survive (a kill loses whole entries, never
+        # tears one — store writes are atomic).
         assert main(["faults", *_FAULT_ARGS, "--resume", str(victim)]) == 0
-        journal = victim / "campaign.jsonl"
-        lines = journal.read_bytes().splitlines(keepends=True)
-        journal.write_bytes(b"".join(lines[:4]) + b'{"key":"trial:9')
+        (victim / "campaign.json").unlink()
+        entries = sorted(victim.glob("??/*.json"))
+        assert len(entries) == 8
+        for entry in entries[3:]:
+            entry.unlink()
 
         assert main(["faults", *_FAULT_ARGS, "--resume", str(victim)]) == 0
         assert (clean / "campaign.json").read_bytes() == (

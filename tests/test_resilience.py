@@ -14,18 +14,19 @@ import time
 import pytest
 
 from repro.config import SchemeKind, TreeKind
-from repro.errors import CheckpointMismatchError, WorkerTimeoutError
+from repro.errors import WorkerTimeoutError
 from repro.faults.campaign import (
     CampaignConfig,
-    campaign_fingerprint,
-    open_campaign_journal,
+    campaign_cache_identity,
     run_campaign,
 )
+from repro.sim.options import ExecutionOptions
 from repro.sim.parallel import (
     ParallelSweepExecutor,
     max_reasonable_jobs,
     resolve_jobs,
 )
+from repro.sim.result_cache import ResultCache
 
 from tests.helpers import small_config
 
@@ -145,13 +146,22 @@ def _campaign(seed=0):
     )
 
 
-def _interrupt(journal_path, keep_records):
-    """Rewrite the journal as a crash would leave it: the header, the
-    first ``keep_records`` records, and a torn half-written line."""
-    lines = open(journal_path, "rb").read().splitlines(keepends=True)
-    with open(journal_path, "wb") as stream:
-        stream.writelines(lines[: 1 + keep_records])
-        stream.write(b'{"key":"trial:99","payload":{"tor')
+def _run(campaign, directory, **kwargs):
+    """One ``--resume directory`` run: the directory is the store."""
+    with ExecutionOptions(resume=directory).applied():
+        return run_campaign(campaign, **kwargs)
+
+
+def _interrupt(directory, campaign, keep_trials):
+    """Leave the store as a kill after ``keep_trials`` trials would.
+
+    Store writes are atomic, so a kill loses whole entries and never
+    tears one; damaged entries are covered by the result-cache tests.
+    """
+    cache = ResultCache(directory)
+    identity = campaign_cache_identity(campaign)
+    for index in range(keep_trials, campaign.trials):
+        os.unlink(cache._path(cache.key("fault-trial", identity, index)))
 
 
 class TestResumeDeterminism:
@@ -160,12 +170,16 @@ class TestResumeDeterminism:
         golden_bytes = json.dumps(golden, indent=2, sort_keys=True)
         for jobs in (1, 2, 4):
             directory = str(tmp_path / f"jobs{jobs}")
-            # First attempt gets interrupted after 4 journaled trials...
-            run_campaign(_campaign(), checkpoint_dir=directory)
-            _interrupt(os.path.join(directory, "campaign.jsonl"), 4)
+            # First attempt gets interrupted after 4 stored trials...
+            _run(_campaign(), directory)
+            _interrupt(directory, _campaign(), 4)
             # ...the re-run with --resume finishes the remaining work.
-            resumed = run_campaign(
-                _campaign(), jobs=jobs, checkpoint_dir=directory
+            replayed = []
+            resumed = _run(
+                _campaign(), directory, jobs=jobs, on_trial=replayed.append
+            )
+            assert sorted(trial.index for trial in replayed) == list(
+                range(4, 10)
             )
             assert resumed.to_dict() == golden
             assert (
@@ -175,29 +189,17 @@ class TestResumeDeterminism:
 
     def test_completed_journal_resumes_without_rerunning(self, tmp_path):
         directory = str(tmp_path / "done")
-        first = run_campaign(_campaign(), checkpoint_dir=directory)
-        again = run_campaign(_campaign(), checkpoint_dir=directory)
+        first = _run(_campaign(), directory)
+        replayed = []
+        again = _run(_campaign(), directory, on_trial=replayed.append)
+        assert replayed == []
         assert again.to_dict() == first.to_dict()
 
-    def test_journal_refuses_a_different_campaign(self, tmp_path):
-        directory = str(tmp_path / "ck")
-        run_campaign(_campaign(seed=0), checkpoint_dir=directory)
-        with pytest.raises(CheckpointMismatchError):
-            run_campaign(_campaign(seed=1), checkpoint_dir=directory)
-
-    def test_fingerprint_ignores_execution_knobs(self):
-        assert campaign_fingerprint(_campaign()) == campaign_fingerprint(
-            _campaign()
-        )
-        assert campaign_fingerprint(_campaign(seed=1)) != campaign_fingerprint(
-            _campaign()
-        )
-
-    def test_open_campaign_journal_reopens(self, tmp_path):
-        directory = str(tmp_path / "ck")
-        journal = open_campaign_journal(directory, _campaign())
-        journal.record("trial:0", {"probe": True})
-        journal.close()
-        reopened = open_campaign_journal(directory, _campaign())
-        assert reopened.get("trial:0") == {"probe": True}
-        reopened.close()
+    def test_second_campaign_in_same_dir_matches_clean_run(self, tmp_path):
+        directory = str(tmp_path / "shared")
+        first = _run(_campaign(seed=0), directory)
+        # A different campaign misses every stored trial and computes
+        # its own; neither run's trials leak into the other.
+        second = _run(_campaign(seed=1), directory)
+        assert second.to_dict() == run_campaign(_campaign(seed=1)).to_dict()
+        assert _run(_campaign(seed=0), directory).to_dict() == first.to_dict()

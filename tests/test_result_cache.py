@@ -176,15 +176,6 @@ class TestGc:
         assert cache.get(keys[0], kind="simulation-result") is None
         assert cache.get(keys[2], kind="simulation-result") is not None
 
-    def test_put_autogc_keeps_store_bounded(self, tmp_path):
-        cache = ResultCache(str(tmp_path / "store"), max_bytes=1)
-        for tag in range(3):
-            key = cache.key("simulation-result", tag)
-            cache.put(key, {"value": tag}, kind="simulation-result")
-        # A 1-byte bound can keep nothing: every put evicts.
-        assert cache.store_stats()["entries"] == 0
-        assert cache.evicted >= 2
-
     def test_gc_sweeps_quarantine_debris(self, cache):
         key = cache.key("simulation-result", "x")
         cache.put(key, {"value": 1}, kind="simulation-result")
@@ -336,40 +327,39 @@ class TestCampaignCaching:
             configure_result_cache(None)
         assert warm_cache.hits == 4
         assert warm_cache.misses == 0
-        # Cache restores behave like journal restores: merged in plan
-        # order, no on_trial re-fire.
+        # Restored trials are merged in plan order and do not re-fire
+        # on_trial.
         assert seen == []
         assert canonical_json(warm.to_dict()) == canonical_json(
             cold.to_dict()
         )
 
-    def test_cache_restores_are_journaled_for_local_resume(
-        self, cache, tmp_path
-    ):
-        configure_result_cache(cache)
-        try:
-            run_campaign(_campaign())
-            checkpoint = str(tmp_path / "ckpt")
-            run_campaign(_campaign(), checkpoint_dir=checkpoint)
-        finally:
-            configure_result_cache(None)
-        # Every cache-restored trial was re-recorded into the local
-        # journal: a later resume must not depend on the shared store.
-        from repro.faults.campaign import open_campaign_journal
-
-        journal = open_campaign_journal(checkpoint, _campaign())
-        try:
-            assert sum(
-                journal.get(f"trial:{index}") is not None
-                for index in range(4)
-            ) == 4
-        finally:
-            journal.close()
-
-
 # ---------------------------------------------------------------------------
 # process-global wiring
 # ---------------------------------------------------------------------------
+
+
+def test_resume_dir_is_the_store_unless_another_is_named(
+    tmp_path, monkeypatch
+):
+    from repro.sim.options import ExecutionOptions
+
+    monkeypatch.delenv("REPRO_RESULT_CACHE", raising=False)
+    resume, shared = str(tmp_path / "resume"), str(tmp_path / "shared")
+
+    def store(**flags):
+        cache = ExecutionOptions(**flags).result_cache()
+        return None if cache is None else cache.directory
+
+    assert store() is None
+    assert store(resume=resume) == resume
+    assert store(resume=resume, cache_dir=shared) == shared
+    assert store(resume=resume, cache_dir=shared,
+                 no_result_cache=True) == resume
+    assert store(cache_dir=shared, no_result_cache=True) is None
+    monkeypatch.setenv("REPRO_RESULT_CACHE", shared)
+    assert store(resume=resume) == shared
+    assert store(resume=resume, no_result_cache=True) == resume
 
 
 def test_configure_result_cache_installs_and_disarms(cache):

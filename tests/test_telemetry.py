@@ -308,7 +308,7 @@ def test_simulation_with_telemetry_attaches_events():
     # Simulated-clock timestamps: never wall clock, monotone non-strict.
     ns_values = [event["ns"] for event in result.events]
     assert ns_values == sorted(ns_values)
-    # Round-trips through the checkpoint-journal form.
+    # Round-trips through the result-store entry form.
     clone = SimulationResult.from_dict(result.to_dict())
     assert clone.events == result.events
 
@@ -472,6 +472,40 @@ def test_runner_accepts_run_verb(capsys):
     assert main(["run", "headline"]) == 0
     printed = capsys.readouterr().out
     assert "recovery-time comparison" in printed
+
+
+def test_resumed_run_rewrites_the_same_event_stream(
+    tmp_path, monkeypatch, capsys
+):
+    """A ``--resume`` re-run restores every traced cell from the store,
+    events included, instead of skipping the experiment's telemetry."""
+    from repro.experiments import fig07_clean_evictions
+    from repro.experiments.runner import main
+
+    monkeypatch.delenv("REPRO_RESULT_CACHE", raising=False)
+    run_fig07 = fig07_clean_evictions.run
+    monkeypatch.setattr(
+        fig07_clean_evictions,
+        "run",
+        lambda trace_length, jobs: run_fig07(
+            benchmarks=["gcc", "mcf"], trace_length=300, jobs=jobs
+        ),
+    )
+    resume = tmp_path / "resume"
+    streams, results = [], []
+    for name in ("first.jsonl", "again.jsonl"):
+        trace_out = tmp_path / name
+        assert main([
+            "fig07", "--resume", str(resume), "--trace-out", str(trace_out),
+        ]) == 0
+        streams.append(trace_out.read_bytes())
+        results.append((resume / "results.json").read_bytes())
+    capsys.readouterr()
+    assert streams[0] and streams[0] == streams[1]
+    assert results[0] == results[1]
+    traffic = json.loads((resume / "manifest.json").read_text())
+    assert traffic["result_cache"]["hits"] == 2
+    assert traffic["result_cache"]["misses"] == 0
 
 
 def test_stats_cli_prints_percentile_columns(capsys, tmp_path):
