@@ -75,14 +75,6 @@ class SetAssociativeCache:
             )
         return (address // self.config.block_size) % self.num_sets
 
-    def _slot(self, set_index: int, way: int) -> int:
-        return set_index * self.ways + way
-
-    def _set_lines(self, set_index: int) -> Iterator[Tuple[int, CacheLine]]:
-        base = set_index * self.ways
-        for way in range(self.ways):
-            yield base + way, self._lines[base + way]
-
     def _find(self, address: int) -> Optional[int]:
         return self._index.get(address)
 
@@ -139,20 +131,20 @@ class SetAssociativeCache:
             line.lru_stamp = self._clock
             return existing, None
 
-        set_index = self._set_index(address)
-        victim_slot: Optional[int] = None
+        base = self._set_index(address) * self.ways
+        lines = self._lines
+        victim_slot = base
         oldest_stamp: Optional[int] = None
-        for slot, line in self._set_lines(set_index):
+        for slot in range(base, base + self.ways):
+            line = lines[slot]
             if not line.valid:
                 victim_slot = slot
-                oldest_stamp = None
                 break
             if oldest_stamp is None or line.lru_stamp < oldest_stamp:
                 victim_slot = slot
                 oldest_stamp = line.lru_stamp
 
-        assert victim_slot is not None
-        line = self._lines[victim_slot]
+        line = lines[victim_slot]
         eviction = None
         if line.valid:
             eviction = Eviction(

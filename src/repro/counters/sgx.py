@@ -16,12 +16,14 @@ from typing import List
 
 from repro.config import BLOCK_SIZE
 from repro.errors import ConfigError
-from repro.util.bitops import extract_bits, insert_bits, mask
+from repro.util.bitops import mask
 
 _COUNTER_BITS = 56
 _COUNTERS_PER_BLOCK = 8
 _MAC_BITS = 56
 _COUNTER_MAX = mask(_COUNTER_BITS)
+_MAC_MAX = mask(_MAC_BITS)
+_MAC_OFFSET = _COUNTERS_PER_BLOCK * _COUNTER_BITS
 
 
 class SgxCounterBlock:
@@ -66,7 +68,8 @@ class SgxCounterBlock:
     def lsbs(self, lsb_bits: int) -> List[int]:
         """The low ``lsb_bits`` bits of every counter — the part an ASIT
         Shadow Table entry stores (49 bits each by default)."""
-        return [counter & mask(lsb_bits) for counter in self.counters]
+        lsb_mask = mask(lsb_bits)
+        return [counter & lsb_mask for counter in self.counters]
 
     def lsb_overflow_imminent(self, slot: int, lsb_bits: int) -> bool:
         """True if the *next* increment of ``slot`` wraps its LSB field.
@@ -101,12 +104,28 @@ class SgxCounterBlock:
 
     def to_bytes(self) -> bytes:
         """Serialize: counter *i* at bit 56i, MAC at bit 448."""
-        word = 0
-        offset = 0
-        for counter in self.counters:
-            word = insert_bits(word, offset, _COUNTER_BITS, counter)
-            offset += _COUNTER_BITS
-        word = insert_bits(word, offset, _MAC_BITS, self.mac)
+        counters = self.counters
+        mac = self.mac
+        if (
+            min(counters) < 0
+            or max(counters) > _COUNTER_MAX
+            or not 0 <= mac <= _MAC_MAX
+        ):
+            raise ConfigError(
+                f"SGX block fields out of 56-bit range: {counters}, mac {mac}"
+            )
+        c0, c1, c2, c3, c4, c5, c6, c7 = counters
+        word = (
+            c0
+            | c1 << 56
+            | c2 << 112
+            | c3 << 168
+            | c4 << 224
+            | c5 << 280
+            | c6 << 336
+            | c7 << 392
+            | mac << _MAC_OFFSET
+        )
         return word.to_bytes(BLOCK_SIZE, "little")
 
     @classmethod
@@ -115,12 +134,21 @@ class SgxCounterBlock:
         if len(raw) != BLOCK_SIZE:
             raise ConfigError(f"SGX block must be {BLOCK_SIZE} bytes")
         word = int.from_bytes(raw, "little")
-        counters = [
-            extract_bits(word, i * _COUNTER_BITS, _COUNTER_BITS)
-            for i in range(_COUNTERS_PER_BLOCK)
+        # Masked fields are in range by construction, so the checked
+        # constructor's range loop is skipped.
+        block = cls.__new__(cls)
+        block.counters = [
+            word & _COUNTER_MAX,
+            (word >> 56) & _COUNTER_MAX,
+            (word >> 112) & _COUNTER_MAX,
+            (word >> 168) & _COUNTER_MAX,
+            (word >> 224) & _COUNTER_MAX,
+            (word >> 280) & _COUNTER_MAX,
+            (word >> 336) & _COUNTER_MAX,
+            (word >> 392) & _COUNTER_MAX,
         ]
-        mac = extract_bits(word, _COUNTERS_PER_BLOCK * _COUNTER_BITS, _MAC_BITS)
-        return cls(counters, mac)
+        block.mac = (word >> _MAC_OFFSET) & _MAC_MAX
+        return block
 
     def copy(self) -> "SgxCounterBlock":
         """Deep copy."""

@@ -22,6 +22,11 @@ _MINOR_BITS = 7
 _MAJOR_BITS = 64
 _MINORS_PER_BLOCK = 64
 _MINOR_MAX = mask(_MINOR_BITS)
+_MAJOR_MAX = mask(_MAJOR_BITS)
+#: Bit offset of each minor in the 512-bit wire word.
+_MINOR_SHIFTS = tuple(
+    _MAJOR_BITS + i * _MINOR_BITS for i in range(_MINORS_PER_BLOCK)
+)
 
 
 class SplitCounterBlock:
@@ -87,13 +92,14 @@ class SplitCounterBlock:
         if len(raw) != BLOCK_SIZE:
             raise ConfigError(f"counter block must be {BLOCK_SIZE} bytes")
         word = int.from_bytes(raw, "little")
-        major = word & mask(_MAJOR_BITS)
-        word >>= _MAJOR_BITS
-        minors = []
-        for _ in range(_MINORS_PER_BLOCK):
-            minors.append(word & _MINOR_MAX)
-            word >>= _MINOR_BITS
-        return cls(major, minors)
+        # Masked fields are in range by construction, so the checked
+        # constructor's range loop is skipped.
+        block = cls.__new__(cls)
+        block.major = word & _MAJOR_MAX
+        block.minors = [
+            (word >> shift) & _MINOR_MAX for shift in _MINOR_SHIFTS
+        ]
+        return block
 
     def copy(self) -> "SplitCounterBlock":
         """Deep copy (controllers snapshot blocks before mutation)."""

@@ -17,6 +17,7 @@ HASH64_BYTES = 8
 
 #: Width of an SGX node MAC in bits (Fig. 9b / §4.3).
 MAC_BITS = 56
+_MAC_MASK = mask(MAC_BITS)
 
 
 def truncated_digest(key: bytes, payload: bytes, digest_size: int) -> bytes:
@@ -46,7 +47,7 @@ def node_hash(key: bytes, node_bytes: bytes, address: int) -> int:
 def mac56(key: bytes, payload: bytes) -> int:
     """56-bit keyed MAC used by SGX-style tree nodes and shadow entries."""
     digest = truncated_digest(key, payload, 8)
-    return int.from_bytes(digest, "little") & mask(MAC_BITS)
+    return int.from_bytes(digest, "little") & _MAC_MASK
 
 
 def sgx_node_mac(

@@ -18,14 +18,15 @@ from __future__ import annotations
 import struct
 from typing import List
 
-_NODE_STRUCT = struct.Struct("<8Q")
-
 from repro.config import BLOCK_SIZE, TREE_ARITY
 from repro.crypto.hashes import hash64
 from repro.crypto.keys import ProcessorKeys
 from repro.errors import ConfigError
 from repro.mem.layout import MemoryLayout
 from repro.telemetry.runtime import live_tracer
+
+_NODE_STRUCT = struct.Struct("<8Q")
+_ZERO_BLOCK = bytes(BLOCK_SIZE)
 
 
 class BonsaiNode:
@@ -122,10 +123,8 @@ class BonsaiTreeEngine:
     def default_provider(self, address: int) -> bytes:
         """NVM default-content hook: untouched tree blocks read as the
         level's default node, so a fresh system verifies end to end."""
-        for level, region in enumerate(self.layout.level_regions):
-            if region.contains(address):
-                return self._default_bytes[level]
-        return bytes(BLOCK_SIZE)
+        level = self.layout.level_of(address)
+        return self._default_bytes[level] if level >= 0 else _ZERO_BLOCK
 
     def verify_child(
         self, parent: BonsaiNode, child_slot: int, child_bytes: bytes

@@ -9,14 +9,12 @@ of re-deriving parent arithmetic everywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 from repro.mem.layout import MemoryLayout
 
 
-@dataclass(frozen=True)
-class TreePath:
+class TreePath(NamedTuple):
     """One node on a leaf-to-root walk."""
 
     level: int
@@ -49,30 +47,18 @@ def path_to_root(layout: MemoryLayout, leaf_address: int) -> List[TreePath]:
     if cached is not None:
         return cached
     level, index = layout.locate_node(leaf_address)
+    arity = layout.arity
+    root_level = layout.root_level
     steps: List[TreePath] = [
-        TreePath(
-            level=level,
-            index=index,
-            address=leaf_address,
-            child_slot=layout.child_slot(index),
-        )
+        TreePath(level, index, leaf_address, index % arity)
     ]
-    while level < layout.root_level:
-        child_index = index
-        level, index = layout.parent_of(level, index)
+    while level < root_level:
+        child_slot = index % arity
+        level, index = level + 1, index // arity
         address = (
-            layout.node_address(level, index)
-            if level < layout.root_level
-            else None
+            layout.node_address(level, index) if level < root_level else None
         )
-        steps.append(
-            TreePath(
-                level=level,
-                index=index,
-                address=address,
-                child_slot=layout.child_slot(child_index),
-            )
-        )
+        steps.append(TreePath(level, index, address, child_slot))
     if len(cache) >= _PATH_CACHE_LIMIT:
         cache.clear()
     cache[leaf_address] = steps

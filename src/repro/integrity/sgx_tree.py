@@ -18,12 +18,18 @@ MAC over zeros with a zero parent nonce).
 
 from __future__ import annotations
 
+import struct
+
 from repro.config import BLOCK_SIZE
 from repro.counters.sgx import SgxCounterBlock
 from repro.crypto.hashes import mac56
 from repro.crypto.keys import ProcessorKeys
 from repro.mem.layout import MemoryLayout
 from repro.telemetry.runtime import live_tracer
+
+#: MAC input: the eight nonces then the parent nonce, each a u64 LE.
+_MAC_PAYLOAD = struct.Struct("<9Q")
+_ZERO_BLOCK = bytes(BLOCK_SIZE)
 
 
 class SgxTreeEngine:
@@ -50,11 +56,9 @@ class SgxTreeEngine:
 
     def compute_mac(self, node: SgxCounterBlock, parent_nonce: int) -> int:
         """MAC over the node's eight nonces and its parent nonce."""
-        payload = bytearray()
-        for counter in node.counters:
-            payload += counter.to_bytes(8, "little")
-        payload += parent_nonce.to_bytes(8, "little")
-        return mac56(self.keys.tree_key, bytes(payload))
+        return mac56(
+            self.keys.tree_key, _MAC_PAYLOAD.pack(*node.counters, parent_nonce)
+        )
 
     def verify(self, node: SgxCounterBlock, parent_nonce: int) -> bool:
         """Does the node's stored MAC match its nonces + parent nonce?"""
@@ -78,10 +82,9 @@ class SgxTreeEngine:
 
     def default_provider(self, address: int) -> bytes:
         """NVM default-content hook for tree regions."""
-        for region in self.layout.level_regions:
-            if region.contains(address):
-                return self._default_bytes
-        return bytes(BLOCK_SIZE)
+        if self.layout.level_of(address) >= 0:
+            return self._default_bytes
+        return _ZERO_BLOCK
 
     # ------------------------------------------------------------------
     # root handling

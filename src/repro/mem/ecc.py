@@ -53,6 +53,29 @@ def _parity64(value: int) -> int:
     return value.bit_count() & 1
 
 
+def _encode_word_bitwise(word: int) -> int:
+    """The SECDED code of a 64-bit word, straight from the definition.
+
+    Bits 0..6 are the Hamming parity bits; bit 7 is the overall parity
+    over data and Hamming bits.
+    """
+    code = 0
+    for i in range(_PARITY_BITS):
+        code |= _parity64(word & _PARITY_MASKS[i]) << i
+    overall = _parity64(word) ^ _parity64(code & 0x7F)
+    return code | (overall << 7)
+
+
+# Every code bit is a parity over data bits, so the code is linear over
+# GF(2): a word's code is the XOR of the codes of its eight bytes, each
+# in place.  _BYTE_TABLES[k][b] is the code of byte value b at byte k;
+# each row is also a bytes.translate table.
+_BYTE_TABLES: List[bytes] = [
+    bytes(_encode_word_bitwise(value << (8 * k)) for value in range(256))
+    for k in range(8)
+]
+
+
 class SecdedCodec:
     """Hamming(72,64) SECDED over each 64-bit word of a 64B line."""
 
@@ -62,11 +85,17 @@ class SecdedCodec:
         Bits 0..6 are the Hamming parity bits; bit 7 is the overall
         parity over data and Hamming bits.
         """
-        code = 0
-        for i in range(_PARITY_BITS):
-            code |= _parity64(word & _PARITY_MASKS[i]) << i
-        overall = _parity64(word) ^ _parity64(code & 0x7F)
-        return code | (overall << 7)
+        t0, t1, t2, t3, t4, t5, t6, t7 = _BYTE_TABLES
+        return (
+            t0[word & 0xFF]
+            ^ t1[(word >> 8) & 0xFF]
+            ^ t2[(word >> 16) & 0xFF]
+            ^ t3[(word >> 24) & 0xFF]
+            ^ t4[(word >> 32) & 0xFF]
+            ^ t5[(word >> 40) & 0xFF]
+            ^ t6[(word >> 48) & 0xFF]
+            ^ t7[(word >> 56) & 0xFF]
+        )
 
     def check_word(self, word: int, code: int) -> Tuple[bool, int]:
         """Check one word; returns ``(clean_or_corrected, corrected_word)``.
@@ -103,18 +132,19 @@ class SecdedCodec:
         """ECC bytes (8) for a 64B line, one code per 64-bit word."""
         if len(line) != BLOCK_SIZE:
             raise ValueError(f"line must be {BLOCK_SIZE} bytes")
-        codes = bytearray()
-        for offset in range(0, BLOCK_SIZE, 8):
-            word = int.from_bytes(line[offset : offset + 8], "little")
-            codes.append(self.encode_word(word))
-        return bytes(codes)
+        # line[k::8] is byte k of every word; translating it through
+        # byte k's table gives that byte's share of all eight codes.
+        codes = 0
+        for k, table in enumerate(_BYTE_TABLES):
+            codes ^= int.from_bytes(line[k::8].translate(table), "little")
+        return codes.to_bytes(ECC_BYTES, "little")
 
     def encode_lines(self, lines: List[bytes]) -> List[bytes]:
         """Batch :meth:`encode_line` over many 64B lines at once.
 
         Used by the batched replay engine to precompute a whole chunk's
-        ECC codes with eight ``np.bitwise_count`` passes instead of
-        512 Python-level parity reductions per line.  Falls back to the
+        ECC codes with eight ``np.bitwise_count`` passes over the chunk
+        instead of eight table translations per line.  Falls back to the
         scalar encoder without numpy; outputs are identical either way.
         """
         if not lines:

@@ -13,6 +13,7 @@ is the *root level*, held on-chip and not stored in memory.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -35,7 +36,7 @@ class Region:
 
     def contains(self, address: int) -> bool:
         """True if ``address`` falls inside the region."""
-        return self.base <= address < self.end
+        return self.base <= address < self.base + self.size
 
     def block_index(self, address: int) -> int:
         """Index of the 64B block at ``address`` within this region."""
@@ -121,6 +122,11 @@ class MemoryLayout:
             region = Region(f"tree_l{level}", cursor, count * BLOCK_SIZE)
             self.level_regions.append(region)
             cursor = region.end
+        # Stored levels are contiguous and ascending, so a bisect over
+        # their bases (with the end of the last as a sentinel) names the
+        # level of any address; see level_of.
+        self._level_bounds = [region.base for region in self.level_regions]
+        self._level_bounds.append(cursor)
 
         shadow_bytes = metadata_cache_blocks * BLOCK_SIZE
         self.sct = Region("sct", cursor, shadow_bytes)
@@ -155,9 +161,9 @@ class MemoryLayout:
     def counter_block_for(self, data_address: int) -> int:
         """Address of the counter/version block covering a data line."""
         self.check_data_address(data_address)
-        line = data_address // BLOCK_SIZE
-        index = line // self.lines_per_counter_block
-        return self.counter_region.block_address(index)
+        # Every valid data line maps inside the counter region.
+        index = data_address // BLOCK_SIZE // self.lines_per_counter_block
+        return self.level_regions[0].base + index * BLOCK_SIZE
 
     def counter_slot_for(self, data_address: int) -> int:
         """Which counter within its block covers this data line."""
@@ -208,14 +214,22 @@ class MemoryLayout:
                 f"level {level} is not a stored tree level "
                 f"(root level {self.root_level} lives on-chip)"
             )
-        return self.level_regions[level].block_address(index)
+        address = self._level_bounds[level] + index * BLOCK_SIZE
+        if address < self._level_bounds[level + 1]:
+            return address
+        return self.level_regions[level].block_address(index)  # raises
+
+    def level_of(self, address: int) -> int:
+        """Stored tree level holding ``address``, or -1 outside the tree."""
+        level = bisect_right(self._level_bounds, address) - 1
+        return level if level < self.root_level else -1
 
     def locate_node(self, address: int) -> Tuple[int, int]:
         """Inverse of :meth:`node_address`: ``(level, index)`` of a node."""
-        for level, region in enumerate(self.level_regions):
-            if region.contains(address):
-                return level, region.block_index(address)
-        raise LayoutError(f"address {address:#x} is not a stored tree node")
+        level = self.level_of(address)
+        if level < 0:
+            raise LayoutError(f"address {address:#x} is not a stored tree node")
+        return level, self.level_regions[level].block_index(address)
 
     def parent_of(self, level: int, index: int) -> Tuple[int, int]:
         """``(level, index)`` of a node's parent (may be the root level)."""

@@ -188,8 +188,8 @@ class NvmDevice:
 
         ``regions`` is an iterable of :class:`~repro.mem.layout.Region`.
         """
-        totals = {region.name: 0 for region in regions}
         region_list = list(regions)
+        totals = {region.name: 0 for region in region_list}
         for address, count in self._write_counts.items():
             for region in region_list:
                 if region.contains(address):

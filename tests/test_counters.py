@@ -91,6 +91,18 @@ class TestSplitCounterWire:
         block = SplitCounterBlock(major, minors)
         assert SplitCounterBlock.from_bytes(block.to_bytes()) == block
 
+    @given(st.binary(min_size=64, max_size=64))
+    def test_from_bytes_matches_checked_constructor(self, raw):
+        word = int.from_bytes(raw, "little")
+        expected = SplitCounterBlock(
+            word & ((1 << 64) - 1),
+            [(word >> (64 + 7 * i)) & 127 for i in range(64)],
+        )
+        decoded = SplitCounterBlock.from_bytes(raw)
+        assert decoded == expected
+        # 64 + 64 x 7 bits fill the block exactly: every byte survives.
+        assert decoded.to_bytes() == raw
+
 
 class TestSgxCounterBasics:
     def test_fresh_block(self):
@@ -168,6 +180,32 @@ class TestSgxWire:
     def test_roundtrip_property(self, counters, mac):
         block = SgxCounterBlock(counters, mac)
         assert SgxCounterBlock.from_bytes(block.to_bytes()) == block
+
+    @given(st.binary(min_size=64, max_size=64))
+    def test_from_bytes_matches_checked_constructor(self, raw):
+        word = int.from_bytes(raw, "little")
+        field = (1 << 56) - 1
+        expected = SgxCounterBlock(
+            [(word >> (56 * i)) & field for i in range(8)],
+            (word >> 448) & field,
+        )
+        decoded = SgxCounterBlock.from_bytes(raw)
+        assert decoded == expected
+        # Bits 504..511 are padding, dropped on decode.
+        assert decoded.to_bytes() == raw[:63] + b"\x00"
+
+    @pytest.mark.parametrize("bad", [1 << 56, -1])
+    def test_to_bytes_rejects_out_of_range_counter(self, bad):
+        block = SgxCounterBlock()
+        block.counters[3] = bad
+        with pytest.raises(ConfigError):
+            block.to_bytes()
+
+    def test_to_bytes_rejects_out_of_range_mac(self):
+        block = SgxCounterBlock()
+        block.mac = 1 << 56
+        with pytest.raises(ConfigError):
+            block.to_bytes()
 
     def test_copy_is_independent(self):
         block = SgxCounterBlock()

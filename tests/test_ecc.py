@@ -16,6 +16,29 @@ def codec():
     return SecdedCodec()
 
 
+def reference_code(word: int) -> int:
+    """Hamming(72,64) SECDED code of ``word``, one bit at a time.
+
+    Data bit *i* sits at the *i*-th non-power-of-two codeword position
+    (1-based); parity bit *j* covers every position with bit *j* set;
+    bit 7 is the parity of all data and Hamming bits.
+    """
+    positions = [pos for pos in range(1, 72) if pos & (pos - 1)][:64]
+    code = 0
+    for j in range(7):
+        parity = 0
+        for bit_index, pos in enumerate(positions):
+            if pos >> j & 1:
+                parity ^= word >> bit_index & 1
+        code |= parity << j
+    overall = 0
+    for bit in range(64):
+        overall ^= word >> bit & 1
+    for j in range(7):
+        overall ^= code >> j & 1
+    return code | overall << 7
+
+
 class TestEncodeWord:
     def test_code_is_8_bits(self, codec):
         for word in (0, 1, (1 << 64) - 1, 0xDEADBEEF):
@@ -43,6 +66,14 @@ class TestEncodeWord:
         flipped = word ^ 0b11
         ok, _fixed = codec.check_word(flipped, code)
         assert not ok
+
+    @given(st.integers(min_value=0, max_value=(1 << 64) - 1))
+    def test_encode_word_matches_bitwise_reference(self, word):
+        assert SecdedCodec().encode_word(word) == reference_code(word)
+
+    def test_encode_word_matches_reference_on_single_bits(self, codec):
+        for bit in range(64):
+            assert codec.encode_word(1 << bit) == reference_code(1 << bit)
 
     @given(st.integers(min_value=0, max_value=(1 << 64) - 1))
     def test_clean_property(self, word):
@@ -122,6 +153,15 @@ class TestLineApi:
             if not codec.is_sane(noise, ecc):
                 failures += 1
         assert failures == 100
+
+    @given(st.binary(min_size=64, max_size=64))
+    def test_encode_line_is_eight_word_codes(self, line):
+        codec = SecdedCodec()
+        expected = bytes(
+            codec.encode_word(int.from_bytes(line[i : i + 8], "little"))
+            for i in range(0, 64, 8)
+        )
+        assert codec.encode_line(line) == expected
 
     @given(st.binary(min_size=64, max_size=64))
     def test_line_roundtrip_property(self, line):

@@ -140,6 +140,31 @@ class TestTreeNavigation:
         with pytest.raises(LayoutError):
             layout.locate_node(0)  # data region
 
+    @pytest.mark.parametrize("tree", [TreeKind.BONSAI, TreeKind.SGX])
+    def test_level_of_first_and_last_block_of_every_level(self, tree):
+        layout = small_layout(tree)
+        for level, region in enumerate(layout.level_regions):
+            last = region.num_blocks - 1
+            for index in (0, last):
+                address = layout.node_address(level, index)
+                assert layout.level_of(address) == level
+                assert layout.locate_node(address) == (level, index)
+            # Last byte of the level still belongs to it.
+            assert layout.level_of(region.end - 1) == level
+            with pytest.raises(LayoutError):
+                layout.node_address(level, region.num_blocks)
+
+    @pytest.mark.parametrize("tree", [TreeKind.BONSAI, TreeKind.SGX])
+    def test_level_of_outside_the_tree(self, tree):
+        layout = small_layout(tree)
+        outside = [0, layout.data.end - 64, -64, layout.total_size]
+        for region in (layout.sct, layout.smt, layout.st):
+            outside += [region.base, region.end - 64]
+        for address in outside:
+            assert layout.level_of(address) == -1
+            with pytest.raises(LayoutError):
+                layout.locate_node(address)
+
     def test_node_address_rejects_root_level(self):
         layout = small_layout()
         with pytest.raises(LayoutError):

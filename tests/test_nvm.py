@@ -104,6 +104,14 @@ class TestAccounting:
         totals = nvm.region_write_totals([low, high])
         assert totals == {"low": 2, "high": 1}
 
+    def test_region_write_totals_accepts_a_generator(self, nvm):
+        regions = [Region("low", 0, 1024), Region("high", 1024, SIZE - 1024)]
+        nvm.write(0, LINE)
+        nvm.write(2048, LINE)
+        from_generator = nvm.region_write_totals(r for r in regions)
+        assert from_generator == nvm.region_write_totals(regions)
+        assert from_generator == {"low": 1, "high": 1}
+
     def test_touched_blocks_sorted(self, nvm):
         nvm.write(128, LINE)
         nvm.write(0, LINE)
