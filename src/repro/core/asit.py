@@ -55,9 +55,7 @@ class AsitController(SgxController):
         super().__init__(config, layout, keys, nvm)
         self.lsb_bits = config.anubis.asit_lsb_bits
         num_slots = self.metadata_cache.num_slots
-        self.st_entries: List[StEntry] = [
-            StEntry.invalid() for _ in range(num_slots)
-        ]
+        self.st_entries: List[StEntry] = [StEntry.invalid()] * num_slots
         self.shadow_tree = ShadowRegionTree(self.keys.shadow_key, num_slots)
         self._lsb_persists = self.stats.counter("lsb_overflow_persists")
 
@@ -130,9 +128,7 @@ class AsitController(SgxController):
         """
         root = self.shadow_tree.root
         super().drop_volatile()
-        self.st_entries = [
-            StEntry.invalid() for _ in range(self.metadata_cache.num_slots)
-        ]
+        self.st_entries = [StEntry.invalid()] * self.metadata_cache.num_slots
         # Keep the persistent root; the volatile levels are stale now
         # but only `root` is ever consulted after a crash.
         self._persistent_shadow_root = root

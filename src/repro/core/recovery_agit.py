@@ -128,15 +128,12 @@ class AgitRecovery:
         :class:`UnrecoverableError` instead of letting the repair loop
         die on a layout lookup.
         """
-        if table == "SCT":
-            regions = [self.layout.counter_region]
-        else:
-            # The SMT mirrors the Merkle cache, which holds nodes of any
-            # stored level above the counters.
-            regions = self.layout.level_regions[1:]
         for address in addresses:
-            aligned = address % self.config.memory.block_size == 0
-            if aligned and any(r.contains(address) for r in regions):
+            level = self.layout.level_of(address)
+            # The SCT names counter blocks (level 0); the SMT mirrors the
+            # Merkle cache, which holds nodes of any stored level above.
+            in_table = level == 0 if table == "SCT" else level >= 1
+            if in_table and address % self.config.memory.block_size == 0:
                 continue
             raise UnrecoverableError(
                 f"{table} entry names an invalid block {address:#x} — "

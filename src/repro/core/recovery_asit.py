@@ -22,7 +22,7 @@ valid entry, occasionally one parent — no dependence on memory size.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.config import SystemConfig
 from repro.core.asit import AsitController
@@ -91,11 +91,21 @@ class AsitRecovery:
     # step 1: verify the Shadow Table's integrity
     # ------------------------------------------------------------------
 
-    def _verify_shadow_table(self, report: AsitRecoveryReport) -> None:
+    def _verify_shadow_table(
+        self, report: AsitRecoveryReport
+    ) -> List[Tuple[int, bytes]]:
+        """Check the ST against SHADOW_TREE_ROOT in one scan; returns
+        ``(slot, raw)`` for every block whose valid bit is set."""
         reads: list = []
+        valid: List[Tuple[int, bytes]] = []
+        peek = self.nvm.peek
+        st_entry_address = self.layout.st_entry_address
 
         def reader(index: int) -> bytes:
-            return self.nvm.peek(self.layout.st_entry_address(index))
+            raw = peek(st_entry_address(index))
+            if raw[0] & 1:  # StEntry's valid bit
+                valid.append((index, raw))
+            return raw
 
         # Keep the live tree: _commit updates it (and the persistent
         # root register) entry by entry while resetting the ST, so a
@@ -116,30 +126,25 @@ class AsitRecovery:
                 "ASIT recovery failed: SHADOW_TREE_ROOT mismatch — the "
                 "Shadow Table was tampered with or corrupted"
             )
+        return valid
 
     # ------------------------------------------------------------------
     # steps 2-3: splice and verify
     # ------------------------------------------------------------------
 
     def _recover_nodes(
-        self, report: AsitRecoveryReport
+        self, valid: List[Tuple[int, bytes]], report: AsitRecoveryReport
     ) -> Dict[int, SgxCounterBlock]:
         recovered: Dict[int, SgxCounterBlock] = {}
-        for slot in range(self.num_slots):
-            raw = self.nvm.peek(self.layout.st_entry_address(slot))
+        for slot, raw in valid:
             entry = StEntry.from_bytes(raw)
-            if not entry.valid:
-                continue
             report.valid_entries += 1
             # A valid entry must name a stored tree node.  The root-hash
             # check already rejects wholesale ST tampering, but fail as
             # *detected* corruption — not a layout crash — if a bogus
             # address slips through (defense in depth).
             aligned = entry.address % self.config.memory.block_size == 0
-            if not aligned or not any(
-                region.contains(entry.address)
-                for region in self.layout.level_regions
-            ):
+            if not aligned or self.layout.level_of(entry.address) < 0:
                 raise UnrecoverableError(
                     f"ST entry {slot} names an invalid node "
                     f"{entry.address:#x} — the Shadow Table is corrupted"
@@ -230,7 +235,7 @@ class AsitRecovery:
         if tracer.enabled:
             tracer.emit("recovery.begin", ns=0.0, engine="asit")
         with recorder.phase("scan_shadow"):
-            self._verify_shadow_table(report)
+            valid = self._verify_shadow_table(report)
         if tracer.enabled:
             tracer.emit(
                 "recovery.step",
@@ -240,7 +245,7 @@ class AsitRecovery:
                 blocks=report.st_blocks_scanned,
             )
         with recorder.phase("splice"):
-            recovered = self._recover_nodes(report)
+            recovered = self._recover_nodes(valid, report)
         if tracer.enabled:
             for address in sorted(recovered):
                 tracer.emit(

@@ -15,18 +15,28 @@
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.config import BLOCK_SIZE, TREE_ARITY
 from repro.crypto.hashes import hash64
 from repro.errors import ConfigError
-from repro.util.bitops import extract_bits, insert_bits, mask
 
 _ADDRESSES_PER_BLOCK = 8
 _LSB_BITS = 49
 _MAC_BITS = 56
 _COUNTERS = 8
+
+# StEntry field masks and bit offsets (Fig. 9b): address|valid in bits
+# 0-63, the MAC in 64-119, then the eight LSB fields.
+_ADDRESS_MASK = (1 << 64) - 2  # the low (alignment) bit is the valid bit
+_MAC_MASK = (1 << _MAC_BITS) - 1
+_LSB_MASK = (1 << _LSB_BITS) - 1
+_LSB_SHIFTS = tuple(64 + _MAC_BITS + i * _LSB_BITS for i in range(_COUNTERS))
+
+_ZERO_BLOCK = bytes(BLOCK_SIZE)
+_NODE = struct.Struct(f"<{TREE_ARITY}Q")
 
 
 class ShadowAddressTable:
@@ -99,13 +109,13 @@ class StEntry:
         """Pack to 64 bytes: addr|valid, MAC, eight 49-bit LSB fields."""
         if len(self.lsbs) != _COUNTERS:
             raise ConfigError("ST entry needs eight LSB fields")
-        word = (self.address & ~mask(1)) | (1 if self.valid else 0)
-        offset = 64
-        word = insert_bits(word, offset, _MAC_BITS, self.mac & mask(_MAC_BITS))
-        offset += _MAC_BITS
-        for lsb in self.lsbs:
-            word = insert_bits(word, offset, _LSB_BITS, lsb & mask(_LSB_BITS))
-            offset += _LSB_BITS
+        word = (
+            (self.address & _ADDRESS_MASK)
+            | (1 if self.valid else 0)
+            | (self.mac & _MAC_MASK) << 64
+        )
+        for lsb, shift in zip(self.lsbs, _LSB_SHIFTS):
+            word |= (lsb & _LSB_MASK) << shift
         return word.to_bytes(BLOCK_SIZE, "little")
 
     @classmethod
@@ -114,19 +124,23 @@ class StEntry:
         if len(raw) != BLOCK_SIZE:
             raise ConfigError("ST entry must be 64 bytes")
         word = int.from_bytes(raw, "little")
-        valid = bool(word & 1)
-        address = extract_bits(word, 0, 64) & ~mask(1)
-        mac = extract_bits(word, 64, _MAC_BITS)
-        lsbs = tuple(
-            extract_bits(word, 64 + _MAC_BITS + i * _LSB_BITS, _LSB_BITS)
-            for i in range(_COUNTERS)
+        return cls(
+            valid=bool(word & 1),
+            address=word & _ADDRESS_MASK,
+            mac=(word >> 64) & _MAC_MASK,
+            lsbs=tuple((word >> shift) & _LSB_MASK for shift in _LSB_SHIFTS),
         )
-        return cls(valid=valid, address=address, mac=mac, lsbs=lsbs)
 
     @classmethod
     def invalid(cls) -> "StEntry":
-        """An empty (untracked) entry."""
-        return cls(valid=False, address=0, mac=0, lsbs=(0,) * _COUNTERS)
+        """The empty (untracked) entry; it packs to 64 zero bytes.
+
+        Entries are frozen, so every caller shares one instance.
+        """
+        return _INVALID_ENTRY
+
+
+_INVALID_ENTRY = StEntry(valid=False, address=0, mac=0, lsbs=(0,) * _COUNTERS)
 
 
 class ShadowRegionTree:
@@ -145,26 +159,43 @@ class ShadowRegionTree:
             raise ConfigError("shadow region tree needs leaves")
         self.key = key
         self.num_leaves = num_leaves
-        empty = self._leaf_hash(bytes(BLOCK_SIZE))
-        self.levels: List[List[int]] = [[empty] * num_leaves]
-        while len(self.levels[-1]) > 1:
-            below = self.levels[-1]
-            count = (len(below) + TREE_ARITY - 1) // TREE_ARITY
-            self.levels.append([0] * count)
-        for level in range(1, len(self.levels)):
-            for index in range(len(self.levels[level])):
-                self.levels[level][index] = self._node_hash(level, index)
+        self._build_levels([self._leaf_hash(_ZERO_BLOCK)] * num_leaves)
 
     def _leaf_hash(self, block: bytes) -> int:
         return hash64(self.key, block)
 
+    def _group_hash(self, children: Sequence[int]) -> int:
+        """Hash of one node over its child hashes (a ragged last group
+        is zero-padded)."""
+        if len(children) < TREE_ARITY:
+            children = list(children) + [0] * (TREE_ARITY - len(children))
+        return hash64(self.key, _NODE.pack(*children))
+
     def _node_hash(self, level: int, index: int) -> int:
+        start = index * TREE_ARITY
         below = self.levels[level - 1]
-        payload = bytearray()
-        for child in range(index * TREE_ARITY, (index + 1) * TREE_ARITY):
-            value = below[child] if child < len(below) else 0
-            payload += value.to_bytes(8, "little")
-        return hash64(self.key, bytes(payload))
+        return self._group_hash(below[start : start + TREE_ARITY])
+
+    def _build_levels(self, leaves: List[int]) -> None:
+        """Build every level above ``leaves``.
+
+        A node's hash depends on its child hashes alone, so each
+        distinct group of children is hashed once per level: every
+        untouched stretch of the table shares one digest per level.
+        """
+        self.levels: List[List[int]] = [leaves]
+        below = leaves
+        while len(below) > 1:
+            digests: Dict[Tuple[int, ...], int] = {}
+            level = []
+            for start in range(0, len(below), TREE_ARITY):
+                group = tuple(below[start : start + TREE_ARITY])
+                digest = digests.get(group)
+                if digest is None:
+                    digest = digests[group] = self._group_hash(group)
+                level.append(digest)
+            self.levels.append(level)
+            below = level
 
     def update(self, leaf_index: int, block: bytes) -> int:
         """Fold a new ST entry block into the tree; returns the number
@@ -204,21 +235,18 @@ class ShadowRegionTree:
         tree = cls.__new__(cls)
         tree.key = key
         tree.num_leaves = num_leaves
-        tree.levels = [[0] * num_leaves]
+        # Never-written and invalidated entries are both 64 zero bytes,
+        # so their (keyed, deterministic) leaf hash is computed once.
+        zero_hash = tree._leaf_hash(_ZERO_BLOCK)
+        leaves = []
         for index in range(num_leaves):
             block = reader(index)
             if tracker is not None:
                 tracker.append(index)
-            tree.levels[0][index] = tree._leaf_hash(block)
-        while len(tree.levels[-1]) > 1:
-            below = tree.levels[-1]
-            count = (len(below) + TREE_ARITY - 1) // TREE_ARITY
-            tree.levels.append(
-                [0] * count
+            leaves.append(
+                zero_hash if block == _ZERO_BLOCK else tree._leaf_hash(block)
             )
-            level = len(tree.levels) - 1
-            for index in range(count):
-                tree.levels[level][index] = tree._node_hash(level, index)
+        tree._build_levels(leaves)
         return tree
 
     @classmethod

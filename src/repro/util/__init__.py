@@ -2,8 +2,6 @@
 
 from repro.util.bitops import (
     bits_to_bytes,
-    extract_bits,
-    insert_bits,
     is_power_of_two,
     mask,
     pack_fields,
@@ -13,8 +11,6 @@ from repro.util.stats import Counter, Histogram, StatGroup
 
 __all__ = [
     "bits_to_bytes",
-    "extract_bits",
-    "insert_bits",
     "is_power_of_two",
     "mask",
     "pack_fields",

@@ -3,8 +3,7 @@
 The secure-memory metadata formats in this library (split-counter blocks,
 SGX version blocks, Anubis shadow-table entries) pack many narrow fields
 into 64-byte lines.  These helpers treat a line as one big little-endian
-integer and read/write arbitrary bit fields of it, which keeps the block
-codecs short and obviously correct.
+integer and pack or split its bit fields.
 """
 
 from __future__ import annotations
@@ -35,26 +34,6 @@ def bits_to_bytes(bits: int) -> int:
     return (bits + 7) // 8
 
 
-def extract_bits(word: int, offset: int, width: int) -> int:
-    """Extract ``width`` bits of ``word`` starting at bit ``offset``."""
-    if offset < 0:
-        raise ConfigError(f"bit offset must be non-negative, got {offset}")
-    return (word >> offset) & mask(width)
-
-
-def insert_bits(word: int, offset: int, width: int, value: int) -> int:
-    """Return ``word`` with ``width`` bits at ``offset`` replaced by ``value``.
-
-    ``value`` must fit in ``width`` bits.
-    """
-    if value < 0 or value > mask(width):
-        raise ConfigError(
-            f"value {value} does not fit in {width} bits"
-        )
-    cleared = word & ~(mask(width) << offset)
-    return cleared | (value << offset)
-
-
 def pack_fields(fields: Sequence[Tuple[int, int]]) -> int:
     """Pack ``(value, width)`` pairs into one integer, LSB-first.
 
@@ -66,7 +45,9 @@ def pack_fields(fields: Sequence[Tuple[int, int]]) -> int:
     word = 0
     offset = 0
     for value, width in fields:
-        word = insert_bits(word, offset, width, value)
+        if value < 0 or value > mask(width):
+            raise ConfigError(f"value {value} does not fit in {width} bits")
+        word |= value << offset
         offset += width
     return word
 
@@ -80,7 +61,7 @@ def unpack_fields(word: int, widths: Iterable[int]) -> List[int]:
     values = []
     offset = 0
     for width in widths:
-        values.append(extract_bits(word, offset, width))
+        values.append((word >> offset) & mask(width))
         offset += width
     return values
 

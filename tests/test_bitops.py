@@ -8,8 +8,6 @@ from repro.errors import ConfigError
 from repro.util.bitops import (
     bits_to_bytes,
     block_to_int,
-    extract_bits,
-    insert_bits,
     int_to_block,
     is_power_of_two,
     mask,
@@ -57,45 +55,6 @@ class TestBitsToBytes:
         assert bits_to_bytes(0) == 0
 
 
-class TestExtractInsert:
-    def test_insert_then_extract(self):
-        word = insert_bits(0, 10, 7, 0x55)
-        assert extract_bits(word, 10, 7) == 0x55
-
-    def test_insert_replaces_existing(self):
-        word = insert_bits(mask(64), 8, 8, 0)
-        assert extract_bits(word, 8, 8) == 0
-        assert extract_bits(word, 0, 8) == 0xFF
-
-    def test_value_too_wide_rejected(self):
-        with pytest.raises(ConfigError):
-            insert_bits(0, 0, 4, 16)
-
-    def test_negative_value_rejected(self):
-        with pytest.raises(ConfigError):
-            insert_bits(0, 0, 4, -1)
-
-    def test_negative_offset_rejected(self):
-        with pytest.raises(ConfigError):
-            extract_bits(1, -1, 4)
-
-    @given(
-        st.integers(min_value=0, max_value=mask(128)),
-        st.integers(min_value=0, max_value=100),
-        st.integers(min_value=1, max_value=32),
-        st.integers(min_value=0),
-    )
-    def test_roundtrip_property(self, word, offset, width, raw_value):
-        value = raw_value & mask(width)
-        updated = insert_bits(word, offset, width, value)
-        assert extract_bits(updated, offset, width) == value
-        # untouched low bits survive
-        if offset:
-            assert extract_bits(updated, 0, min(offset, 63)) == extract_bits(
-                word, 0, min(offset, 63)
-            )
-
-
 class TestPackUnpack:
     def test_doc_example(self):
         assert pack_fields([(0xA, 4), (0xB, 4)]) == 0xBA
@@ -103,6 +62,12 @@ class TestPackUnpack:
     def test_empty(self):
         assert pack_fields([]) == 0
         assert unpack_fields(0, []) == []
+
+    def test_value_too_wide_rejected(self):
+        with pytest.raises(ConfigError):
+            pack_fields([(16, 4)])
+        with pytest.raises(ConfigError):
+            pack_fields([(-1, 4)])
 
     def test_unpack_inverse(self):
         fields = [(3, 2), (100, 7), (1, 1), (65535, 16)]

@@ -4,7 +4,7 @@ import pytest
 
 from repro.config import SchemeKind
 from repro.core.recovery_agit import AgitRecovery
-from repro.errors import RootMismatchError
+from repro.errors import RootMismatchError, UnrecoverableError
 from repro.recovery.crash import crash, reincarnate
 
 from tests.helpers import line, make_controller, payload
@@ -199,6 +199,43 @@ class TestTamperDetection:
                 controller.nvm.poke(address, bytes(64))
         reborn = reincarnate(controller)
         with pytest.raises(RootMismatchError):
+            AgitRecovery(reborn.nvm, reborn.layout, reborn).run()
+
+
+def plant_tracked_address(controller, region, address):
+    """Make slot 0 of ``region`` (the SCT or SMT) track ``address``."""
+    block = address.to_bytes(8, "little") + bytes(56)
+    controller.nvm.poke(region.block_address(0), block)
+
+
+class TestTrackedAddressCheck:
+    @pytest.mark.parametrize(
+        "table, target",
+        [
+            (table, target)
+            for table in ("SCT", "SMT")
+            for target in ("data", "shadow", "misaligned", "wrong_level")
+        ],
+    )
+    def test_entry_outside_its_levels_unrecoverable(self, table, target):
+        controller = make_controller(SchemeKind.AGIT_PLUS)
+        run_workload(controller, writes=10, reads=0)
+        crash(controller)
+        layout = controller.layout
+        own_level = 0 if table == "SCT" else 1
+        address = {
+            "data": line(100),
+            "shadow": layout.st.base,
+            "misaligned": layout.level_regions[own_level].base + 8,
+            # the SCT names counter blocks only, the SMT never does
+            "wrong_level": layout.level_regions[1 - own_level].base,
+        }[target]
+        region = layout.sct if table == "SCT" else layout.smt
+        plant_tracked_address(controller, region, address)
+        reborn = reincarnate(controller)
+        with pytest.raises(
+            UnrecoverableError, match=f"{table} entry names an invalid block"
+        ):
             AgitRecovery(reborn.nvm, reborn.layout, reborn).run()
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.config import SchemeKind, TreeKind
 from repro.core.recovery_asit import AsitRecovery
+from repro.core.shadow_table import ShadowRegionTree, StEntry
 from repro.errors import MacMismatchError, UnrecoverableError
 from repro.recovery.crash import crash, reincarnate
 
@@ -159,6 +160,24 @@ class TestTamperDetection:
         with pytest.raises(UnrecoverableError):
             AsitRecovery(reborn.nvm, reborn.layout, reborn).run()
 
+    @pytest.mark.parametrize("first_byte", [0x02, 0x01])
+    def test_tampered_unwritten_st_block_unrecoverable(self, first_byte):
+        """Planting content in a never-written ST block (valid bit clear
+        or set) changes a zero leaf, so the root check refuses it."""
+        controller = make_asit()
+        run_workload(controller, writes=20, reads=0)
+        crash(controller)
+        for slot in range(controller.metadata_cache.num_slots):
+            address = controller.layout.st_entry_address(slot)
+            if not controller.nvm.is_written(address):
+                controller.nvm.poke(address, bytes([first_byte]) + bytes(63))
+                break
+        else:
+            pytest.fail("every ST block was written")
+        reborn = reincarnate(controller)
+        with pytest.raises(UnrecoverableError):
+            AsitRecovery(reborn.nvm, reborn.layout, reborn).run()
+
     def test_tampered_msbs_fail_mac_verification(self):
         """§4.3.2: memory supplies only counter MSBs; recovery verifies
         the spliced node's MAC, so MSB tampering is caught."""
@@ -172,6 +191,62 @@ class TestTamperDetection:
         stale.counters[0] |= 1 << 55  # flip an MSB above the LSB field
         controller.nvm.poke(leaf, stale.to_bytes())
         reborn = reincarnate(controller)
+        with pytest.raises(MacMismatchError):
+            AsitRecovery(reborn.nvm, reborn.layout, reborn).run()
+
+
+def plant_st_entry(reborn, slot, address, valid=True):
+    """Write an ST entry naming ``address`` and re-sign the table (as if
+    SHADOW_TREE_ROOT had been forged too), so recovery gets past the
+    root check to its address check."""
+    entry = StEntry(valid=valid, address=address, mac=0, lsbs=(0,) * 8)
+    reborn.nvm.poke(reborn.layout.st_entry_address(slot), entry.to_bytes())
+    reborn._persistent_shadow_root = ShadowRegionTree.compute_root(
+        reborn.keys.shadow_key,
+        reborn.metadata_cache.num_slots,
+        lambda index: reborn.nvm.peek(reborn.layout.st_entry_address(index)),
+    )
+
+
+class TestStAddressCheck:
+    @pytest.mark.parametrize("target", ["data", "shadow", "misaligned"])
+    def test_entry_outside_tree_unrecoverable(self, target):
+        controller = make_asit()
+        run_workload(controller, writes=20, reads=0)
+        crash(controller)
+        reborn = reincarnate(controller)
+        layout = reborn.layout
+        address = {
+            "data": line(100),
+            "shadow": layout.sct.base,
+            "misaligned": layout.counter_region.base + 8,
+        }[target]
+        plant_st_entry(reborn, reborn.metadata_cache.num_slots - 1, address)
+        with pytest.raises(UnrecoverableError, match="names an invalid node"):
+            AsitRecovery(reborn.nvm, reborn.layout, reborn).run()
+
+    def test_invalid_entry_is_skipped_whatever_it_names(self):
+        """Only bit 0 marks an entry valid: an invalid entry naming a
+        misaligned data address is never spliced or checked."""
+        controller = make_asit()
+        oracle = run_workload(controller, writes=20, reads=0)
+        crash(controller)
+        reborn = reincarnate(controller)
+        slot = reborn.metadata_cache.num_slots - 1
+        plant_st_entry(reborn, slot, line(100) + 2, valid=False)
+        report = AsitRecovery(reborn.nvm, reborn.layout, reborn).run()
+        assert report.nodes_recovered == report.valid_entries
+        for address, expected in oracle.items():
+            assert reborn.read(address) == expected
+
+    def test_entry_naming_any_stored_level_passes_the_check(self):
+        """Every stored level is a legal target; a forged entry for an
+        upper-level node gets past the address check to MAC verification."""
+        controller = make_asit()
+        crash(controller)
+        reborn = reincarnate(controller)
+        top = reborn.layout.level_regions[-1].base
+        plant_st_entry(reborn, 0, top)
         with pytest.raises(MacMismatchError):
             AsitRecovery(reborn.nvm, reborn.layout, reborn).run()
 

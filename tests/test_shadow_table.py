@@ -1,7 +1,7 @@
 """Unit and property tests for the Anubis shadow-table structures."""
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.core.shadow_table import (
@@ -9,8 +9,37 @@ from repro.core.shadow_table import (
     ShadowRegionTree,
     StEntry,
 )
+from repro.crypto.hashes import hash64
 from repro.crypto.keys import ProcessorKeys
 from repro.errors import ConfigError
+
+
+def reference_st_bytes(valid, address, mac, lsbs):
+    """Fig. 9b packed bit by bit, LSB first: valid, address bits 1-63,
+    the 56-bit MAC, then eight 49-bit LSB fields."""
+    fields = [(int(valid), 1), (address >> 1, 63), (mac, 56)]
+    fields += [(lsb, 49) for lsb in lsbs]
+    bits = [(value >> i) & 1 for value, width in fields for i in range(width)]
+    assert len(bits) == 512
+    out = bytearray(64)
+    for position, bit in enumerate(bits):
+        out[position // 8] |= bit << (position % 8)
+    return bytes(out)
+
+
+def reference_root(key, blocks):
+    """Shadow-tree root built level by level with no sharing: 8-ary,
+    child hashes packed little-endian, a ragged last group zero-padded."""
+    level = [hash64(key, block) for block in blocks]
+    while len(level) > 1:
+        above = []
+        for start in range(0, len(level), 8):
+            group = level[start : start + 8]
+            group += [0] * (8 - len(group))
+            payload = b"".join(value.to_bytes(8, "little") for value in group)
+            above.append(hash64(key, payload))
+        level = above
+    return level[0]
 
 
 class TestShadowAddressTable:
@@ -113,6 +142,32 @@ class TestStEntry:
     def test_from_bytes_rejects_bad_size(self):
         with pytest.raises(ConfigError):
             StEntry.from_bytes(b"x")
+        with pytest.raises(ConfigError):
+            StEntry.from_bytes(bytes(65))
+
+    def test_invalid_entry_is_shared_and_all_zero(self):
+        assert StEntry.invalid() is StEntry.invalid()
+        assert StEntry.invalid().to_bytes() == bytes(64)
+
+    @given(
+        st.booleans(),
+        st.integers(min_value=0, max_value=(1 << 63) - 1),
+        st.integers(min_value=0, max_value=(1 << 56) - 1),
+        st.lists(
+            st.integers(min_value=0, max_value=(1 << 49) - 1),
+            min_size=8,
+            max_size=8,
+        ),
+    )
+    @example(True, (1 << 63) - 1, (1 << 56) - 1, [(1 << 49) - 1] * 8)
+    def test_layout_matches_reference_packer(self, valid, half, mac, lsbs):
+        address = half << 1  # bit 0 is the valid bit
+        entry = StEntry(
+            valid=valid, address=address, mac=mac, lsbs=tuple(lsbs)
+        )
+        raw = reference_st_bytes(valid, address, mac, lsbs)
+        assert entry.to_bytes() == raw
+        assert StEntry.from_bytes(raw) == entry
 
     @given(
         st.booleans(),
@@ -190,6 +245,30 @@ class TestShadowRegionTree:
     def test_zero_leaves_rejected(self, key):
         with pytest.raises(ConfigError):
             ShadowRegionTree(key, 0)
+
+    @pytest.mark.parametrize("leaves", [1, 8, 9, 64, 4097])
+    def test_fresh_root_matches_reference(self, key, leaves):
+        expected = reference_root(key, [bytes(64)] * leaves)
+        assert ShadowRegionTree(key, leaves).root == expected
+        zero = ShadowRegionTree.compute_root(key, leaves, lambda i: bytes(64))
+        assert zero == expected
+
+    @pytest.mark.parametrize("leaves", [9, 64, 4097])
+    def test_reader_root_matches_reference(self, key, leaves):
+        # Repeated non-zero blocks make equal groups of non-empty leaves;
+        # some start with a zero byte, like an entry with its valid bit
+        # clear.
+        blocks = [
+            bytes(index % 2) + bytes([index % 3 + 1]) * (64 - index % 2)
+            if index % 5 < 2
+            else bytes(64)
+            for index in range(leaves)
+        ]
+        tree = ShadowRegionTree.from_reader(key, leaves, blocks.__getitem__)
+        assert tree.root == reference_root(key, blocks)
+        blocks[leaves - 1] = b"\x07" * 64
+        tree.update(leaves - 1, blocks[leaves - 1])
+        assert tree.root == reference_root(key, blocks)
 
     def test_keyed(self):
         tree_a = ShadowRegionTree(ProcessorKeys(1).shadow_key, 8)
