@@ -1,6 +1,6 @@
 """On-chip metadata caches (counter cache, Merkle-tree cache, combined)."""
 
-from repro.cache.sa_cache import CacheLine, Eviction, SetAssociativeCache
+from repro.cache.sa_cache import Eviction, SetAssociativeCache
 from repro.cache.metadata_cache import MetadataCache
 
-__all__ = ["CacheLine", "Eviction", "SetAssociativeCache", "MetadataCache"]
+__all__ = ["Eviction", "SetAssociativeCache", "MetadataCache"]

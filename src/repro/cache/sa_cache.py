@@ -11,30 +11,26 @@ Two properties of this cache are load-bearing for Anubis:
   (counter blocks, tree nodes).  During normal operation the cached copy
   is the authority and the NVM copy may be stale; that gap is exactly
   the crash-consistency problem the paper solves.
+
+Slot state lives in four parallel lists indexed by slot (tag, payload,
+dirty bit, LRU stamp) rather than one object per slot, so building a
+cache is a few list allocations.  A slot is valid iff its stamp is
+non-zero: every touch stamps a slot with the next value of a clock
+that starts at 1, so valid stamps are unique and at least 1 and an
+invalid slot reads 0.  The victim of a fill is then the first minimum
+stamp of the set's segment — the first invalid way if there is one,
+else the least recently used way.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Iterator, List, Optional, Tuple
+from typing import Any, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.config import CacheConfig
 from repro.errors import ConfigError
 
 
-@dataclass
-class CacheLine:
-    """One cache slot: tag/payload plus replacement and dirty state."""
-
-    valid: bool = False
-    address: int = 0
-    payload: Any = None
-    dirty: bool = False
-    lru_stamp: int = 0
-
-
-@dataclass(frozen=True)
-class Eviction:
+class Eviction(NamedTuple):
     """Record of a victim pushed out by a fill."""
 
     address: int
@@ -56,12 +52,15 @@ class SetAssociativeCache:
         self.name = name
         self.num_sets = config.num_sets
         self.ways = config.ways
-        self._lines: List[CacheLine] = [
-            CacheLine() for _ in range(self.num_sets * self.ways)
-        ]
+        slots = self.num_sets * self.ways
+        #: Per-slot state, indexed by slot number (see module docstring).
+        self._tags: List[int] = [0] * slots
+        self._payloads: List[Any] = [None] * slots
+        self._dirty: List[bool] = [False] * slots
+        self._stamps: List[int] = [0] * slots
         self._clock = 0
         #: address -> slot fast path (the tag array's CAM); kept exactly
-        #: in sync with the line array by every mutation below.
+        #: in sync with the slot arrays by every mutation below.
         self._index: dict = {}
 
     # ------------------------------------------------------------------
@@ -84,30 +83,30 @@ class SetAssociativeCache:
 
     def contains(self, address: int) -> bool:
         """Hit check without touching LRU state."""
-        return self._find(address) is not None
+        return address in self._index
 
     def peek(self, address: int) -> Optional[Any]:
         """Payload if resident, else None; does not touch LRU state."""
-        slot = self._find(address)
-        return self._lines[slot].payload if slot is not None else None
+        slot = self._index.get(address)
+        return self._payloads[slot] if slot is not None else None
 
     def lookup(self, address: int) -> Optional[Any]:
         """Payload if resident (refreshes LRU), else None."""
-        slot = self._find(address)
+        slot = self._index.get(address)
         if slot is None:
             return None
         self._clock += 1
-        self._lines[slot].lru_stamp = self._clock
-        return self._lines[slot].payload
+        self._stamps[slot] = self._clock
+        return self._payloads[slot]
 
     def slot_of(self, address: int) -> Optional[int]:
         """Fixed slot number of a resident block (None on miss)."""
-        return self._find(address)
+        return self._index.get(address)
 
     def is_dirty(self, address: int) -> bool:
         """True if the block is resident and dirty."""
-        slot = self._find(address)
-        return slot is not None and self._lines[slot].dirty
+        slot = self._index.get(address)
+        return slot is not None and self._dirty[slot]
 
     # ------------------------------------------------------------------
     # mutation
@@ -122,106 +121,82 @@ class SetAssociativeCache:
         Filling an already-resident address replaces its payload in
         place (no eviction).
         """
-        existing = self._find(address)
-        if existing is not None:
-            line = self._lines[existing]
-            line.payload = payload
-            line.dirty = line.dirty or dirty
+        index = self._index
+        stamps = self._stamps
+        slot = index.get(address)
+        if slot is not None:
+            self._payloads[slot] = payload
+            if dirty:
+                self._dirty[slot] = True
             self._clock += 1
-            line.lru_stamp = self._clock
-            return existing, None
+            stamps[slot] = self._clock
+            return slot, None
 
         base = self._set_index(address) * self.ways
-        lines = self._lines
-        victim_slot = base
-        oldest_stamp: Optional[int] = None
-        for slot in range(base, base + self.ways):
-            line = lines[slot]
-            if not line.valid:
-                victim_slot = slot
-                break
-            if oldest_stamp is None or line.lru_stamp < oldest_stamp:
-                victim_slot = slot
-                oldest_stamp = line.lru_stamp
-
-        line = lines[victim_slot]
+        segment = stamps[base : base + self.ways]
+        slot = base + segment.index(min(segment))
         eviction = None
-        if line.valid:
-            eviction = Eviction(
-                address=line.address,
-                payload=line.payload,
-                dirty=line.dirty,
-                slot=victim_slot,
-            )
-            del self._index[line.address]
-        self._index[address] = victim_slot
+        if stamps[slot]:
+            eviction = self._release(slot)
+            del index[eviction.address]
+        index[address] = slot
         self._clock += 1
-        line.valid = True
-        line.address = address
-        line.payload = payload
-        line.dirty = dirty
-        line.lru_stamp = self._clock
-        return victim_slot, eviction
+        self._tags[slot] = address
+        self._payloads[slot] = payload
+        self._dirty[slot] = dirty
+        stamps[slot] = self._clock
+        return slot, eviction
 
     def mark_dirty(self, address: int) -> bool:
         """Set the dirty bit; returns True iff this is the *first* time
         the resident block becomes dirty (the AGIT-Plus trigger)."""
-        slot = self._find(address)
+        slot = self._index.get(address)
         if slot is None:
             raise ConfigError(
                 f"mark_dirty on non-resident block {address:#x}"
             )
-        line = self._lines[slot]
-        first = not line.dirty
-        line.dirty = True
+        first = not self._dirty[slot]
+        self._dirty[slot] = True
         self._clock += 1
-        line.lru_stamp = self._clock
+        self._stamps[slot] = self._clock
         return first
 
     def clean(self, address: int) -> None:
         """Clear the dirty bit (block was written back)."""
-        slot = self._find(address)
+        slot = self._index.get(address)
         if slot is not None:
-            self._lines[slot].dirty = False
+            self._dirty[slot] = False
+
+    def _release(self, slot: int) -> Eviction:
+        """Invalidate one valid slot; returns its record (index untouched)."""
+        eviction = Eviction(
+            self._tags[slot], self._payloads[slot], self._dirty[slot], slot
+        )
+        self._stamps[slot] = 0
+        self._dirty[slot] = False
+        self._payloads[slot] = None
+        return eviction
 
     def invalidate(self, address: int) -> Optional[Eviction]:
         """Drop a block; returns its eviction record if it was resident."""
-        slot = self._find(address)
+        slot = self._index.pop(address, None)
         if slot is None:
             return None
-        line = self._lines[slot]
-        eviction = Eviction(
-            address=line.address,
-            payload=line.payload,
-            dirty=line.dirty,
-            slot=slot,
-        )
-        del self._index[line.address]
-        line.valid = False
-        line.dirty = False
-        line.payload = None
-        return eviction
+        return self._release(slot)
 
     def flush(self) -> List[Eviction]:
         """Invalidate everything; returns records of all resident blocks."""
-        evictions = []
-        for slot, line in enumerate(self._lines):
-            if line.valid:
-                evictions.append(
-                    Eviction(line.address, line.payload, line.dirty, slot)
-                )
-                line.valid = False
-                line.dirty = False
-                line.payload = None
+        slots = sorted(self._index.values())
         self._index.clear()
-        return evictions
+        return [self._release(slot) for slot in slots]
 
     def drop_all_volatile(self) -> None:
         """Crash model: lose every line instantly, no writebacks."""
-        for line in self._lines:
-            line.valid = False
-            line.dirty = False
-            line.payload = None
+        slots = len(self._stamps)
+        # In place: the batch replay engine holds these lists.
+        self._stamps[:] = [0] * slots
+        self._dirty[:] = [False] * slots
+        self._payloads[:] = [None] * slots
         self._index.clear()
 
     # ------------------------------------------------------------------
@@ -230,19 +205,20 @@ class SetAssociativeCache:
 
     def resident(self) -> Iterator[Tuple[int, int, Any, bool]]:
         """Iterate ``(slot, address, payload, dirty)`` over valid lines."""
-        for slot, line in enumerate(self._lines):
-            if line.valid:
-                yield slot, line.address, line.payload, line.dirty
+        tags, payloads, dirty = self._tags, self._payloads, self._dirty
+        for slot, stamp in enumerate(self._stamps):
+            if stamp:
+                yield slot, tags[slot], payloads[slot], dirty[slot]
 
     @property
     def occupancy(self) -> int:
         """Number of valid lines."""
-        return sum(1 for line in self._lines if line.valid)
+        return len(self._index)
 
     @property
     def num_slots(self) -> int:
         """Total slots (= shadow-table entries needed to track it)."""
-        return len(self._lines)
+        return len(self._stamps)
 
     def __repr__(self) -> str:
         return (

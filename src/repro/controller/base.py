@@ -17,12 +17,12 @@ from __future__ import annotations
 import abc
 from typing import Dict, Optional, Tuple
 
-from repro.config import SystemConfig
+from repro.config import CounterRecoveryKind, SystemConfig, TreeKind
 from repro.controller.access import MemoryRequest, Op
 from repro.crypto.ctr import CounterModeEngine
-from repro.crypto.hashes import mac56
+from repro.crypto.hashes import mac56_keyed
 from repro.crypto.keys import ProcessorKeys
-from repro.errors import IntegrityError
+from repro.errors import ConfigError, IntegrityError
 from repro.mem.ecc import ECC_BYTES, SecdedCodec
 from repro.mem.layout import MemoryLayout
 from repro.mem.nvm import NvmDevice
@@ -64,6 +64,7 @@ class SecureMemoryController(abc.ABC):
             pad_memo_entries=config.encryption.pad_memo_entries,
         )
         self.ecc_codec = SecdedCodec()
+        self._data_mac = mac56_keyed(self.keys.mac_key)
 
         self._data_reads = self.stats.counter("data_reads")
         self._data_writes = self.stats.counter("data_writes")
@@ -125,6 +126,27 @@ class SecureMemoryController(abc.ABC):
         self.wpq.drain_all()
         return self.channel.elapsed_ns
 
+    def _adopt_default_provider(self, provider) -> None:
+        """Make never-written blocks read as this tree engine's defaults.
+
+        A device that already has a provider (a reboot onto a crashed
+        system's NVM) keeps it, but it must give the same bytes as
+        ``provider`` on every stored level: metadata fills trust a
+        never-written block to be exactly the engine's default.
+        """
+        nvm = self.nvm
+        if nvm.default_provider is None:
+            nvm.default_provider = provider
+            return
+        layout = self.layout
+        for level in range(layout.root_level):
+            address = layout.node_address(level, 0)
+            if nvm.default_provider(address) != provider(address):
+                raise ConfigError(
+                    "NVM default content disagrees with this controller's "
+                    f"tree defaults at level {level}"
+                )
+
     # ------------------------------------------------------------------
     # data-path helpers shared by both tree families
     # ------------------------------------------------------------------
@@ -141,7 +163,7 @@ class SecureMemoryController(abc.ABC):
             return forwarded, True
         if charge:
             self.channel.read(1)
-        return self.nvm.read(address), self.nvm.is_written(address)
+        return self.nvm.read_written(address)
 
     def read_data_line(self, address: int) -> Tuple[bytes, bytes, bool]:
         """Fetch a data line and its sideband with WPQ forwarding.
@@ -156,11 +178,8 @@ class SecureMemoryController(abc.ABC):
                 SIDEBAND_BYTES
             ), True
         self.channel.read(1)
-        return (
-            self.nvm.read(address),
-            self.nvm.read_ecc(address),
-            self.nvm.is_written(address),
-        )
+        data, written = self.nvm.read_written(address)
+        return data, self.nvm.read_ecc(address), written
 
     def pack_sideband(self, ecc: bytes, mac: int) -> bytes:
         """Pack ECC bits and data MAC into the per-line sideband blob."""
@@ -178,13 +197,11 @@ class SecureMemoryController(abc.ABC):
             + minor.to_bytes(8, "little")
             + plaintext
         )
-        return mac56(self.keys.mac_key, payload)
+        return self._data_mac.value(payload)
 
     def _line_counter(self, major: int, minor: int) -> int:
         """The per-line counter value: the minor for split-counter
         systems, the 56-bit counter (passed as ``major``) for SGX."""
-        from repro.config import TreeKind
-
         return minor if self.config.tree == TreeKind.BONSAI else major
 
     def seal_data(
@@ -198,8 +215,6 @@ class SecureMemoryController(abc.ABC):
         provides), not confidentiality, so the leak is benign and
         recovery can read the exact counter instead of trialing.
         """
-        from repro.config import CounterRecoveryKind
-
         ecc = self.ecc_codec.encode_line(plaintext)
         mac = self.data_mac(address, major, minor, plaintext)
         cipher, sideband = self.ctr_engine.encrypt_with_ecc(

@@ -11,8 +11,9 @@ classification (`cache/metadata_cache`), and SECDED precompute
 same state mutations the scalar controller performs, in the exact same
 order.  The loop keeps the channel clocks and cache LRU clocks in local
 variables (synced back at every fallback boundary), drains/fills the
-WPQ and seals lines inline (three direct BLAKE2b calls per write: line
-pad, sideband pad, MAC — the pad memo in `crypto/ctr` is bypassed
+WPQ and seals lines inline (three digests per write from the
+controller's pre-keyed BLAKE2b states: line pad, sideband pad, MAC —
+the pad memo in `crypto/ctr` is bypassed
 because steady-state seals always use a fresh ``(address, major,
 minor)`` tuple and pads are pure, so memo state is unobservable).
 Statistics tallies accumulate per window and flush once (bulk stats
@@ -48,7 +49,6 @@ DESIGN.md).
 
 from __future__ import annotations
 
-import hashlib
 from typing import Dict, List, Optional
 
 from repro.config import (
@@ -68,7 +68,6 @@ from repro.util.bitops import mask
 #: passes, small enough that residency snapshots stay useful.
 DEFAULT_CHUNK = 4096
 
-_MAC56_MASK = mask(56)
 _MINOR_MAX = mask(SplitCounterBlock.minor_bits)
 
 
@@ -173,7 +172,7 @@ def _flush_tree(
     root_node = engine.root_node
     sa = controller.merkle_cache.cache
     m_index = sa._index
-    m_lines = sa._lines
+    m_payloads = sa._payloads
     path_memo = controller._batch_path_memo
     #: parent address -> remaining bottom-up steps from that parent.
     frontier: Dict[int, tuple] = {}
@@ -190,19 +189,19 @@ def _flush_tree(
         if parent_address is None:
             root_node.set_child_hash(child_slot, child_hash)
         else:
-            node = m_lines[m_index[parent_address]].payload
+            node = m_payloads[m_index[parent_address]]
             node.set_child_hash(child_slot, child_hash)
             frontier[parent_address] = steps[1:]
     while frontier:
         upper: Dict[int, tuple] = {}
         for address, steps in frontier.items():
-            node = m_lines[m_index[address]].payload
+            node = m_payloads[m_index[address]]
             child_hash = block_hash(node.to_bytes())
             parent_address, child_slot = steps[0]
             if parent_address is None:
                 root_node.set_child_hash(child_slot, child_hash)
             else:
-                parent = m_lines[m_index[parent_address]].payload
+                parent = m_payloads[m_index[parent_address]]
                 parent.set_child_hash(child_slot, child_hash)
                 upper[parent_address] = steps[1:]
         frontier = upper
@@ -244,11 +243,14 @@ def run_batched_range(
     counter_meta = controller.counter_cache
     counter_sa = counter_meta.cache
     c_index = counter_sa._index
-    c_lines = counter_sa._lines
+    c_payloads = counter_sa._payloads
+    c_dirty = counter_sa._dirty
+    c_stamps = counter_sa._stamps
     merkle_meta = controller.merkle_cache
     merkle_sa = merkle_meta.cache
     m_index = merkle_sa._index
-    m_lines = merkle_sa._lines
+    m_dirty = merkle_sa._dirty
+    m_stamps = merkle_sa._stamps
     evictions = controller._evictions
     eager = controller.eager
     scheme = controller.scheme
@@ -259,14 +261,11 @@ def run_batched_range(
     encryption = controller.config.encryption
     phase_recovery = encryption.counter_recovery == CounterRecoveryKind.PHASE
     phase_mask = mask(encryption.phase_bits) if phase_recovery else 0
-    mac_key = controller.keys.mac_key
-    enc_key = controller.ctr_engine._key
-    # Pre-keyed hash prototypes: .copy() restores the keyed state
-    # without re-compressing the key block on every digest.  The
-    # resulting digests are bit-identical to fresh keyed constructions.
-    proto_mac = hashlib.blake2b(key=mac_key, digest_size=8)
-    proto_line = hashlib.blake2b(key=enc_key, digest_size=64)
-    proto_side = hashlib.blake2b(key=enc_key, digest_size=SIDEBAND_BYTES)
+    # The controller's own pre-keyed digests: data MAC, line pad and
+    # sideband pad, bit-identical to the scalar seal's.
+    data_mac = controller._data_mac.value
+    line_pad = controller.ctr_engine.line_pad.value
+    side_pad = controller.ctr_engine._ecc_pad_hash(SIDEBAND_BYTES).value
     int_from = int.from_bytes
     encode_line = controller.ecc_codec.encode_line
     encode_lines = controller.ecc_codec.encode_lines
@@ -419,13 +418,12 @@ def run_batched_range(
                         if packed:
                             packed.clear()
                         continue
-                    line = c_lines[slot_index]
                     t_data_reads += 1
                     # counter_cache.access() hit: LRU touch + tally.
                     t_counter_hits += 1
                     c_clock += 1
-                    line.lru_stamp = c_clock
-                    minor = line.payload.minors[cslots[j]]
+                    c_stamps[slot_index] = c_clock
+                    minor = c_payloads[slot_index].minors[cslots[j]]
                     # read_data_line(): the WPQ was just drained, so no
                     # forwarding; channel.read(1) + one NVM read.
                     started = ch_now if ch_now >= ch_busy else ch_busy
@@ -462,8 +460,7 @@ def run_batched_range(
                 )
                 fast = slot_index is not None
                 if fast:
-                    line = c_lines[slot_index]
-                    block = line.payload
+                    block = c_payloads[slot_index]
                     cslot = cslots[j]
                     minor = block.minors[cslot]
                     if minor >= _MINOR_MAX:
@@ -503,7 +500,7 @@ def run_batched_range(
                 # clock by two and store once.
                 t_counter_hits += 1
                 c_clock += 2
-                line.lru_stamp = c_clock
+                c_stamps[slot_index] = c_clock
                 # block.increment(): no overflow by the guard above.
                 new_minor = minor + 1
                 block.minors[cslot] = new_minor
@@ -517,9 +514,9 @@ def run_batched_range(
                 else:
                     word += 1 << (64 + minor_bits * cslot)
                 packed[counter_address] = word
-                first = not line.dirty
+                first = not c_dirty[slot_index]
                 if first:
-                    line.dirty = True
+                    c_dirty[slot_index] = True
                     t_counter_first += 1
                 if counter_hook is not None:
                     counter_hook(slot_index, counter_address, first)
@@ -529,13 +526,12 @@ def run_batched_range(
                     # level one access() hit touch + one mark_dirty().
                     for ancestor in ancestors:
                         merkle_slot = m_index[ancestor]
-                        merkle_line = m_lines[merkle_slot]
                         t_merkle_hits += 1
                         m_clock += 2
-                        merkle_line.lru_stamp = m_clock
-                        merkle_first = not merkle_line.dirty
+                        m_stamps[merkle_slot] = m_clock
+                        merkle_first = not m_dirty[merkle_slot]
                         if merkle_first:
-                            merkle_line.dirty = True
+                            m_dirty[merkle_slot] = True
                             t_merkle_first += 1
                         if merkle_hook is not None:
                             merkle_hook(merkle_slot, ancestor, merkle_first)
@@ -555,20 +551,13 @@ def run_batched_range(
                     + major.to_bytes(8, "little")
                     + new_minor.to_bytes(8, "little")
                 )
-                digest = proto_mac.copy()
-                digest.update(iv + blob)
-                mac = int_from(digest.digest(), "little") & _MAC56_MASK
-                digest = proto_line.copy()
-                digest.update(iv)
-                cipher = (
-                    int_from(blob, "little")
-                    ^ int_from(digest.digest(), "little")
-                ).to_bytes(BLOCK_SIZE, "little")
-                digest = proto_side.copy()
-                digest.update(b"ecc" + iv)
+                mac = data_mac(iv + blob)
+                cipher = (int_from(blob, "little") ^ line_pad(iv)).to_bytes(
+                    BLOCK_SIZE, "little"
+                )
                 sideband = (
                     int_from(ecc + mac.to_bytes(8, "little"), "little")
-                    ^ int_from(digest.digest(), "little")
+                    ^ side_pad(b"ecc" + iv)
                 ).to_bytes(SIDEBAND_BYTES, "little")
                 if phase_recovery:
                     sideband += bytes([new_minor & phase_mask])

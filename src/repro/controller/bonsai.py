@@ -51,8 +51,7 @@ class BonsaiController(SecureMemoryController):
     ) -> None:
         super().__init__(config, layout, keys, nvm)
         self.engine = BonsaiTreeEngine(self.keys, layout)
-        if self.nvm.default_provider is None:
-            self.nvm.default_provider = self.engine.default_provider
+        self._adopt_default_provider(self.engine.default_provider)
         self.counter_cache = MetadataCache(config.counter_cache, "counter_cache")
         self.merkle_cache = MetadataCache(config.merkle_cache, "merkle_cache")
         self.eager = config.update_policy == UpdatePolicy.EAGER
@@ -205,9 +204,9 @@ class BonsaiController(SecureMemoryController):
         # eviction processing; the targeted flush still runs there).
         self._drain_evictions()
         self._flush_pending_eviction(counter_address)
-        raw, _ = self.read_block(counter_address)
+        raw, written = self.read_block(counter_address)
         self._meta_fetches.add()
-        self._verify_chain(counter_address, raw)
+        self._verify_chain(counter_address, raw, written)
         block = SplitCounterBlock.from_bytes(raw)
         slot, eviction = self.counter_cache.fill(counter_address, block)
         self._on_counter_filled(slot, counter_address)
@@ -223,9 +222,9 @@ class BonsaiController(SecureMemoryController):
             return node
         self._drain_evictions()
         self._flush_pending_eviction(node_address)
-        raw, _ = self.read_block(node_address)
+        raw, written = self.read_block(node_address)
         self._meta_fetches.add()
-        self._verify_chain(node_address, raw)
+        self._verify_chain(node_address, raw, written)
         node = BonsaiNode.from_bytes(raw)
         slot, eviction = self.merkle_cache.fill(node_address, node)
         self._on_merkle_filled(slot, node_address)
@@ -234,16 +233,21 @@ class BonsaiController(SecureMemoryController):
         self._drain_evictions()
         return node
 
-    def _verify_chain(self, block_address: int, block_bytes: bytes) -> None:
+    def _verify_chain(
+        self, block_address: int, block_bytes: bytes, written: bool
+    ) -> None:
         """Verify a fetched metadata block up to the first trusted level.
 
         Walks ancestors upward, fetching missing nodes from memory,
         until a cached (already-verified) node or the on-chip root is
         reached; then checks hashes top-down.  Fetched ancestors are
-        inserted into the Merkle cache (§2.3.1).
+        inserted into the Merkle cache (§2.3.1).  A block that was never
+        written (``written`` False, from :meth:`read_block`) holds its
+        level's default bytes, so its digest is the engine's kept
+        default hash instead of a fresh one.
         """
         steps = path_to_root(self.layout, block_address)
-        fetched = []  # (TreePath, raw bytes), bottom-up
+        fetched = []  # (TreePath, raw bytes, written), bottom-up
         trusted_node: Optional[BonsaiNode] = None
         trusted_slot = 0
         for step in steps[1:]:
@@ -265,38 +269,43 @@ class BonsaiController(SecureMemoryController):
                 trusted_node = cached
                 trusted_slot = step.child_slot
                 break
-            raw, _ = self.read_block(step.address)
+            raw, raw_written = self.read_block(step.address)
             self._meta_fetches.add()
-            fetched.append((step, raw))
+            fetched.append((step, raw, raw_written))
 
         assert trusted_node is not None
         # Verify top-down: the trusted node vouches for the highest
         # fetched block, each fetched node vouches for the one below it,
         # and the lowest vouches for the block being verified.
-        chain = [(None, block_bytes)] + fetched
+        leaf = steps[0]
+        chain = [(leaf, block_bytes, written)] + fetched
+        default_hashes = self.engine.default_hashes
+        block_hash = self.engine.block_hash
         parent_node = trusted_node
         parent_slot = trusted_slot
-        for step, raw in reversed(chain):
+        verified = []  # parsed fetched ancestors, top-down
+        for step, raw, raw_written in reversed(chain):
             self._integrity_checks.add()
             self.channel.hash_latency(1)
-            if parent_node.child_hash(parent_slot) != self.engine.block_hash(raw):
-                where = step.address if step is not None else block_address
+            digest = (
+                block_hash(raw) if raw_written else default_hashes[step.level]
+            )
+            if parent_node.child_hash(parent_slot) != digest:
                 raise IntegrityError(
-                    f"Merkle verification failed for block {where:#x}"
+                    f"Merkle verification failed for block {step.address:#x}"
                 )
-            if step is not None:
+            if step is not leaf:
                 parent_node = BonsaiNode.from_bytes(raw)
                 parent_slot = step.child_slot
+                verified.append((step.address, parent_node))
             # the last iteration verified `block_bytes`; nothing below it
 
         # Insert the now-verified ancestors (top-down so lower nodes are
         # the most recently used).
-        for step, raw in reversed(fetched):
-            if not self.merkle_cache.contains(step.address):
-                slot, eviction = self.merkle_cache.fill(
-                    step.address, BonsaiNode.from_bytes(raw)
-                )
-                self._on_merkle_filled(slot, step.address)
+        for address, node in verified:
+            if not self.merkle_cache.contains(address):
+                slot, eviction = self.merkle_cache.fill(address, node)
+                self._on_merkle_filled(slot, address)
                 if eviction is not None:
                     self._evictions.append(("merkle", eviction))
 

@@ -71,8 +71,7 @@ class SgxController(SecureMemoryController):
     ) -> None:
         super().__init__(config, layout, keys, nvm)
         self.engine = SgxTreeEngine(self.keys, layout)
-        if self.nvm.default_provider is None:
-            self.nvm.default_provider = self.engine.default_provider
+        self._adopt_default_provider(self.engine.default_provider)
         # SGX systems use one combined metadata cache sized as the two
         # Table-1 caches together (counter 256KB + tree 256KB -> 512KB).
         combined = CacheConfig(
@@ -231,16 +230,22 @@ class SgxController(SecureMemoryController):
         record = self.metadata_cache.access(address)
         if record is not None:
             return record
-        raw, _ = self.read_block(address)
+        raw, written = self.read_block(address)
         self._meta_fetches.add()
-        node = SgxCounterBlock.from_bytes(raw)
-
         self._integrity_checks.add()
         self.channel.hash_latency(1)
-        if not self.engine.verify(node, parent_nonce):
-            raise IntegrityError(
-                f"SGX node MAC mismatch at {address:#x} (level {level})"
-            )
+        if written or parent_nonce:
+            node = SgxCounterBlock.from_bytes(raw)
+            if not self.engine.verify(node, parent_nonce):
+                raise IntegrityError(
+                    f"SGX node MAC mismatch at {address:#x} (level {level})"
+                )
+        else:
+            # Never written and versioned by nonce 0: the bytes are the
+            # default node, whose MAC is valid under nonce 0 by
+            # construction.  A never-written node under a non-zero nonce
+            # (a lost write-back) takes the branch above and fails.
+            node = self.engine.verified_default()
         record = CachedNode(node, parent_nonce, level, index)
         slot, eviction = self.metadata_cache.fill(address, record)
         self._on_node_filled(slot, address, record)

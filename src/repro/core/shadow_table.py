@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.config import BLOCK_SIZE, TREE_ARITY
-from repro.crypto.hashes import hash64
+from repro.crypto.hashes import hash64_keyed
 from repro.errors import ConfigError
 
 _ADDRESSES_PER_BLOCK = 8
@@ -158,18 +158,19 @@ class ShadowRegionTree:
         if num_leaves <= 0:
             raise ConfigError("shadow region tree needs leaves")
         self.key = key
+        self._hash = hash64_keyed(key)
         self.num_leaves = num_leaves
         self._build_levels([self._leaf_hash(_ZERO_BLOCK)] * num_leaves)
 
     def _leaf_hash(self, block: bytes) -> int:
-        return hash64(self.key, block)
+        return self._hash.value(block)
 
     def _group_hash(self, children: Sequence[int]) -> int:
         """Hash of one node over its child hashes (a ragged last group
         is zero-padded)."""
         if len(children) < TREE_ARITY:
             children = list(children) + [0] * (TREE_ARITY - len(children))
-        return hash64(self.key, _NODE.pack(*children))
+        return self._hash.value(_NODE.pack(*children))
 
     def _node_hash(self, level: int, index: int) -> int:
         start = index * TREE_ARITY
@@ -234,6 +235,7 @@ class ShadowRegionTree:
         """
         tree = cls.__new__(cls)
         tree.key = key
+        tree._hash = hash64_keyed(key)
         tree.num_leaves = num_leaves
         # Never-written and invalidated entries are both 64 zero bytes,
         # so their (keyed, deterministic) leaf hash is computed once.

@@ -151,8 +151,12 @@ class SgxCounterBlock:
         return block
 
     def copy(self) -> "SgxCounterBlock":
-        """Deep copy."""
-        return SgxCounterBlock(list(self.counters), self.mac)
+        """Deep copy (fields are in range, so unchecked like
+        :meth:`from_bytes`)."""
+        block = SgxCounterBlock.__new__(SgxCounterBlock)
+        block.counters = self.counters[:]
+        block.mac = self.mac
+        return block
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -19,7 +19,7 @@ import struct
 from typing import List
 
 from repro.config import BLOCK_SIZE, TREE_ARITY
-from repro.crypto.hashes import hash64
+from repro.crypto.hashes import hash64_keyed
 from repro.crypto.keys import ProcessorKeys
 from repro.errors import ConfigError
 from repro.mem.layout import MemoryLayout
@@ -89,14 +89,18 @@ class BonsaiTreeEngine:
         # The live-session facade: disabled outside a telemetry
         # session, so the hot-path guard is one attribute test.
         self._tracer = live_tracer()
+        self._hash = hash64_keyed(keys.tree_key)
         # Per-level default node bytes for untouched regions. Level 0's
         # default is the all-zero split-counter block (which serializes
         # to zero bytes, the NVM's natural default); level k's default
         # node holds eight hashes of the level k-1 default.
         self._default_bytes: List[bytes] = [bytes(BLOCK_SIZE)]
+        #: ``default_hashes[level]`` is the hash of that stored level's
+        #: default block: the digest of any never-written block there.
+        self.default_hashes: List[int] = []
         for _level in range(1, layout.root_level + 1):
-            child = self._default_bytes[-1]
-            child_hash = self.block_hash(child)
+            child_hash = self.block_hash(self._default_bytes[-1])
+            self.default_hashes.append(child_hash)
             node = BonsaiNode([child_hash] * TREE_ARITY)
             self._default_bytes.append(node.to_bytes())
         #: On-chip root-level node. Survives crashes (NVM register).
@@ -110,7 +114,7 @@ class BonsaiTreeEngine:
 
     def block_hash(self, block_bytes: bytes) -> int:
         """64-bit keyed hash of a 64B child block (counter block or node)."""
-        return hash64(self.keys.tree_key, block_bytes)
+        return self._hash.value(block_bytes)
 
     def root_value(self) -> int:
         """The root hash — the single value 'kept inside the processor'."""

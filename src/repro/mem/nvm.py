@@ -75,6 +75,17 @@ class NvmDevice:
         block = self._blocks.get(address)
         return block if block is not None else self._default(address)
 
+    def read_written(self, address: int) -> Tuple[bytes, bool]:
+        """:meth:`read` plus :meth:`is_written`, with one check and one
+        lookup: ``(bytes, True)`` for a written block, ``(default,
+        False)`` for a never-written one."""
+        self._check(address)
+        self._reads.add()
+        block = self._blocks.get(address)
+        if block is None:
+            return self._default(address), False
+        return block, True
+
     def write(self, address: int, data: bytes) -> None:
         """Write a 64B block."""
         self._check(address)

@@ -72,6 +72,25 @@ def _histogram_state(histogram):
     )
 
 
+def _slot_state(cache, encode) -> tuple:
+    """Every slot's (valid, address, dirty, stamp, payload) and the clock."""
+    return (
+        [
+            (
+                stamp != 0,
+                address,
+                dirty,
+                stamp,
+                encode(payload) if stamp else payload,
+            )
+            for address, payload, dirty, stamp in zip(
+                cache._tags, cache._payloads, cache._dirty, cache._stamps
+            )
+        ],
+        cache._clock,
+    )
+
+
 def fingerprint(controller) -> dict:
     """Every observable of a controller, down to LRU stamps."""
     nvm = controller.nvm
@@ -86,30 +105,13 @@ def fingerprint(controller) -> dict:
         "wpq": list(controller.wpq.pending_entries()),
     }
     if hasattr(controller, "counter_cache"):
-        state["counter_lines"] = [
-            (
-                line.valid,
-                line.address,
-                line.dirty,
-                line.lru_stamp,
-                (line.payload.major, tuple(line.payload.minors))
-                if line.valid and hasattr(line.payload, "minors")
-                else None,
-            )
-            for line in controller.counter_cache.cache._lines
-        ]
-        state["counter_clock"] = controller.counter_cache.cache._clock
-        state["merkle_lines"] = [
-            (
-                line.valid,
-                line.address,
-                line.dirty,
-                line.lru_stamp,
-                line.payload.to_bytes() if line.valid else None,
-            )
-            for line in controller.merkle_cache.cache._lines
-        ]
-        state["merkle_clock"] = controller.merkle_cache.cache._clock
+        state["counter_slots"] = _slot_state(
+            controller.counter_cache.cache,
+            lambda block: (block.major, tuple(block.minors)),
+        )
+        state["merkle_slots"] = _slot_state(
+            controller.merkle_cache.cache, lambda node: node.to_bytes()
+        )
         state["root"] = controller.engine.root_node.to_bytes()
     return state
 

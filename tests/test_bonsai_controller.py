@@ -302,3 +302,63 @@ class TestStats:
         assert "ctrl.data_writes" in flat
         assert "nvm.writes" in flat
         assert "wpq.inserts" in flat
+
+
+class TestNeverWrittenBlocks:
+    """Never-written blocks verify against the engine's kept default
+    hashes; anything written is hashed afresh."""
+
+    def test_default_hashes_match_fresh_hashes(self, bonsai_controller):
+        from repro.crypto.hashes import hash64
+
+        engine = bonsai_controller.engine
+        key = bonsai_controller.keys.tree_key
+        levels = bonsai_controller.layout.root_level
+        assert len(engine.default_hashes) == levels
+        for level in range(levels):
+            assert engine.default_hashes[level] == hash64(
+                key, engine.default_node_bytes(level)
+            )
+
+    @pytest.mark.parametrize("depth", [0, 1])
+    def test_lost_write_back_rejected(self, depth):
+        """A block deleted from NVM after its parent recorded the hash of
+        its written-back content reads as never written and must fail."""
+        controller = make_controller()
+        counter_address = controller.layout.counter_block_for(0)
+        lost = (
+            [counter_address]
+            + controller.layout.ancestors_of_counter(counter_address)
+        )[depth]
+        controller.write(line(0), payload(1))
+        controller.writeback_all()
+        assert controller.nvm.is_written(lost)
+        del controller.nvm._blocks[lost]
+        controller.counter_cache.drop_all_volatile()
+        controller.merkle_cache.drop_all_volatile()
+        message = f"Merkle verification failed for block {lost:#x}"
+        with pytest.raises(IntegrityError, match=message):
+            controller.read(line(0))
+
+    def test_poked_default_bytes_accepted(self, bonsai_controller):
+        counter_address = bonsai_controller.layout.counter_block_for(0)
+        bonsai_controller.nvm.poke(counter_address, bytes(64))
+        assert bonsai_controller.read(line(0)) == bytes(64)
+
+    @pytest.mark.parametrize("bit", [0, 63, 64, 511])
+    def test_bit_flip_in_never_written_block_rejected(
+        self, bonsai_controller, bit
+    ):
+        counter_address = bonsai_controller.layout.counter_block_for(0)
+        bonsai_controller.nvm.inject_bit_flip(counter_address, bit)
+        message = f"Merkle verification failed for block {counter_address:#x}"
+        with pytest.raises(IntegrityError, match=message):
+            bonsai_controller.read(line(0))
+
+    def test_bit_flip_in_never_written_node_rejected(self, bonsai_controller):
+        layout = bonsai_controller.layout
+        node = layout.ancestors_of_counter(layout.counter_block_for(0))[0]
+        bonsai_controller.nvm.inject_bit_flip(node, 5)
+        message = f"Merkle verification failed for block {node:#x}"
+        with pytest.raises(IntegrityError, match=message):
+            bonsai_controller.read(line(0))

@@ -160,3 +160,109 @@ class TestIv:
 
     def test_iv_uniqueness(self):
         assert make_iv(0, 0, 1) != make_iv(0, 1, 0)
+
+
+def _fresh(key: bytes, payload: bytes, digest_size: int) -> bytes:
+    """Reference: a keyed BLAKE2b built from scratch for one digest."""
+    import hashlib
+
+    return hashlib.blake2b(payload, key=key, digest_size=digest_size).digest()
+
+
+def _fresh_int(key: bytes, payload: bytes, digest_size: int, bits=None) -> int:
+    value = int.from_bytes(_fresh(key, payload, digest_size), "little")
+    return value if bits is None else value & ((1 << bits) - 1)
+
+
+class TestPreKeyedDigests:
+    """Every owner of a pre-keyed BLAKE2b state gives the digests of a
+    fresh keyed construction, digest after digest from one state."""
+
+    KEYS = ProcessorKeys(3)
+
+    @pytest.fixture(scope="class")
+    def owners(self):
+        from repro.config import TreeKind
+        from repro.core.shadow_table import ShadowRegionTree
+        from repro.integrity.sgx_tree import SgxTreeEngine
+
+        from tests.helpers import make_controller
+
+        keys = self.KEYS
+        sgx = make_controller(tree=TreeKind.SGX, seed=3)
+        return {
+            "bonsai": make_controller(seed=3),
+            "sgx_engine": SgxTreeEngine(keys, sgx.layout),
+            "ctr": CounterModeEngine(keys, pad_memo_entries=0),
+            "shadow": ShadowRegionTree(keys.shadow_key, 9),
+        }
+
+    @given(
+        st.binary(min_size=0, max_size=64),
+        st.integers(min_value=1, max_value=64),
+        st.lists(st.binary(max_size=200), min_size=2, max_size=3),
+    )
+    def test_keyed_hash_matches_fresh(self, key, digest_size, payloads):
+        from repro.crypto.hashes import KeyedHash
+
+        keyed = KeyedHash(key, digest_size)
+        masked = KeyedHash(key, digest_size, bits=5)
+        for data in payloads:
+            assert keyed.digest(data) == _fresh(key, data, digest_size)
+            assert keyed.value(data) == _fresh_int(key, data, digest_size)
+            assert masked.value(data) == _fresh_int(key, data, digest_size, 5)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.binary(min_size=64, max_size=64),
+                st.integers(min_value=0, max_value=(1 << 40)).map(
+                    lambda n: n * 64
+                ),
+                st.integers(min_value=0, max_value=(1 << 56) - 1),
+                st.integers(min_value=0, max_value=127),
+            ),
+            min_size=2,
+            max_size=3,
+        )
+    )
+    def test_owners_match_fresh(self, owners, cases):
+        import struct
+
+        from repro.counters.sgx import SgxCounterBlock
+
+        keys = self.KEYS
+        bonsai = owners["bonsai"]
+        sgx_engine = owners["sgx_engine"]
+        ctr = owners["ctr"]
+        shadow = owners["shadow"]
+        for block, address, major, minor in cases:
+            iv = make_iv(address, major, minor)
+            # data MAC (controller/base.py)
+            assert bonsai.data_mac(address, major, minor, block) == _fresh_int(
+                keys.mac_key, iv + block, 8, 56
+            )
+            # Bonsai block hash (hash64 over the tree key)
+            assert bonsai.engine.block_hash(block) == hash64(
+                keys.tree_key, block
+            ) == _fresh_int(keys.tree_key, block, 8)
+            # SGX node MAC over eight nonces and the parent nonce
+            node = SgxCounterBlock([major] * 8, 0)
+            payload = struct.pack("<9Q", *node.counters, minor)
+            assert sgx_engine.compute_mac(node, minor) == _fresh_int(
+                keys.tree_key, payload, 8, 56
+            )
+            # CTR line pad and ECC pad
+            assert ctr.one_time_pad(iv) == _fresh(keys.encryption_key, iv, 64)
+            for length in (8, 16):
+                assert ctr._ecc_pad_int(address, major, minor, length) == (
+                    _fresh_int(keys.encryption_key, b"ecc" + iv, length)
+                )
+            # Shadow-region tree leaf and node hashes
+            assert shadow._leaf_hash(block) == _fresh_int(
+                keys.shadow_key, block, 8
+            )
+            children = [major, minor, address, 0, 1, 2, 3, 4]
+            assert shadow._group_hash(children) == _fresh_int(
+                keys.shadow_key, struct.pack("<8Q", *children), 8
+            )

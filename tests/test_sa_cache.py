@@ -183,7 +183,9 @@ class TestIndexConsistency:
         )
     )
     def test_index_matches_linear_scan_property(self, operations):
-        """The fast index must agree with a brute-force tag scan."""
+        """The fast index must agree with a brute-force scan of the slot
+        arrays, and every per-slot field must be consistent with the
+        slot's validity."""
         cache = make_cache(size_bytes=1024, ways=2)  # 16 blocks, 8 sets
         for op, block in operations:
             address = block * 64
@@ -195,8 +197,181 @@ class TestIndexConsistency:
                 cache.invalidate(address)
             elif op == "dirty" and cache.contains(address):
                 cache.mark_dirty(address)
-            # invariant: index agrees with the line array
-            for slot, line in enumerate(cache._lines):
-                if line.valid:
-                    assert cache._index[line.address] == slot
-            assert len(cache._index) == cache.occupancy
+            # invariant: index agrees with the slot arrays
+            valid = 0
+            stamps = []
+            for slot, (address_, payload, dirty, stamp) in enumerate(
+                zip(cache._tags, cache._payloads, cache._dirty, cache._stamps)
+            ):
+                if stamp:
+                    valid += 1
+                    stamps.append(stamp)
+                    assert cache._index[address_] == slot
+                    assert payload == address_ // 64
+                    assert 1 <= stamp <= cache._clock
+                else:
+                    assert payload is None and not dirty
+            assert len(stamps) == len(set(stamps))
+            assert len(cache._index) == valid == cache.occupancy
+
+
+class ReferenceLru:
+    """Independent LRU model: per-set way lists and recency orders."""
+
+    def __init__(self, num_sets, ways):
+        self.num_sets = num_sets
+        self.ways = ways
+        self.sets = [[None] * ways for _ in range(num_sets)]
+        self.recency = [[] for _ in range(num_sets)]  # least recent first
+
+    def _locate(self, address):
+        index = (address // 64) % self.num_sets
+        for way, entry in enumerate(self.sets[index]):
+            if entry is not None and entry[0] == address:
+                return index, way
+        return index, None
+
+    def _touch(self, index, way):
+        if way in self.recency[index]:
+            self.recency[index].remove(way)
+        self.recency[index].append(way)
+
+    def _record(self, index, way):
+        address, payload, dirty = self.sets[index][way]
+        return (address, payload, dirty, index * self.ways + way)
+
+    def insert(self, address, payload, dirty):
+        index, way = self._locate(address)
+        if way is not None:
+            entry = self.sets[index][way]
+            entry[1] = payload
+            entry[2] = entry[2] or dirty
+            self._touch(index, way)
+            return index * self.ways + way, None
+        free = [w for w, e in enumerate(self.sets[index]) if e is None]
+        eviction = None
+        if free:
+            way = free[0]
+        else:
+            way = self.recency[index][0]
+            eviction = self._record(index, way)
+        self.sets[index][way] = [address, payload, dirty]
+        self._touch(index, way)
+        return index * self.ways + way, eviction
+
+    def lookup(self, address):
+        index, way = self._locate(address)
+        if way is None:
+            return None
+        self._touch(index, way)
+        return self.sets[index][way][1]
+
+    def mark_dirty(self, address):
+        index, way = self._locate(address)
+        if way is None:
+            raise ConfigError("not resident")
+        first = not self.sets[index][way][2]
+        self.sets[index][way][2] = True
+        self._touch(index, way)
+        return first
+
+    def clean(self, address):
+        index, way = self._locate(address)
+        if way is not None:
+            self.sets[index][way][2] = False
+
+    def invalidate(self, address):
+        index, way = self._locate(address)
+        if way is None:
+            return None
+        record = self._record(index, way)
+        self.sets[index][way] = None
+        self.recency[index].remove(way)
+        return record
+
+    def resident(self):
+        return [
+            self._record(index, way)
+            for index in range(self.num_sets)
+            for way in range(self.ways)
+            if self.sets[index][way] is not None
+        ]
+
+    def flush(self):
+        records = self.resident()
+        self.drop_all_volatile()
+        return records
+
+    def drop_all_volatile(self):
+        self.sets = [[None] * self.ways for _ in range(self.num_sets)]
+        self.recency = [[] for _ in range(self.num_sets)]
+
+
+def _as_record(eviction):
+    if eviction is None:
+        return None
+    return (eviction.address, eviction.payload, eviction.dirty, eviction.slot)
+
+
+class TestAgainstReferenceLru:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([(1024, 2), (1024, 4), (2048, 8)]),
+        st.lists(
+            st.tuples(
+                st.sampled_from(
+                    [
+                        "insert",
+                        "insert_dirty",
+                        "lookup",
+                        "mark_dirty",
+                        "clean",
+                        "invalidate",
+                        "flush",
+                        "drop_all_volatile",
+                    ]
+                ),
+                st.integers(min_value=0, max_value=40),
+            ),
+            max_size=250,
+        ),
+    )
+    def test_random_sequence_matches_reference(self, geometry, operations):
+        size_bytes, ways = geometry
+        cache = make_cache(size_bytes=size_bytes, ways=ways)
+        model = ReferenceLru(cache.num_sets, ways)
+        for step, (op, block) in enumerate(operations):
+            address = block * 64
+            payload = (block, step)
+            if op in ("insert", "insert_dirty"):
+                dirty = op == "insert_dirty"
+                slot, eviction = cache.insert(address, payload, dirty)
+                assert (slot, _as_record(eviction)) == model.insert(
+                    address, payload, dirty
+                )
+            elif op == "lookup":
+                assert cache.lookup(address) == model.lookup(address)
+            elif op == "mark_dirty":
+                if model._locate(address)[1] is None:
+                    with pytest.raises(ConfigError):
+                        cache.mark_dirty(address)
+                else:
+                    first = model.mark_dirty(address)
+                    assert cache.mark_dirty(address) == first
+            elif op == "clean":
+                cache.clean(address)
+                model.clean(address)
+            elif op == "invalidate":
+                record = model.invalidate(address)
+                assert _as_record(cache.invalidate(address)) == record
+            elif op == "flush":
+                assert [_as_record(e) for e in cache.flush()] == model.flush()
+            else:
+                cache.drop_all_volatile()
+                model.drop_all_volatile()
+            resident = [
+                (address_, payload_, dirty_, slot_)
+                for slot_, address_, payload_, dirty_ in cache.resident()
+            ]
+            assert resident == model.resident()
+            assert cache.occupancy == len(resident)

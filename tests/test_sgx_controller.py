@@ -3,6 +3,7 @@
 import pytest
 
 from repro.config import SchemeKind, TreeKind
+from repro.crypto.keys import ProcessorKeys
 from repro.errors import IntegrityError
 
 from tests.helpers import line, make_controller, payload
@@ -197,3 +198,90 @@ class TestShutdown:
             if is_dirty
         ]
         assert dirty == []
+
+
+def _top_level_index(controller, address):
+    """Index of the top-stored-level node above a data line."""
+    layout = controller.layout
+    level, index = layout.locate_node(layout.counter_block_for(address))
+    while level < layout.root_level - 1:
+        level, index = layout.parent_of(level, index)
+    return index
+
+
+class TestNeverWrittenNodes:
+    """Fills of never-written nodes skip the MAC only under nonce 0."""
+
+    def test_never_written_node_accepted_as_default(self, sgx_controller):
+        leaf = sgx_controller.layout.counter_block_for(line(0))
+        assert sgx_controller.read(line(0)) == bytes(64)
+        record = sgx_controller.metadata_cache.peek(leaf)
+        assert record.node == sgx_controller.engine.default_node()
+        assert record.node is not sgx_controller.engine.default_node()
+        # One fetch and one check per level, as for any other fill.
+        levels = sgx_controller.layout.root_level
+        assert sgx_controller.stats.get("meta_fetches") == levels
+        assert sgx_controller.stats.get("integrity_checks") == levels
+
+    def test_never_written_node_under_bumped_root_nonce_rejected(self):
+        controller = make_sgx()
+        layout = controller.layout
+        index = _top_level_index(controller, line(0))
+        top = layout.node_address(layout.root_level - 1, index)
+        controller.engine.bump_root_nonce_for(index)
+        with pytest.raises(IntegrityError, match=f"mismatch at {top:#x}"):
+            controller.read(line(0))
+
+    def test_lost_write_back_rejected(self):
+        """A node whose parent nonce was bumped for a write-back that
+        never reached NVM reads as never written under a non-zero
+        nonce."""
+        controller = make_sgx()
+        leaf = controller.layout.counter_block_for(line(0))
+        controller.write(line(0), payload(1))
+        controller.writeback_all()
+        assert controller.nvm.is_written(leaf)
+        del controller.nvm._blocks[leaf]
+        controller.metadata_cache.drop_all_volatile()
+        with pytest.raises(IntegrityError, match=f"mismatch at {leaf:#x}"):
+            controller.read(line(0))
+
+    def test_poked_default_bytes_accepted(self):
+        controller = make_sgx()
+        leaf = controller.layout.counter_block_for(line(0))
+        controller.nvm.poke(leaf, controller.engine.default_provider(leaf))
+        assert controller.nvm.is_written(leaf)
+        assert controller.read(line(0)) == bytes(64)
+
+    @pytest.mark.parametrize("bit", [0, 200, 447, 448, 503])
+    def test_bit_flip_in_never_written_node_rejected(self, bit):
+        controller = make_sgx()
+        leaf = controller.layout.counter_block_for(line(0))
+        controller.nvm.inject_bit_flip(leaf, bit)
+        with pytest.raises(IntegrityError, match=f"mismatch at {leaf:#x}"):
+            controller.read(line(0))
+
+    def test_detail_trace_keeps_one_check_event_per_fetch(self):
+        from repro.sim.engine import run_simulation
+        from repro.telemetry import TelemetrySpec
+        from repro.traces.profiles import profile
+        from repro.traces.synthetic import generate_trace
+        from tests.helpers import MIB, small_config
+
+        config = small_config(
+            SchemeKind.WRITE_BACK, TreeKind.SGX, memory_bytes=64 * MIB
+        )
+        capacity = config.memory.capacity_bytes
+        trace = generate_trace(
+            profile("gcc"), 300, seed=2, capacity_bytes=capacity
+        )
+        detail = TelemetrySpec(detail=True)
+        result = run_simulation(config, trace, ProcessorKeys(1), detail)
+        checks = [
+            event
+            for event in result.events
+            if event["kind"] == "integrity.check"
+            and event.get("tree") == "sgx"
+        ]
+        assert checks and all(event["ok"] for event in checks)
+        assert len(checks) == result.stat("ctrl.meta_fetches")
