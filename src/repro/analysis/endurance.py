@@ -108,7 +108,7 @@ def analyze_endurance(
         reverse=True,
     )
     return EnduranceReport(
-        total_writes=nvm.total_writes,
+        total_writes=nvm.writes,
         elapsed_seconds=elapsed / 1e9,
         region_writes=region_writes,
         hottest_blocks=per_block[:top_blocks],

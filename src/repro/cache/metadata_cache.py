@@ -20,21 +20,26 @@ from repro.util.stats import StatGroup
 class MetadataCache:
     """A counter / Merkle-tree / combined metadata cache with stats."""
 
-    def __init__(
-        self,
-        config: CacheConfig,
-        name: str,
-        stats: Optional[StatGroup] = None,
-    ) -> None:
+    def __init__(self, config: CacheConfig, name: str) -> None:
         self.cache = SetAssociativeCache(config, name)
         self.name = name
-        self.stats = stats if stats is not None else StatGroup(name)
         self.tracer = live_tracer()
-        self._hits = self.stats.counter("hits")
-        self._misses = self.stats.counter("misses")
-        self._evict_clean = self.stats.counter("evictions_clean")
-        self._evict_dirty = self.stats.counter("evictions_dirty")
-        self._first_dirty = self.stats.counter("first_dirty")
+        self.hits = 0
+        self.misses = 0
+        self.evictions_clean = 0
+        self.evictions_dirty = 0
+        self.first_dirty = 0
+
+    @property
+    def stats(self) -> StatGroup:
+        """Read-only ``<name>.*`` view of the cache's counts."""
+        return StatGroup(self.name, {
+            "hits": self.hits,
+            "misses": self.misses,
+            "evictions_clean": self.evictions_clean,
+            "evictions_dirty": self.evictions_dirty,
+            "first_dirty": self.first_dirty,
+        })
 
     # ------------------------------------------------------------------
     # access paths (controllers call these; they only do accounting and
@@ -45,13 +50,13 @@ class MetadataCache:
         """Lookup with hit/miss accounting; payload or None."""
         payload = self.cache.lookup(address)
         if payload is None:
-            self._misses.add()
+            self.misses += 1
             if self.tracer.enabled:
                 self.tracer.emit(
                     "cache.miss", cache=self.name, address=address
                 )
         else:
-            self._hits.add()
+            self.hits += 1
             # Hits dominate every trace; emit them only at detail level
             # so default traces (and enabled-mode overhead) stay bounded.
             if self.tracer.enabled and self.tracer.detail:
@@ -67,9 +72,9 @@ class MetadataCache:
         slot, eviction = self.cache.insert(address, payload, dirty)
         if eviction is not None:
             if eviction.dirty:
-                self._evict_dirty.add()
+                self.evictions_dirty += 1
             else:
-                self._evict_clean.add()
+                self.evictions_clean += 1
             if self.tracer.enabled:
                 self.tracer.emit(
                     "cache.evict",
@@ -83,7 +88,7 @@ class MetadataCache:
         """Dirty a resident block; counts and returns first-dirty events."""
         first = self.cache.mark_dirty(address)
         if first:
-            self._first_dirty.add()
+            self.first_dirty += 1
         return first
 
     def classify_chunk(self, addresses):
@@ -157,14 +162,14 @@ class MetadataCache:
     @property
     def hit_rate(self) -> float:
         """Hits / accesses (0.0 before any access)."""
-        total = self._hits.value + self._misses.value
-        return self._hits.value / total if total else 0.0
+        total = self.hits + self.misses
+        return self.hits / total if total else 0.0
 
     @property
     def clean_eviction_fraction(self) -> float:
         """Fraction of evictions that were clean — the Fig. 7 metric."""
-        total = self._evict_clean.value + self._evict_dirty.value
-        return self._evict_clean.value / total if total else 0.0
+        total = self.evictions_clean + self.evictions_dirty
+        return self.evictions_clean / total if total else 0.0
 
     def __repr__(self) -> str:
         return (

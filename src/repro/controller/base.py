@@ -38,6 +38,20 @@ SIDEBAND_BYTES = ECC_BYTES + 8
 class SecureMemoryController(abc.ABC):
     """Common machinery for every persistence scheme."""
 
+    #: The controller's own event counts, each a plain ``int``
+    #: attribute reported as ``ctrl.<name>`` (next to the channel's).
+    COUNTERS: Tuple[str, ...] = (
+        "data_reads",
+        "data_writes",
+        "meta_fetches",
+        "meta_writebacks",
+        "persist_writes",
+        "shadow_writes",
+        "page_reencryptions",
+        "integrity_checks",
+        "ecc_corrections",
+    )
+
     def __init__(
         self,
         config: SystemConfig,
@@ -48,16 +62,15 @@ class SecureMemoryController(abc.ABC):
         self.config = config
         self.layout = layout
         self.keys = keys if keys is not None else ProcessorKeys()
-        self.stats = StatGroup("ctrl")
+        for name in self.COUNTERS:
+            setattr(self, name, 0)
         #: The live-session facade: follows telemetry sessions installed
         #: at any point in the controller's lifetime, and with none
         #: active every emission site reduces to one ``enabled`` check.
         self.tracer = live_tracer()
-        self.channel = MemoryChannel(config.timing, self.stats)
+        self.channel = MemoryChannel(config.timing)
         self.nvm = nvm if nvm is not None else NvmDevice(layout.total_size)
-        self.wpq = WritePendingQueue(
-            self.nvm, self.channel, config.wpq_entries, StatGroup("wpq")
-        )
+        self.wpq = WritePendingQueue(self.nvm, self.channel, config.wpq_entries)
         self.pregs = PersistentRegisters(self.wpq)
         self.ctr_engine = CounterModeEngine(
             self.keys,
@@ -65,16 +78,6 @@ class SecureMemoryController(abc.ABC):
         )
         self.ecc_codec = SecdedCodec()
         self._data_mac = mac56_keyed(self.keys.mac_key)
-
-        self._data_reads = self.stats.counter("data_reads")
-        self._data_writes = self.stats.counter("data_writes")
-        self._meta_fetches = self.stats.counter("meta_fetches")
-        self._meta_writebacks = self.stats.counter("meta_writebacks")
-        self._persist_writes = self.stats.counter("persist_writes")
-        self._shadow_writes = self.stats.counter("shadow_writes")
-        self._reencryptions = self.stats.counter("page_reencryptions")
-        self._integrity_checks = self.stats.counter("integrity_checks")
-        self._ecc_corrections = self.stats.counter("ecc_corrections")
 
     # ------------------------------------------------------------------
     # public API
@@ -162,7 +165,7 @@ class SecureMemoryController(abc.ABC):
         if forwarded is not None:
             return forwarded, True
         if charge:
-            self.channel.read(1)
+            self.channel.read()
         return self.nvm.read_written(address)
 
     def read_data_line(self, address: int) -> Tuple[bytes, bytes, bool]:
@@ -177,7 +180,7 @@ class SecureMemoryController(abc.ABC):
             return data, sideband if sideband is not None else bytes(
                 SIDEBAND_BYTES
             ), True
-        self.channel.read(1)
+        self.channel.read()
         data, written = self.nvm.read_written(address)
         return data, self.nvm.read_ecc(address), written
 
@@ -240,7 +243,7 @@ class SecureMemoryController(abc.ABC):
             ciphertext, sideband_cipher[:SIDEBAND_BYTES], address, major, minor
         )
         ecc, mac = self.unpack_sideband(sideband)
-        self._integrity_checks.add()
+        self.integrity_checks += 1
         if not self.ecc_codec.is_sane(plaintext, ecc):
             # CTR mode turns an NVM cell flip into a single flipped
             # plaintext bit, so the SECDED code can repair genuine soft
@@ -252,7 +255,7 @@ class SecureMemoryController(abc.ABC):
                     f"ECC check failed for data line {address:#x} "
                     f"(wrong counter or corrupted line)"
                 )
-            self._ecc_corrections.add()
+            self.ecc_corrections += 1
         if mac != self.data_mac(address, major, minor, plaintext):
             raise IntegrityError(f"data MAC mismatch at {address:#x}")
         return plaintext
@@ -261,12 +264,12 @@ class SecureMemoryController(abc.ABC):
         self, address: int, ciphertext: bytes, sideband: bytes
     ) -> None:
         """Push one sealed data line into the persistent domain."""
-        self._persist_writes.add()
+        self.persist_writes += 1
         self.wpq.insert(address, ciphertext, sideband)
 
     def persist_metadata(self, address: int, block: bytes) -> None:
         """Push one metadata block into the persistent domain."""
-        self._persist_writes.add()
+        self.persist_writes += 1
         self.wpq.insert(address, block)
 
     def shadow_write(
@@ -277,7 +280,7 @@ class SecureMemoryController(abc.ABC):
         ``table`` names which structure is updated ("sct"/"smt"/"st") —
         purely for the event stream and write-amplification breakdowns.
         """
-        self._shadow_writes.add()
+        self.shadow_writes += 1
         if self.tracer.enabled:
             self.tracer.emit("shadow.update", table=table, address=address)
         self.wpq.insert(address, block)
@@ -286,8 +289,19 @@ class SecureMemoryController(abc.ABC):
     # reporting
     # ------------------------------------------------------------------
 
+    @property
+    def stats(self) -> StatGroup:
+        """Read-only ``ctrl.*`` view: the controller's counts plus the
+        channel's reads, writes and read-stall histogram."""
+        counters = {name: getattr(self, name) for name in self.COUNTERS}
+        counters["channel_reads"] = self.channel.reads
+        counters["channel_writes"] = self.channel.writes
+        return StatGroup(
+            "ctrl", counters, {"read_stall_ns": self.channel.read_stall}
+        )
+
     def collect_stats(self) -> Dict[str, float]:
-        """Flatten all stat groups owned by the controller."""
+        """Flatten the controller's, the WPQ's and the device's stats."""
         flat: Dict[str, float] = {}
         self.stats.merge_into(flat)
         self.wpq.stats.merge_into(flat)

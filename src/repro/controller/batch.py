@@ -16,8 +16,8 @@ controller's pre-keyed BLAKE2b states: line pad, sideband pad, MAC —
 the pad memo in `crypto/ctr` is bypassed
 because steady-state seals always use a fresh ``(address, major,
 minor)`` tuple and pads are pure, so memo state is unobservable).
-Statistics tallies accumulate per window and flush once (bulk stats
-accumulation), and tree-hash propagation for dirtied counters is
+Event tallies accumulate per window and are added to the components'
+plain ``int`` counters once, and tree-hash propagation for dirtied counters is
 deferred to window/fallback boundaries where any propagation order
 reproduces the scalar final state.
 
@@ -228,12 +228,12 @@ def run_batched_range(
     timing = channel.timing
     read_ns = timing.nvm_read_ns
     hash_ns = timing.hash_ns
-    # Posted-write occupancy, hoisted: channel.write(critical=False)
-    # computes this exact expression per call.
+    # Posted-write occupancy, hoisted: channel.write() computes this
+    # exact expression per call.
     write_occupancy = timing.nvm_write_ns * (
         1.0 - timing.background_write_overlap
     )
-    observe_stall = channel._read_stall.observe
+    observe_stall = channel.read_stall.observe
     wpq = controller.wpq
     pending = wpq._pending
     nvm = controller.nvm
@@ -300,7 +300,7 @@ def run_batched_range(
     #: real call, which may mutate blocks behind it.
     packed: Dict[int, int] = {}
 
-    # Window tallies, flushed once on exit (bulk stats accumulation).
+    # Window tallies, added to the components' counters once on exit.
     t_data_reads = 0
     t_data_writes = 0
     t_integrity = 0
@@ -425,7 +425,7 @@ def run_batched_range(
                     c_stamps[slot_index] = c_clock
                     minor = c_payloads[slot_index].minors[cslots[j]]
                     # read_data_line(): the WPQ was just drained, so no
-                    # forwarding; channel.read(1) + one NVM read.
+                    # forwarding; channel.read() + one NVM read.
                     started = ch_now if ch_now >= ch_busy else ch_busy
                     done = started + read_ns
                     ch_busy = done
@@ -437,7 +437,7 @@ def run_batched_range(
                         if minor:
                             raise IntegrityErrorAt(address)
                         continue  # architectural zeros, nothing to check
-                    # hash_latency(1) for the data MAC, then open_data()
+                    # hash_latency() for the data MAC, then open_data()
                     # — which deterministically succeeds in a clean
                     # window (see module docstring), so only its clock
                     # and counter effects are replayed.
@@ -605,34 +605,20 @@ def run_batched_range(
             merkle_sa._clock = m_clock
         if pending_tree:
             _flush_tree(controller, pending_tree, packed)
-        if t_data_reads:
-            controller._data_reads.add(t_data_reads)
-        if t_data_writes:
-            controller._data_writes.add(t_data_writes)
-        if t_integrity:
-            controller._integrity_checks.add(t_integrity)
-        if t_persist:
-            controller._persist_writes.add(t_persist)
-        if t_channel_reads:
-            channel._reads.add(t_channel_reads)
-        if t_channel_writes:
-            channel._writes.add(t_channel_writes)
-        if t_nvm_reads:
-            nvm._reads.add(t_nvm_reads)
-        if t_nvm_writes:
-            nvm._writes.add(t_nvm_writes)
-        if t_wpq_inserts:
-            wpq._inserts.add(t_wpq_inserts)
-        if t_wpq_drains:
-            wpq._drains.add(t_wpq_drains)
-        if t_counter_hits:
-            counter_meta._hits.add(t_counter_hits)
-        if t_counter_first:
-            counter_meta._first_dirty.add(t_counter_first)
-        if t_merkle_hits:
-            merkle_meta._hits.add(t_merkle_hits)
-        if t_merkle_first:
-            merkle_meta._first_dirty.add(t_merkle_first)
+        controller.data_reads += t_data_reads
+        controller.data_writes += t_data_writes
+        controller.integrity_checks += t_integrity
+        controller.persist_writes += t_persist
+        channel.reads += t_channel_reads
+        channel.writes += t_channel_writes
+        nvm.reads += t_nvm_reads
+        nvm.writes += t_nvm_writes
+        wpq.inserts += t_wpq_inserts
+        wpq.drains += t_wpq_drains
+        counter_meta.hits += t_counter_hits
+        counter_meta.first_dirty += t_counter_first
+        merkle_meta.hits += t_merkle_hits
+        merkle_meta.first_dirty += t_merkle_first
 
 
 class IntegrityErrorAt(Exception):

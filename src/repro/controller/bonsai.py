@@ -99,7 +99,7 @@ class BonsaiController(SecureMemoryController):
     def read(self, address: int) -> bytes:
         """Decrypt and integrity-check one data line."""
         self.layout.check_data_address(address)
-        self._data_reads.add()
+        self.data_reads += 1
         counter_address = self.layout.counter_block_for(address)
         block = self._get_counter_block(counter_address)
         slot = self.layout.counter_slot_for(address)
@@ -118,13 +118,13 @@ class BonsaiController(SecureMemoryController):
                     "NVM holds no data for it"
                 )
             return bytes(len(cipher))
-        self.channel.hash_latency(1)  # data MAC check
+        self.channel.hash_latency()  # data MAC check
         return self.open_data(address, cipher, sideband, major, minor)
 
     def write(self, address: int, data: bytes) -> None:
         """Encrypt, persist, and update metadata for one data line."""
         self.layout.check_data_address(address)
-        self._data_writes.add()
+        self.data_writes += 1
         counter_address = self.layout.counter_block_for(address)
         block = self._get_counter_block(counter_address)
         slot = self.layout.counter_slot_for(address)
@@ -152,7 +152,7 @@ class BonsaiController(SecureMemoryController):
         self.pregs.stage(address, cipher, sideband)
         self._stage_scheme_persists(counter_address, block, slot, overflowed)
         pushed = self.pregs.commit()
-        self._persist_writes.add(pushed)
+        self.persist_writes += pushed
         self._drain_evictions()
 
     # ------------------------------------------------------------------
@@ -205,7 +205,7 @@ class BonsaiController(SecureMemoryController):
         self._drain_evictions()
         self._flush_pending_eviction(counter_address)
         raw, written = self.read_block(counter_address)
-        self._meta_fetches.add()
+        self.meta_fetches += 1
         self._verify_chain(counter_address, raw, written)
         block = SplitCounterBlock.from_bytes(raw)
         slot, eviction = self.counter_cache.fill(counter_address, block)
@@ -223,7 +223,7 @@ class BonsaiController(SecureMemoryController):
         self._drain_evictions()
         self._flush_pending_eviction(node_address)
         raw, written = self.read_block(node_address)
-        self._meta_fetches.add()
+        self.meta_fetches += 1
         self._verify_chain(node_address, raw, written)
         node = BonsaiNode.from_bytes(raw)
         slot, eviction = self.merkle_cache.fill(node_address, node)
@@ -270,7 +270,7 @@ class BonsaiController(SecureMemoryController):
                 trusted_slot = step.child_slot
                 break
             raw, raw_written = self.read_block(step.address)
-            self._meta_fetches.add()
+            self.meta_fetches += 1
             fetched.append((step, raw, raw_written))
 
         assert trusted_node is not None
@@ -285,8 +285,8 @@ class BonsaiController(SecureMemoryController):
         parent_slot = trusted_slot
         verified = []  # parsed fetched ancestors, top-down
         for step, raw, raw_written in reversed(chain):
-            self._integrity_checks.add()
-            self.channel.hash_latency(1)
+            self.integrity_checks += 1
+            self.channel.hash_latency()
             digest = (
                 block_hash(raw) if raw_written else default_hashes[step.level]
             )
@@ -355,7 +355,7 @@ class BonsaiController(SecureMemoryController):
         raw = eviction.payload.to_bytes()
         if not self.eager:
             self._lazy_propagate(eviction.address, raw)
-        self._meta_writebacks.add()
+        self.meta_writebacks += 1
         self.wpq.insert(eviction.address, raw)
 
     def _flush_pending_eviction(self, address: int) -> None:
@@ -411,7 +411,7 @@ class BonsaiController(SecureMemoryController):
                 f"page re-encryption at {counter_address:#x} without a "
                 "pre-overflow snapshot"
             )
-        self._reencryptions.add()
+        self.page_reencryptions += 1
         region_index = self.layout.counter_region.block_index(counter_address)
         first_line = region_index * self.layout.lines_per_counter_block
         for offset in range(self.layout.lines_per_counter_block):
@@ -428,7 +428,7 @@ class BonsaiController(SecureMemoryController):
                 line_address, plaintext, block.major, block.minor(offset)
             )
             self.wpq.insert(line_address, new_cipher, new_sideband)
-            self._persist_writes.add()
+            self.persist_writes += 1
 
     # ------------------------------------------------------------------
     # crash / shutdown

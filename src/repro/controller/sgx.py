@@ -112,7 +112,7 @@ class SgxController(SecureMemoryController):
     def read(self, address: int) -> bytes:
         """Decrypt and integrity-check one data line."""
         self.layout.check_data_address(address)
-        self._data_reads.add()
+        self.data_reads += 1
         leaf_address = self.layout.counter_block_for(address)
         record = self._get_node(leaf_address)
         slot = self.layout.counter_slot_for(address)
@@ -130,13 +130,13 @@ class SgxController(SecureMemoryController):
                     "NVM holds no data for it"
                 )
             return bytes(len(cipher))
-        self.channel.hash_latency(1)
+        self.channel.hash_latency()
         return self.open_data(address, cipher, sideband, counter, 0)
 
     def write(self, address: int, data: bytes) -> None:
         """Encrypt, persist, and update the nonce tree for one line."""
         self.layout.check_data_address(address)
-        self._data_writes.add()
+        self.data_writes += 1
         leaf_address = self.layout.counter_block_for(address)
         record = self._get_node(leaf_address)
         slot = self.layout.counter_slot_for(address)
@@ -151,7 +151,7 @@ class SgxController(SecureMemoryController):
         cipher, sideband = self.seal_data(address, data, counter, 0)
         self.pregs.stage(address, cipher, sideband)
         pushed = self.pregs.commit()
-        self._persist_writes.add(pushed)
+        self.persist_writes += pushed
         self._drain_evictions()
 
     def _lazy_update(self, leaf_address: int, record: CachedNode, slot: int) -> None:
@@ -231,9 +231,9 @@ class SgxController(SecureMemoryController):
         if record is not None:
             return record
         raw, written = self.read_block(address)
-        self._meta_fetches.add()
-        self._integrity_checks.add()
-        self.channel.hash_latency(1)
+        self.meta_fetches += 1
+        self.integrity_checks += 1
+        self.channel.hash_latency()
         if written or parent_nonce:
             node = SgxCounterBlock.from_bytes(raw)
             if not self.engine.verify(node, parent_nonce):
@@ -266,7 +266,7 @@ class SgxController(SecureMemoryController):
             return
         new_nonce = self._bump_parent_nonce(record)
         self.engine.seal(record.node, new_nonce)
-        self._meta_writebacks.add()
+        self.meta_writebacks += 1
         self.wpq.insert(eviction.address, record.node.to_bytes())
         self._on_node_evicted(eviction.slot, eviction.address, dirty=True)
 

@@ -41,6 +41,8 @@ from repro.mem.nvm import NvmDevice
 class AsitController(SgxController):
     """SGX-style controller with the ASIT Shadow Table."""
 
+    COUNTERS = SgxController.COUNTERS + ("lsb_overflow_persists",)
+
     def __init__(
         self,
         config: SystemConfig,
@@ -57,7 +59,6 @@ class AsitController(SgxController):
         num_slots = self.metadata_cache.num_slots
         self.st_entries: List[StEntry] = [StEntry.invalid()] * num_slots
         self.shadow_tree = ShadowRegionTree(self.keys.shadow_key, num_slots)
-        self._lsb_persists = self.stats.counter("lsb_overflow_persists")
 
     # ------------------------------------------------------------------
     # ST maintenance
@@ -110,7 +111,7 @@ class AsitController(SgxController):
         ``MSB(memory) | LSB(shadow)`` reconstructs the true counter."""
         lsb_mask = (1 << self.lsb_bits) - 1
         if record.node.counter(slot) & lsb_mask == 0:
-            self._lsb_persists.add()
+            self.lsb_overflow_persists += 1
             self.engine.seal(record.node, record.parent_nonce)
             self.wpq.insert(address, record.node.to_bytes())
 

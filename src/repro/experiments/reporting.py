@@ -3,7 +3,7 @@
 Every figure used to hand-roll the same loop — build a
 :class:`~repro.sim.parallel.ParallelSweepExecutor`, fan its (config,
 trace) cells out, then pick the results apart positionally.
-:func:`collect` owns that loop once (including the telemetry span), and
+:func:`collect` owns that loop once, and
 :class:`CollectedRun` owns the three ways figures slice the flat result
 list: a stat column, fixed-size chunks, and baseline-normalized
 scheme comparisons.
@@ -22,7 +22,6 @@ from repro.sim.results import (
     SimulationResult,
     average_overheads,
 )
-from repro.telemetry.runtime import span
 
 
 @dataclass
@@ -112,8 +111,7 @@ def collect(
     if executor is None:
         executor = ParallelSweepExecutor(jobs)
     cell_list = list(cells)
-    with span("experiment.collect"):
-        results = executor.run_simulations(cell_list, keys)
+    results = executor.run_simulations(cell_list, keys)
     return CollectedRun(cells=cell_list, results=results)
 
 

@@ -297,9 +297,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--samples-out",
         metavar="PATH",
         default=None,
-        help="sample the metric registry every --sample-interval "
-        "requests and write the merged NDJSON series here "
-        "(byte-identical for any --jobs count)",
+        help="sample the controller's collect_stats() every "
+        "--sample-interval requests and write the merged NDJSON series "
+        "here (byte-identical for any --jobs count)",
     )
     parser.add_argument(
         "--sample-interval",

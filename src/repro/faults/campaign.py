@@ -89,7 +89,6 @@ from repro.traces.replay import replay_batched
 from repro.traces.synthetic import generate_trace
 from repro.traces.trace import Trace
 from repro.controller.access import Op
-from repro.util.stats import StatGroup
 
 #: Exceptions that count as *principled detection*: the controller or
 #: recovery engine noticed the corruption and refused to proceed.
@@ -801,7 +800,7 @@ def _classify_trial(
     drop, tear = model.plan_flush(rng, image.pending)
     wpq = WritePendingQueue(
         trial_nvm,
-        MemoryChannel(config.timing, StatGroup("trial")),
+        MemoryChannel(config.timing),
         entries=len(image.pending) + 1,
     )
     for address, data, ecc in image.pending:

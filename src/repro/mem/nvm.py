@@ -14,7 +14,7 @@ injection (``repro.recovery.crash``) simply discards all volatile state
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 from repro.config import BLOCK_SIZE
 from repro.errors import AlignmentError, LayoutError
@@ -30,21 +30,19 @@ class NvmDevice:
     ----------
     size:
         Total device size in bytes (data + metadata + shadow regions).
-    stats:
-        Optional stat group; a private one is created if omitted.
     """
 
-    def __init__(self, size: int, stats: Optional[StatGroup] = None) -> None:
+    def __init__(self, size: int) -> None:
         if size <= 0 or size % BLOCK_SIZE:
             raise LayoutError(f"NVM size must be a positive multiple of 64: {size}")
         self.size = size
-        self.stats = stats if stats is not None else StatGroup("nvm")
+        #: Device-lifetime read and write counts (``nvm.*`` stats).
+        self.reads = 0
+        self.writes = 0
         self._blocks: Dict[int, bytes] = {}
         #: Sideband ECC storage, one entry per data block that has one.
         self._ecc: Dict[int, bytes] = {}
         self._write_counts: Dict[int, int] = {}
-        self._reads = self.stats.counter("reads")
-        self._writes = self.stats.counter("writes")
         #: Optional hook mapping an address to its *default* content for
         #: never-written blocks.  The tree engines install this so an
         #: untouched terabyte-scale integrity tree reads as consistent
@@ -71,7 +69,7 @@ class NvmDevice:
         installed provider's value for metadata regions.
         """
         self._check(address)
-        self._reads.add()
+        self.reads += 1
         block = self._blocks.get(address)
         return block if block is not None else self._default(address)
 
@@ -80,7 +78,7 @@ class NvmDevice:
         lookup: ``(bytes, True)`` for a written block, ``(default,
         False)`` for a never-written one."""
         self._check(address)
-        self._reads.add()
+        self.reads += 1
         block = self._blocks.get(address)
         if block is None:
             return self._default(address), False
@@ -91,7 +89,7 @@ class NvmDevice:
         self._check(address)
         if len(data) != BLOCK_SIZE:
             raise ValueError(f"block must be {BLOCK_SIZE} bytes, got {len(data)}")
-        self._writes.add()
+        self.writes += 1
         self._blocks[address] = bytes(data)
         self._write_counts[address] = self._write_counts.get(address, 0) + 1
 
@@ -209,28 +207,23 @@ class NvmDevice:
         return totals
 
     @property
-    def total_reads(self) -> int:
-        """Device-lifetime read count."""
-        return self._reads.value
-
-    @property
-    def total_writes(self) -> int:
-        """Device-lifetime write count."""
-        return self._writes.value
+    def stats(self) -> StatGroup:
+        """Read-only ``nvm.*`` view of the device's counts."""
+        return StatGroup("nvm", {"reads": self.reads, "writes": self.writes})
 
     def snapshot(self) -> "NvmDevice":
         """Deep copy of the device (used to fork pre/post-crash images).
 
         Cheap: block payloads are immutable ``bytes``, so the copy is a
-        dict copy sharing the payloads.  Stats counters are carried over
-        so endurance accounting survives the fork.
+        dict copy sharing the payloads.  The read and write counts are
+        carried over so endurance accounting survives the fork.
         """
         clone = NvmDevice(self.size)
         clone._blocks = dict(self._blocks)
         clone._ecc = dict(self._ecc)
         clone._write_counts = dict(self._write_counts)
-        clone._reads.value = self._reads.value
-        clone._writes.value = self._writes.value
+        clone.reads = self.reads
+        clone.writes = self.writes
         clone.default_provider = self.default_provider
         return clone
 
@@ -251,12 +244,12 @@ class NvmDevice:
         self._blocks = dict(snapshot._blocks)
         self._ecc = dict(snapshot._ecc)
         self._write_counts = dict(snapshot._write_counts)
-        self._reads.value = snapshot._reads.value
-        self._writes.value = snapshot._writes.value
+        self.reads = snapshot.reads
+        self.writes = snapshot.writes
         self.default_provider = snapshot.default_provider
 
     def __repr__(self) -> str:
         return (
             f"NvmDevice(size={self.size}, touched={len(self._blocks)}, "
-            f"reads={self.total_reads}, writes={self.total_writes})"
+            f"reads={self.reads}, writes={self.writes})"
         )

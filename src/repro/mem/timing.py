@@ -17,7 +17,7 @@ hidden (§2.7 notes WPQ entries drain concurrently across banks).
 from __future__ import annotations
 
 from repro.config import TimingConfig
-from repro.util.stats import StatGroup
+from repro.util.stats import Histogram
 
 
 class MemoryChannel:
@@ -25,73 +25,57 @@ class MemoryChannel:
 
     The channel keeps two clocks: ``now`` (core time, advanced by the
     caller with compute gaps and read stalls) and ``busy_until`` (when
-    the channel finishes its queued work).
+    the channel finishes its queued work).  ``reads``/``writes`` count
+    the events and ``read_stall`` records each read's stall; the owning
+    controller reports them as ``channel_reads``, ``channel_writes``
+    and ``read_stall_ns``.
     """
 
-    def __init__(self, timing: TimingConfig, stats: StatGroup) -> None:
+    def __init__(self, timing: TimingConfig) -> None:
         self.timing = timing
-        self.stats = stats
         self.now = 0.0
         self.busy_until = 0.0
-        self._reads = stats.counter("channel_reads")
-        self._writes = stats.counter("channel_writes")
-        self._read_stall = stats.histogram("read_stall_ns")
+        self.reads = 0
+        self.writes = 0
+        self.read_stall = Histogram()
 
     def advance(self, gap_ns: float) -> None:
         """Advance core time by a compute gap between memory accesses."""
         self.now += gap_ns
 
-    def read(self, count: int = 1) -> float:
-        """Issue ``count`` dependent demand reads; returns total stall.
+    def read(self) -> float:
+        """Issue one demand read; returns its stall.
 
         The core blocks until the data returns, so the channel's backlog
         is exposed directly as stall time.
         """
-        stall = 0.0
-        for _ in range(count):
-            start = max(self.now, self.busy_until)
-            done = start + self.timing.nvm_read_ns
-            self.busy_until = done
-            stall += done - self.now
-            self.now = done
-            self._reads.add()
-        self._read_stall.observe(stall)
+        done = max(self.now, self.busy_until) + self.timing.nvm_read_ns
+        self.busy_until = done
+        stall = done - self.now
+        self.now = done
+        self.reads += 1
+        self.read_stall.observe(stall)
         return stall
 
-    def write(self, count: int = 1, critical: bool = False) -> float:
-        """Issue ``count`` writes.
+    def write(self) -> None:
+        """Issue one posted write.
 
-        Posted writes (``critical=False``) occupy the channel for the
-        non-overlapped fraction of the write latency but return
-        immediately to the core.  Critical writes (a persist the core
-        must wait for, e.g. an eviction that blocks a fill) stall the
-        core for the full latency.
+        It occupies the channel for the non-overlapped fraction of the
+        write latency but returns immediately to the core.
         """
-        stall = 0.0
-        for _ in range(count):
-            self._writes.add()
-            if critical:
-                start = max(self.now, self.busy_until)
-                done = start + self.timing.nvm_write_ns
-                self.busy_until = done
-                stall += done - self.now
-                self.now = done
-            else:
-                occupancy = self.timing.nvm_write_ns * (
-                    1.0 - self.timing.background_write_overlap
-                )
-                self.busy_until = max(self.busy_until, self.now) + occupancy
-        return stall
+        self.writes += 1
+        occupancy = self.timing.nvm_write_ns * (
+            1.0 - self.timing.background_write_overlap
+        )
+        self.busy_until = max(self.busy_until, self.now) + occupancy
 
-    def hash_latency(self, count: int = 1) -> float:
-        """Account ``count`` on-chip hash computations (stalls the core
-        only when they are on the verification critical path)."""
-        delay = count * self.timing.hash_ns
-        self.now += delay
-        return delay
+    def hash_latency(self) -> None:
+        """Account one on-chip hash computation (stalls the core: it is
+        on the verification critical path)."""
+        self.now += self.timing.hash_ns
 
     def reset(self) -> None:
-        """Zero the clocks (stats are left to their owning group)."""
+        """Zero the clocks (event counts are kept)."""
         self.now = 0.0
         self.busy_until = 0.0
 

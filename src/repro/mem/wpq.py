@@ -56,28 +56,32 @@ class WritePendingQueue:
     """FIFO of persistent writes draining to the NVM device."""
 
     def __init__(
-        self,
-        nvm: NvmDevice,
-        channel: MemoryChannel,
-        entries: int,
-        stats: Optional[StatGroup] = None,
+        self, nvm: NvmDevice, channel: MemoryChannel, entries: int
     ) -> None:
         if entries < 1:
             raise WpqError("WPQ needs at least one entry")
         self.nvm = nvm
         self.channel = channel
         self.capacity = entries
-        self.stats = stats if stats is not None else StatGroup("wpq")
         self.tracer = live_tracer()
-        self._inserts = self.stats.counter("inserts")
-        self._drains = self.stats.counter("drains")
-        self._coalesced = self.stats.counter("coalesced")
+        self.inserts = 0
+        self.drains = 0
+        self.coalesced = 0
         #: address -> (data, ecc); OrderedDict gives FIFO draining while
         #: letting repeated writes to one address coalesce (real WPQs do).
         self._pending: "OrderedDict[int, _Entry]" = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._pending)
+
+    @property
+    def stats(self) -> StatGroup:
+        """Read-only ``wpq.*`` view of the queue's counts."""
+        return StatGroup("wpq", {
+            "inserts": self.inserts,
+            "drains": self.drains,
+            "coalesced": self.coalesced,
+        })
 
     def insert(self, address: int, data: bytes, ecc: Optional[bytes] = None) -> None:
         """Insert a write into the persistent domain.
@@ -86,9 +90,9 @@ class WritePendingQueue:
         (a posted write on the channel).  A write to an address already
         pending coalesces in place.
         """
-        self._inserts.add()
+        self.inserts += 1
         if address in self._pending:
-            self._coalesced.add()
+            self.coalesced += 1
             self._pending[address] = (bytes(data), ecc)
             self._pending.move_to_end(address)
             return
@@ -107,11 +111,11 @@ class WritePendingQueue:
 
     def _drain_one(self) -> None:
         address, (data, ecc) = self._pending.popitem(last=False)
-        self._drains.add()
+        self.drains += 1
         self.nvm.write(address, data)
         if ecc is not None:
             self.nvm.write_ecc(address, ecc)
-        self.channel.write(1, critical=False)
+        self.channel.write()
 
     def drain_opportunistic(self) -> int:
         """Drain the whole backlog at the start of each access window.

@@ -19,11 +19,7 @@ from repro.controller.sgx import SgxController
 from repro.crypto.keys import ProcessorKeys
 from repro.sim.parallel import ParallelSweepExecutor
 from repro.sim.results import SchemeComparison, SimulationResult
-from repro.telemetry.runtime import (
-    TelemetrySpec,
-    session as telemetry_session,
-    span,
-)
+from repro.telemetry.runtime import TelemetrySpec, session as telemetry_session
 from repro.traces.replay import replay_batched
 from repro.traces.trace import Trace
 
@@ -122,8 +118,7 @@ class SimulationEngine:
     def run(self, trace: Trace, scheme: SchemeKind) -> SimulationResult:
         """Run one trace under one scheme."""
         config = self.base_config.with_scheme(scheme)
-        with span(f"sim.run.{scheme.value}"):
-            return run_simulation(config, trace, self.keys)
+        return run_simulation(config, trace, self.keys)
 
     def compare(
         self,
@@ -147,8 +142,7 @@ class SimulationEngine:
             for trace in trace_list
             for scheme in schemes
         ]
-        with span("sim.sweep"):
-            results = self.executor.run_simulations(cells, self.keys)
+        results = self.executor.run_simulations(cells, self.keys)
         comparisons: List[SchemeComparison] = []
         cursor = 0
         for trace in trace_list:

@@ -158,14 +158,12 @@ class ResultCache:
             size = os.path.getsize(path)
         except OSError:
             self.misses += 1
-            self._mirror("misses")
             return None
         try:
             entry = load_artifact(path, kind=ENTRY_KIND)
         except ArtifactCorruptError:
             self._quarantine(path)
             self.misses += 1
-            self._mirror("misses")
             return None
         if (
             not isinstance(entry, dict)
@@ -177,12 +175,9 @@ class ResultCache:
             # hash collision or a copied/renamed file.  Never replay it.
             self._quarantine(path)
             self.misses += 1
-            self._mirror("misses")
             return None
         self.hits += 1
         self.bytes_saved += size
-        self._mirror("hits")
-        self._mirror("bytes_saved", size)
         return entry["payload"]
 
     def put(self, key: str, payload: Any, kind: str) -> None:
@@ -195,7 +190,6 @@ class ResultCache:
         }
         write_artifact(self._path(key), entry, kind=ENTRY_KIND)
         self.stores += 1
-        self._mirror("stores")
 
     def _quarantine(self, path: str) -> None:
         """Move a bad entry aside so it is never consulted again."""
@@ -204,15 +198,6 @@ class ResultCache:
         except OSError:
             pass
         self.quarantined += 1
-        self._mirror("quarantined")
-
-    def _mirror(self, name: str, amount: int = 1) -> None:
-        """Mirror a counter bump into the live telemetry session."""
-        from repro.telemetry.runtime import current_session
-
-        active = current_session()
-        if active is not None:
-            active.registry.group("result_cache").counter(name).add(amount)
 
     # -- maintenance ---------------------------------------------------
 

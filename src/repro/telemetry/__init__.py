@@ -1,21 +1,21 @@
-"""End-to-end telemetry: metrics registry, event tracing, introspection.
+"""End-to-end telemetry: event tracing, metric sampling, introspection.
 
-Three modules:
+Four modules:
 
-* :mod:`repro.telemetry.metrics` — counters/gauges/histograms/timers
-  and the hierarchical :class:`MetricsRegistry` (subsumes the types in
-  :mod:`repro.util.stats`);
 * :mod:`repro.telemetry.events` — the bounded structured
   :class:`EventTracer`, JSONL serialization, schema validation, and
   the Chrome ``trace_event`` exporter;
 * :mod:`repro.telemetry.runtime` — sessions, the picklable
-  :class:`TelemetrySpec` that rides into worker processes, ``span()``
-  phase timing, and the parent-side :class:`RunCollector` that merges
-  per-cell streams deterministically;
+  :class:`TelemetrySpec` that rides into worker processes, and the
+  parent-side :class:`RunCollector` that merges per-cell streams
+  deterministically;
 * :mod:`repro.telemetry.flightrec` — the recovery flight recorder:
   per-phase analytic + wall-clock profiling of recovery engine runs;
-* :mod:`repro.telemetry.sampling` — the deterministic op-tick metric-
-  series sampler feeding ``--samples-out`` NDJSON.
+* :mod:`repro.telemetry.sampling` — the deterministic op-tick sampler
+  of ``collect_stats()`` feeding ``--samples-out`` NDJSON.
+
+Simulated statistics themselves are plain counters on each component,
+read through :class:`repro.util.stats.StatGroup` views.
 
 See ``docs/observability.md`` for the metric naming scheme, the event
 schema table, and the Chrome-trace workflow.
@@ -32,14 +32,6 @@ from repro.telemetry.events import (
     write_jsonl,
 )
 from repro.telemetry.flightrec import FlightRecorder, breakdown_seconds
-from repro.telemetry.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    Timer,
-    flatten_histogram,
-)
 from repro.telemetry.runtime import (
     RunCollector,
     TelemetrySession,
@@ -48,14 +40,12 @@ from repro.telemetry.runtime import (
     active_spec,
     build_manifest,
     configure_telemetry,
-    current_session,
     current_tracer,
     git_describe,
     live_tracer,
     run_collector,
     sampling_active,
     session,
-    span,
     write_manifest,
 )
 from repro.telemetry.sampling import MetricSampler
@@ -72,12 +62,6 @@ __all__ = [
     "FlightRecorder",
     "breakdown_seconds",
     "MetricSampler",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "Timer",
-    "flatten_histogram",
     "RunCollector",
     "TelemetrySession",
     "TelemetrySpec",
@@ -85,13 +69,11 @@ __all__ = [
     "active_spec",
     "build_manifest",
     "configure_telemetry",
-    "current_session",
     "current_tracer",
     "git_describe",
     "live_tracer",
     "run_collector",
     "sampling_active",
     "session",
-    "span",
     "write_manifest",
 ]

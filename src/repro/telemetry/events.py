@@ -102,7 +102,7 @@ EVENT_SCHEMA: Dict[str, Tuple[Tuple[str, ...], str]] = {
     ),
     "metric.sample": (
         ("tick", "values"),
-        "sampled metric-series snapshot (op-tick MetricsRegistry read)",
+        "sampled metric-series snapshot (op-tick collect_stats() read)",
     ),
     "integrity.check": (
         ("tree", "ok"),

@@ -10,8 +10,8 @@ verification, ...) and records, per phase:
   so the per-phase nanoseconds *partition the engine's analytic total
   exactly*;
 * **wall-clock seconds** — how long the Python model actually took,
-  via the existing :func:`~repro.telemetry.runtime.span` machinery
-  (manifests and ``repro stats`` only, never byte-compared output).
+  from :func:`time.perf_counter` (manifests and ``repro stats`` only,
+  never byte-compared output).
 
 Each completed phase also emits a ``recovery.phase`` event when a
 tracer is live, which the Chrome exporter renders as a complete ("X")
@@ -24,7 +24,7 @@ import time
 from contextlib import contextmanager
 from typing import Callable, Dict, List
 
-from repro.telemetry.runtime import live_tracer, span
+from repro.telemetry.runtime import live_tracer
 
 
 class FlightRecorder:
@@ -50,8 +50,7 @@ class FlightRecorder:
         """Record one recovery phase spanning the with-block."""
         before_ns = self._estimate_ns()
         wall_start = time.perf_counter()
-        with span(f"recovery.{self.engine}.{name}"):
-            yield
+        yield
         after_ns = self._estimate_ns()
         record = {
             "phase": name,

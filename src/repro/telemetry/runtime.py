@@ -1,4 +1,4 @@
-"""Telemetry wiring: sessions, specs, spans, and the run collector.
+"""Telemetry wiring: sessions, specs, and the run collector.
 
 The zero-cost-when-disabled contract lives here.  Components (caches,
 the WPQ, controllers, recovery engines) call :func:`current_tracer`
@@ -12,9 +12,9 @@ Three layers:
   rides inside the simulation payload shipped to worker processes
   (spawn workers inherit no parent globals), so a parallel sweep
   records the same events a serial one does.
-* :class:`TelemetrySession` — one tracer + one metrics registry,
-  installable as the process-current session (a stack, so per-cell
-  sessions can shadow a harness session).
+* :class:`TelemetrySession` — one tracer plus an optional metric
+  sampler, installable as the process-current session (a stack, so
+  per-cell sessions can shadow a harness session).
 * :class:`RunCollector` — the parent-side aggregator.  Simulation
   results come back carrying their event buffers; the collector merges
   them **in submission order** and labels each stream with its cell
@@ -24,8 +24,9 @@ Three layers:
 
 Determinism rule: everything written to ``--trace-out`` and
 ``--metrics-out`` derives from simulated time and deterministic
-counters.  Wall-clock values (spans, executor timings) go only to the
-manifest and ``repro stats`` output, which are never byte-compared.
+counters.  Wall-clock values (executor timings, recovery phase
+seconds) go only to the manifest and ``repro stats`` output, which are
+never byte-compared.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from repro.telemetry.events import (
     NULL_TRACER,
     write_jsonl,
 )
-from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.sampling import MetricSampler
 
 #: Metric-snapshot schema identifier (bump on breaking changes).
@@ -62,7 +62,8 @@ class TelemetrySpec:
     emits high-frequency events (cache hits, per-check integrity
     events); ``buffer_limit`` bounds each cell's event buffer.
     ``sample_interval`` > 0 arms the deterministic metric-series
-    sampler (one MetricsRegistry snapshot every N simulated requests);
+    sampler (one ``collect_stats()`` snapshot every N simulated
+    requests);
     ``sample_events`` is a tuple of ``(kind, keep_every_nth)`` pairs
     head-sampling high-rate event kinds so trace-everything runs on
     multi-million-access traces stay bounded.  Tuples (not dicts) keep
@@ -92,12 +93,11 @@ class TelemetrySpec:
 
 
 class TelemetrySession:
-    """One tracer plus one metrics registry, usually per simulation."""
+    """One tracer plus an optional metric sampler, usually per simulation."""
 
     def __init__(self, spec: Optional[TelemetrySpec] = None) -> None:
         self.spec = spec if spec is not None else TelemetrySpec()
         self.tracer = self.spec.make_tracer()
-        self.registry = MetricsRegistry()
         self.sampler = self.spec.make_sampler()
 
 
@@ -110,11 +110,6 @@ _ACTIVE_SPEC: Optional[TelemetrySpec] = None
 
 #: The parent-side collector of the current run, if any.
 _COLLECTOR: Optional["RunCollector"] = None
-
-
-def current_session() -> Optional[TelemetrySession]:
-    """The innermost installed session, or None."""
-    return _SESSIONS[-1] if _SESSIONS else None
 
 
 def current_tracer() -> EventTracer:
@@ -217,25 +212,6 @@ def session(spec: Optional[TelemetrySpec] = None):
         _LIVE_TRACER._rebind(
             _SESSIONS[-1].tracer if _SESSIONS else NULL_TRACER
         )
-
-
-@contextmanager
-def span(name: str):
-    """Time a harness phase into the current session's registry.
-
-    Wall-clock only — spans appear in manifests and ``repro stats``,
-    never in deterministic snapshots.  A no-op without a session.
-    """
-    active = current_session()
-    if active is None:
-        yield
-        return
-    timer = active.registry.group("span").timer(name)
-    timer.start()
-    try:
-        yield
-    finally:
-        timer.stop()
 
 
 def configure_telemetry(
@@ -485,7 +461,7 @@ def build_manifest(
     hit/miss/bytes-saved stats block of the run's content-addressed
     result cache, when one was configured.
     """
-    manifest = {
+    return {
         "schema": MANIFEST_SCHEMA,
         "command": command,
         "config_fingerprint": config_fingerprint,
@@ -499,10 +475,6 @@ def build_manifest(
         "telemetry": collector.summary() if collector is not None else None,
         "result_cache": result_cache,
     }
-    session_now = current_session()
-    if session_now is not None:
-        manifest["spans"] = session_now.registry.snapshot(deterministic=False)
-    return manifest
 
 
 def write_manifest(path: str, manifest: dict) -> None:

@@ -1,9 +1,9 @@
-"""Deterministic metric-series sampling: op-tick registry snapshots.
+"""Deterministic metric-series sampling: op-tick ``collect_stats()`` reads.
 
 A :class:`MetricSampler` turns the scalar end-of-run stats the
 controller already keeps into a *time series*: every ``interval``
 simulated requests it reads ``controller.collect_stats()`` (a pure
-flatten of counter groups) and records one ``metric.sample`` event
+flatten of the components' plain counters) and records one ``metric.sample`` event
 timestamped with the simulated clock.  Because both the trigger (a
 request counter) and the payload (simulated counters, simulated
 nanoseconds) are deterministic, the sampled NDJSON series is

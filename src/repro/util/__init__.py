@@ -1,12 +1,11 @@
-"""Shared utilities: bit-width helpers and statistics accumulation."""
+"""Shared utilities: bit-width helpers and statistics views."""
 
 from repro.util.bitops import is_power_of_two, mask
-from repro.util.stats import Counter, Histogram, StatGroup
+from repro.util.stats import Histogram, StatGroup
 
 __all__ = [
     "is_power_of_two",
     "mask",
-    "Counter",
     "Histogram",
     "StatGroup",
 ]

@@ -69,7 +69,7 @@ class TestAgitRead:
     def test_shadow_writes_counted(self):
         controller = make_controller(SchemeKind.AGIT_READ)
         controller.write(line(0), payload(1))
-        assert controller.stats.get("shadow_writes") >= 2  # SCT + SMT
+        assert controller.shadow_writes >= 2  # SCT + SMT
 
     def test_uses_stop_loss(self):
         controller = make_controller(SchemeKind.AGIT_READ)
@@ -85,7 +85,7 @@ class TestAgitPlus:
         controller = make_controller(SchemeKind.AGIT_PLUS)
         controller.read(line(0))
         controller.wpq.drain_all()
-        assert controller.stats.get("shadow_writes") == 0
+        assert controller.shadow_writes == 0
 
     def test_tracking_on_first_modification(self):
         controller = make_controller(SchemeKind.AGIT_PLUS)
@@ -97,12 +97,12 @@ class TestAgitPlus:
     def test_no_retracking_on_repeat_writes(self):
         controller = make_controller(SchemeKind.AGIT_PLUS)
         controller.write(line(0), payload(1))
-        first = controller.stats.get("shadow_writes")
+        first = controller.shadow_writes
         controller.write(line(0), payload(2))
         controller.write(line(0), payload(3))
         # Counter and leaf tracking happen once; only upper-level nodes
         # newly dirtied could add more.
-        assert controller.stats.get("shadow_writes") == first
+        assert controller.shadow_writes == first
 
     def test_fewer_shadow_writes_than_read_variant(self):
         read_variant = make_controller(SchemeKind.AGIT_READ, seed=2)
@@ -113,9 +113,7 @@ class TestAgitPlus:
                 controller.read(line(index * 64))
             for index in range(10):
                 controller.write(line(index * 64), payload(index))
-        assert plus_variant.stats.get("shadow_writes") < (
-            read_variant.stats.get("shadow_writes")
-        )
+        assert plus_variant.shadow_writes < read_variant.shadow_writes
 
     def test_smt_tracked_on_node_dirty(self):
         controller = make_controller(SchemeKind.AGIT_PLUS)

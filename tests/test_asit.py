@@ -101,7 +101,7 @@ class TestStContents:
             controller.write(line(0), payload(index))
         # same leaf modified 10 times -> 10 ST snapshots (plus none for
         # reads): "only one extra write operation per memory write".
-        assert controller.stats.get("shadow_writes") == 10
+        assert controller.shadow_writes == 10
 
     def test_node_mac_kept_current(self):
         controller = make_asit()
@@ -152,7 +152,7 @@ class TestLsbWrapPersist:
         record.node.counters[0] = (1 << controller.lsb_bits) - 1
         controller.write(line(0), payload(1))
         controller.wpq.drain_all()
-        assert controller.stats.get("lsb_overflow_persists") == 1
+        assert controller.lsb_overflow_persists == 1
         from repro.counters.sgx import SgxCounterBlock
 
         memory = SgxCounterBlock.from_bytes(controller.nvm.peek(leaf))

@@ -65,11 +65,9 @@ class TestReadDataLine:
 
     def test_forwarding_skips_channel(self, bonsai_controller):
         bonsai_controller.wpq.insert(0, payload(1))
-        reads_before = bonsai_controller.channel.stats.get("channel_reads")
+        reads_before = bonsai_controller.channel.reads
         bonsai_controller.read_data_line(0)
-        assert bonsai_controller.channel.stats.get("channel_reads") == (
-            reads_before
-        )
+        assert bonsai_controller.channel.reads == reads_before
 
 
 class TestFinalize:

@@ -61,10 +61,7 @@ BONSAI_SCHEMES = [
 def _histogram_state(histogram):
     return (
         histogram.count,
-        histogram.total,
         histogram._mean,
-        histogram._m2,
-        histogram.minimum,
         histogram.maximum,
         tuple(histogram._reservoir),
         histogram._stride,
@@ -98,7 +95,7 @@ def fingerprint(controller) -> dict:
         "stats": controller.collect_stats(),
         "now": controller.channel.now,
         "busy": controller.channel.busy_until,
-        "read_stall": _histogram_state(controller.channel._read_stall),
+        "read_stall": _histogram_state(controller.channel.read_stall),
         "blocks": dict(nvm._blocks),
         "ecc": dict(nvm._ecc),
         "write_counts": dict(nvm._write_counts),

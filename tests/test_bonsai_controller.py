@@ -191,9 +191,7 @@ class TestStrictPersistence:
                 controller.write(line(index), payload(index))
         # Every strict write pushes data + counter + the whole ancestor
         # path into the persistent domain (≈ tree depth per write).
-        assert strict.stats.get("persist_writes") > 4 * baseline.stats.get(
-            "persist_writes"
-        )
+        assert strict.persist_writes > 4 * baseline.persist_writes
 
 
 class TestOsirisStopLoss:
@@ -241,7 +239,7 @@ class TestPageReencryption:
         controller.write(line(1), payload(50))
         for index in range(128):
             controller.write(line(0), payload(index % 250))
-        assert controller.stats.get("page_reencryptions") == 1
+        assert controller.page_reencryptions == 1
         counter_address = controller.layout.counter_block_for(0)
         block = controller.counter_cache.peek(counter_address)
         assert block.major == 1
@@ -293,8 +291,8 @@ class TestStats:
     def test_data_counters(self, bonsai_controller):
         bonsai_controller.write(line(0), payload(1))
         bonsai_controller.read(line(0))
-        assert bonsai_controller.stats.get("data_writes") == 1
-        assert bonsai_controller.stats.get("data_reads") == 1
+        assert bonsai_controller.data_writes == 1
+        assert bonsai_controller.data_reads == 1
 
     def test_collect_stats_merges_groups(self, bonsai_controller):
         bonsai_controller.write(line(0), payload(1))

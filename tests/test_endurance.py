@@ -27,7 +27,7 @@ class TestReportBasics:
         controller = make_controller()
         run_writes(controller)
         report = analyze_endurance(controller)
-        assert report.total_writes == controller.nvm.total_writes
+        assert report.total_writes == controller.nvm.writes
         assert report.total_writes > 0
 
     def test_region_split_sums_to_total(self):

@@ -21,7 +21,7 @@ class TestSingleBitRepair:
         controller.wpq.drain_all()
         controller.nvm.inject_bit_flip(0, bit=100)
         assert controller.read(line(0)) == payload(1)
-        assert controller.stats.get("ecc_corrections") == 1
+        assert controller.ecc_corrections == 1
 
     def test_flip_in_each_word_position(self):
         controller = make_controller()
@@ -67,7 +67,7 @@ class TestSingleBitRepair:
         controller.nvm.inject_bit_flip(0, bit=3)
         controller.read(line(0))
         controller.read(line(64))  # clean line: no correction
-        assert controller.stats.get("ecc_corrections") == 1
+        assert controller.ecc_corrections == 1
 
 
 class TestUncorrectableFaults:

@@ -1,4 +1,4 @@
-"""Unit tests for the stats-bearing metadata cache wrapper."""
+"""Unit tests for the counting metadata cache wrapper."""
 
 import pytest
 
@@ -16,8 +16,8 @@ class TestHitMissAccounting:
         assert cache.access(0) is None
         cache.fill(0, "x")
         assert cache.access(0) == "x"
-        assert cache.stats.get("misses") == 1
-        assert cache.stats.get("hits") == 1
+        assert cache.misses == 1
+        assert cache.hits == 1
 
     def test_hit_rate(self):
         cache = make_cache()
@@ -41,13 +41,13 @@ class TestEvictionAccounting:
     def test_clean_eviction_counted(self):
         cache = make_cache(ways=1, size_bytes=64)
         self._fill_set(cache, 2)
-        assert cache.stats.get("evictions_clean") == 1
-        assert cache.stats.get("evictions_dirty") == 0
+        assert cache.evictions_clean == 1
+        assert cache.evictions_dirty == 0
 
     def test_dirty_eviction_counted(self):
         cache = make_cache(ways=1, size_bytes=64)
         self._fill_set(cache, 2, dirty_first=True)
-        assert cache.stats.get("evictions_dirty") == 1
+        assert cache.evictions_dirty == 1
 
     def test_clean_eviction_fraction(self):
         cache = make_cache(ways=1, size_bytes=64)
@@ -65,7 +65,28 @@ class TestFirstDirty:
         cache.fill(0, "x")
         assert cache.mark_dirty(0) is True
         assert cache.mark_dirty(0) is False
-        assert cache.stats.get("first_dirty") == 1
+        assert cache.first_dirty == 1
+
+
+class TestStatsView:
+    def test_merge_into_yields_exactly_the_five_counts(self):
+        cache = make_cache(ways=1, size_bytes=64)
+        cache.access(0)  # miss
+        cache.fill(0, "x")
+        cache.mark_dirty(0)
+        cache.access(0)  # hit
+        cache.fill(64, "y")  # evicts the dirty line
+        cache.fill(128, "z")  # evicts the clean one
+        flat = {}
+        cache.stats.merge_into(flat)
+        assert flat == {
+            "cc.evictions_clean": 1,
+            "cc.evictions_dirty": 1,
+            "cc.first_dirty": 1,
+            "cc.hits": 1,
+            "cc.misses": 1,
+        }
+        assert list(flat) == sorted(flat)
 
 
 class TestDelegations:

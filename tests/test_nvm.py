@@ -69,14 +69,14 @@ class TestAccounting:
         nvm.write(0, LINE)
         nvm.read(0)
         nvm.read(64)
-        assert nvm.total_writes == 1
-        assert nvm.total_reads == 2
+        assert nvm.writes == 1
+        assert nvm.reads == 2
 
     def test_peek_poke_do_not_count(self, nvm):
         nvm.poke(0, LINE)
         nvm.peek(0)
-        assert nvm.total_reads == 0
-        assert nvm.total_writes == 0
+        assert nvm.reads == 0
+        assert nvm.writes == 0
 
     def test_poke_changes_content(self, nvm):
         nvm.poke(0, LINE)
@@ -145,14 +145,20 @@ class TestSnapshot:
 
     def test_snapshot_copies_write_counts(self, nvm):
         nvm.write(0, LINE)
-        assert nvm.snapshot().write_count(0) == 1
+        nvm.read(0)
+        clone = nvm.snapshot()
+        assert clone.write_count(0) == 1
+        assert (clone.reads, clone.writes) == (1, 1)
+        assert clone.stats.as_dict() == {"nvm.reads": 1, "nvm.writes": 1}
 
     def test_restore_rewinds_contents(self, nvm):
         nvm.write(0, LINE)
         snapshot = nvm.snapshot()
         nvm.write(0, b"\xff" * 64)
         nvm.write(64, LINE)
+        nvm.read(64)
         nvm.restore(snapshot)
+        assert (nvm.reads, nvm.writes) == (0, 1)
         assert nvm.read(0) == LINE
         assert not nvm.is_written(64)
 

@@ -119,10 +119,10 @@ class TestRecoveryBounds:
         oracle = run_workload(controller, writes=50, reads=0)
         crash(controller)
         reborn = reincarnate(controller)
-        data_reads_before = reborn.nvm.total_reads
+        data_reads_before = reborn.nvm.reads
         AsitRecovery(reborn.nvm, reborn.layout, reborn).run()
         # Recovery used peek() only; no counted device reads of data.
-        assert reborn.nvm.total_reads == data_reads_before
+        assert reborn.nvm.reads == data_reads_before
 
     def test_estimated_time_small(self):
         controller = make_asit()

@@ -32,7 +32,7 @@ from repro.sim.result_cache import (
     configure_result_cache,
     simulation_cell_key,
 )
-from repro.telemetry import MetricsRegistry, TelemetrySpec, session
+from repro.telemetry import TelemetrySpec
 from repro.traces.profiles import profile
 from repro.traces.synthetic import generate_trace
 
@@ -116,17 +116,6 @@ class TestStore:
         # The slot is free again: a recomputed result stores cleanly.
         cache.put(key, {"value": 2}, kind="simulation-result")
         assert cache.get(key, kind="simulation-result") == {"value": 2}
-
-    def test_traffic_mirrors_into_session_registry(self, cache):
-        key = cache.key("simulation-result", "x")
-        with session(TelemetrySpec()) as active:
-            cache.get(key, kind="simulation-result")
-            cache.put(key, {"value": 1}, kind="simulation-result")
-            cache.get(key, kind="simulation-result")
-            snapshot = active.registry.snapshot()
-        assert snapshot["result_cache.misses"] == 1
-        assert snapshot["result_cache.stores"] == 1
-        assert snapshot["result_cache.hits"] == 1
 
     def test_clear_and_store_stats(self, cache):
         for tag in range(3):

@@ -123,9 +123,7 @@ class TestSelectiveCostProfile:
                 controller.write(
                     page * controller.config.memory.page_size, payload(page)
                 )
-        assert selective.stats.get("persist_writes") < strict.stats.get(
-            "persist_writes"
-        )
+        assert selective.persist_writes < strict.persist_writes
 
     def test_overhead_scales_with_persistent_fraction(self):
         from dataclasses import replace
@@ -144,7 +142,7 @@ class TestSelectiveCostProfile:
                 controller.write(
                     page * config.memory.page_size, payload(page % 250)
                 )
-            writes[fraction] = controller.stats.get("persist_writes")
+            writes[fraction] = controller.persist_writes
         assert writes[0.9] > writes[0.1]
 
     def test_restore_is_still_o_n(self):

@@ -133,7 +133,7 @@ class TestStrictPersistence:
         controller.write(line(0), payload(1))
         # data + every stored tree level
         expected = 1 + controller.layout.stored_tree_levels
-        assert controller.stats.get("persist_writes") == expected
+        assert controller.persist_writes == expected
 
     def test_root_advances_per_write(self):
         controller = make_sgx(SchemeKind.STRICT_PERSISTENCE)
@@ -220,8 +220,8 @@ class TestNeverWrittenNodes:
         assert record.node is not sgx_controller.engine.default_node()
         # One fetch and one check per level, as for any other fill.
         levels = sgx_controller.layout.root_level
-        assert sgx_controller.stats.get("meta_fetches") == levels
-        assert sgx_controller.stats.get("integrity_checks") == levels
+        assert sgx_controller.meta_fetches == levels
+        assert sgx_controller.integrity_checks == levels
 
     def test_never_written_node_under_bumped_root_nonce_rejected(self):
         controller = make_sgx()

@@ -1,134 +1,110 @@
-"""Unit tests for the statistics containers."""
+"""Unit tests for the histogram and the read-only stats view."""
 
 import pytest
 
-from repro.util.stats import Counter, Histogram, StatGroup, geometric_mean
-
-
-class TestCounter:
-    def test_starts_at_zero(self):
-        assert Counter("x").value == 0
-
-    def test_add_default(self):
-        counter = Counter("x")
-        counter.add()
-        counter.add()
-        assert counter.value == 2
-
-    def test_add_amount(self):
-        counter = Counter("x")
-        counter.add(10)
-        assert counter.value == 10
-
-    def test_reset(self):
-        counter = Counter("x", 5)
-        counter.reset()
-        assert counter.value == 0
+from repro.util.stats import (
+    Histogram,
+    StatGroup,
+    flatten_histogram,
+    geometric_mean,
+)
 
 
 class TestHistogram:
     def test_empty_mean_is_zero(self):
-        assert Histogram("h").mean == 0.0
+        assert Histogram().mean == 0.0
 
     def test_mean(self):
-        histogram = Histogram("h")
+        histogram = Histogram()
         for value in (1.0, 2.0, 3.0):
             histogram.observe(value)
         assert histogram.mean == pytest.approx(2.0)
 
-    def test_min_max(self):
-        histogram = Histogram("h")
+    def test_max(self):
+        histogram = Histogram()
+        assert flatten_histogram("h", histogram)["h.max"] == 0.0
         for value in (5.0, -1.0, 3.0):
             histogram.observe(value)
-        assert histogram.minimum == -1.0
         assert histogram.maximum == 5.0
 
-    def test_stddev(self):
-        histogram = Histogram("h")
-        for value in (2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0):
+    def test_mean_is_welford_running_mean(self):
+        """The reported mean's float bits come from the running update
+        ``mean += (x - mean) / n``, not from ``sum / n``."""
+        samples = [0.1, 0.7, 1e9 + 3.0, 2.5, 60.0, 0.3]
+        histogram = Histogram()
+        expected = 0.0
+        for count, value in enumerate(samples, start=1):
             histogram.observe(value)
-        assert histogram.stddev == pytest.approx(2.0)
+            expected += (value - expected) / count
+        assert repr(histogram.mean) == repr(expected)
 
-    def test_reset(self):
-        histogram = Histogram("h")
-        histogram.observe(1.0)
-        histogram.reset()
-        assert histogram.count == 0
-        assert histogram.minimum is None
-        assert histogram.stddev == 0.0
+    def test_percentiles_and_repr(self):
+        histogram = Histogram()
+        for value in range(1, 101):
+            histogram.observe(float(value))
+        assert histogram.count == 100
+        assert histogram.maximum == 100.0
+        assert 45.0 <= histogram.p50 <= 55.0
+        assert 90.0 <= histogram.p95 <= 100.0
+        rendered = repr(histogram)
+        for marker in ("p50", "p95", "max"):
+            assert marker in rendered
 
-    def test_stddev_large_magnitude_samples(self):
-        """Welford regression: ns-scale samples with tiny jitter.
+    def test_reservoir_decimation_is_deterministic(self):
+        def build():
+            histogram = Histogram()
+            for value in range(10_000):
+                histogram.observe(float(value))
+            return histogram
 
-        The old ``sum_sq/n - mean²`` formula cancels catastrophically
-        here — it reported 0.0 (or NaN from a negative variance) for
-        samples around 1e9 with spread 2.0.
-        """
-        histogram = Histogram("h")
-        base = 1e9
-        for offset in (2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0):
-            histogram.observe(base + offset)
-        assert histogram.stddev == pytest.approx(2.0, rel=1e-6)
-        assert histogram.mean == pytest.approx(base + 5.0)
+        first, second = build(), build()
+        assert first.p50 == second.p50
+        assert first.p95 == second.p95
+        # Decimation keeps percentiles honest, not exact: stride sampling
+        # of a uniform ramp stays within a few percent of the true value.
+        assert abs(first.p50 - 5_000.0) < 500.0
+        assert first.maximum == 9_999.0
 
-    def test_stddev_never_negative_variance(self):
-        histogram = Histogram("h")
-        for _ in range(1000):
-            histogram.observe(1e15 + 1.0)
-        assert histogram.stddev == pytest.approx(0.0, abs=1e-3)
-
-    def test_reset_then_reuse_matches_fresh(self):
-        recycled = Histogram("h")
-        for value in (10.0, 20.0):
-            recycled.observe(value)
-        recycled.reset()
-        fresh = Histogram("h")
-        for value in (1.0, 3.0):
-            recycled.observe(value)
-            fresh.observe(value)
-        assert recycled.mean == fresh.mean
-        assert recycled.stddev == fresh.stddev
+    def test_flatten_schema(self):
+        histogram = Histogram()
+        histogram.observe(2.0)
+        flat = flatten_histogram("wpq.batch", histogram)
+        assert sorted(flat) == [
+            "wpq.batch.count",
+            "wpq.batch.max",
+            "wpq.batch.mean",
+            "wpq.batch.p50",
+            "wpq.batch.p95",
+        ]
 
 
 class TestStatGroup:
-    def test_counter_identity(self):
-        group = StatGroup("g")
-        assert group.counter("a") is group.counter("a")
-
     def test_get_without_create(self):
-        group = StatGroup("g")
+        group = StatGroup("g", {"present": 3})
+        assert group.get("present") == 3
         assert group.get("missing") == 0
         assert group.get("missing", 7) == 7
 
     def test_counters_sorted(self):
-        group = StatGroup("g")
-        group.counter("b").add(2)
-        group.counter("a").add(1)
-        assert list(group.counters()) == [("a", 1), ("b", 2)]
+        group = StatGroup("g", {"b": 2, "a": 1})
+        assert list(group.as_dict().items()) == [("g.a", 1), ("g.b", 2)]
 
     def test_as_dict_qualified_names(self):
-        group = StatGroup("nvm")
-        group.counter("reads").add(3)
-        group.histogram("latency").observe(10.0)
+        latency = Histogram()
+        latency.observe(10.0)
+        group = StatGroup("nvm", {"reads": 3}, {"latency": latency})
         flat = group.as_dict()
         assert flat["nvm.reads"] == 3
         assert flat["nvm.latency.count"] == 1
         assert flat["nvm.latency.mean"] == 10.0
+        # Counters first, then histograms, each sorted by name.
+        assert list(flat)[0] == "nvm.reads"
 
     def test_merge_into(self):
-        group = StatGroup("g")
-        group.counter("x").add(1)
+        group = StatGroup("g", {"x": 1})
         target = {"existing": 9.0}
         group.merge_into(target)
         assert target == {"existing": 9.0, "g.x": 1}
-
-    def test_reset_all(self):
-        group = StatGroup("g")
-        group.counter("x").add(1)
-        group.histogram("h").observe(1.0)
-        group.reset()
-        assert group.get("x") == 0
-        assert group.histogram("h").count == 0
 
 
 class TestGeometricMean:

@@ -4,11 +4,10 @@ import pytest
 
 from repro.config import TimingConfig
 from repro.mem.timing import MemoryChannel
-from repro.util.stats import StatGroup
 
 
 def make_channel(**kwargs) -> MemoryChannel:
-    return MemoryChannel(TimingConfig(**kwargs), StatGroup("t"))
+    return MemoryChannel(TimingConfig(**kwargs))
 
 
 class TestAdvance:
@@ -19,7 +18,8 @@ class TestAdvance:
 
     def test_elapsed_includes_backlog(self):
         channel = make_channel(background_write_overlap=0.0)
-        channel.write(2)
+        channel.write()
+        channel.write()
         assert channel.elapsed_ns == pytest.approx(300.0)
 
 
@@ -32,18 +32,20 @@ class TestReads:
 
     def test_read_queues_behind_backlog(self):
         channel = make_channel(background_write_overlap=0.0)
-        channel.write(1)  # occupies [0, 150)
+        channel.write()  # occupies [0, 150)
         stall = channel.read()
         assert stall == pytest.approx(150.0 + 60.0)
 
     def test_dependent_reads_serialize(self):
         channel = make_channel()
-        stall = channel.read(3)
-        assert stall == pytest.approx(180.0)
+        stalls = [channel.read() for _ in range(3)]
+        assert stalls == pytest.approx([60.0, 60.0, 60.0])
+        assert channel.now == pytest.approx(180.0)
+        assert channel.read_stall.count == 3
 
     def test_gap_hides_backlog(self):
         channel = make_channel(background_write_overlap=0.0)
-        channel.write(1)
+        channel.write()
         channel.advance(200.0)  # compute past the write
         stall = channel.read()
         assert stall == pytest.approx(60.0)
@@ -52,31 +54,27 @@ class TestReads:
 class TestWrites:
     def test_posted_write_does_not_stall(self):
         channel = make_channel()
-        stall = channel.write(1)
-        assert stall == 0.0
+        channel.write()
         assert channel.now == 0.0
+        assert channel.busy_until > 0.0
 
     def test_posted_write_occupancy_is_discounted(self):
         channel = make_channel(background_write_overlap=0.6)
-        channel.write(1)
+        channel.write()
         assert channel.busy_until == pytest.approx(150.0 * 0.4)
-
-    def test_critical_write_stalls(self):
-        channel = make_channel()
-        stall = channel.write(1, critical=True)
-        assert stall == pytest.approx(150.0)
-        assert channel.now == pytest.approx(150.0)
 
     def test_write_counts(self):
         channel = make_channel()
-        channel.write(3)
-        assert channel.stats.get("channel_writes") == 3
+        for _ in range(3):
+            channel.write()
+        assert channel.writes == 3
 
 
 class TestHashLatency:
     def test_hash_advances_core(self):
         channel = make_channel()
-        channel.hash_latency(2)
+        channel.hash_latency()
+        channel.hash_latency()
         assert channel.now == pytest.approx(80.0)
 
 
@@ -84,7 +82,7 @@ class TestReset:
     def test_reset_zeroes_clocks(self):
         channel = make_channel()
         channel.read()
-        channel.write(1)
+        channel.write()
         channel.reset()
         assert channel.now == 0.0
         assert channel.busy_until == 0.0

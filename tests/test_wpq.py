@@ -7,7 +7,6 @@ from repro.errors import WpqError
 from repro.mem.nvm import NvmDevice
 from repro.mem.timing import MemoryChannel
 from repro.mem.wpq import PersistentRegisters, WritePendingQueue
-from repro.util.stats import StatGroup
 
 LINE = bytes(range(64))
 OTHER = bytes(64)
@@ -20,7 +19,7 @@ def nvm():
 
 @pytest.fixture
 def channel():
-    return MemoryChannel(TimingConfig(), StatGroup("t"))
+    return MemoryChannel(TimingConfig())
 
 
 @pytest.fixture
