@@ -72,8 +72,6 @@ from repro.errors import (
     RootMismatchError,
     SilentCorruptionError,
     UnrecoverableError,
-    WorkerCrashError,
-    WorkerTimeoutError,
 )
 from repro.faults import (
     CampaignConfig,
@@ -138,8 +136,6 @@ __all__ = [
     "RecoveryError",
     "UnrecoverableError",
     "SilentCorruptionError",
-    "WorkerTimeoutError",
-    "WorkerCrashError",
     "ArtifactCorruptError",
     # recovery
     "crash",

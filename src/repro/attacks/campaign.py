@@ -3,8 +3,8 @@
 A thin, fully deterministic layer over the fault-campaign runner
 (:func:`repro.faults.campaign.run_campaign`): the attack catalogue
 rides in ``CampaignConfig.catalogue``, so the result store,
-``--jobs`` fan-out, worker supervision and kill-and-resume semantics
-are inherited unchanged — an attack campaign resumes byte-identically
+``--jobs`` fan-out and kill-and-resume semantics are inherited
+unchanged — an attack campaign resumes byte-identically
 at any job count, exactly like a fault campaign.
 
 What this layer adds:
@@ -50,7 +50,6 @@ from repro.attacks.oracle import (
     Verdict,
     default_oracle,
 )
-from repro.sim.parallel import ParallelSweepExecutor
 from repro.telemetry.runtime import current_tracer
 
 
@@ -240,15 +239,14 @@ class AttackCampaignResult:
 def run_attack_campaign(
     attack: AttackCampaignConfig,
     jobs: Union[int, str, None] = 1,
-    executor: Optional[ParallelSweepExecutor] = None,
     on_trial: Optional[Callable[[AttackTrial], None]] = None,
 ) -> AttackCampaignResult:
     """Run one adversary campaign and judge it against the oracle.
 
     Identical execution semantics to :func:`~repro.faults.campaign.
-    run_campaign` (jobs, supervision, and the result store that makes
-    resume work — verdicts are re-derived from the merged trials, so
-    stored trials judge identically); the oracle is
+    run_campaign` (jobs, and the result store that makes resume work —
+    verdicts are re-derived from the merged trials, so stored trials
+    judge identically); the oracle is
     consulted for every (attack, window) pair *up front* so an
     undeclared claim fails before any warmup work happens.
     """
@@ -319,12 +317,7 @@ def run_attack_campaign(
         if on_trial is not None:
             on_trial(judged)
 
-    result = run_campaign(
-        campaign,
-        jobs=jobs,
-        executor=executor,
-        on_trial=watch,
-    )
+    result = run_campaign(campaign, jobs=jobs, on_trial=watch)
     # Judge from the merged result, not the live hook: trials restored
     # from the result store never re-fire ``on_trial`` but still need
     # verdicts, and judging is pure.

@@ -31,8 +31,7 @@ Commands:
 * ``experiments`` — shorthand for ``python -m repro.experiments``.
 
 ``faults``, ``attack`` and ``python -m repro.experiments`` take their
-execution flags (``--jobs``, ``--resume``, ``--timeout``, ``--retries``
-and the result-cache flags) from one shared declaration,
+execution flags (``--jobs``, ``--resume`` and the result-cache flags) from one shared declaration,
 :func:`repro.sim.options.execution_parser`.
 """
 
@@ -528,7 +527,7 @@ def _command_faults(args: argparse.Namespace) -> int:
     )
     options = ExecutionOptions.from_args(args)
     with options.applied() as cache:
-        result = run_campaign(campaign, executor=options.executor())
+        result = run_campaign(campaign, jobs=options.jobs)
     print(format_summary(result))
     print()
     print(format_matrix(result))
@@ -612,9 +611,7 @@ def _command_attack(args: argparse.Namespace) -> int:
     )
     options = ExecutionOptions.from_args(args)
     with options.applied() as cache:
-        result = run_attack_campaign(
-            campaign, executor=options.executor()
-        )
+        result = run_attack_campaign(campaign, jobs=options.jobs)
     print(format_attack_summary(result))
     print()
     print(format_attack_matrix(result))

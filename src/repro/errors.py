@@ -103,29 +103,6 @@ class TraceError(ReproError):
     """A trace record is malformed or incompatible with the system size."""
 
 
-class ExecutionError(ReproError):
-    """The resilient execution layer could not complete a work unit."""
-
-
-class WorkerTimeoutError(ExecutionError):
-    """A worker process did not return a cell's result within the
-    configured per-cell timeout.
-
-    Raised by :class:`~repro.sim.parallel.ParallelSweepExecutor` after a
-    cell has exhausted its retries: re-running a *hanging* cell
-    in-process would hang the driver too, so persistent timeouts abort
-    instead of degrading to serial execution."""
-
-
-class WorkerCrashError(ExecutionError):
-    """A worker process died abruptly (SIGKILL, OOM kill, segfault)
-    while running a cell, losing the in-flight result.
-
-    The supervisor retries the cell in a fresh pool and finally re-runs
-    it in-process; this error surfaces only in diagnostics (the retry
-    log) or when in-process fallback is impossible."""
-
-
 class ArtifactCorruptError(ReproError):
     """A persisted result artifact or result-store entry failed its
     integrity validation (truncated JSON, checksum mismatch, wrong
@@ -134,14 +111,4 @@ class ArtifactCorruptError(ReproError):
     The harness writes artifacts atomically and embeds a checksum, so
     this error indicates on-disk corruption or a file the harness never
     wrote — never a half-finished write."""
-
-
-class ValidationError(ReproError, ValueError):
-    """An execution setting is unusable (e.g. ``timeout <= 0`` or
-    ``retries < 0``) and was rejected before any work started.
-
-    Subclasses :class:`ValueError` too, so the CLI flag parsers report
-    it as a usage error (exit 2) and callers catching ``ValueError``
-    keep working; rejecting up front beats a worker crashing on the bad
-    value mid-run."""
 

@@ -100,18 +100,14 @@ def collect(
     cells: Sequence[SimCell],
     keys: Optional[ProcessorKeys] = None,
     jobs: Union[int, str, None] = 1,
-    executor: Optional[ParallelSweepExecutor] = None,
 ) -> CollectedRun:
     """Run an experiment grid and return its sliceable results.
 
-    ``jobs`` fans the cells over worker processes (results stay in
-    deterministic cell order); pass a preconfigured ``executor``
-    instead to control supervision knobs.
+    ``jobs`` fans the cells over worker processes; results stay in
+    deterministic cell order.
     """
-    if executor is None:
-        executor = ParallelSweepExecutor(jobs)
     cell_list = list(cells)
-    results = executor.run_simulations(cell_list, keys)
+    results = ParallelSweepExecutor(jobs).run_simulations(cell_list, keys)
     return CollectedRun(cells=cell_list, results=results)
 
 

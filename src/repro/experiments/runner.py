@@ -20,8 +20,8 @@ finished grid cell and campaign trial is stored there, so re-running
 after an interrupt (SIGTERM, OOM, preemption) skips completed work and
 produces the same ``results.json`` and ``--trace-out`` stream an
 uninterrupted run would have.  Experiments without a grid or campaign
-are simply recomputed; they are deterministic.  ``--timeout`` and
-``--retries`` configure worker supervision for the parallel grids.
+are simply recomputed; they are deterministic.  A failed cell or a
+dead worker stops the run; the same ``--resume DIR`` re-run finishes it.
 """
 
 from __future__ import annotations

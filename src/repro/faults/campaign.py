@@ -645,27 +645,26 @@ def _campaign_worker(payload: Tuple) -> List[TrialResult]:
 
 
 #: With a result store active, parallel slices are capped at this many
-#: trials so an interrupt loses at most ``jobs * cap`` trials of
-#: progress (each slice re-warms, so smaller caps trade warmup time for
+#: trials so finished trials reach the store while the campaign runs,
+#: and an interrupted run loses little more than the slices in flight
+#: (each slice re-warms, so smaller caps trade warmup time for
 #: durability).
-_JOURNAL_SLICE_CAP = 8
+_STORE_SLICE_CAP = 8
 
 
 def run_campaign(
     campaign: CampaignConfig,
     jobs: Union[int, str, None] = 1,
-    executor: Optional[ParallelSweepExecutor] = None,
     on_trial: Optional[Callable[[TrialResult], None]] = None,
 ) -> CampaignResult:
     """Run one deterministic fault-injection campaign.
 
-    ``jobs`` fans the trials over supervised worker processes
-    (``"auto"`` uses every core).  Each worker re-derives the
-    deterministic plan and replays the warmup itself — configs are tiny
-    and picklable, NVM snapshots are not — then runs a contiguous slice
-    of trials; slices are merged in plan order, so the result matrix is
-    identical for any job count.  Pass a preconfigured ``executor`` to
-    set supervision knobs (per-trial-slice timeout, retries).
+    ``jobs`` fans the trials over worker processes (``"auto"`` uses
+    every core).  Each worker re-derives the deterministic plan and
+    replays the warmup itself — configs are tiny and picklable, NVM
+    snapshots are not — then runs a contiguous slice of trials; slices
+    are merged in plan order, so the result matrix is identical for any
+    job count.  A failing trial or a dead worker stops the campaign.
 
     When a result store is configured (see
     :func:`repro.sim.result_cache.configure_result_cache`; ``--resume``
@@ -709,8 +708,7 @@ def run_campaign(
     pending = [
         index for index in range(len(plan.plan)) if index not in completed
     ]
-    if executor is None:
-        executor = ParallelSweepExecutor(jobs)
+    executor = ParallelSweepExecutor(jobs)
     workers = min(executor.jobs, len(pending))
     if pending and workers <= 1:
         _execute_trials(campaign, plan, pending, on_trial=finish)
@@ -720,7 +718,7 @@ def run_campaign(
         # the campaign ends.
         step = (len(pending) + workers - 1) // workers
         if cache is not None:
-            step = max(1, min(step, _JOURNAL_SLICE_CAP))
+            step = max(1, min(step, _STORE_SLICE_CAP))
         slices = [
             pending[start : start + step]
             for start in range(0, len(pending), step)

@@ -7,11 +7,7 @@ from repro.sim.checkpoint import (
     write_artifact,
 )
 from repro.sim.engine import SimulationEngine, run_simulation
-from repro.sim.parallel import (
-    ParallelSweepExecutor,
-    configure_executor_defaults,
-    resolve_jobs,
-)
+from repro.sim.parallel import ParallelSweepExecutor, resolve_jobs
 from repro.sim.results import SchemeComparison, SimulationResult
 
 __all__ = [
@@ -20,7 +16,6 @@ __all__ = [
     "SimulationResult",
     "SchemeComparison",
     "ParallelSweepExecutor",
-    "configure_executor_defaults",
     "resolve_jobs",
     "atomic_write_json",
     "fingerprint",

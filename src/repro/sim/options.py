@@ -1,18 +1,19 @@
 """The execution flags every work-running entry point shares.
 
 ``python -m repro.experiments``, ``repro faults`` and ``repro attack``
-all take the same seven flags — ``--jobs``, ``--resume``, ``--timeout``,
-``--retries``, ``--cache-dir``, ``--no-result-cache`` and
-``--cache-stamp`` — from :func:`execution_parser`, and turn the parsed
-namespace into one :class:`ExecutionOptions`.  None of the flags changes
-a result: they choose how work runs (worker count, supervision), where
-finished work is stored, and which prior results it may reuse.
+all take the same five flags — ``--jobs``, ``--resume``,
+``--cache-dir``, ``--no-result-cache`` and ``--cache-stamp`` — from
+:func:`execution_parser`, and turn the parsed namespace into one
+:class:`ExecutionOptions`.  None of the flags changes a result: they
+choose how many worker processes run the work, where finished work is
+stored, and which prior results it may reuse.
 
 One mechanism skips finished work: the result store
 (:class:`~repro.sim.result_cache.ResultCache`).  ``--cache-dir`` names
 a store shared across runs; ``--resume DIR`` makes ``DIR`` the store
-when no other is named, so an interrupted run re-run with the same
-``DIR`` restores every finished cell and trial from it.
+when no other is named, so an interrupted run — killed, preempted, or
+stopped by a dead worker — re-run with the same ``DIR`` restores every
+finished cell and trial from it.
 """
 
 from __future__ import annotations
@@ -24,12 +25,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from typing import Iterator, Optional
 
-from repro.sim.parallel import (
-    ParallelSweepExecutor,
-    configure_executor_defaults,
-    resolve_jobs,
-    validate_supervision,
-)
+from repro.sim.parallel import resolve_jobs
 from repro.sim.result_cache import (
     ResultCache,
     active_result_cache,
@@ -44,14 +40,9 @@ class ExecutionOptions:
 
     jobs: int = 1
     resume: Optional[str] = None
-    timeout: Optional[float] = None
-    retries: int = 2
     cache_dir: Optional[str] = None
     no_result_cache: bool = False
     cache_stamp: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        validate_supervision(timeout=self.timeout, retries=self.retries)
 
     @classmethod
     def from_args(cls, args: argparse.Namespace) -> "ExecutionOptions":
@@ -82,35 +73,23 @@ class ExecutionOptions:
                 )
         return ResultCache(directory, code_stamp=stamp)
 
-    def executor(self) -> ParallelSweepExecutor:
-        """A supervised executor with these worker and retry settings."""
-        return ParallelSweepExecutor(
-            self.jobs, timeout=self.timeout, retries=self.retries
-        )
-
     @contextmanager
     def applied(self) -> Iterator[Optional[ResultCache]]:
-        """Install the executor defaults and result cache for the
-        duration of the block, then restore what was there before.
+        """Install the run's result cache for the duration of the
+        block, then restore the one that was there before.
 
-        Yields the installed result cache (or None).  The executor
-        defaults reach executors built deep inside experiment modules.
+        Yields the installed result cache (or None).
         """
         previous_cache = active_result_cache()
-        previous_defaults = configure_executor_defaults(
-            timeout=self.timeout, retries=self.retries
-        )
         try:
             yield configure_result_cache(self.result_cache())
         finally:
             configure_result_cache(previous_cache)
-            configure_executor_defaults(**previous_defaults)
 
 
 def _argument_type(convert):
-    """Wrap ``convert`` as an argparse ``type`` whose ValueError —
-    :class:`~repro.errors.ValidationError` included — exits 2 carrying
-    its own message rather than argparse's generic one."""
+    """Wrap ``convert`` as an argparse ``type`` whose ValueError exits
+    2 carrying its own message rather than argparse's generic one."""
 
     def parse(text: str):
         try:
@@ -119,18 +98,6 @@ def _argument_type(convert):
             raise argparse.ArgumentTypeError(str(error)) from None
 
     return parse
-
-
-def _timeout(text: str) -> float:
-    value = float(text)
-    validate_supervision(timeout=value)
-    return value
-
-
-def _retries(text: str) -> int:
-    value = int(text)
-    validate_supervision(retries=value)
-    return value
 
 
 _CACHE_DIR_HELP = (
@@ -149,7 +116,7 @@ def add_cache_dir_argument(parser, help_text: str = _CACHE_DIR_HELP) -> None:
 
 
 def execution_parser() -> argparse.ArgumentParser:
-    """The argparse parent declaring the seven execution flags."""
+    """The argparse parent declaring the five execution flags."""
     parser = argparse.ArgumentParser(add_help=False)
     group = parser.add_argument_group("execution")
     group.add_argument(
@@ -170,23 +137,6 @@ def execution_parser() -> argparse.ArgumentParser:
         "$REPRO_RESULT_CACHE names another, so an "
         "interrupted run re-run with the same DIR finishes the "
         "remaining work with output identical to an uninterrupted run",
-    )
-    group.add_argument(
-        "--timeout",
-        type=_argument_type(_timeout),
-        metavar="SECONDS",
-        default=None,
-        help="per-cell timeout for worker processes; hung or killed "
-        "workers are torn down and their work retried (default: no "
-        "limit)",
-    )
-    group.add_argument(
-        "--retries",
-        type=_argument_type(_retries),
-        metavar="N",
-        default=2,
-        help="retry rounds for failed cells before degrading to "
-        "in-process execution (default: 2)",
     )
     add_cache_dir_argument(group)
     group.add_argument(

@@ -284,7 +284,6 @@ class RunCollector:
         self.started = time.perf_counter()
         self.executor_stats: Dict[str, float] = {
             "sweeps": 0,
-            "retries": 0,
             "wall_seconds": 0.0,
             "max_jobs": 1,
         }
@@ -319,12 +318,9 @@ class RunCollector:
                 self.dropped_events += dropped
                 self.truncated_cells.append(cell)
 
-    def note_sweep(
-        self, wall_seconds: float, retries: int, jobs: int
-    ) -> None:
-        """Record one executor sweep's wall time and retry count."""
+    def note_sweep(self, wall_seconds: float, jobs: int) -> None:
+        """Record one executor sweep's wall time and worker count."""
         self.executor_stats["sweeps"] += 1
-        self.executor_stats["retries"] += retries
         self.executor_stats["wall_seconds"] += wall_seconds
         self.executor_stats["max_jobs"] = max(
             self.executor_stats["max_jobs"], jobs

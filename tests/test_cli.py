@@ -3,10 +3,9 @@
 import pytest
 
 from repro.cli import build_parser, main
-from repro.errors import ValidationError
 from repro.experiments import runner
 from repro.sim.options import ExecutionOptions
-from repro.sim.parallel import validate_supervision
+from repro.sim.parallel import resolve_jobs
 
 
 class TestParser:
@@ -168,20 +167,19 @@ class TestFaultsResume:
         assert len(payload["trials"]) == 8
 
 
-def _validation_message(**supervision) -> str:
-    with pytest.raises(ValidationError) as error:
-        validate_supervision(**supervision)
+def _jobs_message(spec: str) -> str:
+    with pytest.raises(ValueError) as error:
+        resolve_jobs(spec)
     return str(error.value)
 
 
 class TestExecutionFlags:
-    """The seven execution flags come from one declaration, so every
+    """The five execution flags come from one declaration, so every
     entry point parses and rejects them the same way."""
 
     ARGV = [
-        "--jobs", "2", "--resume", "ck", "--timeout", "30",
-        "--retries", "1", "--cache-dir", "store", "--no-result-cache",
-        "--cache-stamp",
+        "--jobs", "2", "--resume", "ck", "--cache-dir", "store",
+        "--no-result-cache", "--cache-stamp",
     ]
 
     @pytest.mark.parametrize(
@@ -196,14 +194,16 @@ class TestExecutionFlags:
     def test_one_declaration_everywhere(self, parse, capsys):
         assert ExecutionOptions.from_args(parse(self.ARGV)) == (
             ExecutionOptions(
-                jobs=2, resume="ck", timeout=30.0, retries=1,
-                cache_dir="store", no_result_cache=True,
-                cache_stamp="auto",
+                jobs=2, resume="ck", cache_dir="store",
+                no_result_cache=True, cache_stamp="auto",
             )
         )
         for argv, message in (
-            (["--timeout", "0"], _validation_message(timeout=0.0)),
-            (["--retries", "-1"], _validation_message(retries=-1)),
+            (["--jobs", "-1"], _jobs_message("-1")),
+            (["--jobs", "2.5"], _jobs_message("2.5")),
+            # Neither flag exists: each is a usage error.
+            (["--timeout", "30"], "usage:"),
+            (["--retries", "1"], "usage:"),
         ):
             with pytest.raises(SystemExit) as exit_info:
                 parse(argv)
@@ -214,19 +214,12 @@ class TestExecutionFlags:
         assert exit_info.value.code == 2
 
     def test_applied_restores_process_settings(self, tmp_path):
-        from repro.sim.parallel import ParallelSweepExecutor
         from repro.sim.result_cache import active_result_cache
 
-        options = ExecutionOptions(
-            timeout=5.0, retries=0, cache_dir=str(tmp_path)
-        )
+        options = ExecutionOptions(cache_dir=str(tmp_path))
         with options.applied() as cache:
             assert cache is not None and cache is active_result_cache()
-            executor = ParallelSweepExecutor()
-            assert (executor.timeout, executor.retries) == (5.0, 0)
         assert active_result_cache() is None
-        executor = ParallelSweepExecutor()
-        assert (executor.timeout, executor.retries) == (None, 2)
 
     @pytest.mark.parametrize(
         "parse",

@@ -204,7 +204,7 @@ def _collect_samples(jobs):
         TelemetrySpec(events=False, sample_interval=64)
     )
     try:
-        executor = ParallelSweepExecutor(jobs, backoff=0)
+        executor = ParallelSweepExecutor(jobs)
         executor.run_simulations(cells, ProcessorKeys(7))
     finally:
         configure_telemetry(None)

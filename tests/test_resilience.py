@@ -1,20 +1,21 @@
-"""The resilient execution layer's failure paths.
+"""The execution layer's failure paths.
 
-Workers that raise, hang, or die must never cost completed work or
-change results: retries and fallbacks re-run the same deterministic
-cells, and a resumed campaign is byte-identical to an uninterrupted
-one at any ``--jobs`` count.
+A worker that raises or dies stops the run with an error, never with a
+wrong or partial result, and never costs stored work: a resumed
+campaign is byte-identical to an uninterrupted one at any ``--jobs``
+count.
 """
 
 import json
 import os
-import signal
-import time
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.config import SchemeKind, TreeKind
-from repro.errors import WorkerTimeoutError
 from repro.faults.campaign import (
     CampaignConfig,
     campaign_cache_identity,
@@ -45,17 +46,18 @@ def _explode_on(value):
     return value
 
 
-def _sleep_for(seconds):
-    time.sleep(seconds)
-    return seconds
-
-
-def _die_once(sentinel):
-    """SIGKILL this worker on first sight of the sentinel; then succeed."""
-    if not os.path.exists(sentinel):
-        open(sentinel, "w").close()
-        os.kill(os.getpid(), signal.SIGKILL)
-    return "survived"
+#: Each worker SIGKILLs itself on its first cell.  Run in a child
+#: interpreter so a driver that waits forever fails the test instead of
+#: hanging the suite.
+_KILL_WORKERS = """
+import signal
+from concurrent.futures.process import BrokenProcessPool
+from repro.sim.parallel import ParallelSweepExecutor
+try:
+    ParallelSweepExecutor(2).map(signal.raise_signal, [signal.SIGKILL] * 2)
+except BrokenProcessPool:
+    print("broken pool")
+"""
 
 
 # ----------------------------------------------------------------------
@@ -81,54 +83,49 @@ class TestResolveJobsHardening:
 
 
 # ----------------------------------------------------------------------
-# Worker supervision
+# Worker failures
 # ----------------------------------------------------------------------
 
 class TestSupervision:
     def test_worker_exception_propagates_with_original_type(self):
-        executor = ParallelSweepExecutor(2, retries=1, backoff=0)
         with pytest.raises(ValueError, match="cursed"):
-            executor.map(_explode_on, [1, 2, 3, 4])
-        # The failure was retried in workers before the in-process
-        # fallback re-raised it.
-        assert executor.retry_log
+            ParallelSweepExecutor(2).map(_explode_on, [1, 2, 3, 4])
 
     def test_healthy_cells_unaffected_by_a_failing_sibling(self):
-        executor = ParallelSweepExecutor(2, retries=0, backoff=0)
+        seen = {}
         with pytest.raises(ValueError):
-            executor.map(_explode_on, [1, 2, 3, 4])
+            ParallelSweepExecutor(2).map(
+                _explode_on,
+                [1, 2, 3, 4],
+                on_result=lambda i, r: seen.setdefault(i, r),
+            )
+        # Cells before the failing one were harvested, and only those.
+        assert seen == {0: 1, 1: 2}
 
-    def test_hang_past_timeout_raises_worker_timeout(self):
-        executor = ParallelSweepExecutor(2, timeout=0.8, retries=0, backoff=0)
-        with pytest.raises(WorkerTimeoutError, match="no result within"):
-            executor.map(_sleep_for, [0.01, 60.0])
-
-    def test_sigkilled_worker_is_retried_to_success(self, tmp_path):
-        sentinel = str(tmp_path / "died-once")
-        # The kill is instant; the timeout only bounds how fast the
-        # supervisor notices the lost task.
-        executor = ParallelSweepExecutor(2, timeout=4.0, retries=2, backoff=0)
-        results = executor.map(_die_once, [sentinel, sentinel])
-        assert results == ["survived", "survived"]
-        assert executor.retry_log  # the kill was observed and retried
+    def test_sigkilled_worker_breaks_the_pool(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        child = subprocess.run(
+            [sys.executable, "-c", _KILL_WORKERS],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=env,
+        )
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.strip() == "broken pool"
 
     def test_results_keep_submission_order_across_retries(self):
-        executor = ParallelSweepExecutor(3, retries=0, backoff=0)
+        executor = ParallelSweepExecutor(3)
         assert executor.map(_double, list(range(8))) == [
             2 * n for n in range(8)
         ]
 
     def test_on_result_fires_once_per_cell(self):
         seen = {}
-        executor = ParallelSweepExecutor(2, retries=0, backoff=0)
-        executor.map(
+        ParallelSweepExecutor(2).map(
             _double, [5, 6, 7], on_result=lambda i, r: seen.setdefault(i, r)
         )
         assert seen == {0: 10, 1: 12, 2: 14}
-
-    def test_rejects_nonpositive_timeout(self):
-        with pytest.raises(ValueError, match="timeout"):
-            ParallelSweepExecutor(2, timeout=0)
 
 
 # ----------------------------------------------------------------------

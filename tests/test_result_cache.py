@@ -201,7 +201,7 @@ def _grid():
 def _run_grid(cells, cache, jobs=1):
     configure_result_cache(cache)
     try:
-        executor = ParallelSweepExecutor(jobs, backoff=0)
+        executor = ParallelSweepExecutor(jobs)
         results = executor.run_simulations(cells, ProcessorKeys(7))
     finally:
         configure_result_cache(None)
@@ -265,7 +265,7 @@ class TestSweepCaching:
 
             configure_telemetry(TelemetrySpec())
             try:
-                executor = ParallelSweepExecutor(1, backoff=0)
+                executor = ParallelSweepExecutor(1)
                 results = executor.run_simulations(cells, ProcessorKeys(7))
             finally:
                 configure_telemetry(None)

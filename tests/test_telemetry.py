@@ -316,7 +316,7 @@ def _collect_run(jobs):
     ]
     collector = configure_telemetry(TelemetrySpec())
     try:
-        executor = ParallelSweepExecutor(jobs, backoff=0)
+        executor = ParallelSweepExecutor(jobs)
         results = executor.run_simulations(cells, ProcessorKeys(7))
     finally:
         configure_telemetry(None)
