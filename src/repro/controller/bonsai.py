@@ -28,13 +28,12 @@ from typing import Deque, Optional, Tuple
 
 from repro.cache.metadata_cache import MetadataCache
 from repro.cache.sa_cache import Eviction
-from repro.config import SchemeKind, SystemConfig, UpdatePolicy
+from repro.config import BLOCK_SIZE, SchemeKind, SystemConfig, UpdatePolicy
 from repro.controller.base import SecureMemoryController
 from repro.counters.split import SplitCounterBlock
 from repro.crypto.keys import ProcessorKeys
 from repro.errors import IntegrityError
 from repro.integrity.bonsai import BonsaiNode, BonsaiTreeEngine
-from repro.integrity.geometry import path_to_root
 from repro.mem.layout import MemoryLayout
 from repro.mem.nvm import NvmDevice
 
@@ -170,13 +169,17 @@ class BonsaiController(SecureMemoryController):
         if self.scheme == SchemeKind.STRICT_PERSISTENCE:
             self.pregs.stage(counter_address, block.to_bytes())
             self.counter_cache.clean(counter_address)
-            for step in path_to_root(self.layout, counter_address)[1:]:
-                if step.address is None:
-                    break  # the root is an on-chip NVM register
-                node = self.merkle_cache.peek(step.address)
+            # Every stored ancestor; the root is an on-chip NVM register.
+            bases = self.layout.level_bases
+            arity = self.layout.arity
+            index = (counter_address - bases[0]) // BLOCK_SIZE
+            for level in range(1, self.layout.root_level):
+                index //= arity
+                address = bases[level] + index * BLOCK_SIZE
+                node = self.merkle_cache.peek(address)
                 if node is not None:
-                    self.pregs.stage(step.address, node.to_bytes())
-                    self.merkle_cache.clean(step.address)
+                    self.pregs.stage(address, node.to_bytes())
+                    self.merkle_cache.clean(address)
             return
         if self.scheme == SchemeKind.SELECTIVE:
             index = self.layout.counter_region.block_index(counter_address)
@@ -207,7 +210,13 @@ class BonsaiController(SecureMemoryController):
         raw, written = self.read_block(counter_address)
         self.meta_fetches += 1
         self._verify_chain(counter_address, raw, written)
-        block = SplitCounterBlock.from_bytes(raw)
+        # A never-written block verified against default_hashes[0], the
+        # digest of the all-zero block, so it needs no parse.
+        block = (
+            SplitCounterBlock.from_bytes(raw)
+            if written
+            else SplitCounterBlock.zero()
+        )
         slot, eviction = self.counter_cache.fill(counter_address, block)
         self._on_counter_filled(slot, counter_address)
         if eviction is not None:
@@ -238,67 +247,64 @@ class BonsaiController(SecureMemoryController):
     ) -> None:
         """Verify a fetched metadata block up to the first trusted level.
 
-        Walks ancestors upward, fetching missing nodes from memory,
-        until a cached (already-verified) node or the on-chip root is
-        reached; then checks hashes top-down.  Fetched ancestors are
+        Walks up with ``index //= arity`` from the block's ``(level,
+        index)``, fetching each missing ancestor from memory, and stops
+        at the first cached (already-verified) node or at the on-chip
+        root; then checks hashes top-down.  Fetched ancestors are
         inserted into the Merkle cache (§2.3.1).  A block that was never
         written (``written`` False, from :meth:`read_block`) holds its
         level's default bytes, so its digest is the engine's kept
-        default hash instead of a fresh one.
+        ``default_hashes[level]`` instead of a fresh one.
         """
-        steps = path_to_root(self.layout, block_address)
-        fetched = []  # (TreePath, raw bytes, written), bottom-up
-        trusted_node: Optional[BonsaiNode] = None
-        trusted_slot = 0
-        for step in steps[1:]:
-            if step.address is None:
-                trusted_node = self.engine.root_node
-                trusted_slot = step.child_slot
+        bases = self.layout.level_bases
+        arity = self.layout.arity
+        root_level = self.layout.root_level
+        peek = self.merkle_cache.peek
+        level = self.layout.level_of(block_address)
+        index = (block_address - bases[level]) // BLOCK_SIZE
+        # (level, address, slot in parent, raw bytes, written), bottom-up
+        chain = [(level, block_address, index % arity, block_bytes, written)]
+        while True:
+            level += 1
+            index //= arity
+            if level == root_level:
+                trusted = self.engine.root_node
                 break
-            cached = self.merkle_cache.peek(step.address)
-            if cached is not None:
-                trusted_node = cached
-                trusted_slot = step.child_slot
+            address = bases[level] + index * BLOCK_SIZE
+            trusted = peek(address)
+            if trusted is not None:
                 break
             # An ancestor whose dirty eviction is still queued must be
             # written back first, or we would read (and then trust) its
             # stale memory copy.
-            self._flush_pending_eviction(step.address)
-            cached = self.merkle_cache.peek(step.address)
-            if cached is not None:
-                trusted_node = cached
-                trusted_slot = step.child_slot
+            self._flush_pending_eviction(address)
+            trusted = peek(address)
+            if trusted is not None:
                 break
-            raw, raw_written = self.read_block(step.address)
+            raw, raw_written = self.read_block(address)
             self.meta_fetches += 1
-            fetched.append((step, raw, raw_written))
+            chain.append((level, address, index % arity, raw, raw_written))
 
-        assert trusted_node is not None
         # Verify top-down: the trusted node vouches for the highest
         # fetched block, each fetched node vouches for the one below it,
         # and the lowest vouches for the block being verified.
-        leaf = steps[0]
-        chain = [(leaf, block_bytes, written)] + fetched
         default_hashes = self.engine.default_hashes
         block_hash = self.engine.block_hash
-        parent_node = trusted_node
-        parent_slot = trusted_slot
+        parent_node = trusted
         verified = []  # parsed fetched ancestors, top-down
-        for step, raw, raw_written in reversed(chain):
+        for position in range(len(chain) - 1, -1, -1):
+            level, address, slot, raw, raw_written = chain[position]
             self.integrity_checks += 1
             self.channel.hash_latency()
-            digest = (
-                block_hash(raw) if raw_written else default_hashes[step.level]
-            )
-            if parent_node.child_hash(parent_slot) != digest:
+            digest = block_hash(raw) if raw_written else default_hashes[level]
+            if parent_node.child_hash(slot) != digest:
                 raise IntegrityError(
-                    f"Merkle verification failed for block {step.address:#x}"
+                    f"Merkle verification failed for block {address:#x}"
                 )
-            if step is not leaf:
+            if position:
                 parent_node = BonsaiNode.from_bytes(raw)
-                parent_slot = step.child_slot
-                verified.append((step.address, parent_node))
-            # the last iteration verified `block_bytes`; nothing below it
+                verified.append((address, parent_node))
+            # position 0 verified `block_bytes`; nothing below it
 
         # Insert the now-verified ancestors (top-down so lower nodes are
         # the most recently used).
@@ -317,32 +323,43 @@ class BonsaiController(SecureMemoryController):
         self, counter_address: int, block: SplitCounterBlock
     ) -> None:
         """Propagate a counter update through every level to the root."""
+        bases = self.layout.level_bases
+        arity = self.layout.arity
+        block_hash = self.engine.block_hash
+        index = (counter_address - bases[0]) // BLOCK_SIZE
         child_bytes = block.to_bytes()
-        for step in path_to_root(self.layout, counter_address)[1:]:
-            child_hash = self.engine.block_hash(child_bytes)
-            if step.address is None:
-                self.engine.root_node.set_child_hash(step.child_slot, child_hash)
-                break
-            node = self._get_merkle_node(step.address)
-            node.set_child_hash(step.child_slot, child_hash)
-            first = self.merkle_cache.mark_dirty(step.address)
-            slot = self.merkle_cache.slot_of(step.address)
-            self._on_merkle_dirtied(slot, step.address, first)
+        for level in range(1, self.layout.root_level):
+            child_hash = block_hash(child_bytes)
+            slot = index % arity
+            index //= arity
+            address = bases[level] + index * BLOCK_SIZE
+            node = self._get_merkle_node(address)
+            node.set_child_hash(slot, child_hash)
+            first = self.merkle_cache.mark_dirty(address)
+            cache_slot = self.merkle_cache.slot_of(address)
+            self._on_merkle_dirtied(cache_slot, address, first)
             child_bytes = node.to_bytes()
+        self.engine.root_node.set_child_hash(
+            index % arity, block_hash(child_bytes)
+        )
 
     def _lazy_propagate(self, child_address: int, child_bytes: bytes) -> None:
         """Lazy policy: fold an evicted child's hash into its parent."""
-        steps = path_to_root(self.layout, child_address)
-        parent_step = steps[1]
+        layout = self.layout
+        level, index = layout.locate_node(child_address)
+        slot = index % layout.arity
         child_hash = self.engine.block_hash(child_bytes)
-        if parent_step.address is None:
-            self.engine.root_node.set_child_hash(parent_step.child_slot, child_hash)
+        level += 1
+        index //= layout.arity
+        if level == layout.root_level:
+            self.engine.root_node.set_child_hash(slot, child_hash)
             return
-        node = self._get_merkle_node(parent_step.address)
-        node.set_child_hash(parent_step.child_slot, child_hash)
-        first = self.merkle_cache.mark_dirty(parent_step.address)
-        slot = self.merkle_cache.slot_of(parent_step.address)
-        self._on_merkle_dirtied(slot, parent_step.address, first)
+        address = layout.level_bases[level] + index * BLOCK_SIZE
+        node = self._get_merkle_node(address)
+        node.set_child_hash(slot, child_hash)
+        first = self.merkle_cache.mark_dirty(address)
+        cache_slot = self.merkle_cache.slot_of(address)
+        self._on_merkle_dirtied(cache_slot, address, first)
 
     # ------------------------------------------------------------------
     # evictions

@@ -50,6 +50,19 @@ class SplitCounterBlock:
         self.major = major & mask(_MAJOR_BITS)
         self.minors = list(minors)
 
+    @classmethod
+    def zero(cls) -> "SplitCounterBlock":
+        """A fresh all-zero block, the value of a never-written page.
+
+        Equal to ``SplitCounterBlock()`` and to ``from_bytes`` of 64 zero
+        bytes, without the constructor's range loop or a parse.  Every
+        call returns its own minors list.
+        """
+        block = cls.__new__(cls)
+        block.major = 0
+        block.minors = [0] * _MINORS_PER_BLOCK
+        return block
+
     def minor(self, slot: int) -> int:
         """Read the minor counter of line ``slot`` (0..63)."""
         return self.minors[slot]

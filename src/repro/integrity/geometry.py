@@ -3,14 +3,16 @@
 A :class:`TreePath` names one step on the walk from a leaf metadata block
 to the on-chip root: the node's (level, index), its memory address when
 the level is stored, and which child slot the *previous* step occupies in
-this node.  Controllers and recovery engines iterate these paths instead
-of re-deriving parent arithmetic everywhere.
+this node.  The batch engine and the tests iterate these paths; the
+Bonsai controller's per-access walks do the same arithmetic on
+:attr:`~repro.mem.layout.MemoryLayout.level_bases` inline.
 """
 
 from __future__ import annotations
 
 from typing import List, NamedTuple, Optional
 
+from repro.config import BLOCK_SIZE
 from repro.mem.layout import MemoryLayout
 
 
@@ -26,27 +28,15 @@ class TreePath(NamedTuple):
     child_slot: int
 
 
-_PATH_CACHE_LIMIT = 1 << 18
-
-
 def path_to_root(layout: MemoryLayout, leaf_address: int) -> List[TreePath]:
-    """Walk from a level-0 metadata block up to the on-chip root.
+    """Walk from a stored metadata block up to the on-chip root.
 
-    The first element is the leaf block itself; the last element is the
+    The first element is the block itself; the last element is the
     root level (``address is None``).  ``child_slot`` of element *i* (for
     i >= 1) names where element *i-1* hangs in element *i*.
-
-    Paths are static for a given layout, so they are memoized on the
-    layout object (this sits on the per-write hot path).
     """
-    cache = getattr(layout, "_path_cache", None)
-    if cache is None:
-        cache = {}
-        layout._path_cache = cache
-    cached = cache.get(leaf_address)
-    if cached is not None:
-        return cached
     level, index = layout.locate_node(leaf_address)
+    bases = layout.level_bases
     arity = layout.arity
     root_level = layout.root_level
     steps: List[TreePath] = [
@@ -54,21 +44,10 @@ def path_to_root(layout: MemoryLayout, leaf_address: int) -> List[TreePath]:
     ]
     while level < root_level:
         child_slot = index % arity
-        level, index = level + 1, index // arity
+        level += 1
+        index //= arity
         address = (
-            layout.node_address(level, index) if level < root_level else None
+            bases[level] + index * BLOCK_SIZE if level < root_level else None
         )
         steps.append(TreePath(level, index, address, child_slot))
-    if len(cache) >= _PATH_CACHE_LIMIT:
-        cache.clear()
-    cache[leaf_address] = steps
     return steps
-
-
-def ancestors(layout: MemoryLayout, leaf_address: int) -> List[TreePath]:
-    """The stored ancestors of a leaf (path minus the leaf and the root)."""
-    return [
-        step
-        for step in path_to_root(layout, leaf_address)[1:]
-        if step.address is not None
-    ]

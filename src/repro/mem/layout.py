@@ -122,11 +122,16 @@ class MemoryLayout:
             region = Region(f"tree_l{level}", cursor, count * BLOCK_SIZE)
             self.level_regions.append(region)
             cursor = region.end
-        # Stored levels are contiguous and ascending, so a bisect over
-        # their bases (with the end of the last as a sentinel) names the
-        # level of any address; see level_of.
-        self._level_bounds = [region.base for region in self.level_regions]
-        self._level_bounds.append(cursor)
+        #: Base address of every stored level, plus the end of the last
+        #: as a sentinel: node ``index`` of ``level`` sits at
+        #: ``level_bases[level] + index * BLOCK_SIZE``.  Stored levels are
+        #: contiguous and ascending, so a bisect over this table names
+        #: the level of any address (see level_of).  Every tree walk
+        #: works from this table.
+        self.level_bases: List[int] = [
+            region.base for region in self.level_regions
+        ]
+        self.level_bases.append(cursor)
 
         shadow_bytes = metadata_cache_blocks * BLOCK_SIZE
         self.sct = Region("sct", cursor, shadow_bytes)
@@ -214,14 +219,14 @@ class MemoryLayout:
                 f"level {level} is not a stored tree level "
                 f"(root level {self.root_level} lives on-chip)"
             )
-        address = self._level_bounds[level] + index * BLOCK_SIZE
-        if address < self._level_bounds[level + 1]:
+        address = self.level_bases[level] + index * BLOCK_SIZE
+        if address < self.level_bases[level + 1]:
             return address
         return self.level_regions[level].block_address(index)  # raises
 
     def level_of(self, address: int) -> int:
         """Stored tree level holding ``address``, or -1 outside the tree."""
-        level = bisect_right(self._level_bounds, address) - 1
+        level = bisect_right(self.level_bases, address) - 1
         return level if level < self.root_level else -1
 
     def locate_node(self, address: int) -> Tuple[int, int]:

@@ -2,12 +2,16 @@
 
 import pytest
 
-from repro.config import SchemeKind, TreeKind, UpdatePolicy
+from repro.config import BLOCK_SIZE, SchemeKind, TreeKind, UpdatePolicy
 from repro.controller.factory import build_controller, build_layout
+from repro.counters.split import SplitCounterBlock
 from repro.crypto.keys import ProcessorKeys
 from repro.errors import IntegrityError
 
 from tests.helpers import line, make_controller, payload, small_config
+
+#: Stored ancestor levels of the small test tree (the root is on-chip).
+STORED_ANCESTOR_LEVELS = range(1, build_layout(small_config()).root_level)
 
 
 class TestReadWritePath:
@@ -72,19 +76,40 @@ class TestIntegrityEnforcement:
             controller.read(line(0))
 
     def test_tampered_tree_node_detected(self):
-        controller = make_controller()
-        controller.write(line(0), payload(1))
-        controller.writeback_all()
-        node_address = controller.layout.ancestors_of_counter(
-            controller.layout.counter_block_for(0)
-        )[0]
-        raw = bytearray(controller.nvm.peek(node_address))
-        raw[0] ^= 1
-        controller.nvm.poke(node_address, bytes(raw))
-        controller.counter_cache.drop_all_volatile()
-        controller.merkle_cache.drop_all_volatile()
-        with pytest.raises(IntegrityError):
-            controller.read(line(0))
+        # Counter block 0o1234 hangs in a different nonzero child slot at
+        # every level; its sibling 0o1235 is never written and shares
+        # every ancestor.  Each stored ancestor level is tampered in turn
+        # on a fresh controller.
+        for level in STORED_ANCESTOR_LEVELS:
+            controller = make_controller()
+            layout = controller.layout
+            page_bytes = layout.lines_per_counter_block * BLOCK_SIZE
+            written, sibling = 0o1234 * page_bytes, 0o1235 * page_bytes
+            controller.write(written, payload(1))
+            controller.writeback_all()
+            node_address = layout.ancestors_of_counter(
+                layout.counter_block_for(written)
+            )[level - 1]
+            # Untampered walks from a cold cache verify, default digests
+            # of never-written blocks included.
+            for address, expected in (
+                (written, payload(1)),
+                (sibling, bytes(64)),
+            ):
+                controller.counter_cache.drop_all_volatile()
+                controller.merkle_cache.drop_all_volatile()
+                assert controller.read(address) == expected, level
+            raw = bytearray(controller.nvm.peek(node_address))
+            raw[0] ^= 1
+            controller.nvm.poke(node_address, bytes(raw))
+            # Cold again: the walk must fetch every level up to the root.
+            controller.counter_cache.drop_all_volatile()
+            controller.merkle_cache.drop_all_volatile()
+            message = (
+                rf"Merkle verification failed for block {node_address:#x}$"
+            )
+            with pytest.raises(IntegrityError, match=message):
+                controller.read(written)
 
     def test_counter_replay_detected(self):
         """Replaying an older (validly formatted) counter block must be
@@ -337,6 +362,19 @@ class TestNeverWrittenBlocks:
         message = f"Merkle verification failed for block {lost:#x}"
         with pytest.raises(IntegrityError, match=message):
             controller.read(line(0))
+
+    def test_never_written_fills_are_distinct(self, bonsai_controller):
+        layout = bonsai_controller.layout
+        first, second = line(0), line(layout.lines_per_counter_block)
+        bonsai_controller.read(first)
+        bonsai_controller.read(second)
+        cache = bonsai_controller.counter_cache
+        block = cache.peek(layout.counter_block_for(first))
+        other = cache.peek(layout.counter_block_for(second))
+        assert block is not other
+        bonsai_controller.write(first, payload(1))
+        assert block.minor(0) == 1
+        assert other == SplitCounterBlock()
 
     def test_poked_default_bytes_accepted(self, bonsai_controller):
         counter_address = bonsai_controller.layout.counter_block_for(0)

@@ -14,6 +14,9 @@ class TestSplitCounterBasics:
         block = SplitCounterBlock()
         assert block.major == 0
         assert all(minor == 0 for minor in block.minors)
+        zero = SplitCounterBlock.zero()
+        assert zero == block == SplitCounterBlock.from_bytes(bytes(64))
+        assert SplitCounterBlock.zero().minors is not zero.minors
 
     def test_zero_block_serializes_to_zeros(self):
         # Load-bearing: untouched NVM (zeros) must parse as a fresh
