@@ -1,6 +1,6 @@
 """Steady-state throughput of batched vs scalar trace replay.
 
-The batch engine (``repro.controller.batch``) vectorizes the
+The batch engine (``repro.controller.batch``) inlines the
 steady-state hot path — warmed metadata caches, cache-fitting working
 set — which is where sweep and campaign wall-clock actually goes.
 This benchmark measures exactly that regime: each workload's footprint

@@ -92,7 +92,6 @@ from repro.sim import (
     run_simulation,
     write_artifact,
 )
-from repro.traces.io import read_trace, write_trace
 from repro.traces import (
     SPEC_PROFILES,
     SyntheticProfile,
@@ -169,8 +168,6 @@ __all__ = [
     "profile",
     "generate_trace",
     "replay",
-    "read_trace",
-    "write_trace",
     # analysis
     "analyze_endurance",
     "EnduranceReport",

@@ -91,26 +91,6 @@ class MetadataCache:
             self.first_dirty += 1
         return first
 
-    def classify_chunk(self, addresses):
-        """Vectorized residency snapshot over a chunk of addresses.
-
-        Returns a boolean numpy array marking which addresses are
-        resident *right now* — no LRU touches, no hit/miss accounting
-        (this is :meth:`contains` over a whole column).  The batch
-        engine uses it to pick fast-path candidates and to scope its
-        per-chunk crypto/ECC precompute; residency can change mid-chunk
-        (a scalar-fallback access may fill or evict), so per-access
-        authority stays with the tag array, and a stale entry here only
-        costs a wasted precompute, never a wrong result.
-        """
-        import numpy as np
-
-        index = self.cache._index
-        if not index:
-            return np.zeros(len(addresses), dtype=bool)
-        resident = np.fromiter(index.keys(), np.int64, count=len(index))
-        return np.isin(addresses, resident)
-
     # thin delegations -------------------------------------------------
 
     def peek(self, address: int) -> Optional[Any]:

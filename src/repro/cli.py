@@ -24,8 +24,6 @@ Commands:
   splicing, shadow-table forgery) and judge every trial against the
   per-scheme security-claims oracle; ``--list`` enumerates the
   catalogue; exits 5 when a claim is violated;
-* ``trace`` — generate a workload trace and save it to a ``.rptr``
-  file for later replay;
 * ``cache`` — inspect (``stats``), bound (``gc``), or wipe (``clear``)
   the content-addressed result cache that ``--cache-dir`` runs consult;
 * ``experiments`` — shorthand for ``python -m repro.experiments``.
@@ -58,7 +56,6 @@ from repro.sim.options import (
     add_cache_dir_argument,
     execution_parser,
 )
-from repro.traces.io import write_trace
 from repro.traces.profiles import profile, profile_names
 from repro.traces.synthetic import generate_trace
 
@@ -679,15 +676,6 @@ def _command_cache(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_trace(args: argparse.Namespace) -> int:
-    trace = generate_trace(
-        profile(args.workload), args.length, seed=args.seed
-    )
-    written = write_trace(trace, args.output)
-    print(f"wrote {trace} to {args.output} ({written:,} bytes)")
-    return 0
-
-
 def _command_experiments(args: argparse.Namespace) -> int:
     from repro.experiments.runner import main as experiments_main
 
@@ -909,15 +897,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="gc: also evict entries older than D days",
     )
     cache.set_defaults(handler=_command_cache)
-
-    trace = commands.add_parser(
-        "trace", help="generate a workload trace file"
-    )
-    trace.add_argument("--workload", choices=profile_names(), default="gcc")
-    trace.add_argument("--length", type=int, default=10_000)
-    trace.add_argument("--seed", type=int, default=0)
-    trace.add_argument("--output", required=True)
-    trace.set_defaults(handler=_command_trace)
 
     experiments = commands.add_parser(
         "experiments", help="run the paper-figure harness"

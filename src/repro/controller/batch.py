@@ -1,23 +1,23 @@
-"""Chunked batch replay engine for Bonsai-family controllers.
+"""Batch replay engine for Bonsai-family controllers.
 
 The scalar path walks ~200 Python calls per access (controller →
-metadata cache → tree → crypto).  This engine processes a trace's
-columnar form (:meth:`repro.traces.trace.Trace.to_columns`) in chunks:
-per chunk it vectorizes address decomposition (`mem/layout`), residency
-classification (`cache/metadata_cache`), and SECDED precompute
-(`mem/ecc`), then runs a specialized inner loop that replays the
-*steady-state hit path* — counter block resident, no minor overflow,
-(eager) tree ancestors resident, no pending evictions — with the exact
-same state mutations the scalar controller performs, in the exact same
-order.  The loop keeps the channel clocks and cache LRU clocks in local
-variables (synced back at every fallback boundary), drains/fills the
-WPQ and seals lines inline (three digests per write from the
-controller's pre-keyed BLAKE2b states: line pad, sideband pad, MAC —
-the pad memo in `crypto/ctr` is bypassed
-because steady-state seals always use a fresh ``(address, major,
-minor)`` tuple and pads are pure, so memo state is unobservable).
-Event tallies accumulate per window and are added to the components'
-plain ``int`` counters once, and tree-hash propagation for dirtied counters is
+metadata cache → tree → crypto).  This engine reads a trace's parallel
+lists (:class:`repro.traces.trace.Trace`) and plans each access inline:
+address validity, counter block address, slot and index, with the
+arithmetic of :meth:`~repro.mem.layout.MemoryLayout.counter_block_for`.
+It then replays the *steady-state hit path* — counter block resident,
+no minor overflow, (eager) tree ancestors resident, no pending
+evictions — with the exact same state mutations the scalar controller
+performs, in the exact same order.  The loop keeps the channel clocks
+and cache LRU clocks in local variables (synced back at every fallback
+boundary), drains/fills the WPQ and seals lines inline (SECDED via
+:meth:`~repro.mem.ecc.SecdedCodec.encode_line`, then three digests per
+write from the controller's pre-keyed BLAKE2b states: line pad,
+sideband pad, MAC — the pad memo in `crypto/ctr` is bypassed because
+steady-state seals always use a fresh ``(address, major, minor)`` tuple
+and pads are pure, so memo state is unobservable).  Event tallies
+accumulate per window and are added to the components' plain ``int``
+counters once, and tree-hash propagation for dirtied counters is
 deferred to window/fallback boundaries where any propagation order
 reproduces the scalar final state.
 
@@ -49,7 +49,7 @@ DESIGN.md).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.config import (
     BLOCK_SIZE,
@@ -60,13 +60,8 @@ from repro.config import (
 from repro.controller.base import SIDEBAND_BYTES
 from repro.controller.bonsai import BonsaiController
 from repro.counters.split import SplitCounterBlock
-from repro.integrity.geometry import path_to_root
 from repro.telemetry.runtime import live_tracer
 from repro.util.bitops import mask
-
-#: Accesses per planning chunk.  Large enough to amortize the numpy
-#: passes, small enough that residency snapshots stay useful.
-DEFAULT_CHUNK = 4096
 
 _MINOR_MAX = mask(SplitCounterBlock.minor_bits)
 
@@ -82,13 +77,12 @@ def scalar_fallback_reason(controller) -> Optional[str]:
       where skipping it is provably exact);
     * STRICT_PERSISTENCE (stages *cached ancestors* and cleans them on
       every write — per-access tree traffic, nothing to batch);
-    * non-64B block geometries (the vectorized decomposition assumes
+    * non-64B block geometries (the inline address arithmetic assumes
       the global ``BLOCK_SIZE``);
     * a single-entry WPQ (the inline insert assumes one access's
       data + counter pair fits without a mid-insert overflow drain);
     * an armed metric sampler (the op-tick series must observe every
-      request in scalar order);
-    * numpy missing.
+      request in scalar order).
     """
     if not isinstance(controller, BonsaiController):
         return "controller"
@@ -104,10 +98,6 @@ def scalar_fallback_reason(controller) -> Optional[str]:
 
     if sampling_active():
         return "sampling"
-    from repro.traces.trace import numpy_or_none
-
-    if numpy_or_none() is None:
-        return "numpy"
     return None
 
 
@@ -123,28 +113,27 @@ def batch_supported(controller) -> bool:
     return scalar_fallback_reason(controller) is None
 
 
-def _tree_path(controller, counter_address: int) -> tuple:
-    """Memoized ``(ancestors, steps)`` of a counter block's tree path.
+def _tree_path(layout, counter_address: int) -> tuple:
+    """``(ancestors, steps)`` of a counter block's tree path.
 
     ``ancestors`` is the tuple of stored (in-memory) ancestor node
     addresses, bottom-up — the fast-path residency guard.  ``steps``
     is the full bottom-up ``(parent_address_or_None, child_slot)``
     sequence the flusher walks; the final step's address is None (the
-    on-chip root).
+    on-chip root).  Built with the ``index //= arity`` walk over
+    ``layout.level_bases`` that :class:`BonsaiController` uses.
     """
-    memo = getattr(controller, "_batch_path_memo", None)
-    if memo is None:
-        memo = controller._batch_path_memo = {}
-    entry = memo.get(counter_address)
-    if entry is None:
-        steps = tuple(
-            (step.address, step.child_slot)
-            for step in path_to_root(controller.layout, counter_address)[1:]
-        )
-        ancestors = tuple(a for a, _ in steps if a is not None)
-        entry = (ancestors, steps)
-        memo[counter_address] = entry
-    return entry
+    bases = layout.level_bases
+    arity = layout.arity
+    index = (counter_address - bases[0]) // BLOCK_SIZE
+    steps = []
+    for level in range(1, layout.root_level):
+        slot = index % arity
+        index //= arity
+        steps.append((bases[level] + index * BLOCK_SIZE, slot))
+    ancestors = tuple(address for address, _ in steps)
+    steps.append((None, index % arity))
+    return ancestors, tuple(steps)
 
 
 def _flush_tree(
@@ -210,20 +199,27 @@ def _flush_tree(
 
 def run_batched_range(
     controller,
-    columns,
+    trace,
     start: int,
     stop: int,
     shadow: Dict[int, bytes],
 ) -> None:
-    """Replay ``columns[start:stop)`` through ``controller``, batched.
+    """Replay accesses ``[start, stop)`` of ``trace`` through
+    ``controller``, batched.
 
     The caller (``replay_batched``) guarantees :func:`batch_supported`
     returned True.  ``shadow`` receives every write's plaintext exactly
     as scalar replay records it.
     """
-    import numpy as np
-
+    addresses = trace.addresses
+    writes = trace.is_write
+    gaps = trace.gaps
+    data = trace.data
     layout = controller.layout
+    # Operands of check_data_address() and counter_block_for(), hoisted.
+    data_end = layout.data.end
+    counter_base = layout.level_bases[0]
+    lines_per_block = layout.lines_per_counter_block
     channel = controller.channel
     timing = channel.timing
     read_ns = timing.nvm_read_ns
@@ -268,9 +264,10 @@ def run_batched_range(
     side_pad = controller.ctr_engine._ecc_pad_hash(SIDEBAND_BYTES).value
     int_from = int.from_bytes
     encode_line = controller.ecc_codec.encode_line
-    encode_lines = controller.ecc_codec.encode_lines
     real_read = controller.read
     real_write = controller.write
+    #: counter address -> (ancestors, steps) of its tree path, kept on
+    #: the controller so segmented replays share it.
     path_memo = getattr(controller, "_batch_path_memo", None)
     if path_memo is None:
         path_memo = controller._batch_path_memo = {}
@@ -334,147 +331,47 @@ def run_batched_range(
     fast_writes_ok = not controller.pregs._open
 
     try:
-        position = start
-        while position < stop:
-            end = min(position + DEFAULT_CHUNK, stop)
-            count = end - position
-            address_col = columns.addresses[position:end]
-            valid_col, caddr_col, cslot_col, cindex_col = (
-                layout.decompose_batch(address_col)
-            )
-            resident_col = counter_meta.classify_chunk(caddr_col)
-            write_col = columns.is_write[position:end]
+        for position in range(start, stop):
+            address = addresses[position]
+            # access(): advance, then opportunistic drain — inlined (the
+            # whole backlog drains; each entry is one NVM write plus
+            # posted channel occupancy).
+            ch_now += gaps[position]
+            if pending:
+                drained = 0
+                while pending:
+                    a, entry = pending.popitem(last=False)
+                    e = entry[1]
+                    nvm_blocks[a] = entry[0]
+                    if e is not None:
+                        nvm_ecc[a] = e
+                    write_counts[a] = write_counts.get(a, 0) + 1
+                    if ch_busy < ch_now:
+                        ch_busy = ch_now
+                    ch_busy += write_occupancy
+                    drained += 1
+                t_wpq_drains += drained
+                t_nvm_writes += drained
+                t_channel_writes += drained
 
-            addresses = address_col.tolist()
-            writes = write_col.tolist()
-            gaps = columns.gaps[position:end].tolist()
-            valid = valid_col.tolist()
-            caddrs = caddr_col.tolist()
-            cslots = cslot_col.tolist()
-            cindices = cindex_col.tolist()
-            data = columns.data
+            # check_data_address(), counter_block_for() and
+            # counter_slot_for(), inlined.  An invalid address takes the
+            # real call below, which raises the scalar path's error.
+            valid = not address % BLOCK_SIZE and 0 <= address < data_end
+            if valid:
+                line = address // BLOCK_SIZE
+                counter_index = line // lines_per_block
+                counter_address = counter_base + counter_index * BLOCK_SIZE
+                cslot = line % lines_per_block
 
-            # Vectorized SECDED precompute for predicted fast writes.
-            ecc_codes: List[Optional[bytes]] = [None] * count
-            if fast_writes_ok:
-                candidates = np.flatnonzero(
-                    write_col & valid_col & resident_col
-                ).tolist()
-                gather = []
-                kept = []
-                for j in candidates:
-                    blob = data[position + j]
-                    if blob is not None and len(blob) == BLOCK_SIZE:
-                        gather.append(blob)
-                        kept.append(j)
-                if gather:
-                    for j, code in zip(kept, encode_lines(gather)):
-                        ecc_codes[j] = code
-
-            for j in range(count):
-                address = addresses[j]
-                # access(): advance, then opportunistic drain — inlined
-                # (the whole backlog drains; each entry is one NVM
-                # write plus posted channel occupancy).
-                ch_now += gaps[j]
-                if pending:
-                    drained = 0
-                    while pending:
-                        a, entry = pending.popitem(last=False)
-                        e = entry[1]
-                        nvm_blocks[a] = entry[0]
-                        if e is not None:
-                            nvm_ecc[a] = e
-                        write_counts[a] = write_counts.get(a, 0) + 1
-                        if ch_busy < ch_now:
-                            ch_busy = ch_now
-                        ch_busy += write_occupancy
-                        drained += 1
-                    t_wpq_drains += drained
-                    t_nvm_writes += drained
-                    t_channel_writes += drained
-
-                if not writes[j]:
-                    # ---------------- read ----------------
-                    slot_index = (
-                        c_index.get(caddrs[j])
-                        if valid[j] and not evictions
-                        else None
-                    )
-                    if slot_index is None:
-                        if pending_tree:
-                            _flush_tree(controller, pending_tree, packed)
-                        channel.now = ch_now
-                        channel.busy_until = ch_busy
-                        counter_sa._clock = c_clock
-                        merkle_sa._clock = m_clock
-                        locals_live = False
-                        real_read(address)
-                        ch_now = channel.now
-                        ch_busy = channel.busy_until
-                        c_clock = counter_sa._clock
-                        m_clock = merkle_sa._clock
-                        locals_live = True
-                        if packed:
-                            packed.clear()
-                        continue
-                    t_data_reads += 1
-                    # counter_cache.access() hit: LRU touch + tally.
-                    t_counter_hits += 1
-                    c_clock += 1
-                    c_stamps[slot_index] = c_clock
-                    minor = c_payloads[slot_index].minors[cslots[j]]
-                    # read_data_line(): the WPQ was just drained, so no
-                    # forwarding; channel.read() + one NVM read.
-                    started = ch_now if ch_now >= ch_busy else ch_busy
-                    done = started + read_ns
-                    ch_busy = done
-                    t_channel_reads += 1
-                    observe_stall(done - ch_now)
-                    ch_now = done
-                    t_nvm_reads += 1
-                    if address not in nvm_blocks:
-                        if minor:
-                            raise IntegrityErrorAt(address)
-                        continue  # architectural zeros, nothing to check
-                    # hash_latency() for the data MAC, then open_data()
-                    # — which deterministically succeeds in a clean
-                    # window (see module docstring), so only its clock
-                    # and counter effects are replayed.
-                    ch_now += hash_ns
-                    t_integrity += 1
-                    continue
-
-                # ---------------- write ----------------
-                blob = data[position + j]
+            if not writes[position]:
+                # ---------------- read ----------------
                 slot_index = (
-                    c_index.get(caddrs[j])
-                    if (
-                        fast_writes_ok
-                        and valid[j]
-                        and not evictions
-                        and blob is not None
-                        and len(blob) == BLOCK_SIZE
-                    )
+                    c_index.get(counter_address)
+                    if valid and not evictions
                     else None
                 )
-                fast = slot_index is not None
-                if fast:
-                    block = c_payloads[slot_index]
-                    cslot = cslots[j]
-                    minor = block.minors[cslot]
-                    if minor >= _MINOR_MAX:
-                        fast = False  # overflow: page re-encryption path
-                    elif eager:
-                        entry = path_memo.get(caddrs[j])
-                        if entry is None:
-                            entry = _tree_path(controller, caddrs[j])
-                        ancestors = entry[0]
-                        for ancestor in ancestors:
-                            if ancestor not in m_index:
-                                fast = False
-                                break
-                if not fast:
+                if slot_index is None:
                     if pending_tree:
                         _flush_tree(controller, pending_tree, packed)
                     channel.now = ch_now
@@ -482,7 +379,7 @@ def run_batched_range(
                     counter_sa._clock = c_clock
                     merkle_sa._clock = m_clock
                     locals_live = False
-                    real_write(address, blob)
+                    real_read(address)
                     ch_now = channel.now
                     ch_busy = channel.busy_until
                     c_clock = counter_sa._clock
@@ -490,106 +387,174 @@ def run_batched_range(
                     locals_live = True
                     if packed:
                         packed.clear()
-                    shadow[address] = blob
                     continue
-
-                counter_address = caddrs[j]
-                t_data_writes += 1
-                # _get_counter_block() hit then mark_dirty(): two LRU
-                # touches; only the second stamp survives, so bump the
-                # clock by two and store once.
+                t_data_reads += 1
+                # counter_cache.access() hit: LRU touch + tally.
                 t_counter_hits += 1
-                c_clock += 2
+                c_clock += 1
                 c_stamps[slot_index] = c_clock
-                # block.increment(): no overflow by the guard above.
-                new_minor = minor + 1
-                block.minors[cslot] = new_minor
-                word = packed.get(counter_address)
-                if word is None:
-                    word = block.major
-                    shift = 64
-                    for m in block.minors:
-                        word |= m << shift
-                        shift += minor_bits
-                else:
-                    word += 1 << (64 + minor_bits * cslot)
-                packed[counter_address] = word
-                first = not c_dirty[slot_index]
-                if first:
-                    c_dirty[slot_index] = True
-                    t_counter_first += 1
-                if counter_hook is not None:
-                    counter_hook(slot_index, counter_address, first)
+                minor = c_payloads[slot_index].minors[cslot]
+                # read_data_line(): the WPQ was just drained, so no
+                # forwarding; channel.read() + one NVM read.
+                started = ch_now if ch_now >= ch_busy else ch_busy
+                done = started + read_ns
+                ch_busy = done
+                t_channel_reads += 1
+                observe_stall(done - ch_now)
+                ch_now = done
+                t_nvm_reads += 1
+                if address not in nvm_blocks:
+                    if minor:
+                        raise IntegrityErrorAt(address)
+                    continue  # architectural zeros, nothing to check
+                # hash_latency() for the data MAC, then open_data() —
+                # which deterministically succeeds in a clean window
+                # (see module docstring), so only its clock and counter
+                # effects are replayed.
+                ch_now += hash_ns
+                t_integrity += 1
+                continue
 
-                if eager:
-                    # _eager_update_ancestors(), hash math deferred: per
-                    # level one access() hit touch + one mark_dirty().
-                    for ancestor in ancestors:
-                        merkle_slot = m_index[ancestor]
-                        t_merkle_hits += 1
-                        m_clock += 2
-                        m_stamps[merkle_slot] = m_clock
-                        merkle_first = not m_dirty[merkle_slot]
-                        if merkle_first:
-                            m_dirty[merkle_slot] = True
-                            t_merkle_first += 1
-                        if merkle_hook is not None:
-                            merkle_hook(merkle_slot, ancestor, merkle_first)
-                    pending_tree[counter_address] = block
-
-                # seal_data(), inlined: SECDED (precomputed when
-                # predicted), keyed MAC, counter-mode pads straight from
-                # BLAKE2b (bypassing the pad memo — the tuple is fresh,
-                # so a memo round-trip is pure overhead), optional phase
-                # byte.  Bit-for-bit the scalar seal.
-                ecc = ecc_codes[j]
-                if ecc is None:
-                    ecc = encode_line(blob)
-                major = block.major
-                iv = (
-                    address.to_bytes(8, "little")
-                    + major.to_bytes(8, "little")
-                    + new_minor.to_bytes(8, "little")
+            # ---------------- write ----------------
+            blob = data[position]
+            slot_index = (
+                c_index.get(counter_address)
+                if (
+                    fast_writes_ok
+                    and valid
+                    and not evictions
+                    and blob is not None
+                    and len(blob) == BLOCK_SIZE
                 )
-                mac = data_mac(iv + blob)
-                cipher = (int_from(blob, "little") ^ line_pad(iv)).to_bytes(
-                    BLOCK_SIZE, "little"
-                )
-                sideband = (
-                    int_from(ecc + mac.to_bytes(8, "little"), "little")
-                    ^ side_pad(b"ecc" + iv)
-                ).to_bytes(SIDEBAND_BYTES, "little")
-                if phase_recovery:
-                    sideband += bytes([new_minor & phase_mask])
-
-                # pregs.begin()/stage()/commit() reduces to in-order WPQ
-                # inserts of the staged group (data line first, then the
-                # counter block when the scheme persists it).  The queue
-                # is empty or holds at most this access's entries, so no
-                # coalesce and no overflow drain (capacity >= 2 checked
-                # by batch_supported).
-                pending[address] = (cipher, sideband)
-                t_wpq_inserts += 1
-                pushed = 1
-                if selective:
-                    if cindices[j] < selective_boundary:
-                        pending[counter_address] = (
-                            word.to_bytes(BLOCK_SIZE, "little"),
-                            None,
+                else None
+            )
+            fast = slot_index is not None
+            if fast:
+                block = c_payloads[slot_index]
+                minor = block.minors[cslot]
+                if minor >= _MINOR_MAX:
+                    fast = False  # overflow: page re-encryption path
+                elif eager:
+                    entry = path_memo.get(counter_address)
+                    if entry is None:
+                        entry = path_memo[counter_address] = _tree_path(
+                            layout, counter_address
                         )
-                        t_wpq_inserts += 1
-                        pushed = 2
-                elif use_stop_loss and new_minor % stop_loss == 0:
+                    ancestors = entry[0]
+                    for ancestor in ancestors:
+                        if ancestor not in m_index:
+                            fast = False
+                            break
+            if not fast:
+                if pending_tree:
+                    _flush_tree(controller, pending_tree, packed)
+                channel.now = ch_now
+                channel.busy_until = ch_busy
+                counter_sa._clock = c_clock
+                merkle_sa._clock = m_clock
+                locals_live = False
+                real_write(address, blob)
+                ch_now = channel.now
+                ch_busy = channel.busy_until
+                c_clock = counter_sa._clock
+                m_clock = merkle_sa._clock
+                locals_live = True
+                if packed:
+                    packed.clear()
+                shadow[address] = blob
+                continue
+
+            t_data_writes += 1
+            # _get_counter_block() hit then mark_dirty(): two LRU
+            # touches; only the second stamp survives, so bump the
+            # clock by two and store once.
+            t_counter_hits += 1
+            c_clock += 2
+            c_stamps[slot_index] = c_clock
+            # block.increment(): no overflow by the guard above.
+            new_minor = minor + 1
+            block.minors[cslot] = new_minor
+            word = packed.get(counter_address)
+            if word is None:
+                word = block.major
+                shift = 64
+                for m in block.minors:
+                    word |= m << shift
+                    shift += minor_bits
+            else:
+                word += 1 << (64 + minor_bits * cslot)
+            packed[counter_address] = word
+            first = not c_dirty[slot_index]
+            if first:
+                c_dirty[slot_index] = True
+                t_counter_first += 1
+            if counter_hook is not None:
+                counter_hook(slot_index, counter_address, first)
+
+            if eager:
+                # _eager_update_ancestors(), hash math deferred: per
+                # level one access() hit touch + one mark_dirty().
+                for ancestor in ancestors:
+                    merkle_slot = m_index[ancestor]
+                    t_merkle_hits += 1
+                    m_clock += 2
+                    m_stamps[merkle_slot] = m_clock
+                    merkle_first = not m_dirty[merkle_slot]
+                    if merkle_first:
+                        m_dirty[merkle_slot] = True
+                        t_merkle_first += 1
+                    if merkle_hook is not None:
+                        merkle_hook(merkle_slot, ancestor, merkle_first)
+                pending_tree[counter_address] = block
+
+            # seal_data(), inlined: SECDED, keyed MAC, counter-mode pads
+            # straight from BLAKE2b (bypassing the pad memo — the tuple
+            # is fresh, so a memo round-trip is pure overhead), optional
+            # phase byte.  Bit-for-bit the scalar seal.
+            ecc = encode_line(blob)
+            major = block.major
+            iv = (
+                address.to_bytes(8, "little")
+                + major.to_bytes(8, "little")
+                + new_minor.to_bytes(8, "little")
+            )
+            mac = data_mac(iv + blob)
+            cipher = (int_from(blob, "little") ^ line_pad(iv)).to_bytes(
+                BLOCK_SIZE, "little"
+            )
+            sideband = (
+                int_from(ecc + mac.to_bytes(8, "little"), "little")
+                ^ side_pad(b"ecc" + iv)
+            ).to_bytes(SIDEBAND_BYTES, "little")
+            if phase_recovery:
+                sideband += bytes([new_minor & phase_mask])
+
+            # pregs.begin()/stage()/commit() reduces to in-order WPQ
+            # inserts of the staged group (data line first, then the
+            # counter block when the scheme persists it).  The queue is
+            # empty or holds at most this access's entries, so no
+            # coalesce and no overflow drain (capacity >= 2 checked by
+            # batch_supported).
+            pending[address] = (cipher, sideband)
+            t_wpq_inserts += 1
+            pushed = 1
+            if selective:
+                if counter_index < selective_boundary:
                     pending[counter_address] = (
                         word.to_bytes(BLOCK_SIZE, "little"),
                         None,
                     )
                     t_wpq_inserts += 1
                     pushed = 2
-                t_persist += pushed
-                shadow[address] = blob
-
-            position = end
+            elif use_stop_loss and new_minor % stop_loss == 0:
+                pending[counter_address] = (
+                    word.to_bytes(BLOCK_SIZE, "little"),
+                    None,
+                )
+                t_wpq_inserts += 1
+                pushed = 2
+            t_persist += pushed
+            shadow[address] = blob
     except IntegrityErrorAt as marker:
         from repro.errors import IntegrityError
 

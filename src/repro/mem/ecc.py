@@ -139,40 +139,6 @@ class SecdedCodec:
             codes ^= int.from_bytes(line[k::8].translate(table), "little")
         return codes.to_bytes(ECC_BYTES, "little")
 
-    def encode_lines(self, lines: List[bytes]) -> List[bytes]:
-        """Batch :meth:`encode_line` over many 64B lines at once.
-
-        Used by the batched replay engine to precompute a whole chunk's
-        ECC codes with eight ``np.bitwise_count`` passes over the chunk
-        instead of eight table translations per line.  Falls back to the
-        scalar encoder without numpy; outputs are identical either way.
-        """
-        if not lines:
-            return []
-        try:
-            import numpy as np
-
-            popcount = np.bitwise_count
-        except (ImportError, AttributeError):  # pragma: no cover
-            return [self.encode_line(line) for line in lines]
-        for line in lines:
-            if len(line) != BLOCK_SIZE:
-                raise ValueError(f"line must be {BLOCK_SIZE} bytes")
-        words = np.frombuffer(b"".join(lines), dtype="<u8")
-        codes = np.zeros(words.shape, dtype=np.uint8)
-        for i in range(_PARITY_BITS):
-            mask = np.uint64(_PARITY_MASKS[i])
-            codes |= (popcount(words & mask) & 1).astype(np.uint8) << i
-        overall = (popcount(words) & 1).astype(np.uint8) ^ (
-            popcount(codes) & 1
-        )
-        codes |= overall << 7
-        blob = codes.tobytes()
-        return [
-            blob[offset : offset + ECC_BYTES]
-            for offset in range(0, len(blob), ECC_BYTES)
-        ]
-
     def is_sane(self, line: bytes, ecc: bytes) -> bool:
         """Osiris sanity check: True iff every word is clean (no errors).
 

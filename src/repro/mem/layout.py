@@ -176,38 +176,6 @@ class MemoryLayout:
         line = data_address // BLOCK_SIZE
         return line % self.lines_per_counter_block
 
-    def decompose_batch(self, addresses):
-        """Vectorized data-address decomposition for the batch engine.
-
-        ``addresses`` is an int64 numpy array of data addresses; returns
-        ``(valid, counter_addresses, counter_slots, counter_indices)``
-        element-aligned arrays, where ``valid`` marks addresses that
-        would pass :meth:`check_data_address` (invalid entries carry
-        clamped garbage in the other columns and must be handled on the
-        scalar path, which re-raises the exact error).  ``counter_
-        indices`` is the counter region block index — what SELECTIVE's
-        persistence boundary compares against.
-        """
-        import numpy as np
-
-        valid = (
-            (addresses % BLOCK_SIZE == 0)
-            & (addresses >= 0)
-            & (addresses < self.data.end)
-        )
-        lines = addresses // BLOCK_SIZE
-        counter_indices = lines // self.lines_per_counter_block
-        # Clamp invalid rows into range so the arithmetic below cannot
-        # index outside the counter region (their values are unused).
-        counter_indices = np.clip(
-            counter_indices, 0, self.counter_region.num_blocks - 1
-        )
-        counter_addresses = (
-            self.counter_region.base + counter_indices * BLOCK_SIZE
-        )
-        counter_slots = lines % self.lines_per_counter_block
-        return valid, counter_addresses, counter_slots, counter_indices
-
     # ------------------------------------------------------------------
     # tree navigation
     # ------------------------------------------------------------------

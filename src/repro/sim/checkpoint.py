@@ -99,48 +99,15 @@ def fingerprint(*parts: Any) -> str:
     return full_fingerprint(*parts)[:16]
 
 
-def _hash_trace_stream(trace) -> str:
-    """Full sha256 of a trace's content stream (name + every request).
-
-    The byte stream is frozen: ``name`` then, per request,
-    ``|op:address:gap_ns:`` + data.  Changing it would silently orphan
-    every result-store entry keyed on a trace.
-    """
-    digest = hashlib.sha256()
-    digest.update(trace.name.encode("utf-8"))
-    buffer = bytearray()
-    for request in trace:
-        buffer += (
-            f"|{request.op.value}:{request.address}:{request.gap_ns!r}:".encode()
-        )
-        if request.data:
-            buffer += request.data
-        if len(buffer) >= _TRACE_HASH_CHUNK:
-            digest.update(buffer)
-            buffer.clear()
-    if buffer:
-        digest.update(buffer)
-    return digest.hexdigest()
-
-
-#: Flush threshold for chunked trace hashing — large enough that the
-#: per-update overhead vanishes, small enough to keep the buffer cheap.
-_TRACE_HASH_CHUNK = 1 << 20
-
-
 def trace_digest(trace) -> str:
     """Full 64-hex-digit content digest of a trace, memoized.
 
-    :class:`~repro.traces.trace.Trace` caches the digest per instance
-    (invalidated on mutation); duck-typed request iterables are hashed
-    directly.  The result-cache key for a cell is built from this full
-    digest — see the fingerprint-truncation note on
-    :func:`full_fingerprint`.
+    :meth:`~repro.traces.trace.Trace.content_digest` caches the digest
+    per instance (invalidated on mutation).  The result-cache key for a
+    cell is built from this full digest — see the fingerprint-truncation
+    note on :func:`full_fingerprint`.
     """
-    compute = getattr(trace, "content_digest", None)
-    if compute is not None:
-        return compute()
-    return _hash_trace_stream(trace)
+    return trace.content_digest()
 
 
 # ----------------------------------------------------------------------

@@ -5,13 +5,13 @@ asked, keeps a plain dict of the latest plaintext per address — the
 oracle the crash/recovery tests compare post-recovery reads against.
 It is the one scalar replay loop.
 
-:func:`replay_batched` is the drop-in fast variant: it feeds the
-trace's columnar form through the chunked batch engine
-(:mod:`repro.controller.batch`) whenever
-:func:`~repro.controller.batch.batch_supported` accepts the controller,
-and runs :func:`replay` otherwise — under a live telemetry session, an
-armed metric sampler, and for controllers the batch engine does not
-support.  Results are identical to :func:`replay` in all cases; only
+:func:`replay_batched` is the drop-in fast variant: it hands the
+trace's parallel lists to the batch engine
+(:mod:`repro.controller.batch`), which plans each access inline,
+whenever :func:`~repro.controller.batch.batch_supported` accepts the
+controller, and runs :func:`replay` otherwise — under a live telemetry
+session, an armed metric sampler, and for controllers the batch engine
+does not support.  Results are identical to :func:`replay` in all cases; only
 wall-clock differs.
 """
 
@@ -123,8 +123,7 @@ def replay_batched(
             start=start,
             stop=stop,
         )
-    columns = trace.to_columns() if batch_supported(controller) else None
-    if columns is None:
+    if not batch_supported(controller):
         return replay(controller, trace, shadow, start=start, stop=stop)
-    run_batched_range(controller, columns, start, stop, shadow)
+    run_batched_range(controller, trace, start, stop, shadow)
     return shadow

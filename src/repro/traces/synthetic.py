@@ -13,10 +13,9 @@ import zlib
 from typing import Optional
 
 from repro.config import BLOCK_SIZE
-from repro.controller.access import MemoryRequest, Op
 from repro.errors import ConfigError
 from repro.traces.profiles import SyntheticProfile
-from repro.traces.trace import Trace, TraceColumns
+from repro.traces.trace import Trace
 
 
 def _payload(rng: random.Random) -> bytes:
@@ -80,15 +79,15 @@ def generate_trace(
     rng = random.Random(zlib.crc32(profile.name.encode("utf-8")) ^ seed)
     source = _AddressSource(profile, rng, region_base)
 
-    # Generate straight into parallel columns — no per-access objects
-    # when the consumer is the batched engine or the digest hasher.  The
-    # RNG call sequence below is frozen: it must match what the old
-    # object-building loop performed, or every seeded trace digest (and
-    # with it every result-store key) silently changes.
-    addresses: list = []
-    is_write: list = []
-    gaps: list = []
-    payloads: list = []
+    # Generate straight into the trace's parallel lists — no per-access
+    # objects.  The RNG call sequence below is frozen: it must match
+    # what the old object-building loop performed, or every seeded trace
+    # digest (and with it every result-store key) silently changes.
+    trace = Trace(profile.name)
+    addresses = trace.addresses
+    is_write = trace.is_write
+    gaps = trace.gaps
+    payloads = trace.data
     count = 0
 
     while count < length:
@@ -116,21 +115,6 @@ def generate_trace(
                 gaps.append(gap)
                 payloads.append(None)
                 count += 1
-
-    columns = TraceColumns.from_lists(addresses, is_write, gaps, payloads)
-    if columns is not None:
-        trace = Trace.from_columns(profile.name, columns)
-    else:  # pragma: no cover - numpy ships in the environment
-        trace = Trace(name=profile.name)
-        trace.extend(
-            MemoryRequest(
-                op=Op.WRITE if is_write[i] else Op.READ,
-                address=addresses[i],
-                data=payloads[i],
-                gap_ns=gaps[i],
-            )
-            for i in range(count)
-        )
 
     if capacity_bytes is not None:
         trace.validate(capacity_bytes)

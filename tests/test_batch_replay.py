@@ -1,19 +1,19 @@
 """Batched replay is indistinguishable from scalar replay.
 
-The batch engine (:mod:`repro.controller.batch`) vectorizes the
+The batch engine (:mod:`repro.controller.batch`) inlines the
 steady-state hot path; its contract is *bit-identical results* — every
 statistic, clock, cache line, LRU stamp, NVM byte, and raised error
 must match a request-by-request run.  These tests hold it to that
-contract across schemes, trees, workload shapes, chunk boundaries and
-segmented replays, and unit-test the vectorized helpers against their
-scalar counterparts.
+contract across schemes, trees, workload shapes, invalid addresses and
+segmented replays.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.config import BLOCK_SIZE, SchemeKind, TreeKind
+from repro.config import SchemeKind, TreeKind
+from repro.controller.access import MemoryRequest, Op
 from repro.controller.factory import build_controller, build_layout
 from repro.crypto.keys import ProcessorKeys
 from repro.sim.engine import run_simulation
@@ -158,11 +158,9 @@ class TestBatchScalarIdentity:
 
 
 class TestSegmentedReplay:
-    def test_start_stop_segments_equal_one_pass(self, monkeypatch):
+    def test_start_stop_segments_equal_one_pass(self):
         # The fault campaign replays segment-by-segment, pausing at
         # snapshot boundaries; the concatenation must equal one pass.
-        # Short chunks put chunk boundaries inside the segments too.
-        monkeypatch.setattr("repro.controller.batch.DEFAULT_CHUNK", 256)
         trace = generate_trace(UNIFORM, 2500, seed=41)
         whole = build_controller(
             small_config(SchemeKind.OSIRIS), keys=ProcessorKeys(7)
@@ -278,68 +276,47 @@ class TestResultCacheKeys:
         assert other.get(miss, kind="simulation-result") is None
 
 
-class TestVectorizedHelpers:
-    def test_decompose_batch_matches_scalar(self):
-        np = pytest.importorskip("numpy")
-        layout = build_layout(small_config())
-        addresses = np.array(
-            [
-                0,
-                64,
-                4096,
-                layout.data.end - BLOCK_SIZE,
-                layout.data.end,  # out of range
-                -64,  # negative
-                65,  # misaligned
-                BLOCK_SIZE * 1000,
-            ],
-            dtype=np.int64,
+class TestInvalidAddresses:
+    @pytest.mark.parametrize(
+        "op, where",
+        [(Op.WRITE, "misaligned"), (Op.READ, "out_of_range"),
+         (Op.WRITE, "negative")],
+    )
+    def test_same_error_at_same_access(self, op, where):
+        # An invalid address mid-trace raises the scalar path's error
+        # from the batch engine, at the same access, leaving the same
+        # controller state behind.
+        layout = build_layout(small_config(SchemeKind.OSIRIS))
+        address = {
+            "misaligned": 65,
+            "out_of_range": layout.data.end,
+            "negative": -64,
+        }[where]
+        bad = MemoryRequest(
+            op=op,
+            address=address,
+            data=bytes(64) if op is Op.WRITE else None,
         )
-        valid, caddr, cslot, cindex = layout.decompose_batch(addresses)
-        for j, address in enumerate(addresses.tolist()):
-            if valid[j]:
-                assert caddr[j] == layout.counter_block_for(address)
-                assert cslot[j] == layout.counter_slot_for(address)
-            else:
-                with pytest.raises(Exception):
-                    layout.check_data_address(address)
-
-    def test_classify_chunk_matches_contains(self):
-        np = pytest.importorskip("numpy")
-        controller = build_controller(
-            small_config(), keys=ProcessorKeys(1)
+        requests = list(generate_trace(UNIFORM, 2500, seed=41))
+        trace = Trace("invalid", requests[:1200] + [bad] + requests[1200:])
+        outcomes = []
+        for run in (replay, replay_batched):
+            controller = build_controller(
+                small_config(SchemeKind.OSIRIS), keys=ProcessorKeys(7)
+            )
+            oracle: dict = {}
+            with pytest.raises(Exception) as raised:
+                run(controller, trace, oracle)
+            outcomes.append(
+                (type(raised.value), str(raised.value), oracle,
+                 fingerprint(controller))
+            )
+        assert outcomes[1] == outcomes[0]
+        # The error came at the bad access: the oracle holds exactly
+        # the writes that precede it.
+        assert outcomes[0][2] == replay(
+            build_controller(
+                small_config(SchemeKind.OSIRIS), keys=ProcessorKeys(7)
+            ),
+            Trace("prefix", requests[:1200]),
         )
-        trace = generate_trace(UNIFORM, 400, seed=8)
-        replay(controller, trace)
-        cache = controller.counter_cache
-        probe = np.array(
-            [request.address for request in trace][:200], dtype=np.int64
-        )
-        counters = np.array(
-            [
-                controller.layout.counter_block_for(int(address))
-                for address in probe.tolist()
-            ],
-            dtype=np.int64,
-        )
-        resident = cache.classify_chunk(counters)
-        for j, address in enumerate(counters.tolist()):
-            assert bool(resident[j]) == cache.contains(address)
-
-    def test_to_columns_round_trip(self):
-        trace = generate_trace(HOT_COLD, 300, seed=5)
-        columns = trace.to_columns()
-        if columns is None:
-            pytest.skip("numpy unavailable")
-        assert columns.length == len(trace)
-        rebuilt = Trace.from_columns(trace.name, columns)
-        assert list(rebuilt) == list(trace)
-        assert list(trace.iter_range(50, 120)) == list(trace)[50:120]
-
-    def test_encode_lines_matches_encode_line(self):
-        controller = build_controller(small_config(), keys=ProcessorKeys(1))
-        ecc = controller.ecc_codec
-        lines = [bytes([tag] * BLOCK_SIZE) for tag in range(17)]
-        assert ecc.encode_lines(lines) == [
-            ecc.encode_line(line) for line in lines
-        ]

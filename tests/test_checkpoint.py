@@ -85,7 +85,7 @@ class TestFingerprints:
         assert trace.content_digest() == before
         assert trace._digest_memo == before
         # Mutation invalidates the memo: the digest tracks content.
-        trace.append(trace.requests[0])
+        trace.append(list(trace)[0])
         assert trace._digest_memo is None
         assert trace.content_digest() != before
 

@@ -87,27 +87,6 @@ class TestCrashDemo:
         assert "not recoverable" in capsys.readouterr().out
 
 
-class TestTraceCommand:
-    def test_writes_trace_file(self, tmp_path, capsys):
-        output = tmp_path / "gcc.rptr"
-        code = main(
-            [
-                "trace",
-                "--workload",
-                "gcc",
-                "--length",
-                "300",
-                "--output",
-                str(output),
-            ]
-        )
-        assert code == 0
-        assert output.exists()
-        from repro.traces.io import read_trace
-
-        assert len(read_trace(output)) == 300
-
-
 class TestExperimentsPassthrough:
     def test_forwards_to_runner(self, capsys):
         assert main(["experiments", "fig05"]) == 0

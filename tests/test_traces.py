@@ -62,6 +62,16 @@ class TestTraceContainer:
         trace.append(MemoryRequest(op=Op.WRITE, address=0, data=bytes(64)))
         trace.validate(1024)
 
+    def test_iter_range_matches_slice(self):
+        trace = generate_trace(profile("gcc"), 300, seed=5)
+        assert list(trace.iter_range(50, 120)) == list(trace)[50:120]
+
+    def test_rebuilt_from_requests_is_equal(self):
+        generated = generate_trace(profile("gcc"), 300, seed=5)
+        rebuilt = Trace(generated.name, list(generated))
+        assert rebuilt == generated
+        assert rebuilt.content_digest() == generated.content_digest()
+
 
 class TestProfiles:
     def test_eleven_benchmarks(self):
@@ -176,7 +186,8 @@ class TestGenerator:
             footprint_bytes=MIB, rewrite_count=4,
         )
         trace = generate_trace(entry, length=8)
-        assert trace.requests[0].address == trace.requests[3].address
+        requests = list(trace)
+        assert requests[0].address == requests[3].address
 
     def test_gaps_positive(self):
         trace = generate_trace(profile("gcc"), length=200)
