@@ -17,7 +17,12 @@ from __future__ import annotations
 import abc
 from typing import Dict, Optional, Tuple
 
-from repro.config import CounterRecoveryKind, SystemConfig, TreeKind
+from repro.config import (
+    BLOCK_SIZE,
+    CounterRecoveryKind,
+    SystemConfig,
+    TreeKind,
+)
 from repro.controller.access import MemoryRequest, Op
 from repro.crypto.ctr import CounterModeEngine
 from repro.crypto.hashes import mac56_keyed
@@ -33,6 +38,7 @@ from repro.util.stats import StatGroup
 
 #: Bytes of the per-line sideband blob: SECDED code then truncated MAC.
 SIDEBAND_BYTES = ECC_BYTES + 8
+_ZERO_LINE = bytes(BLOCK_SIZE)
 
 
 class SecureMemoryController(abc.ABC):
@@ -154,12 +160,14 @@ class SecureMemoryController(abc.ABC):
     # data-path helpers shared by both tree families
     # ------------------------------------------------------------------
 
-    def read_block(self, address: int, charge: bool = True) -> Tuple[bytes, bool]:
+    def read_block(
+        self, address: int, charge: bool = True
+    ) -> Tuple[Optional[bytes], bool]:
         """Fetch a 64B block with WPQ forwarding.
 
-        Returns ``(bytes, fresh)`` where ``fresh`` is False for a block
-        that has never been written (its content is architectural zeros
-        and carries no ECC/MAC to check).
+        Returns ``(bytes, True)`` for a written block and ``(None,
+        False)`` for a never-written one, whose content the caller
+        knows: its tree level's default node.
         """
         forwarded = self.wpq.lookup(address)
         if forwarded is not None:
@@ -172,7 +180,8 @@ class SecureMemoryController(abc.ABC):
         """Fetch a data line and its sideband with WPQ forwarding.
 
         Returns ``(ciphertext, sideband, fresh)``; ``fresh`` is False for
-        a never-written line (architectural zeros, nothing to verify).
+        a never-written line, whose ciphertext reads as architectural
+        zeros with nothing to verify.
         """
         entry = self.wpq.lookup_entry(address)
         if entry is not None:
@@ -182,6 +191,8 @@ class SecureMemoryController(abc.ABC):
             ), True
         self.channel.read()
         data, written = self.nvm.read_written(address)
+        if data is None:
+            data = _ZERO_LINE
         return data, self.nvm.read_ecc(address), written
 
     def pack_sideband(self, ecc: bytes, mac: int) -> bytes:

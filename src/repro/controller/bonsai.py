@@ -99,9 +99,12 @@ class BonsaiController(SecureMemoryController):
         """Decrypt and integrity-check one data line."""
         self.layout.check_data_address(address)
         self.data_reads += 1
-        counter_address = self.layout.counter_block_for(address)
-        block = self._get_counter_block(counter_address)
-        slot = self.layout.counter_slot_for(address)
+        index, slot = divmod(
+            address // BLOCK_SIZE, self.layout.lines_per_counter_block
+        )
+        block = self._get_counter_block(
+            self.layout.level_bases[0] + index * BLOCK_SIZE
+        )
         major, minor = block.iv_pair(slot)
         cipher, sideband, fresh = self.read_data_line(address)
         self._drain_evictions()
@@ -124,9 +127,11 @@ class BonsaiController(SecureMemoryController):
         """Encrypt, persist, and update metadata for one data line."""
         self.layout.check_data_address(address)
         self.data_writes += 1
-        counter_address = self.layout.counter_block_for(address)
+        index, slot = divmod(
+            address // BLOCK_SIZE, self.layout.lines_per_counter_block
+        )
+        counter_address = self.layout.level_bases[0] + index * BLOCK_SIZE
         block = self._get_counter_block(counter_address)
-        slot = self.layout.counter_slot_for(address)
 
         minor_max = (1 << block.minor_bits) - 1
         if block.minor(slot) == minor_max:
@@ -209,9 +214,10 @@ class BonsaiController(SecureMemoryController):
         self._flush_pending_eviction(counter_address)
         raw, written = self.read_block(counter_address)
         self.meta_fetches += 1
-        self._verify_chain(counter_address, raw, written)
-        # A never-written block verified against default_hashes[0], the
-        # digest of the all-zero block, so it needs no parse.
+        self._verify_chain(0, counter_address, raw, written)
+        # A never-written block (``raw`` None) verified against
+        # default_hashes[0], the digest of the all-zero block, so it
+        # needs no parse.
         block = (
             SplitCounterBlock.from_bytes(raw)
             if written
@@ -224,8 +230,9 @@ class BonsaiController(SecureMemoryController):
         self._drain_evictions()
         return block
 
-    def _get_merkle_node(self, node_address: int) -> BonsaiNode:
-        """Return the cached tree node, fetching + verifying on miss."""
+    def _get_merkle_node(self, level: int, node_address: int) -> BonsaiNode:
+        """Return the cached tree node at stored ``level``, fetching +
+        verifying on miss."""
         node = self.merkle_cache.access(node_address)
         if node is not None:
             return node
@@ -233,8 +240,10 @@ class BonsaiController(SecureMemoryController):
         self._flush_pending_eviction(node_address)
         raw, written = self.read_block(node_address)
         self.meta_fetches += 1
-        self._verify_chain(node_address, raw, written)
-        node = BonsaiNode.from_bytes(raw)
+        self._verify_chain(level, node_address, raw, written)
+        node = BonsaiNode.from_bytes(
+            raw if written else self.engine.default_node_bytes(level)
+        )
         slot, eviction = self.merkle_cache.fill(node_address, node)
         self._on_merkle_filled(slot, node_address)
         if eviction is not None:
@@ -243,7 +252,11 @@ class BonsaiController(SecureMemoryController):
         return node
 
     def _verify_chain(
-        self, block_address: int, block_bytes: bytes, written: bool
+        self,
+        level: int,
+        block_address: int,
+        block_bytes: Optional[bytes],
+        written: bool,
     ) -> None:
         """Verify a fetched metadata block up to the first trusted level.
 
@@ -252,15 +265,14 @@ class BonsaiController(SecureMemoryController):
         at the first cached (already-verified) node or at the on-chip
         root; then checks hashes top-down.  Fetched ancestors are
         inserted into the Merkle cache (§2.3.1).  A block that was never
-        written (``written`` False, from :meth:`read_block`) holds its
-        level's default bytes, so its digest is the engine's kept
-        ``default_hashes[level]`` instead of a fresh one.
+        written (``written`` False, bytes None from :meth:`read_block`)
+        holds its level's default bytes, so its digest is the engine's
+        kept ``default_hashes[level]`` instead of a fresh one.
         """
         bases = self.layout.level_bases
         arity = self.layout.arity
         root_level = self.layout.root_level
         peek = self.merkle_cache.peek
-        level = self.layout.level_of(block_address)
         index = (block_address - bases[level]) // BLOCK_SIZE
         # (level, address, slot in parent, raw bytes, written), bottom-up
         chain = [(level, block_address, index % arity, block_bytes, written)]
@@ -302,6 +314,8 @@ class BonsaiController(SecureMemoryController):
                     f"Merkle verification failed for block {address:#x}"
                 )
             if position:
+                if not raw_written:
+                    raw = self.engine.default_node_bytes(level)
                 parent_node = BonsaiNode.from_bytes(raw)
                 verified.append((address, parent_node))
             # position 0 verified `block_bytes`; nothing below it
@@ -333,7 +347,7 @@ class BonsaiController(SecureMemoryController):
             slot = index % arity
             index //= arity
             address = bases[level] + index * BLOCK_SIZE
-            node = self._get_merkle_node(address)
+            node = self._get_merkle_node(level, address)
             node.set_child_hash(slot, child_hash)
             first = self.merkle_cache.mark_dirty(address)
             cache_slot = self.merkle_cache.slot_of(address)
@@ -355,7 +369,7 @@ class BonsaiController(SecureMemoryController):
             self.engine.root_node.set_child_hash(slot, child_hash)
             return
         address = layout.level_bases[level] + index * BLOCK_SIZE
-        node = self._get_merkle_node(address)
+        node = self._get_merkle_node(level, address)
         node.set_child_hash(slot, child_hash)
         first = self.merkle_cache.mark_dirty(address)
         cache_slot = self.merkle_cache.slot_of(address)

@@ -11,6 +11,14 @@ never be replayed.  Cached nodes carry their fill-time parent nonce
 residency because the parent nonce for a node only changes when that
 node itself is evicted.
 
+Tree positions are integer arithmetic on ``MemoryLayout.level_bases``:
+node ``index`` of stored level ``level`` sits at ``level_bases[level] +
+index * 64``, its parent is node ``index // 8`` one level up, and the
+nonce that versions it is the parent's ``counters[index % 8]`` (the
+on-chip root block's, for the top stored level).  Cached nodes also
+carry their ``(level, index)``, so no walk maps an address back to a
+position.
+
 Schemes:
 
 * **WRITE_BACK** — lazy write-back; unrecoverable after a crash.
@@ -33,7 +41,13 @@ from typing import Deque, Optional
 
 from repro.cache.metadata_cache import MetadataCache
 from repro.cache.sa_cache import Eviction
-from repro.config import CacheConfig, SchemeKind, SystemConfig
+from repro.config import (
+    BLOCK_SIZE,
+    TREE_ARITY,
+    CacheConfig,
+    SchemeKind,
+    SystemConfig,
+)
 from repro.controller.base import SecureMemoryController
 from repro.counters.sgx import SgxCounterBlock
 from repro.crypto.keys import ProcessorKeys
@@ -113,10 +127,13 @@ class SgxController(SecureMemoryController):
         """Decrypt and integrity-check one data line."""
         self.layout.check_data_address(address)
         self.data_reads += 1
-        leaf_address = self.layout.counter_block_for(address)
-        record = self._get_node(leaf_address)
-        slot = self.layout.counter_slot_for(address)
-        counter = record.node.counter(slot)
+        index, slot = divmod(
+            address // BLOCK_SIZE, self.layout.lines_per_counter_block
+        )
+        record = self._get_node(
+            0, index, self.layout.level_bases[0] + index * BLOCK_SIZE
+        )
+        counter = record.node.counters[slot]
         cipher, sideband, fresh = self.read_data_line(address)
         self._drain_evictions()
         if not fresh:
@@ -137,9 +154,11 @@ class SgxController(SecureMemoryController):
         """Encrypt, persist, and update the nonce tree for one line."""
         self.layout.check_data_address(address)
         self.data_writes += 1
-        leaf_address = self.layout.counter_block_for(address)
-        record = self._get_node(leaf_address)
-        slot = self.layout.counter_slot_for(address)
+        index, slot = divmod(
+            address // BLOCK_SIZE, self.layout.lines_per_counter_block
+        )
+        leaf_address = self.layout.level_bases[0] + index * BLOCK_SIZE
+        record = self._get_node(0, index, leaf_address)
 
         self.pregs.begin()
         if self.scheme == SchemeKind.STRICT_PERSISTENCE:
@@ -147,7 +166,7 @@ class SgxController(SecureMemoryController):
         else:
             self._lazy_update(leaf_address, record, slot)
 
-        counter = record.node.counter(slot)
+        counter = record.node.counters[slot]
         cipher, sideband = self.seal_data(address, data, counter, 0)
         self.pregs.stage(address, cipher, sideband)
         pushed = self.pregs.commit()
@@ -175,17 +194,20 @@ class SgxController(SecureMemoryController):
         """Eager policy: bump nonces on every level, reseal, persist all."""
         record.node.increment(slot)
         chain = [(leaf_address, record)]
+        bases = self.layout.level_bases
+        top_level = self.layout.root_level - 1
         level, index = record.level, record.index
         child = record
-        while level < self.layout.root_level - 1:
-            parent_level, parent_index = self.layout.parent_of(level, index)
-            parent_address = self.layout.node_address(parent_level, parent_index)
-            parent = self._get_node(parent_address)
-            parent.node.increment(self.layout.child_slot(index))
-            child.parent_nonce = parent.node.counter(self.layout.child_slot(index))
+        while level < top_level:
+            child_slot = index % TREE_ARITY
+            level += 1
+            index //= TREE_ARITY
+            parent_address = bases[level] + index * BLOCK_SIZE
+            parent = self._get_node(level, index, parent_address)
+            parent.node.increment(child_slot)
+            child.parent_nonce = parent.node.counters[child_slot]
             chain.append((parent_address, parent))
             child = parent
-            level, index = parent_level, parent_index
         # top stored level: versioned by the on-chip root block
         child.parent_nonce = self.engine.bump_root_nonce_for(index)
         for node_address, node_record in chain:
@@ -197,19 +219,21 @@ class SgxController(SecureMemoryController):
     # fetch + verification
     # ------------------------------------------------------------------
 
-    def _get_node(self, address: int) -> CachedNode:
+    def _get_node(self, level: int, index: int, address: int) -> CachedNode:
         """Return the cached node, fetching and MAC-verifying on miss.
 
-        Verification needs the parent nonce; if the parent is not
-        cached it is fetched (and verified) recursively — the walk stops
-        at the first cached ancestor or the on-chip root, exactly the
-        §3 procedure.
+        The caller names the node's tree position: ``address`` is node
+        ``index`` of stored ``level``, ``level_bases[level] + index *
+        BLOCK_SIZE``.  Verification needs the parent nonce, slot ``index
+        % 8`` of node ``index // 8`` one level up; if the parent is not
+        cached it is fetched (and verified) recursively, so the walk
+        stops at the first cached ancestor or the on-chip root, exactly
+        the §3 procedure.
         """
         record = self.metadata_cache.access(address)
         if record is not None:
             return record
         self._flush_pending_eviction(address)
-        level, index = self.layout.locate_node(address)
 
         # Resolve the parent nonce BEFORE reading this node's bytes: the
         # recursive parent walk can trigger evictions whose handling
@@ -220,12 +244,14 @@ class SgxController(SecureMemoryController):
         if level == self.layout.root_level - 1:
             parent_nonce = self.engine.root_nonce_for(index)
         else:
-            parent_level, parent_index = self.layout.parent_of(level, index)
-            parent_address = self.layout.node_address(parent_level, parent_index)
+            parent_index = index // TREE_ARITY
+            parent_address = (
+                self.layout.level_bases[level + 1] + parent_index * BLOCK_SIZE
+            )
             parent = self.metadata_cache.peek(parent_address)
             if parent is None:
-                parent = self._get_node(parent_address)
-            parent_nonce = parent.node.counter(self.layout.child_slot(index))
+                parent = self._get_node(level + 1, parent_index, parent_address)
+            parent_nonce = parent.node.counters[index % TREE_ARITY]
 
         record = self.metadata_cache.access(address)
         if record is not None:
@@ -235,16 +261,21 @@ class SgxController(SecureMemoryController):
         self.integrity_checks += 1
         self.channel.hash_latency()
         if written or parent_nonce:
-            node = SgxCounterBlock.from_bytes(raw)
+            # A never-written node (``raw`` None) holds the default
+            # node's bytes, whose MAC is valid only under nonce 0: under
+            # a non-zero nonce (a lost write-back) it fails here.
+            node = (
+                SgxCounterBlock.from_bytes(raw)
+                if written
+                else self.engine.default_node()
+            )
             if not self.engine.verify(node, parent_nonce):
                 raise IntegrityError(
                     f"SGX node MAC mismatch at {address:#x} (level {level})"
                 )
         else:
-            # Never written and versioned by nonce 0: the bytes are the
-            # default node, whose MAC is valid under nonce 0 by
-            # construction.  A never-written node under a non-zero nonce
-            # (a lost write-back) takes the branch above and fails.
+            # Never written and versioned by nonce 0: the default node,
+            # valid by construction, so the MAC check is skipped.
             node = self.engine.verified_default()
         record = CachedNode(node, parent_nonce, level, index)
         slot, eviction = self.metadata_cache.fill(address, record)
@@ -297,20 +328,21 @@ class SgxController(SecureMemoryController):
 
     def _bump_parent_nonce(self, record: CachedNode) -> int:
         """Increment the parent nonce that versions an evicted node."""
-        if record.level == self.layout.root_level - 1:
-            return self.engine.bump_root_nonce_for(record.index)
-        parent_level, parent_index = self.layout.parent_of(
-            record.level, record.index
+        level, index = record.level, record.index
+        if level == self.layout.root_level - 1:
+            return self.engine.bump_root_nonce_for(index)
+        parent_index = index // TREE_ARITY
+        parent_address = (
+            self.layout.level_bases[level + 1] + parent_index * BLOCK_SIZE
         )
-        parent_address = self.layout.node_address(parent_level, parent_index)
         parent = self.metadata_cache.peek(parent_address)
         if parent is None:
-            parent = self._get_node(parent_address)
-        child_slot = self.layout.child_slot(record.index)
+            parent = self._get_node(level + 1, parent_index, parent_address)
+        child_slot = index % TREE_ARITY
         parent.node.increment(child_slot)
         self._after_increment(parent_address, parent, child_slot)
         self._touch_node(parent_address, parent)
-        return parent.node.counter(child_slot)
+        return parent.node.counters[child_slot]
 
     # ------------------------------------------------------------------
     # crash / shutdown

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import struct
 
-from repro.config import BLOCK_SIZE
+from repro.config import BLOCK_SIZE, TREE_ARITY
 from repro.counters.sgx import SgxCounterBlock
 from repro.crypto.hashes import mac56_keyed
 from repro.crypto.keys import ProcessorKeys
@@ -103,7 +103,7 @@ class SgxTreeEngine:
 
     def root_nonce_for(self, top_level_index: int) -> int:
         """The root nonce versioning top-stored-level node ``index``."""
-        return self.root_block.counter(self.layout.child_slot(top_level_index))
+        return self.root_block.counters[top_level_index % TREE_ARITY]
 
     def bump_root_nonce_for(self, top_level_index: int) -> int:
         """Increment (and return) the root nonce for a top-level node.
@@ -112,6 +112,6 @@ class SgxTreeEngine:
         nonce versions its write-back, making older memory copies
         unreplayable.
         """
-        slot = self.layout.child_slot(top_level_index)
+        slot = top_level_index % TREE_ARITY
         self.root_block.increment(slot)
-        return self.root_block.counter(slot)
+        return self.root_block.counters[slot]

@@ -14,7 +14,7 @@ injection (``repro.recovery.crash``) simply discards all volatile state
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.config import BLOCK_SIZE
 from repro.errors import AlignmentError, LayoutError
@@ -73,16 +73,18 @@ class NvmDevice:
         block = self._blocks.get(address)
         return block if block is not None else self._default(address)
 
-    def read_written(self, address: int) -> Tuple[bytes, bool]:
-        """:meth:`read` plus :meth:`is_written`, with one check and one
-        lookup: ``(bytes, True)`` for a written block, ``(default,
-        False)`` for a never-written one."""
+    def read_written(self, address: int) -> Tuple[Optional[bytes], bool]:
+        """A counted read that tells written from never-written blocks.
+
+        Returns ``(bytes, True)`` for a written block and ``(None,
+        False)`` for a never-written one: the default provider is not
+        asked, because every caller already knows a never-written
+        block's default (the tree engine's default node, or zeros).
+        """
         self._check(address)
         self.reads += 1
         block = self._blocks.get(address)
-        if block is None:
-            return self._default(address), False
-        return block, True
+        return block, block is not None
 
     def write(self, address: int, data: bytes) -> None:
         """Write a 64B block."""

@@ -63,6 +63,23 @@ class TestDefaultProvider:
         nvm.default_provider = lambda address: sentinel
         assert nvm.snapshot().read(0) == sentinel
 
+    def test_read_written_never_asks_provider(self, nvm):
+        def refuse(address):
+            raise AssertionError(f"provider asked for {address:#x}")
+
+        nvm.default_provider = refuse
+        nvm.write(0, LINE)
+        assert nvm.read_written(64) == (None, False)
+        assert nvm.reads == 1
+        assert nvm.read_written(0) == (LINE, True)
+        assert nvm.reads == 2
+        # read() and peek() still serve the provider's default bytes.
+        sentinel = bytes([5]) * 64
+        nvm.default_provider = lambda address: sentinel
+        assert nvm.read(64) == sentinel
+        assert nvm.peek(64) == sentinel
+        assert nvm.reads == 3
+
 
 class TestAccounting:
     def test_read_write_counts(self, nvm):

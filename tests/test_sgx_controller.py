@@ -3,6 +3,7 @@
 import pytest
 
 from repro.config import SchemeKind, TreeKind
+from repro.counters.sgx import SgxCounterBlock
 from repro.crypto.keys import ProcessorKeys
 from repro.errors import IntegrityError
 
@@ -127,6 +128,58 @@ class TestLazyProtocol:
             sgx_controller.read(line(0))
 
 
+def _deep_leaf(layout):
+    """A leaf index whose base-8 digit is nonzero at every stored level
+    and differs from the digit one level up, so each node on its path
+    sits at a nonzero slot of its parent and a slot mix-up between
+    adjacent levels reads a different nonce."""
+    top = layout.root_level - 1
+    index = 0
+    for level in range(top):
+        index += (7 - level % 6) * 8**level
+    index += 8**top  # the top stored level has few nodes: digit 1
+    assert index < layout.level_counts[0]
+    return index
+
+
+def _path(layout, leaf_index):
+    """``(index, address)`` of every stored node from a leaf up."""
+    path = []
+    index = leaf_index
+    for level in range(layout.root_level):
+        path.append((index, layout.node_address(level, index)))
+        index //= 8
+    return path
+
+
+class TestEveryLevel:
+    """The verification walk on a path with nonzero slots everywhere."""
+
+    def test_tamper_at_every_level_detected(self):
+        probe = make_sgx()
+        leaf_index = _deep_leaf(probe.layout)
+        address = line(leaf_index * 8 + 3)
+        for _index, node in _path(probe.layout, leaf_index):
+            controller = make_sgx()
+            controller.write(address, payload(1))
+            controller.writeback_all()
+            assert controller.nvm.is_written(node)
+            raw = bytearray(controller.nvm.peek(node))
+            raw[0] ^= 1
+            controller.nvm.poke(node, bytes(raw))
+            controller.metadata_cache.drop_all_volatile()
+            with pytest.raises(IntegrityError, match=f"mismatch at {node:#x}"):
+                controller.read(address)
+
+    def test_untampered_path_reads_back(self):
+        controller = make_sgx()
+        address = line(_deep_leaf(controller.layout) * 8 + 3)
+        controller.write(address, payload(1))
+        controller.writeback_all()
+        controller.metadata_cache.drop_all_volatile()
+        assert controller.read(address) == payload(1)
+
+
 class TestStrictPersistence:
     def test_every_level_persisted_per_write(self):
         controller = make_sgx(SchemeKind.STRICT_PERSISTENCE)
@@ -150,6 +203,27 @@ class TestStrictPersistence:
         controller.metadata_cache.drop_all_volatile()
         for index in range(20):
             assert controller.read(line(index * 8)) == payload(index)
+
+    def test_persisted_path_verifies_on_nonzero_slots(self):
+        controller = make_sgx(SchemeKind.STRICT_PERSISTENCE)
+        layout = controller.layout
+        leaf_index = _deep_leaf(layout)
+        for value in range(3):
+            controller.write(line(leaf_index * 8 + 3), payload(value))
+        controller.wpq.drain_all()
+        engine = controller.engine
+        path = _path(layout, leaf_index)
+        for position, (index, address) in enumerate(path):
+            node = SgxCounterBlock.from_bytes(controller.nvm.peek(address))
+            if position + 1 < len(path):
+                parent = SgxCounterBlock.from_bytes(
+                    controller.nvm.peek(path[position + 1][1])
+                )
+            else:
+                parent = engine.root_block
+            nonce = parent.counter(index % 8)
+            assert nonce == 3
+            assert engine.verify(node, nonce)
 
     def test_roundtrip(self):
         controller = make_sgx(SchemeKind.STRICT_PERSISTENCE)
