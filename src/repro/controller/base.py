@@ -160,9 +160,7 @@ class SecureMemoryController(abc.ABC):
     # data-path helpers shared by both tree families
     # ------------------------------------------------------------------
 
-    def read_block(
-        self, address: int, charge: bool = True
-    ) -> Tuple[Optional[bytes], bool]:
+    def read_block(self, address: int) -> Tuple[Optional[bytes], bool]:
         """Fetch a 64B block with WPQ forwarding.
 
         Returns ``(bytes, True)`` for a written block and ``(None,
@@ -172,8 +170,7 @@ class SecureMemoryController(abc.ABC):
         forwarded = self.wpq.lookup(address)
         if forwarded is not None:
             return forwarded, True
-        if charge:
-            self.channel.read()
+        self.channel.read()
         return self.nvm.read_written(address)
 
     def read_data_line(self, address: int) -> Tuple[bytes, bytes, bool]:

@@ -31,10 +31,17 @@ contract, checked by ``batch_supported``:
 
 * results are *identical* to scalar replay — same stats, same timing,
   same NVM/cache/WPQ state, same exceptions at the same access;
-* anything it cannot replicate exactly (strict persistence's per-write
-  ancestor staging, SGX-family controllers, live telemetry sessions,
-  non-64B geometries, single-entry WPQs) is refused up front and
-  handled scalar.
+* anything it cannot replicate exactly (lazy-policy strict
+  persistence, a strict persist group larger than the WPQ or the
+  persistent registers, SGX-family controllers, live telemetry
+  sessions, non-64B geometries, single-entry WPQs) is refused up front
+  and handled scalar.
+
+Strict persistence writes every stored ancestor with each data write.
+Their hashes are deferred like every other tree update, so the fast
+path queues each ancestor as a placeholder and ``_flush_tree`` writes
+its final bytes into NVM at the window boundary; the range's final
+strict write runs scalar, so no placeholder outlives the range.
 
 Why skipping decrypt/MAC verification on the fast read path is sound:
 within a batched window nothing mutates NVM behind the controller's
@@ -49,7 +56,7 @@ DESIGN.md).
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Set
 
 from repro.config import (
     BLOCK_SIZE,
@@ -64,6 +71,9 @@ from repro.telemetry.runtime import live_tracer
 from repro.util.bitops import mask
 
 _MINOR_MAX = mask(SplitCounterBlock.minor_bits)
+#: WPQ entry of a strict-persisted ancestor whose bytes are written at
+#: the window flush; it drains as a None block until then.
+_STALE = (None, None)
 
 
 def scalar_fallback_reason(controller) -> Optional[str]:
@@ -75,8 +85,12 @@ def scalar_fallback_reason(controller) -> Optional[str]:
     * non-Bonsai controllers (SGX/ASIT use lazy combined-cache
       verification with parent-nonce coupling — no steady-state window
       where skipping it is provably exact);
-    * STRICT_PERSISTENCE (stages *cached ancestors* and cleans them on
-      every write — per-access tree traffic, nothing to batch);
+    * STRICT_PERSISTENCE under the lazy policy (which ancestors it
+      persists depends on residency, and their bytes on evictions the
+      fast path never sees), or when one write's persist group — data,
+      counter and ``root_level - 1`` ancestors — exceeds the WPQ (a
+      mid-group overflow drain) or the persistent registers (the
+      scheme's own error);
     * non-64B block geometries (the inline address arithmetic assumes
       the global ``BLOCK_SIZE``);
     * a single-entry WPQ (the inline insert assumes one access's
@@ -86,7 +100,11 @@ def scalar_fallback_reason(controller) -> Optional[str]:
     """
     if not isinstance(controller, BonsaiController):
         return "controller"
-    if controller.scheme == SchemeKind.STRICT_PERSISTENCE:
+    if controller.scheme == SchemeKind.STRICT_PERSISTENCE and not (
+        controller.eager
+        and controller.layout.root_level + 1
+        <= min(controller.wpq.capacity, controller.pregs.capacity)
+    ):
         return "strict_persistence"
     if controller.config.tree != TreeKind.BONSAI:
         return "tree"
@@ -139,7 +157,8 @@ def _tree_path(layout, counter_address: int) -> tuple:
 def _flush_tree(
     controller,
     pending: Dict[int, SplitCounterBlock],
-    packed: Optional[Dict[int, int]] = None,
+    packed: Dict[int, int],
+    stale: Set[int],
 ) -> None:
     """Propagate deferred tree updates for every dirtied counter block.
 
@@ -155,6 +174,14 @@ def _flush_tree(
     after all its children's slot updates.  ``packed`` (the engine's
     incremental serialization cache) supplies counter bytes without a
     64-field repack when available.
+
+    ``stale`` holds the ancestors strict persistence queued as
+    placeholders; once the hashes are in, each one's current bytes
+    overwrite its NVM block.  That is exactly what scalar replay left
+    there: every strict write persists its whole path, so an
+    ancestor's last persist in the window carried the state it has
+    now, and the WPQ is empty here (it drains at the top of every
+    access), so every placeholder has already reached NVM.
     """
     engine = controller.engine
     block_hash = engine.block_hash
@@ -168,7 +195,7 @@ def _flush_tree(
     for counter_address, block in pending.items():
         steps = path_memo[counter_address][1]
         parent_address, child_slot = steps[0]
-        word = packed.get(counter_address) if packed is not None else None
+        word = packed.get(counter_address)
         child_bytes = (
             word.to_bytes(BLOCK_SIZE, "little")
             if word is not None
@@ -195,6 +222,10 @@ def _flush_tree(
                 upper[parent_address] = steps[1:]
         frontier = upper
     pending.clear()
+    nvm_blocks = controller.nvm._blocks
+    for address in stale:
+        nvm_blocks[address] = m_payloads[m_index[address]].to_bytes()
+    stale.clear()
 
 
 def run_batched_range(
@@ -251,6 +282,10 @@ def run_batched_range(
     eager = controller.eager
     scheme = controller.scheme
     selective = scheme == SchemeKind.SELECTIVE
+    strict = scheme == SchemeKind.STRICT_PERSISTENCE
+    # Strict persistence cleans the counter and every ancestor right
+    # after dirtying them; the other schemes leave them dirty.
+    keep_dirty = not strict
     selective_boundary = controller._selective_boundary
     use_stop_loss = controller._use_stop_loss
     stop_loss = controller.stop_loss
@@ -296,6 +331,9 @@ def run_batched_range(
     #: re-packing 64 fields per persist; invalidated wholesale at every
     #: real call, which may mutate blocks behind it.
     packed: Dict[int, int] = {}
+    #: ancestors strict persistence queued as placeholders, whose NVM
+    #: bytes ``_flush_tree`` writes (see its docstring).
+    stale: Set[int] = set()
 
     # Window tallies, added to the components' counters once on exit.
     t_data_reads = 0
@@ -329,6 +367,10 @@ def run_batched_range(
     # and abort are paired), so refuse the whole window if it somehow
     # is the case and let scalar raise the scheme's own error.
     fast_writes_ok = not controller.pregs._open
+    # The range's final strict write runs scalar, so the WPQ it leaves
+    # behind (seen by campaign pauses and crash points) holds real
+    # ancestor bytes, never placeholders.
+    strict_last = stop - 1 if strict else -1
 
     try:
         for position in range(start, stop):
@@ -373,7 +415,7 @@ def run_batched_range(
                 )
                 if slot_index is None:
                     if pending_tree:
-                        _flush_tree(controller, pending_tree, packed)
+                        _flush_tree(controller, pending_tree, packed, stale)
                     channel.now = ch_now
                     channel.busy_until = ch_busy
                     counter_sa._clock = c_clock
@@ -421,6 +463,7 @@ def run_batched_range(
                 c_index.get(counter_address)
                 if (
                     fast_writes_ok
+                    and position != strict_last
                     and valid
                     and not evictions
                     and blob is not None
@@ -447,7 +490,7 @@ def run_batched_range(
                             break
             if not fast:
                 if pending_tree:
-                    _flush_tree(controller, pending_tree, packed)
+                    _flush_tree(controller, pending_tree, packed, stale)
                 channel.now = ch_now
                 channel.busy_until = ch_busy
                 counter_sa._clock = c_clock
@@ -486,8 +529,8 @@ def run_batched_range(
             packed[counter_address] = word
             first = not c_dirty[slot_index]
             if first:
-                c_dirty[slot_index] = True
                 t_counter_first += 1
+            c_dirty[slot_index] = keep_dirty
             if counter_hook is not None:
                 counter_hook(slot_index, counter_address, first)
 
@@ -501,8 +544,8 @@ def run_batched_range(
                     m_stamps[merkle_slot] = m_clock
                     merkle_first = not m_dirty[merkle_slot]
                     if merkle_first:
-                        m_dirty[merkle_slot] = True
                         t_merkle_first += 1
+                    m_dirty[merkle_slot] = keep_dirty
                     if merkle_hook is not None:
                         merkle_hook(merkle_slot, ancestor, merkle_first)
                 pending_tree[counter_address] = block
@@ -531,10 +574,10 @@ def run_batched_range(
 
             # pregs.begin()/stage()/commit() reduces to in-order WPQ
             # inserts of the staged group (data line first, then the
-            # counter block when the scheme persists it).  The queue is
-            # empty or holds at most this access's entries, so no
-            # coalesce and no overflow drain (capacity >= 2 checked by
-            # batch_supported).
+            # counter block when the scheme persists it, then strict's
+            # ancestors bottom-up).  The queue is empty or holds at most
+            # this access's entries, so no coalesce and no overflow
+            # drain (the group fits the WPQ: checked by batch_supported).
             pending[address] = (cipher, sideband)
             t_wpq_inserts += 1
             pushed = 1
@@ -546,6 +589,16 @@ def run_batched_range(
                     )
                     t_wpq_inserts += 1
                     pushed = 2
+            elif strict:
+                pending[counter_address] = (
+                    word.to_bytes(BLOCK_SIZE, "little"),
+                    None,
+                )
+                for ancestor in ancestors:
+                    pending[ancestor] = _STALE
+                stale.update(ancestors)
+                pushed = 2 + len(ancestors)
+                t_wpq_inserts += pushed - 1
             elif use_stop_loss and new_minor % stop_loss == 0:
                 pending[counter_address] = (
                     word.to_bytes(BLOCK_SIZE, "little"),
@@ -569,7 +622,7 @@ def run_batched_range(
             counter_sa._clock = c_clock
             merkle_sa._clock = m_clock
         if pending_tree:
-            _flush_tree(controller, pending_tree, packed)
+            _flush_tree(controller, pending_tree, packed, stale)
         controller.data_reads += t_data_reads
         controller.data_writes += t_data_writes
         controller.integrity_checks += t_integrity

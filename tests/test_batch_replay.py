@@ -10,10 +10,13 @@ segmented replays.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
-from repro.config import SchemeKind, TreeKind
+from repro.config import SchemeKind, TreeKind, UpdatePolicy
 from repro.controller.access import MemoryRequest, Op
+from repro.controller.batch import scalar_fallback_reason
 from repro.controller.factory import build_controller, build_layout
 from repro.crypto.keys import ProcessorKeys
 from repro.sim.engine import run_simulation
@@ -133,7 +136,12 @@ class TestBatchScalarIdentity:
         assert state_b == state_s
 
     @pytest.mark.parametrize(
-        "scheme", [SchemeKind.WRITE_BACK, SchemeKind.OSIRIS]
+        "scheme",
+        [
+            SchemeKind.WRITE_BACK,
+            SchemeKind.OSIRIS,
+            SchemeKind.STRICT_PERSISTENCE,
+        ],
     )
     def test_bonsai_schemes_hot_cold(self, scheme):
         oracle_s, state_s = _run(scheme, TreeKind.BONSAI, HOT_COLD, replay)
@@ -181,6 +189,41 @@ class TestSegmentedReplay:
         assert oracle_parts == oracle_whole
         assert fingerprint(parts) == fingerprint(whole)
 
+    def test_strict_segments_match_scalar_at_every_pause(self):
+        # Strict persistence queues ancestors whose bytes are written
+        # at the window flush; at every pause NVM, WPQ, LRU stamps and
+        # root must already be what scalar replay leaves there.
+        trace = generate_trace(HOT_COLD, 2500, seed=41)
+        config = small_config(SchemeKind.STRICT_PERSISTENCE)
+        scalar = build_controller(config, keys=ProcessorKeys(7))
+        batched = build_controller(config, keys=ProcessorKeys(7))
+        real_writes = []
+        real_write = batched.write
+
+        def counting_write(address, data):
+            real_writes.append(address)
+            real_write(address, data)
+
+        batched.write = counting_write
+        oracle_s: dict = {}
+        oracle_b: dict = {}
+        position = 0
+        for boundary in (1, 137, 1000, 1003, 2400, 2500):
+            replay(
+                scalar, trace, oracle=oracle_s,
+                start=position, stop=boundary,
+            )
+            replay_batched(
+                batched, trace, oracle=oracle_b,
+                start=position, stop=boundary,
+            )
+            position = boundary
+            assert oracle_b == oracle_s
+            assert fingerprint(batched) == fingerprint(scalar)
+        # The fast path carried most writes; the rest (misses, each
+        # segment's final write) ran scalar.
+        assert 0 < len(real_writes) < sum(trace.is_write) // 2
+
     def test_empty_and_clamped_ranges(self):
         trace = generate_trace(UNIFORM, 100, seed=3)
         controller = build_controller(
@@ -196,6 +239,28 @@ class TestSegmentedReplay:
         )
         replay(reference, trace)
         assert fingerprint(controller) == fingerprint(reference)
+
+
+class TestStrictRefusals:
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"update_policy": UpdatePolicy.LAZY}, {"wpq_entries": 4}],
+        ids=["lazy", "wpq4"],
+    )
+    def test_refused_configs_replay_identically(self, overrides):
+        # Lazy strict persists only resident ancestors; a 4-entry WPQ
+        # cannot take the small tree's 5-entry persist group without an
+        # overflow drain.  Both must replay scalar.
+        config = dataclasses.replace(
+            small_config(SchemeKind.STRICT_PERSISTENCE), **overrides
+        )
+        trace = generate_trace(UNIFORM, 1500, seed=41)
+        outcomes = []
+        for run in (replay, replay_batched):
+            controller = build_controller(config, keys=ProcessorKeys(7))
+            assert scalar_fallback_reason(controller) == "strict_persistence"
+            outcomes.append((run(controller, trace), fingerprint(controller)))
+        assert outcomes[1] == outcomes[0]
 
 
 def _scalar_engine(monkeypatch):
