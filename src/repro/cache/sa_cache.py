@@ -1,6 +1,10 @@
-"""Set-associative cache with LRU replacement and fixed-slot tracking.
+"""Set-associative metadata cache with LRU replacement, fixed slots and
+the counts the paper's figures read.
 
-Two properties of this cache are load-bearing for Anubis:
+The secure memory controllers build one cache per metadata stream: a
+counter cache and a Merkle-tree cache for Bonsai systems, or a single
+combined metadata cache for SGX-style systems (§4.3).  Three properties
+of this cache are load-bearing for Anubis:
 
 * **Fixed slots** — a block keeps its (set, way) slot for its entire
   residency; LRU state lives in the tag array only (§4.1).  The slot
@@ -11,6 +15,13 @@ Two properties of this cache are load-bearing for Anubis:
   (counter blocks, tree nodes).  During normal operation the cached copy
   is the authority and the NVM copy may be stale; that gap is exactly
   the crash-consistency problem the paper solves.
+* **Accounting** — :meth:`SetAssociativeCache.access` counts hits and
+  misses, :meth:`~SetAssociativeCache.fill` splits its evictions into
+  clean and dirty (the Fig. 7 metric), and
+  :meth:`~SetAssociativeCache.mark_dirty` counts the first-dirty events
+  that trigger AGIT-Plus tracking.  The same three operations emit the
+  ``cache.miss``, ``cache.hit`` (detail level only) and ``cache.evict``
+  telemetry events.
 
 Slot state lives in four parallel lists indexed by slot (tag, payload,
 dirty bit, LRU stamp) rather than one object per slot, so building a
@@ -28,6 +39,8 @@ from typing import Any, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.config import CacheConfig
 from repro.errors import ConfigError
+from repro.telemetry.runtime import live_tracer
+from repro.util.stats import StatGroup
 
 
 class Eviction(NamedTuple):
@@ -40,7 +53,8 @@ class Eviction(NamedTuple):
 
 
 class SetAssociativeCache:
-    """A write-back set-associative cache of 64B metadata blocks.
+    """A write-back set-associative cache of 64B metadata blocks, with
+    hit/miss, eviction and first-dirty counts.
 
     Addresses must be block-aligned; the set index is taken from the
     block-number bits.  All mutation methods return event records instead
@@ -62,6 +76,23 @@ class SetAssociativeCache:
         #: address -> slot fast path (the tag array's CAM); kept exactly
         #: in sync with the slot arrays by every mutation below.
         self._index: dict = {}
+        self.tracer = live_tracer()
+        self.hits = 0
+        self.misses = 0
+        self.evictions_clean = 0
+        self.evictions_dirty = 0
+        self.first_dirty = 0
+
+    @property
+    def stats(self) -> StatGroup:
+        """Read-only ``<name>.*`` view of the cache's counts."""
+        return StatGroup(self.name, {
+            "hits": self.hits,
+            "misses": self.misses,
+            "evictions_clean": self.evictions_clean,
+            "evictions_dirty": self.evictions_dirty,
+            "first_dirty": self.first_dirty,
+        })
 
     # ------------------------------------------------------------------
     # indexing
@@ -73,9 +104,6 @@ class SetAssociativeCache:
                 f"cache address {address:#x} not block-aligned"
             )
         return (address // self.config.block_size) % self.num_sets
-
-    def _find(self, address: int) -> Optional[int]:
-        return self._index.get(address)
 
     # ------------------------------------------------------------------
     # queries
@@ -90,11 +118,22 @@ class SetAssociativeCache:
         slot = self._index.get(address)
         return self._payloads[slot] if slot is not None else None
 
-    def lookup(self, address: int) -> Optional[Any]:
-        """Payload if resident (refreshes LRU), else None."""
+    def access(self, address: int) -> Optional[Any]:
+        """Payload if resident (refreshes LRU), else None; counts the hit
+        or miss."""
         slot = self._index.get(address)
         if slot is None:
+            self.misses += 1
+            if self.tracer.enabled:
+                self.tracer.emit(
+                    "cache.miss", cache=self.name, address=address
+                )
             return None
+        self.hits += 1
+        # Hits dominate every trace; emit them only at detail level so
+        # default traces (and enabled-mode overhead) stay bounded.
+        if self.tracer.enabled and self.tracer.detail:
+            self.tracer.emit("cache.hit", cache=self.name, address=address)
         self._clock += 1
         self._stamps[slot] = self._clock
         return self._payloads[slot]
@@ -112,14 +151,15 @@ class SetAssociativeCache:
     # mutation
     # ------------------------------------------------------------------
 
-    def insert(
+    def fill(
         self, address: int, payload: Any, dirty: bool = False
     ) -> Tuple[int, Optional[Eviction]]:
         """Fill ``address``; returns ``(slot, eviction)``.
 
-        The victim is an invalid way if one exists, else the LRU way.
-        Filling an already-resident address replaces its payload in
-        place (no eviction).
+        The victim is an invalid way if one exists, else the LRU way,
+        and its eviction is counted clean or dirty.  Filling an
+        already-resident address replaces its payload in place (no
+        eviction).
         """
         index = self._index
         stamps = self._stamps
@@ -139,6 +179,17 @@ class SetAssociativeCache:
         if stamps[slot]:
             eviction = self._release(slot)
             del index[eviction.address]
+            if eviction.dirty:
+                self.evictions_dirty += 1
+            else:
+                self.evictions_clean += 1
+            if self.tracer.enabled:
+                self.tracer.emit(
+                    "cache.evict",
+                    cache=self.name,
+                    address=eviction.address,
+                    dirty=eviction.dirty,
+                )
         index[address] = slot
         self._clock += 1
         self._tags[slot] = address
@@ -148,14 +199,17 @@ class SetAssociativeCache:
         return slot, eviction
 
     def mark_dirty(self, address: int) -> bool:
-        """Set the dirty bit; returns True iff this is the *first* time
-        the resident block becomes dirty (the AGIT-Plus trigger)."""
+        """Set the dirty bit; returns and counts True iff this is the
+        *first* time the resident block becomes dirty (the AGIT-Plus
+        trigger)."""
         slot = self._index.get(address)
         if slot is None:
             raise ConfigError(
                 f"mark_dirty on non-resident block {address:#x}"
             )
         first = not self._dirty[slot]
+        if first:
+            self.first_dirty += 1
         self._dirty[slot] = True
         self._clock += 1
         self._stamps[slot] = self._clock
@@ -178,17 +232,12 @@ class SetAssociativeCache:
         return eviction
 
     def invalidate(self, address: int) -> Optional[Eviction]:
-        """Drop a block; returns its eviction record if it was resident."""
+        """Drop a block without counting an eviction; returns its record
+        if it was resident."""
         slot = self._index.pop(address, None)
         if slot is None:
             return None
         return self._release(slot)
-
-    def flush(self) -> List[Eviction]:
-        """Invalidate everything; returns records of all resident blocks."""
-        slots = sorted(self._index.values())
-        self._index.clear()
-        return [self._release(slot) for slot in slots]
 
     def drop_all_volatile(self) -> None:
         """Crash model: lose every line instantly, no writebacks."""
@@ -200,7 +249,7 @@ class SetAssociativeCache:
         self._index.clear()
 
     # ------------------------------------------------------------------
-    # iteration / stats support
+    # iteration and derived metrics
     # ------------------------------------------------------------------
 
     def resident(self) -> Iterator[Tuple[int, int, Any, bool]]:
@@ -220,8 +269,20 @@ class SetAssociativeCache:
         """Total slots (= shadow-table entries needed to track it)."""
         return len(self._stamps)
 
+    @property
+    def hit_rate(self) -> float:
+        """Hits / accesses (0.0 before any access)."""
+        total = self.hits + self.misses
+        return self.hits / total if total else 0.0
+
+    @property
+    def clean_eviction_fraction(self) -> float:
+        """Fraction of evictions that were clean — the Fig. 7 metric."""
+        total = self.evictions_clean + self.evictions_dirty
+        return self.evictions_clean / total if total else 0.0
+
     def __repr__(self) -> str:
         return (
             f"SetAssociativeCache({self.name}: {self.num_sets}x{self.ways}, "
-            f"occupancy={self.occupancy})"
+            f"hit_rate={self.hit_rate:.2%}, occupancy={self.occupancy})"
         )

@@ -186,9 +186,9 @@ def _flush_tree(
     engine = controller.engine
     block_hash = engine.block_hash
     root_node = engine.root_node
-    sa = controller.merkle_cache.cache
-    m_index = sa._index
-    m_payloads = sa._payloads
+    merkle_cache = controller.merkle_cache
+    m_index = merkle_cache._index
+    m_payloads = merkle_cache._payloads
     path_memo = controller._batch_path_memo
     #: parent address -> remaining bottom-up steps from that parent.
     frontier: Dict[int, tuple] = {}
@@ -267,17 +267,15 @@ def run_batched_range(
     nvm_blocks = nvm._blocks
     nvm_ecc = nvm._ecc
     write_counts = nvm._write_counts
-    counter_meta = controller.counter_cache
-    counter_sa = counter_meta.cache
-    c_index = counter_sa._index
-    c_payloads = counter_sa._payloads
-    c_dirty = counter_sa._dirty
-    c_stamps = counter_sa._stamps
-    merkle_meta = controller.merkle_cache
-    merkle_sa = merkle_meta.cache
-    m_index = merkle_sa._index
-    m_dirty = merkle_sa._dirty
-    m_stamps = merkle_sa._stamps
+    counter_cache = controller.counter_cache
+    c_index = counter_cache._index
+    c_payloads = counter_cache._payloads
+    c_dirty = counter_cache._dirty
+    c_stamps = counter_cache._stamps
+    merkle_cache = controller.merkle_cache
+    m_index = merkle_cache._index
+    m_dirty = merkle_cache._dirty
+    m_stamps = merkle_cache._stamps
     evictions = controller._evictions
     eager = controller.eager
     scheme = controller.scheme
@@ -358,8 +356,8 @@ def run_batched_range(
     # the locals are stale.
     ch_now = channel.now
     ch_busy = channel.busy_until
-    c_clock = counter_sa._clock
-    m_clock = merkle_sa._clock
+    c_clock = counter_cache._clock
+    m_clock = merkle_cache._clock
     locals_live = True
 
     # A write mid-stage would make the inline commit diverge from
@@ -418,14 +416,14 @@ def run_batched_range(
                         _flush_tree(controller, pending_tree, packed, stale)
                     channel.now = ch_now
                     channel.busy_until = ch_busy
-                    counter_sa._clock = c_clock
-                    merkle_sa._clock = m_clock
+                    counter_cache._clock = c_clock
+                    merkle_cache._clock = m_clock
                     locals_live = False
                     real_read(address)
                     ch_now = channel.now
                     ch_busy = channel.busy_until
-                    c_clock = counter_sa._clock
-                    m_clock = merkle_sa._clock
+                    c_clock = counter_cache._clock
+                    m_clock = merkle_cache._clock
                     locals_live = True
                     if packed:
                         packed.clear()
@@ -493,14 +491,14 @@ def run_batched_range(
                     _flush_tree(controller, pending_tree, packed, stale)
                 channel.now = ch_now
                 channel.busy_until = ch_busy
-                counter_sa._clock = c_clock
-                merkle_sa._clock = m_clock
+                counter_cache._clock = c_clock
+                merkle_cache._clock = m_clock
                 locals_live = False
                 real_write(address, blob)
                 ch_now = channel.now
                 ch_busy = channel.busy_until
-                c_clock = counter_sa._clock
-                m_clock = merkle_sa._clock
+                c_clock = counter_cache._clock
+                m_clock = merkle_cache._clock
                 locals_live = True
                 if packed:
                     packed.clear()
@@ -619,8 +617,8 @@ def run_batched_range(
         if locals_live:
             channel.now = ch_now
             channel.busy_until = ch_busy
-            counter_sa._clock = c_clock
-            merkle_sa._clock = m_clock
+            counter_cache._clock = c_clock
+            merkle_cache._clock = m_clock
         if pending_tree:
             _flush_tree(controller, pending_tree, packed, stale)
         controller.data_reads += t_data_reads
@@ -633,10 +631,10 @@ def run_batched_range(
         nvm.writes += t_nvm_writes
         wpq.inserts += t_wpq_inserts
         wpq.drains += t_wpq_drains
-        counter_meta.hits += t_counter_hits
-        counter_meta.first_dirty += t_counter_first
-        merkle_meta.hits += t_merkle_hits
-        merkle_meta.first_dirty += t_merkle_first
+        counter_cache.hits += t_counter_hits
+        counter_cache.first_dirty += t_counter_first
+        merkle_cache.hits += t_merkle_hits
+        merkle_cache.first_dirty += t_merkle_first
 
 
 class IntegrityErrorAt(Exception):

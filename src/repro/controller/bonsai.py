@@ -26,8 +26,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Optional, Tuple
 
-from repro.cache.metadata_cache import MetadataCache
-from repro.cache.sa_cache import Eviction
+from repro.cache.sa_cache import Eviction, SetAssociativeCache
 from repro.config import BLOCK_SIZE, SchemeKind, SystemConfig, UpdatePolicy
 from repro.controller.base import SecureMemoryController
 from repro.counters.split import SplitCounterBlock
@@ -51,8 +50,12 @@ class BonsaiController(SecureMemoryController):
         super().__init__(config, layout, keys, nvm)
         self.engine = BonsaiTreeEngine(self.keys, layout)
         self._adopt_default_provider(self.engine.default_provider)
-        self.counter_cache = MetadataCache(config.counter_cache, "counter_cache")
-        self.merkle_cache = MetadataCache(config.merkle_cache, "merkle_cache")
+        self.counter_cache = SetAssociativeCache(
+            config.counter_cache, "counter_cache"
+        )
+        self.merkle_cache = SetAssociativeCache(
+            config.merkle_cache, "merkle_cache"
+        )
         self.eager = config.update_policy == UpdatePolicy.EAGER
         self.scheme = config.scheme
         self.stop_loss = config.encryption.stop_loss_limit

@@ -39,8 +39,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Optional
 
-from repro.cache.metadata_cache import MetadataCache
-from repro.cache.sa_cache import Eviction
+from repro.cache.sa_cache import Eviction, SetAssociativeCache
 from repro.config import (
     BLOCK_SIZE,
     TREE_ARITY,
@@ -93,7 +92,7 @@ class SgxController(SecureMemoryController):
             ways=config.merkle_cache.ways,
             block_size=config.merkle_cache.block_size,
         )
-        self.metadata_cache = MetadataCache(combined, "metadata_cache")
+        self.metadata_cache = SetAssociativeCache(combined, "metadata_cache")
         self.scheme = config.scheme
         self.stop_loss = config.encryption.stop_loss_limit
         self._evictions: Deque[Eviction] = deque()

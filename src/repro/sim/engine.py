@@ -13,9 +13,7 @@ from typing import Dict, Iterable, List, Optional
 
 from repro.config import SchemeKind, SystemConfig
 from repro.controller.base import SecureMemoryController
-from repro.controller.bonsai import BonsaiController
 from repro.controller.factory import build_controller
-from repro.controller.sgx import SgxController
 from repro.crypto.keys import ProcessorKeys
 from repro.sim.parallel import ParallelSweepExecutor
 from repro.sim.results import SchemeComparison, SimulationResult
@@ -27,20 +25,14 @@ from repro.traces.trace import Trace
 def _cache_stats(controller: SecureMemoryController) -> Dict[str, float]:
     """Flatten the controller's metadata-cache statistics."""
     flat: Dict[str, float] = {}
-    if isinstance(controller, BonsaiController):
-        for cache in (controller.counter_cache, controller.merkle_cache):
+    for name in ("counter_cache", "merkle_cache", "metadata_cache"):
+        cache = getattr(controller, name, None)
+        if cache is not None:
             cache.stats.merge_into(flat)
             flat[f"{cache.name}.hit_rate"] = cache.hit_rate
             flat[f"{cache.name}.clean_eviction_fraction"] = (
                 cache.clean_eviction_fraction
             )
-    elif isinstance(controller, SgxController):
-        cache = controller.metadata_cache
-        cache.stats.merge_into(flat)
-        flat[f"{cache.name}.hit_rate"] = cache.hit_rate
-        flat[f"{cache.name}.clean_eviction_fraction"] = (
-            cache.clean_eviction_fraction
-        )
     return flat
 
 

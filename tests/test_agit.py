@@ -127,8 +127,8 @@ class TestShadowRegionContents:
         layout = controller.layout
         # Two counter blocks that map to the same cache set: page stride
         # x num_sets pages apart.
-        sets = controller.counter_cache.cache.num_sets
-        ways = controller.counter_cache.cache.ways
+        sets = controller.counter_cache.num_sets
+        ways = controller.counter_cache.ways
         pages = [index * sets for index in range(ways + 1)]
         for page in pages:
             controller.read(page * 4096)

@@ -106,11 +106,11 @@ def fingerprint(controller) -> dict:
     }
     if hasattr(controller, "counter_cache"):
         state["counter_slots"] = _slot_state(
-            controller.counter_cache.cache,
+            controller.counter_cache,
             lambda block: (block.major, tuple(block.minors)),
         )
         state["merkle_slots"] = _slot_state(
-            controller.merkle_cache.cache, lambda node: node.to_bytes()
+            controller.merkle_cache, lambda node: node.to_bytes()
         )
         state["root"] = controller.engine.root_node.to_bytes()
     return state

@@ -64,7 +64,7 @@ class TestLazyProtocol:
         parent_address = layout.node_address(parent_level, parent_index)
         slot = layout.child_slot(index)
         # force the leaf out
-        eviction = sgx_controller.metadata_cache.cache.invalidate(leaf)
+        eviction = sgx_controller.metadata_cache.invalidate(leaf)
         sgx_controller._evictions.append(eviction)
         sgx_controller._drain_evictions()
         parent = sgx_controller.metadata_cache.peek(parent_address)
@@ -74,7 +74,7 @@ class TestLazyProtocol:
         layout = sgx_controller.layout
         leaf = layout.counter_block_for(line(0))
         sgx_controller.read(line(0))  # clean fill
-        eviction = sgx_controller.metadata_cache.cache.invalidate(leaf)
+        eviction = sgx_controller.metadata_cache.invalidate(leaf)
         sgx_controller._evictions.append(eviction)
         sgx_controller._drain_evictions()
         level, index = layout.locate_node(leaf)

@@ -249,6 +249,38 @@ def test_detail_flag_gates_cache_hits():
     assert "cache.hit" in detailed_kinds
 
 
+@pytest.mark.parametrize(
+    "scheme, tree, caches",
+    [
+        (SchemeKind.AGIT_PLUS, TreeKind.BONSAI,
+         ("counter_cache", "merkle_cache")),
+        (SchemeKind.ASIT, TreeKind.SGX, ("metadata_cache",)),
+    ],
+)
+def test_cache_events_agree_with_cache_counts(scheme, tree, caches):
+    """Every counted hit, miss and eviction emits exactly one event."""
+    config = small_config(scheme, tree, memory_bytes=64 * MIB)
+    trace = generate_trace(
+        profile("gcc"), 1500, seed=1,
+        capacity_bytes=config.memory.capacity_bytes,
+    )
+    result = run_simulation(
+        config, trace, ProcessorKeys(1), telemetry=TelemetrySpec(detail=True)
+    )
+    assert result.telemetry["dropped_events"] == 0
+    for cache in caches:
+        emitted = {"cache.hit": 0, "cache.miss": 0, "cache.evict": 0}
+        for event in result.events:
+            if event.get("cache") == cache and event["kind"] in emitted:
+                emitted[event["kind"]] += 1
+        assert emitted["cache.miss"] == result.stat(f"{cache}.misses") > 0
+        assert emitted["cache.hit"] == result.stat(f"{cache}.hits") > 0
+        assert emitted["cache.evict"] == (
+            result.stat(f"{cache}.evictions_clean")
+            + result.stat(f"{cache}.evictions_dirty")
+        ) > 0
+
+
 # ---------------------------------------------------------------------------
 # recovery and crash events
 # ---------------------------------------------------------------------------
