@@ -102,9 +102,6 @@ class SgxController(SecureMemoryController):
     # Anubis hook points (ASIT overrides)
     # ------------------------------------------------------------------
 
-    def _on_node_filled(self, slot: int, address: int, record: CachedNode) -> None:
-        """Called after a node is brought into the metadata cache."""
-
     def _touch_node(self, address: int, record: CachedNode) -> None:
         """Called on every modification of a cached node.
 
@@ -134,7 +131,8 @@ class SgxController(SecureMemoryController):
         )
         counter = record.node.counters[slot]
         cipher, sideband, fresh = self.read_data_line(address)
-        self._drain_evictions()
+        if self._evictions:
+            self._drain_evictions()
         if not fresh:
             # Architectural zeros are only legal while the line's version
             # counter is zero; a nonzero counter over never-written cells
@@ -170,7 +168,8 @@ class SgxController(SecureMemoryController):
         self.pregs.stage(address, cipher, sideband)
         pushed = self.pregs.commit()
         self.persist_writes += pushed
-        self._drain_evictions()
+        if self._evictions:
+            self._drain_evictions()
 
     def _lazy_update(self, leaf_address: int, record: CachedNode, slot: int) -> None:
         """Absorb the increment in the cached leaf node (lazy policy)."""
@@ -232,7 +231,8 @@ class SgxController(SecureMemoryController):
         record = self.metadata_cache.access(address)
         if record is not None:
             return record
-        self._flush_pending_eviction(address)
+        if self._evictions:
+            self._flush_pending_eviction(address)
 
         # Resolve the parent nonce BEFORE reading this node's bytes: the
         # recursive parent walk can trigger evictions whose handling
@@ -277,11 +277,11 @@ class SgxController(SecureMemoryController):
             # valid by construction, so the MAC check is skipped.
             node = self.engine.verified_default()
         record = CachedNode(node, parent_nonce, level, index)
-        slot, eviction = self.metadata_cache.fill(address, record)
-        self._on_node_filled(slot, address, record)
+        _slot, eviction = self.metadata_cache.fill(address, record)
         if eviction is not None:
             self._evictions.append(eviction)
-        self._drain_evictions()
+        if self._evictions:
+            self._drain_evictions()
         return record
 
     # ------------------------------------------------------------------

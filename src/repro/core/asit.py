@@ -20,9 +20,11 @@ Transitions:
 * an imminent 49-bit LSB wrap persists the whole node first, so memory
   MSBs plus shadow LSBs always reconstruct the true counter (§4.3.1).
 
-Every ST write updates the on-chip shadow-region tree eagerly;
-SHADOW_TREE_ROOT lives in a persistent register and is the recovery-time
-authority over the ST (the stale main-tree root cannot be, §2.6).
+Every ST write updates the on-chip shadow-region tree eagerly in the
+modelled hardware (and is charged its path of hashes); the simulator
+evaluates those hashes when SHADOW_TREE_ROOT is read.  The root lives
+in a persistent register and is the recovery-time authority over the ST
+(the stale main-tree root cannot be, §2.6).
 """
 
 from __future__ import annotations

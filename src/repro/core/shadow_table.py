@@ -8,9 +8,11 @@
   node's address (+ a valid bit in the alignment bits), its 56-bit MAC,
   and the 49-bit LSBs of its eight counters.  64 + 56 + 8×49 = 512 bits,
   exactly one 64B block per cache slot.
-* :class:`ShadowRegionTree` — the small eagerly-updated Merkle tree that
-  protects the ASIT Shadow Table; only its root (SHADOW_TREE_ROOT) is
-  persistent, in an on-chip NVM register (§4.3.1).
+* :class:`ShadowRegionTree` — the small Merkle tree that protects the
+  ASIT Shadow Table; only its root (SHADOW_TREE_ROOT) is persistent, in
+  an on-chip NVM register (§4.3.1).  The modelled hardware updates it
+  eagerly, so the register is current after every ST write; the
+  simulator evaluates the pending path hashes when the root is read.
 """
 
 from __future__ import annotations
@@ -144,14 +146,20 @@ _INVALID_ENTRY = StEntry(valid=False, address=0, mac=0, lsbs=(0,) * _COUNTERS)
 
 
 class ShadowRegionTree:
-    """Eagerly-updated 8-ary hash tree over the ASIT Shadow Table.
+    """8-ary hash tree over the ASIT Shadow Table.
 
-    The leaves are the hashes of the ST's 64B entry blocks.  Every ST
-    update recomputes one leaf-to-root path (a handful of hashes for a
-    256KB-class table — "3-4 levels", §4.3.1).  The intermediate nodes
-    are volatile; only :attr:`root` is persistent on-chip, which is all
-    recovery needs: it recomputes the root from the NVM copy of the ST
-    and compares.
+    The leaves are the hashes of the ST's 64B entry blocks.  In the
+    modelled hardware every ST update recomputes one leaf-to-root path
+    (a handful of hashes for a 256KB-class table — "3-4 levels",
+    §4.3.1), and :meth:`update` reports that many hashes.  The
+    intermediate nodes are volatile; only :attr:`root` is persistent
+    on-chip, which is all recovery needs: it recomputes the root from
+    the NVM copy of the ST and compares.
+
+    Only a :attr:`root` read can observe the tree, so the simulator
+    records updated blocks and hashes them when the root is read: each
+    pending leaf once, then each distinct dirty ancestor once per level.
+    The value read is always the eager tree's root.
     """
 
     def __init__(self, key: bytes, num_leaves: int) -> None:
@@ -185,6 +193,8 @@ class ShadowRegionTree:
         untouched stretch of the table shares one digest per level.
         """
         self.levels: List[List[int]] = [leaves]
+        #: ST blocks written since the last root read, by leaf index.
+        self._pending: Dict[int, bytes] = {}
         below = leaves
         while len(below) > 1:
             digests: Dict[Tuple[int, ...], int] = {}
@@ -200,21 +210,33 @@ class ShadowRegionTree:
 
     def update(self, leaf_index: int, block: bytes) -> int:
         """Fold a new ST entry block into the tree; returns the number
-        of hash computations (for latency accounting)."""
+        of hash computations the hardware spends (for latency
+        accounting).  The last block written to a leaf wins."""
         if not 0 <= leaf_index < self.num_leaves:
             raise ConfigError(f"leaf {leaf_index} outside shadow tree")
-        self.levels[0][leaf_index] = self._leaf_hash(block)
-        hashes = 1
-        index = leaf_index
+        self._pending[leaf_index] = block
+        return len(self.levels)
+
+    def _flush(self) -> None:
+        """Hash the pending leaves, then their distinct ancestors
+        bottom-up, each once."""
+        leaves = self.levels[0]
+        dirty = set()
+        for index, block in self._pending.items():
+            leaves[index] = self._leaf_hash(block)
+            dirty.add(index // TREE_ARITY)
+        self._pending.clear()
         for level in range(1, len(self.levels)):
-            index //= TREE_ARITY
-            self.levels[level][index] = self._node_hash(level, index)
-            hashes += 1
-        return hashes
+            nodes = self.levels[level]
+            for index in dirty:
+                nodes[index] = self._node_hash(level, index)
+            dirty = {index // TREE_ARITY for index in dirty}
 
     @property
     def root(self) -> int:
         """SHADOW_TREE_ROOT — the only persistent piece of this tree."""
+        if self._pending:
+            self._flush()
         return self.levels[-1][0]
 
     @classmethod

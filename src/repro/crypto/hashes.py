@@ -98,25 +98,6 @@ def mac56(key: bytes, payload: bytes) -> int:
     return int.from_bytes(digest, "little") & _MAC_MASK
 
 
-def sgx_node_mac(
-    key: bytes,
-    address: int,
-    counters: "list[int]",
-    parent_nonce: int,
-) -> int:
-    """MAC over an SGX node's counters and its parent nonce (Fig. 3).
-
-    The MAC covers the node address (anti-splicing), every 56-bit counter
-    in the node, and the single counter in the parent node that versions
-    this node.
-    """
-    payload = bytearray(address.to_bytes(8, "little"))
-    for counter in counters:
-        payload += counter.to_bytes(8, "little")
-    payload += parent_nonce.to_bytes(8, "little")
-    return mac56(key, bytes(payload))
-
-
 def data_mac(key: bytes, address: int, counter_iv: bytes, data: bytes) -> int:
     """Bonsai-style data MAC over (address, counter, data) (§2.3).
 

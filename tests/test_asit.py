@@ -141,6 +141,44 @@ class TestShadowTree:
         controller.drop_volatile()
         assert controller.shadow_tree_root == live_root
 
+    @pytest.mark.parametrize("crash_at", [150, 420, 700])
+    def test_root_matches_st_at_every_crash_point(self, crash_at):
+        """Replay in segments, as the fault campaign does: at every
+        pause SHADOW_TREE_ROOT is the root over the ST as it stands,
+        and a crash carries exactly that value into the reborn
+        controller."""
+        from repro.core.shadow_table import ShadowRegionTree
+        from repro.faults.campaign import campaign_profile
+        from repro.recovery.crash import crash, reincarnate
+        from repro.traces.replay import replay_batched
+        from repro.traces.synthetic import generate_trace
+
+        controller = make_asit()
+        trace = generate_trace(
+            campaign_profile("hammer"),
+            crash_at,
+            seed=crash_at,
+            capacity_bytes=controller.config.memory.capacity_bytes,
+        )
+        oracle = {}
+        position = 0
+        for boundary in (*range(50, crash_at, 130), crash_at):
+            replay_batched(
+                controller, trace, oracle=oracle, start=position, stop=boundary
+            )
+            position = boundary
+            entries = controller.st_entries
+            expected = ShadowRegionTree.compute_root(
+                controller.keys.shadow_key,
+                len(entries),
+                lambda slot: entries[slot].to_bytes(),
+            )
+            assert controller.shadow_tree_root == expected
+        assert any(entry.valid for entry in controller.st_entries)
+        crash(controller)
+        assert controller.shadow_tree_root == expected
+        assert reincarnate(controller).shadow_tree_root == expected
+
 
 class TestLsbWrapPersist:
     def test_wrap_persists_node_first(self):

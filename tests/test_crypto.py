@@ -10,11 +10,22 @@ from repro.crypto.hashes import (
     hash64,
     mac56,
     node_hash,
-    sgx_node_mac,
 )
 from repro.crypto.keys import ProcessorKeys
 
 LINE = bytes(range(64))
+
+
+@pytest.fixture(scope="module")
+def sgx_engine():
+    """The SGX tree's MAC engine, keyed by ``ProcessorKeys(3)``."""
+    from repro.config import TreeKind
+    from repro.integrity.sgx_tree import SgxTreeEngine
+
+    from tests.helpers import make_controller
+
+    layout = make_controller(tree=TreeKind.SGX, seed=3).layout
+    return SgxTreeEngine(ProcessorKeys(3), layout)
 
 
 class TestProcessorKeys:
@@ -62,18 +73,20 @@ class TestHashes:
         key = ProcessorKeys(0).tree_key
         assert node_hash(key, LINE, 0x1000) != node_hash(key, LINE, 0x2000)
 
-    def test_sgx_node_mac_binds_parent_nonce(self):
-        key = ProcessorKeys(0).tree_key
-        counters = list(range(8))
-        assert sgx_node_mac(key, 0, counters, 1) != sgx_node_mac(
-            key, 0, counters, 2
+    def test_sgx_mac_binds_parent_nonce(self, sgx_engine):
+        from repro.counters.sgx import SgxCounterBlock
+
+        node = SgxCounterBlock(list(range(8)), 0)
+        assert sgx_engine.compute_mac(node, 1) != sgx_engine.compute_mac(
+            node, 2
         )
 
-    def test_sgx_node_mac_binds_counters(self):
-        key = ProcessorKeys(0).tree_key
-        assert sgx_node_mac(key, 0, [0] * 8, 0) != sgx_node_mac(
-            key, 0, [1] + [0] * 7, 0
-        )
+    def test_sgx_mac_binds_counters(self, sgx_engine):
+        from repro.counters.sgx import SgxCounterBlock
+
+        assert sgx_engine.compute_mac(
+            SgxCounterBlock([0] * 8, 0), 0
+        ) != sgx_engine.compute_mac(SgxCounterBlock([1] + [0] * 7, 0), 0)
 
     def test_data_mac_binds_counter(self):
         key = ProcessorKeys(0).mac_key
@@ -181,18 +194,15 @@ class TestPreKeyedDigests:
     KEYS = ProcessorKeys(3)
 
     @pytest.fixture(scope="class")
-    def owners(self):
-        from repro.config import TreeKind
+    def owners(self, sgx_engine):
         from repro.core.shadow_table import ShadowRegionTree
-        from repro.integrity.sgx_tree import SgxTreeEngine
 
         from tests.helpers import make_controller
 
         keys = self.KEYS
-        sgx = make_controller(tree=TreeKind.SGX, seed=3)
         return {
             "bonsai": make_controller(seed=3),
-            "sgx_engine": SgxTreeEngine(keys, sgx.layout),
+            "sgx_engine": sgx_engine,
             "ctr": CounterModeEngine(keys, pad_memo_entries=0),
             "shadow": ShadowRegionTree(keys.shadow_key, 9),
         }

@@ -186,6 +186,18 @@ class TestStEntry:
         assert StEntry.from_bytes(entry.to_bytes()) == entry
 
 
+class _CountingHash:
+    """Wraps a tree's keyed hash and counts the digests it computes."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def value(self, payload):
+        self.calls += 1
+        return self.inner.value(payload)
+
+
 class TestShadowRegionTree:
     @pytest.fixture
     def key(self):
@@ -224,6 +236,70 @@ class TestShadowRegionTree:
     def test_update_reports_hash_count(self, key):
         tree = ShadowRegionTree(key, 64)  # levels: 64 -> 8 -> 1
         assert tree.update(0, b"\x01" * 64) == 3
+
+    @pytest.mark.parametrize("leaves,depth", [(1, 1), (9, 3), (4097, 6)])
+    def test_update_reports_eager_path_length(self, key, leaves, depth):
+        # The hardware hashes one leaf-to-root path per ST write, whether
+        # or not the root has been read since.
+        tree = ShadowRegionTree(key, leaves)
+        assert len(tree.levels) == depth
+        assert tree.update(leaves - 1, b"\x01" * 64) == depth
+        assert tree.update(leaves - 1, b"\x02" * 64) == depth
+        tree.root  # flushes the pending leaf
+        assert tree.update(0, b"\x03" * 64) == depth
+
+    @pytest.mark.parametrize("leaves", [9, 64, 4097])
+    def test_root_read_hashes_each_dirty_node_once(self, key, leaves):
+        tree = ShadowRegionTree(key, leaves)
+        counted = _CountingHash(tree._hash)
+        tree._hash = counted
+        touched = sorted({0, 1, 7, 8, leaves // 2, leaves - 1})
+        for index in touched:
+            tree.update(index, index.to_bytes(64, "little"))
+        tree.update(touched[0], b"\xee" * 64)  # a repeat costs nothing more
+        assert counted.calls == 0
+        root = tree.root
+        expected = len(touched)  # one hash per pending leaf
+        dirty = set(touched)
+        for _level in range(1, len(tree.levels)):
+            dirty = {index // 8 for index in dirty}
+            expected += len(dirty)
+        assert counted.calls == expected
+        assert tree.root == root
+        assert counted.calls == expected  # a clean read hashes nothing
+
+    @given(
+        st.integers(min_value=1, max_value=80),
+        st.lists(
+            st.one_of(
+                st.tuples(
+                    st.integers(min_value=0),
+                    st.binary(min_size=64, max_size=64),
+                ),
+                st.none(),
+            ),
+            max_size=40,
+        ),
+    )
+    @example(
+        9, [(8, b"\x01" * 64), None, (8, b"\x02" * 64), (0, bytes(64)), None]
+    )
+    def test_root_reads_match_recomputation(self, leaves, operations):
+        """Interleaved updates (repeats included) and root reads: every
+        read equals the root recomputed over the current blocks."""
+        key = ProcessorKeys(1).shadow_key
+        tree = ShadowRegionTree(key, leaves)
+        blocks = [bytes(64)] * leaves
+        for operation in operations + [None]:
+            if operation is None:
+                expected = ShadowRegionTree.compute_root(
+                    key, leaves, blocks.__getitem__
+                )
+                assert tree.root == expected
+            else:
+                index = operation[0] % leaves
+                blocks[index] = operation[1]
+                tree.update(index, operation[1])
 
     def test_single_leaf_tree(self, key):
         tree = ShadowRegionTree(key, 1)
