@@ -22,7 +22,6 @@ from repro import (
     AgitRecovery,
     ProcessorKeys,
     SchemeKind,
-    analyze_endurance,
     build_controller,
     crash,
     default_table1_config,
@@ -84,13 +83,21 @@ def main() -> None:
         f"({total_recovery_s*1e3/cycles:.2f} ms per reboot)"
     )
 
-    endurance = analyze_endurance(controller)
-    print(
-        f"\nNVM wear after the session: {endurance.total_writes:,} device "
-        f"writes, {endurance.metadata_write_fraction:.0%} to metadata; "
-        f"hottest block took {endurance.hottest_blocks[0][1]} writes"
+    nvm = controller.nvm
+    block_writes = [
+        (address, nvm.write_count(address))
+        for address, _data in nvm.touched_blocks()
+    ]
+    data_writes = sum(
+        count for address, count in block_writes
+        if controller.layout.data.contains(address)
     )
-
+    print(
+        f"\nNVM wear after the session: {nvm.writes:,} device writes, "
+        f"{1 - data_writes / nvm.writes:.0%} to metadata; "
+        f"hottest block took {max(count for _a, count in block_writes)} "
+        f"writes"
+    )
 
 if __name__ == "__main__":
     main()

@@ -32,7 +32,6 @@ Quickstart::
     print(result.ns_per_access)
 """
 
-from repro.analysis import analyze_endurance, EnduranceReport
 from repro.config import (
     AnubisConfig,
     CacheConfig,
@@ -168,8 +167,5 @@ __all__ = [
     "profile",
     "generate_trace",
     "replay",
-    # analysis
-    "analyze_endurance",
-    "EnduranceReport",
     "CounterRecoveryKind",
 ]

@@ -268,13 +268,6 @@ class SecureMemoryController(abc.ABC):
             raise IntegrityError(f"data MAC mismatch at {address:#x}")
         return plaintext
 
-    def persist_data(
-        self, address: int, ciphertext: bytes, sideband: bytes
-    ) -> None:
-        """Push one sealed data line into the persistent domain."""
-        self.persist_writes += 1
-        self.wpq.insert(address, ciphertext, sideband)
-
     def persist_metadata(self, address: int, block: bytes) -> None:
         """Push one metadata block into the persistent domain."""
         self.persist_writes += 1

@@ -9,14 +9,13 @@ all three at Python speed.
 """
 
 from repro.crypto.keys import ProcessorKeys
-from repro.crypto.hashes import hash64, mac56, node_hash, truncated_digest
+from repro.crypto.hashes import hash64, mac56, truncated_digest
 from repro.crypto.ctr import CounterModeEngine, make_iv
 
 __all__ = [
     "ProcessorKeys",
     "hash64",
     "mac56",
-    "node_hash",
     "truncated_digest",
     "CounterModeEngine",
     "make_iv",

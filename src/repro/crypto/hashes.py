@@ -82,28 +82,12 @@ def hash64(key: bytes, payload: bytes) -> int:
     return int.from_bytes(digest, "little")
 
 
-def node_hash(key: bytes, node_bytes: bytes, address: int) -> int:
-    """Hash of a whole 64B child node, bound to its address.
-
-    Binding the address prevents a splicing attack where a valid node is
-    replayed at a different tree position.
-    """
-    payload = address.to_bytes(8, "little") + node_bytes
-    return hash64(key, payload)
-
-
 def mac56(key: bytes, payload: bytes) -> int:
-    """56-bit keyed MAC used by SGX-style tree nodes and shadow entries."""
+    """56-bit keyed MAC, one keyed state per call.
+
+    The simulator's MAC owners (the data MAC, SGX tree nodes) hold a
+    :func:`mac56_keyed` instead; this is the reference it must match.
+    """
     digest = truncated_digest(key, payload, 8)
     return int.from_bytes(digest, "little") & _MAC_MASK
 
-
-def data_mac(key: bytes, address: int, counter_iv: bytes, data: bytes) -> int:
-    """Bonsai-style data MAC over (address, counter, data) (§2.3).
-
-    In a Bonsai Merkle Tree system the tree protects only the counters;
-    each data line carries a MAC over the line, its address, and its
-    encryption counter.
-    """
-    payload = address.to_bytes(8, "little") + counter_iv + data
-    return mac56(key, payload)

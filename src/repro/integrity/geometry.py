@@ -3,9 +3,10 @@
 A :class:`TreePath` names one step on the walk from a leaf metadata block
 to the on-chip root: the node's (level, index), its memory address when
 the level is stored, and which child slot the *previous* step occupies in
-this node.  The batch engine and the tests iterate these paths; the
-Bonsai controller's per-access walks do the same arithmetic on
-:attr:`~repro.mem.layout.MemoryLayout.level_bases` inline.
+this node.  The tests iterate these paths; the Bonsai controller's
+per-access walks and the batch engine's ``_tree_path`` do the same
+arithmetic on :attr:`~repro.mem.layout.MemoryLayout.level_bases`
+inline.
 """
 
 from __future__ import annotations

@@ -194,20 +194,6 @@ class NvmDevice:
         """Iterate ``(address, data)`` over every written block."""
         return iter(sorted(self._blocks.items()))
 
-    def region_write_totals(self, regions) -> Dict[str, int]:
-        """Aggregate write counts per named region.
-
-        ``regions`` is an iterable of :class:`~repro.mem.layout.Region`.
-        """
-        region_list = list(regions)
-        totals = {region.name: 0 for region in region_list}
-        for address, count in self._write_counts.items():
-            for region in region_list:
-                if region.contains(address):
-                    totals[region.name] += count
-                    break
-        return totals
-
     @property
     def stats(self) -> StatGroup:
         """Read-only ``nvm.*`` view of the device's counts."""

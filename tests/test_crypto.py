@@ -5,12 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.crypto.ctr import CounterModeEngine, make_iv
-from repro.crypto.hashes import (
-    data_mac,
-    hash64,
-    mac56,
-    node_hash,
-)
+from repro.crypto.hashes import hash64, mac56
 from repro.crypto.keys import ProcessorKeys
 
 LINE = bytes(range(64))
@@ -69,10 +64,6 @@ class TestHashes:
         value = mac56(ProcessorKeys(0).mac_key, LINE)
         assert 0 <= value < (1 << 56)
 
-    def test_node_hash_binds_address(self):
-        key = ProcessorKeys(0).tree_key
-        assert node_hash(key, LINE, 0x1000) != node_hash(key, LINE, 0x2000)
-
     def test_sgx_mac_binds_parent_nonce(self, sgx_engine):
         from repro.counters.sgx import SgxCounterBlock
 
@@ -87,10 +78,6 @@ class TestHashes:
         assert sgx_engine.compute_mac(
             SgxCounterBlock([0] * 8, 0), 0
         ) != sgx_engine.compute_mac(SgxCounterBlock([1] + [0] * 7, 0), 0)
-
-    def test_data_mac_binds_counter(self):
-        key = ProcessorKeys(0).mac_key
-        assert data_mac(key, 0, b"\x01", LINE) != data_mac(key, 0, b"\x02", LINE)
 
 
 class TestCounterMode:

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.errors import AlignmentError, LayoutError
-from repro.mem.layout import Region
 from repro.mem.nvm import NvmDevice
 
 SIZE = 64 * 1024
@@ -111,23 +110,6 @@ class TestAccounting:
         assert not nvm.is_written(0)
         nvm.write(0, LINE)
         assert nvm.is_written(0)
-
-    def test_region_write_totals(self, nvm):
-        low = Region("low", 0, 1024)
-        high = Region("high", 1024, SIZE - 1024)
-        nvm.write(0, LINE)
-        nvm.write(64, LINE)
-        nvm.write(2048, LINE)
-        totals = nvm.region_write_totals([low, high])
-        assert totals == {"low": 2, "high": 1}
-
-    def test_region_write_totals_accepts_a_generator(self, nvm):
-        regions = [Region("low", 0, 1024), Region("high", 1024, SIZE - 1024)]
-        nvm.write(0, LINE)
-        nvm.write(2048, LINE)
-        from_generator = nvm.region_write_totals(r for r in regions)
-        assert from_generator == nvm.region_write_totals(regions)
-        assert from_generator == {"low": 1, "high": 1}
 
     def test_touched_blocks_sorted(self, nvm):
         nvm.write(128, LINE)
