@@ -64,7 +64,6 @@ from repro.core import (
 )
 from repro.crypto import ProcessorKeys
 from repro.errors import (
-    ArtifactCorruptError,
     IntegrityError,
     RecoveryError,
     ReproError,
@@ -86,10 +85,8 @@ from repro.sim import (
     SchemeComparison,
     SimulationEngine,
     SimulationResult,
-    load_artifact,
     resolve_jobs,
     run_simulation,
-    write_artifact,
 )
 from repro.traces import (
     SPEC_PROFILES,
@@ -134,7 +131,6 @@ __all__ = [
     "RecoveryError",
     "UnrecoverableError",
     "SilentCorruptionError",
-    "ArtifactCorruptError",
     # recovery
     "crash",
     "reincarnate",
@@ -157,9 +153,6 @@ __all__ = [
     "ParallelSweepExecutor",
     "resolve_jobs",
     "run_simulation",
-    # artifacts
-    "write_artifact",
-    "load_artifact",
     # traces
     "Trace",
     "SyntheticProfile",

@@ -24,13 +24,14 @@ Commands:
   splicing, shadow-table forgery) and judge every trial against the
   per-scheme security-claims oracle; ``--list`` enumerates the
   catalogue; exits 5 when a claim is violated;
-* ``cache`` — inspect (``stats``), bound (``gc``), or wipe (``clear``)
-  the content-addressed result cache that ``--cache-dir`` runs consult;
 * ``experiments`` — shorthand for ``python -m repro.experiments``.
 
 ``faults``, ``attack`` and ``python -m repro.experiments`` take their
-execution flags (``--jobs``, ``--resume`` and the result-cache flags) from one shared declaration,
-:func:`repro.sim.options.execution_parser`.
+execution flags (``--jobs`` and ``--resume``) from one shared
+declaration, :func:`repro.sim.options.execution_parser`.  Under
+``--resume DIR`` the finished campaign is written to ``DIR`` as plain
+sorted JSON (``campaign.json`` / ``attack_campaign.json``) next to the
+run's result store.
 """
 
 from __future__ import annotations
@@ -51,11 +52,8 @@ from repro.controller.factory import build_controller, build_layout
 from repro.crypto.keys import ProcessorKeys
 from repro.errors import ReproError
 from repro.sim.engine import run_simulation
-from repro.sim.options import (
-    ExecutionOptions,
-    add_cache_dir_argument,
-    execution_parser,
-)
+from repro.sim.checkpoint import atomic_write_json
+from repro.sim.options import ExecutionOptions, execution_parser
 from repro.traces.profiles import profile, profile_names
 from repro.traces.synthetic import generate_trace
 
@@ -509,7 +507,6 @@ EXIT_CLAIM_VIOLATION = 5
 def _command_faults(args: argparse.Namespace) -> int:
     from repro.faults import CampaignConfig, Outcome, run_campaign
     from repro.faults.report import format_matrix, format_summary
-    from repro.sim.checkpoint import write_artifact
 
     config = _resolve_faults_system(args)
     campaign = CampaignConfig(
@@ -544,7 +541,7 @@ def _command_faults(args: argparse.Namespace) -> int:
             print(f"  {trial.detail}")
     if args.resume:
         artifact = os.path.join(args.resume, "campaign.json")
-        write_artifact(artifact, result.to_dict(), kind="fault-campaign")
+        atomic_write_json(artifact, result.to_dict())
         print(f"\ncampaign artifact written to {artifact}")
     if cache is not None:
         _print_cache_traffic(cache)
@@ -574,7 +571,6 @@ def _command_attack(args: argparse.Namespace) -> int:
         run_attack_campaign,
     )
     from repro.faults.models import WINDOW_AT_CRASH, WINDOW_MID_RECOVERY
-    from repro.sim.checkpoint import write_artifact
 
     if args.list:
         rows = [("attack class", "windows", "description")] + [
@@ -625,7 +621,7 @@ def _command_attack(args: argparse.Namespace) -> int:
             print(f"  {trial.detail}")
     if args.resume:
         artifact = os.path.join(args.resume, "attack_campaign.json")
-        write_artifact(artifact, result.to_dict(), kind="attack-campaign")
+        atomic_write_json(artifact, result.to_dict())
         print(f"\nattack-campaign artifact written to {artifact}")
     if cache is not None:
         _print_cache_traffic(cache)
@@ -637,42 +633,6 @@ def _command_attack(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EXIT_CLAIM_VIOLATION
-    return 0
-
-
-def _command_cache(args: argparse.Namespace) -> int:
-    from repro.sim.result_cache import ResultCache
-
-    directory = args.cache_dir or os.environ.get("REPRO_RESULT_CACHE")
-    if not directory:
-        print(
-            "error: no cache directory — pass --cache-dir or set "
-            "$REPRO_RESULT_CACHE",
-            file=sys.stderr,
-        )
-        return 2
-    cache = ResultCache(directory)
-    if args.action == "stats":
-        stats = cache.store_stats()
-        print(f"directory   : {stats['directory']}")
-        print(f"entries     : {stats['entries']:,}")
-        print(f"total bytes : {stats['total_bytes']:,}")
-        return 0
-    if args.action == "gc":
-        max_age = (
-            args.max_age_days * 86_400.0
-            if args.max_age_days is not None
-            else None
-        )
-        report = cache.gc(max_bytes=args.max_bytes, max_age_seconds=max_age)
-        print(
-            f"gc: examined {report.examined:,}, removed {report.removed:,} "
-            f"({report.removed_bytes:,} bytes), kept {report.kept:,} "
-            f"({report.kept_bytes:,} bytes)"
-        )
-        return 0
-    removed = cache.clear()
-    print(f"cleared {removed:,} entries from {cache.directory}")
     return 0
 
 
@@ -868,35 +828,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(debugging only)",
     )
     attack.set_defaults(handler=_command_attack)
-
-    cache = commands.add_parser(
-        "cache",
-        help="inspect, bound, or wipe the content-addressed result cache",
-    )
-    cache.add_argument(
-        "action",
-        choices=["stats", "gc", "clear"],
-        help="stats: what is on disk; gc: bounded eviction (oldest "
-        "first); clear: remove every entry",
-    )
-    add_cache_dir_argument(
-        cache, "store directory (default: $REPRO_RESULT_CACHE)"
-    )
-    cache.add_argument(
-        "--max-bytes",
-        type=int,
-        metavar="N",
-        default=None,
-        help="gc: evict oldest entries until the store fits N bytes",
-    )
-    cache.add_argument(
-        "--max-age-days",
-        type=float,
-        metavar="D",
-        default=None,
-        help="gc: also evict entries older than D days",
-    )
-    cache.set_defaults(handler=_command_cache)
 
     experiments = commands.add_parser(
         "experiments", help="run the paper-figure harness"

@@ -102,13 +102,3 @@ class WpqError(ReproError):
 class TraceError(ReproError):
     """A trace record is malformed or incompatible with the system size."""
 
-
-class ArtifactCorruptError(ReproError):
-    """A persisted result artifact or result-store entry failed its
-    integrity validation (truncated JSON, checksum mismatch, wrong
-    artifact kind, or unsupported version).
-
-    The harness writes artifacts atomically and embeds a checksum, so
-    this error indicates on-disk corruption or a file the harness never
-    wrote — never a half-finished write."""
-

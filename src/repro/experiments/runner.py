@@ -14,12 +14,13 @@ Usage::
 are reduced in deterministic submission order, so the printed tables and
 ``--json`` output are byte-identical to a serial run.
 
-``--resume DIR`` keeps the run's result store in ``DIR`` (unless
-``--cache-dir`` or ``$REPRO_RESULT_CACHE`` names another): every
+``--resume DIR`` keeps the run's result store in ``DIR``: every
 finished grid cell and campaign trial is stored there, so re-running
 after an interrupt (SIGTERM, OOM, preemption) skips completed work and
 produces the same ``results.json`` and ``--trace-out`` stream an
-uninterrupted run would have.  Experiments without a grid or campaign
+uninterrupted run would have.  ``DIR/results.json`` is the same plain
+sorted JSON that ``--json`` writes, and ``DIR/manifest.json`` records
+the run's store traffic.  Experiments without a grid or campaign
 are simply recomputed; they are deterministic.  A failed cell or a
 dead worker stops the run; the same ``--resume DIR`` re-run finishes it.
 """
@@ -32,11 +33,7 @@ import sys
 import time
 from typing import Callable, Dict, Optional
 
-from repro.sim.checkpoint import (
-    atomic_write_json,
-    fingerprint,
-    write_artifact,
-)
+from repro.sim.checkpoint import atomic_write_json, fingerprint
 from repro.sim.options import ExecutionOptions, execution_parser
 from repro.telemetry.runtime import (
     TelemetrySpec,
@@ -359,7 +356,7 @@ def main(argv=None) -> int:
     outputs: Dict[str, str] = {}
     if options.resume:
         artifact = os.path.join(options.resume, "results.json")
-        write_artifact(artifact, collected, kind="experiment-results")
+        atomic_write_json(artifact, collected)
         outputs["results"] = artifact
         print(f"experiment artifact written to {artifact}")
     if args.json:

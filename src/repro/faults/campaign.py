@@ -667,8 +667,8 @@ def run_campaign(
     job count.  A failing trial or a dead worker stops the campaign.
 
     When a result store is configured (see
-    :func:`repro.sim.result_cache.configure_result_cache`; ``--resume``
-    and ``--cache-dir`` both install one), the campaign is
+    :func:`repro.sim.result_cache.configure_result_cache`;
+    ``--resume DIR`` installs one in ``DIR``), the campaign is
     *preemption-safe*: every completed trial is stored there, keyed by
     :func:`campaign_cache_identity` and trial index, and a re-run skips
     stored trials and returns a result identical to an uninterrupted

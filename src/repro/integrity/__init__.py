@@ -1,12 +1,9 @@
 """Integrity trees: general (Bonsai) and SGX-style parallelizable."""
 
-from repro.integrity.geometry import TreePath, path_to_root
 from repro.integrity.bonsai import BonsaiNode, BonsaiTreeEngine
 from repro.integrity.sgx_tree import SgxTreeEngine
 
 __all__ = [
-    "TreePath",
-    "path_to_root",
     "BonsaiNode",
     "BonsaiTreeEngine",
     "SgxTreeEngine",

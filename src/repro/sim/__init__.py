@@ -1,11 +1,6 @@
 """Simulation engine: build a system, replay a trace, collect results."""
 
-from repro.sim.checkpoint import (
-    atomic_write_json,
-    fingerprint,
-    load_artifact,
-    write_artifact,
-)
+from repro.sim.checkpoint import atomic_write_json, fingerprint
 from repro.sim.engine import SimulationEngine, run_simulation
 from repro.sim.parallel import ParallelSweepExecutor, resolve_jobs
 from repro.sim.results import SchemeComparison, SimulationResult
@@ -19,6 +14,4 @@ __all__ = [
     "resolve_jobs",
     "atomic_write_json",
     "fingerprint",
-    "load_artifact",
-    "write_artifact",
 ]

@@ -1,23 +1,20 @@
-"""Fingerprints and atomic, checksummed artifacts.
+"""Fingerprints and atomic JSON artifacts.
 
 Anubis's thesis is that *selective persistence of just-enough state*
 makes crashes survivable; this module applies the same idea to the
 harness itself.  Two layers:
 
-**Fingerprints** (:func:`fingerprint`, :func:`full_fingerprint`,
-:func:`trace_digest`) deterministically identify a unit of work — a
-(config, trace, seed) cell or a whole campaign — so the result store
+**Fingerprints** (:func:`fingerprint`, :func:`full_fingerprint`)
+deterministically identify a unit of work — a (config, trace, seed)
+cell or a whole campaign — so the result store
 (:mod:`repro.sim.result_cache`) can never hand back the *wrong* work.
 
 **Atomic artifacts** (:func:`atomic_write_text`,
-:func:`atomic_write_json`, :func:`write_artifact`,
-:func:`load_artifact`).  Every JSON artifact is written to a temp file
-in the destination directory, fsync'd, then :func:`os.replace`'d into
-place — a crash mid-write can never leave a truncated file under the
-final name.  :func:`write_artifact` additionally wraps the payload in a
-versioned envelope with an embedded checksum; :func:`load_artifact`
-validates it and raises :class:`~repro.errors.ArtifactCorruptError` on
-any mismatch.
+:func:`atomic_write_json`).  Every JSON artifact — ``--json`` output,
+``results.json``, ``campaign.json``, each result-store entry — is
+written to a temp file in the destination directory, fsync'd, then
+:func:`os.replace`'d into place, so a crash mid-write can never leave a
+truncated file under the final name.
 """
 
 from __future__ import annotations
@@ -28,12 +25,7 @@ import hashlib
 import json
 import os
 import tempfile
-from typing import Any, Optional
-
-from repro.errors import ArtifactCorruptError
-
-#: Envelope version for :func:`write_artifact` artifacts.
-ARTIFACT_VERSION = 1
+from typing import Any
 
 
 # ----------------------------------------------------------------------
@@ -75,10 +67,6 @@ def canonical_json(value: Any) -> str:
     )
 
 
-def _digest(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
 def full_fingerprint(*parts: Any) -> str:
     """The full 64-hex-digit sha256 fingerprint of the given values.
 
@@ -87,7 +75,8 @@ def full_fingerprint(*parts: Any) -> str:
     non-negligible birthday-collision risk, and a collision silently
     returns the wrong cell's result.
     """
-    return _digest(canonical_json(list(parts)))
+    text = canonical_json(list(parts))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def fingerprint(*parts: Any) -> str:
@@ -99,19 +88,8 @@ def fingerprint(*parts: Any) -> str:
     return full_fingerprint(*parts)[:16]
 
 
-def trace_digest(trace) -> str:
-    """Full 64-hex-digit content digest of a trace, memoized.
-
-    :meth:`~repro.traces.trace.Trace.content_digest` caches the digest
-    per instance (invalidated on mutation).  The result-cache key for a
-    cell is built from this full digest — see the fingerprint-truncation
-    note on :func:`full_fingerprint`.
-    """
-    return trace.content_digest()
-
-
 # ----------------------------------------------------------------------
-# Atomic writes and versioned artifacts
+# Atomic writes
 # ----------------------------------------------------------------------
 
 def _fsync_directory(directory: str) -> None:
@@ -154,66 +132,3 @@ def atomic_write_json(path: str, payload: Any, indent: int = 2) -> None:
     """Atomically write ``payload`` as sorted, indented JSON."""
     text = json.dumps(payload, indent=indent, sort_keys=True)
     atomic_write_text(path, text + "\n")
-
-
-def write_artifact(path: str, payload: Any, kind: str) -> None:
-    """Atomically write a versioned, checksummed result artifact.
-
-    The envelope records the artifact ``kind`` (e.g. "fault-campaign"),
-    the schema version, and a checksum of the canonical payload
-    encoding; :func:`load_artifact` refuses anything that does not
-    validate.  Output bytes are deterministic for a given payload, so
-    two runs producing the same results produce ``cmp``-identical
-    artifact files.
-    """
-    payload = plain(payload)
-    envelope = {
-        "artifact": kind,
-        "version": ARTIFACT_VERSION,
-        "checksum": _digest(canonical_json(payload)),
-        "payload": payload,
-    }
-    atomic_write_json(path, envelope)
-
-
-def load_artifact(path: str, kind: Optional[str] = None) -> Any:
-    """Load and validate an artifact written by :func:`write_artifact`.
-
-    Raises :class:`ArtifactCorruptError` on unparseable JSON, a missing
-    or mismatched checksum, an unsupported version, or (when ``kind``
-    is given) the wrong artifact kind.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as stream:
-            envelope = json.load(stream)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ArtifactCorruptError(
-            f"artifact {path!r} is not valid JSON (truncated write or "
-            f"external corruption): {exc}"
-        ) from None
-    if not isinstance(envelope, dict) or "payload" not in envelope:
-        raise ArtifactCorruptError(
-            f"artifact {path!r} has no payload envelope — not written by "
-            "this harness"
-        )
-    version = envelope.get("version")
-    if version != ARTIFACT_VERSION:
-        raise ArtifactCorruptError(
-            f"artifact {path!r} has unsupported version {version!r} "
-            f"(expected {ARTIFACT_VERSION})"
-        )
-    if kind is not None and envelope.get("artifact") != kind:
-        raise ArtifactCorruptError(
-            f"artifact {path!r} is a {envelope.get('artifact')!r}, "
-            f"expected {kind!r}"
-        )
-    payload = envelope["payload"]
-    expected = envelope.get("checksum")
-    actual = _digest(canonical_json(payload))
-    if expected != actual:
-        raise ArtifactCorruptError(
-            f"artifact {path!r} failed its checksum "
-            f"({expected!r} != {actual!r}) — contents were altered after "
-            "writing"
-        )
-    return payload

@@ -196,7 +196,7 @@ class ParallelSweepExecutor:
         results are harvested, and the finished results are absorbed —
         in submission order — into the run's collector.
 
-        When the run configured a result cache (see
+        When the run configured a result store (``--resume DIR``; see
         :func:`repro.sim.result_cache.configure_result_cache`), the
         store is consulted before any cell is submitted and populated
         as cold cells complete — all in this (parent) process, and all

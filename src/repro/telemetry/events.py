@@ -123,15 +123,13 @@ class EventTracer:
     """
 
     __slots__ = ("enabled", "detail", "now", "dropped", "buffer_limit",
-                 "sampled_out", "_seq", "_events", "_sample_rates",
-                 "_kind_counts")
+                 "_seq", "_events")
 
     def __init__(
         self,
         enabled: bool = True,
         detail: bool = False,
         buffer_limit: int = DEFAULT_BUFFER_LIMIT,
-        sample_rates: Optional[Dict[str, int]] = None,
     ) -> None:
         self.enabled = enabled
         #: Detail level: high-frequency events (cache hits, per-check
@@ -142,32 +140,13 @@ class EventTracer:
         self.now = 0.0
         self.dropped = 0
         self.buffer_limit = buffer_limit
-        #: Events skipped by per-kind head-sampling (not buffer drops).
-        self.sampled_out = 0
         self._seq = 0
         self._events: List[dict] = []
-        #: kind -> keep-every-Nth rate.  Sampling is a deterministic
-        #: per-kind counter (the first occurrence is always kept), so
-        #: equal runs sample identically regardless of wall-clock.
-        self._sample_rates: Dict[str, int] = {
-            kind: rate
-            for kind, rate in (sample_rates or {}).items()
-            if rate > 1
-        }
-        self._kind_counts: Dict[str, int] = {}
 
     def emit(self, kind: str, ns: Optional[float] = None, **fields) -> None:
         """Record one event (no-op when disabled; counts when full)."""
         if not self.enabled:
             return
-        if self._sample_rates:
-            rate = self._sample_rates.get(kind)
-            if rate is not None:
-                count = self._kind_counts.get(kind, 0)
-                self._kind_counts[kind] = count + 1
-                if count % rate:
-                    self.sampled_out += 1
-                    return
         if len(self._events) >= self.buffer_limit:
             self.dropped += 1
             return

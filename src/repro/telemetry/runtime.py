@@ -36,8 +36,8 @@ import subprocess
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from repro.telemetry.events import (
     DEFAULT_BUFFER_LIMIT,
@@ -63,18 +63,13 @@ class TelemetrySpec:
     events); ``buffer_limit`` bounds each cell's event buffer.
     ``sample_interval`` > 0 arms the deterministic metric-series
     sampler (one ``collect_stats()`` snapshot every N simulated
-    requests);
-    ``sample_events`` is a tuple of ``(kind, keep_every_nth)`` pairs
-    head-sampling high-rate event kinds so trace-everything runs on
-    multi-million-access traces stay bounded.  Tuples (not dicts) keep
-    the spec hashable, picklable, and cache-key stable.
+    requests).
     """
 
     events: bool = True
     detail: bool = False
     buffer_limit: int = DEFAULT_BUFFER_LIMIT
     sample_interval: int = 0
-    sample_events: Tuple[Tuple[str, int], ...] = field(default=())
 
     def make_tracer(self) -> EventTracer:
         """A fresh tracer honouring this spec."""
@@ -82,7 +77,6 @@ class TelemetrySpec:
             enabled=self.events,
             detail=self.detail,
             buffer_limit=self.buffer_limit,
-            sample_rates=dict(self.sample_events),
         )
 
     def make_sampler(self) -> Optional[MetricSampler]:

@@ -353,9 +353,7 @@ class TestCliAndArtifacts:
         capsys.readouterr()
         artifact = os.path.join(directory, "attack_campaign.json")
         with open(artifact) as fh:
-            payload = json.load(fh)
-        assert payload["artifact"] == "attack-campaign"
-        body = payload["payload"]
+            body = json.load(fh)
         assert body["verdict_counts"]["VIOLATION"] == 0
         assert body["matrix"]
         assert EXIT_CLAIM_VIOLATION == 5

@@ -27,11 +27,6 @@ from repro.controller.factory import build_controller, build_layout
 from repro.crypto.keys import ProcessorKeys
 from repro.experiments import fig10_agit_perf
 from repro.sim.engine import run_simulation
-from repro.sim.result_cache import (
-    CACHE_SCHEMA_VERSION,
-    ResultCache,
-    simulation_cell_key,
-)
 from repro.telemetry.runtime import TelemetrySpec
 from repro.traces.profiles import SyntheticProfile, profile, profile_names
 from repro.traces.replay import replay, replay_batched
@@ -321,31 +316,6 @@ class TestEngineAndKnob:
             small_config(SchemeKind.WRITE_BACK), keys=ProcessorKeys(7)
         )
         assert replay_batched(reference, trace) == oracle
-
-
-class TestResultCacheKeys:
-    def test_schema_version_bumped_for_stamped_keys(self):
-        assert CACHE_SCHEMA_VERSION == 2
-
-    def test_code_stamp_scopes_keys(self, tmp_path):
-        plain = ResultCache(str(tmp_path / "a"))
-        stamped = ResultCache(str(tmp_path / "b"), code_stamp="rev1")
-        stamped_same = ResultCache(str(tmp_path / "c"), code_stamp="rev1")
-        stamped_other = ResultCache(str(tmp_path / "d"), code_stamp="rev2")
-        parts = ("simulation-result", "digest", 3, None)
-        assert stamped.key(*parts) == stamped_same.key(*parts)
-        assert stamped.key(*parts) != plain.key(*parts)
-        assert stamped.key(*parts) != stamped_other.key(*parts)
-
-    def test_stamped_cache_round_trips(self, tmp_path):
-        cache = ResultCache(str(tmp_path), code_stamp="rev1")
-        key = cache.key("simulation-result", "x")
-        cache.put(key, {"value": 1}, kind="simulation-result")
-        assert cache.get(key, kind="simulation-result") == {"value": 1}
-        other = ResultCache(str(tmp_path), code_stamp="rev2")
-        miss = other.key("simulation-result", "x")
-        assert miss != key
-        assert other.get(miss, kind="simulation-result") is None
 
 
 class TestInvalidAddresses:

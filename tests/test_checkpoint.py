@@ -1,8 +1,9 @@
 """The checkpoint layer's promises: stable identities, atomic and
 validated artifacts.
 
-Artifacts either load exactly as written or raise
-:class:`ArtifactCorruptError` — never a silently truncated result.
+Run artifacts are plain atomic JSON; the checksummed artifacts are the
+result store's entries, which either load exactly as written or are
+quarantined and recomputed — never a silently truncated result.
 """
 
 import json
@@ -11,15 +12,13 @@ import os
 import pytest
 
 from repro.config import SchemeKind
-from repro.errors import ArtifactCorruptError
 from repro.sim.checkpoint import (
     atomic_write_json,
     canonical_json,
     fingerprint,
-    load_artifact,
     plain,
-    write_artifact,
 )
+from repro.sim.result_cache import QUARANTINE_SUFFIX, ResultCache
 from repro.sim.results import SimulationResult
 from repro.traces.profiles import profile
 from repro.traces.synthetic import generate_trace
@@ -65,8 +64,6 @@ class TestFingerprints:
         """The chunked hash reproduces the frozen per-request stream."""
         import hashlib
 
-        from repro.sim.checkpoint import trace_digest
-
         trace = generate_trace(profile("gcc"), 200, seed=5)
         reference = hashlib.sha256()
         reference.update(trace.name.encode("utf-8"))
@@ -77,7 +74,7 @@ class TestFingerprints:
             )
             if request.data:
                 reference.update(request.data)
-        assert trace_digest(trace) == reference.hexdigest()
+        assert trace.content_digest() == reference.hexdigest()
 
     def test_trace_digest_memoized_and_invalidated(self):
         trace = generate_trace(profile("gcc"), 50, seed=1)
@@ -94,48 +91,75 @@ class TestAtomicArtifacts:
     def test_roundtrip(self, tmp_path):
         path = str(tmp_path / "result.json")
         payload = {"numbers": [1, 2.5], "name": "fig07"}
-        write_artifact(path, payload, kind="test")
-        assert load_artifact(path, kind="test") == payload
+        atomic_write_json(path, payload)
+        with open(path) as stream:
+            assert json.load(stream) == payload
 
     def test_write_is_deterministic(self, tmp_path):
         a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
-        write_artifact(a, {"x": 1.25}, kind="test")
-        write_artifact(b, {"x": 1.25}, kind="test")
+        atomic_write_json(a, {"x": 1.25, "a": [2, 1]})
+        atomic_write_json(b, {"a": [2, 1], "x": 1.25})
         assert open(a, "rb").read() == open(b, "rb").read()
 
     def test_no_temp_files_left_behind(self, tmp_path):
         path = str(tmp_path / "result.json")
         atomic_write_json(path, {"ok": True})
-        write_artifact(path, {"ok": True}, kind="test")
+        atomic_write_json(path, {"ok": False})
         assert os.listdir(tmp_path) == ["result.json"]
 
+    # A damaged store entry is a quarantined miss, then recomputed.
+
+    @staticmethod
+    def _stored(tmp_path, payload, kind="test"):
+        cache = ResultCache(str(tmp_path / "store"))
+        key = cache.key(kind, "cell")
+        cache.put(key, payload, kind=kind)
+        return cache, key, cache._path(key)
+
+    @staticmethod
+    def _assert_quarantined_then_recomputed(cache, key, kind, payload):
+        path = cache._path(key)
+        assert cache.get(key, kind=kind) is None
+        assert cache.quarantined == 1
+        assert os.path.exists(path + QUARANTINE_SUFFIX)
+        assert not os.path.exists(path)
+        cache.put(key, payload, kind=kind)
+        assert cache.get(key, kind=kind) == payload
+
     def test_tampered_payload_detected(self, tmp_path):
-        path = str(tmp_path / "result.json")
-        write_artifact(path, {"value": 41}, kind="test")
-        text = open(path).read().replace("41", "42")
-        open(path, "w").write(text)
-        with pytest.raises(ArtifactCorruptError, match="checksum"):
-            load_artifact(path)
+        cache, key, path = self._stored(tmp_path, {"value": 41})
+        text = open(path).read()
+        assert '"value": 41' in text
+        open(path, "w").write(text.replace('"value": 41', '"value": 42'))
+        # Still valid JSON with the right key and kind: only the checksum
+        # can tell.
+        self._assert_quarantined_then_recomputed(
+            cache, key, "test", {"value": 41}
+        )
 
     def test_truncated_file_detected(self, tmp_path):
-        path = str(tmp_path / "result.json")
-        write_artifact(path, {"value": list(range(100))}, kind="test")
+        payload = {"value": list(range(100))}
+        cache, key, path = self._stored(tmp_path, payload)
         raw = open(path, "rb").read()
         open(path, "wb").write(raw[: len(raw) // 2])
-        with pytest.raises(ArtifactCorruptError, match="JSON"):
-            load_artifact(path)
+        self._assert_quarantined_then_recomputed(cache, key, "test", payload)
 
     def test_wrong_kind_detected(self, tmp_path):
-        path = str(tmp_path / "result.json")
-        write_artifact(path, {}, kind="fault-campaign")
-        with pytest.raises(ArtifactCorruptError, match="expected"):
-            load_artifact(path, kind="experiment-results")
+        cache, key, _path = self._stored(tmp_path, {}, kind="fault-campaign")
+        assert cache.get(key, kind="experiment-results") is None
+        assert cache.quarantined == 1
+        # Quarantined, so even the right kind misses until recomputed.
+        self._assert_quarantined_then_recomputed(
+            cache, key, "fault-campaign", {}
+        )
+        assert cache.quarantined == 1
 
     def test_not_an_artifact_detected(self, tmp_path):
-        path = str(tmp_path / "result.json")
+        cache, key, path = self._stored(tmp_path, {"value": 1})
         open(path, "w").write('{"just": "json"}')
-        with pytest.raises(ArtifactCorruptError, match="envelope"):
-            load_artifact(path)
+        self._assert_quarantined_then_recomputed(
+            cache, key, "test", {"value": 1}
+        )
 
 
 class TestSimulationResultRoundTrip:

@@ -1,10 +1,10 @@
 """Unit and property tests for the physical memory layout."""
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from repro.config import MemoryConfig, TreeKind
+from repro.config import BLOCK_SIZE, PAGE_SIZE, MemoryConfig, TreeKind
 from repro.errors import AlignmentError, LayoutError
 from repro.mem.layout import MemoryLayout, Region
 
@@ -15,6 +15,30 @@ def small_layout(tree=TreeKind.BONSAI) -> MemoryLayout:
     return MemoryLayout(
         MemoryConfig(capacity_bytes=4 * MIB), tree, metadata_cache_blocks=128
     )
+
+
+#: 1100 pages: level counts 1100, 138, 18, 3, 1.  No level is a multiple
+#: of the arity, so the last node of every stored level is short.
+ODD_LAYOUT = MemoryLayout(
+    MemoryConfig(capacity_bytes=1100 * PAGE_SIZE),
+    TreeKind.BONSAI,
+    metadata_cache_blocks=128,
+)
+
+#: Any stored ``(level, index)`` of ``ODD_LAYOUT``.
+stored_nodes = st.integers(0, ODD_LAYOUT.root_level - 1).flatmap(
+    lambda level: st.tuples(
+        st.just(level),
+        st.integers(0, ODD_LAYOUT.level_counts[level] - 1),
+    )
+)
+
+
+def last_node_examples(test):
+    """Always try the short last node of every stored level."""
+    for level in range(ODD_LAYOUT.root_level):
+        test = example((level, ODD_LAYOUT.level_counts[level] - 1))(test)
+    return test
 
 
 class TestRegion:
@@ -187,6 +211,37 @@ class TestTreeNavigation:
         for ancestor in ancestors:
             level, index = layout.parent_of(level, index)
             assert layout.node_address(level, index) == ancestor
+
+    @last_node_examples
+    @given(stored_nodes)
+    def test_addresses_match_layout_property(self, node):
+        """The arithmetic walk the controllers inline — ``index // 8``
+        on ``level_bases`` — agrees with the layout's navigation helpers
+        at every step from any stored node up to the on-chip root."""
+        layout = ODD_LAYOUT
+        assert layout.level_counts == [1100, 138, 18, 3, 1]
+        assert layout.level_bases == [
+            region.base for region in layout.level_regions
+        ] + [layout.level_regions[-1].end]
+        level, index = node
+        address = layout.node_address(level, index)
+        assert address == layout.level_bases[level] + index * BLOCK_SIZE
+        assert layout.locate_node(address) == (level, index)
+        while level < layout.root_level:
+            slot = layout.child_slot(index)
+            assert slot == index % layout.arity
+            parent = layout.parent_of(level, index)
+            level, index = level + 1, index // layout.arity
+            assert parent == (level, index)
+            assert (level - 1, index * layout.arity + slot) in (
+                layout.children_of(level, index)
+            )
+            if level < layout.root_level:
+                address = layout.level_bases[level] + index * BLOCK_SIZE
+                assert layout.node_address(level, index) == address
+                assert layout.locate_node(address) == (level, index)
+            else:
+                assert index == 0
 
 
 class TestShadowRegions:

@@ -36,7 +36,6 @@ from repro.recovery.crash import crash, reincarnate
 from repro.sim.engine import run_simulation
 from repro.sim.parallel import ParallelSweepExecutor
 from repro.telemetry import (
-    EventTracer,
     RunCollector,
     TelemetrySpec,
     configure_telemetry,
@@ -219,18 +218,6 @@ def test_sample_series_identical_across_jobs(jobs):
     fanned = _collect_samples(jobs)
     assert fanned == serial
     assert serial  # non-empty: the sweep actually sampled
-
-
-def test_tracer_head_sampling_is_deterministic():
-    tracer = EventTracer(sample_rates={"mem.access": 4})
-    for index in range(10):
-        tracer.emit("mem.access", op="read", address=index)
-        tracer.emit("wpq.drain", count=1)
-    kept = [e for e in tracer.events() if e["kind"] == "mem.access"]
-    assert [e["address"] for e in kept] == [0, 4, 8]
-    assert tracer.sampled_out == 7
-    # Unsampled kinds are untouched.
-    assert sum(e["kind"] == "wpq.drain" for e in tracer.events()) == 10
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,7 @@ The contract under test, in order of importance:
 2. a damaged or mismatched store entry degrades to recomputation —
    quarantined, counted, never a crash, never a wrong result;
 3. keys discriminate everything that determines a result: config,
-   trace content, seed, telemetry spec, schema version, entry kind;
-4. gc is deterministic and honors its size/age bounds.
+   trace content, seed, telemetry spec, schema version, entry kind.
 """
 
 from __future__ import annotations
@@ -57,7 +56,7 @@ def _entry_files(cache):
 
 
 class TestStore:
-    def test_round_trip_and_traffic_counters(self, cache):
+    def test_round_trip_and_traffic_counters(self, cache, tmp_path):
         key = cache.key("simulation-result", "anything")
         assert len(key) == 64
         assert cache.get(key, kind="simulation-result") is None
@@ -68,15 +67,26 @@ class TestStore:
         assert stats["misses"] == 1
         assert stats["stores"] == 1
         assert stats["bytes_saved"] > 0
+        # One flat entry per file, and no temp files left behind.
+        assert _entry_files(cache) == [cache._path(key)]
+        with open(cache._path(key)) as handle:
+            entry = json.load(handle)
+        assert sorted(entry) == ["checksum", "key", "kind", "payload", "schema"]
+        assert entry["payload"] == {"value": 7}
+        # Entry bytes are deterministic: another store writes the same.
+        other = ResultCache(str(tmp_path / "other"))
+        other.put(key, {"value": 7}, kind="simulation-result")
+        with open(cache._path(key), "rb") as a, open(other._path(key), "rb") as b:
+            assert a.read() == b.read()
 
     def test_keys_discriminate_kind_and_schema(self, cache):
         assert cache.key("fault-trial", 1) != cache.key(
             "simulation-result", 1
         )
         # The schema version is baked into every address: bumping it
-        # orphans (rather than misinterprets) old stores.  v2 added the
-        # optional code stamp to key derivation.
-        assert CACHE_SCHEMA_VERSION in (2,)
+        # orphans (rather than misinterprets) old stores.  v3 made each
+        # entry one flat checksummed JSON object.
+        assert CACHE_SCHEMA_VERSION in (3,)
 
     def test_wrong_kind_is_quarantined_not_replayed(self, cache):
         key = cache.key("simulation-result", "x")
@@ -84,8 +94,11 @@ class TestStore:
         assert cache.get(key, kind="fault-trial") is None
         assert cache.quarantined == 1
         # Quarantine renamed the entry aside; even the right kind now
-        # misses.
+        # misses, and the recomputed result stores cleanly.
         assert cache.get(key, kind="simulation-result") is None
+        assert os.path.exists(cache._path(key) + QUARANTINE_SUFFIX)
+        cache.put(key, {"value": 1}, kind="simulation-result")
+        assert cache.get(key, kind="simulation-result") == {"value": 1}
 
     def test_copied_entry_is_never_replayed_under_another_key(self, cache):
         """A validating artifact under the wrong address is a miss —
@@ -105,76 +118,35 @@ class TestStore:
         assert os.path.exists(target + QUARANTINE_SUFFIX)
 
     def test_corrupt_entry_quarantined(self, cache):
+        def truncate(raw):
+            return raw[: len(raw) // 2]
+
+        def tamper_payload(raw):
+            # Valid JSON, right key and kind: only the checksum can tell.
+            return raw.replace(b'"value": 41', b'"value": 42')
+
+        def foreign_json(raw):
+            return b'{"just": "json"}'
+
+        def not_json(raw):
+            return b"{ not json"
+
+        damages = (truncate, tamper_payload, foreign_json, not_json)
         key = cache.key("simulation-result", "x")
-        cache.put(key, {"value": 1}, kind="simulation-result")
         path = cache._path(key)
-        with open(path, "w") as handle:
-            handle.write("{ not json")
-        assert cache.get(key, kind="simulation-result") is None
-        assert cache.quarantined == 1
-        assert os.path.exists(path + QUARANTINE_SUFFIX)
-        # The slot is free again: a recomputed result stores cleanly.
-        cache.put(key, {"value": 2}, kind="simulation-result")
-        assert cache.get(key, kind="simulation-result") == {"value": 2}
-
-    def test_clear_and_store_stats(self, cache):
-        for tag in range(3):
-            cache.put(
-                cache.key("simulation-result", tag),
-                {"value": tag},
-                kind="simulation-result",
-            )
-        stats = cache.store_stats()
-        assert stats["entries"] == 3
-        assert stats["total_bytes"] > 0
-        assert cache.clear() == 3
-        assert cache.store_stats()["entries"] == 0
-
-
-class TestGc:
-    def _populate(self, cache, count):
-        keys = []
-        for tag in range(count):
-            key = cache.key("simulation-result", tag)
-            cache.put(key, {"value": tag, "pad": "x" * 64}, kind="simulation-result")
-            # Pin mtimes so eviction order is under test control:
-            # entry 0 is the oldest.
-            os.utime(cache._path(key), (1000.0 + tag, 1000.0 + tag))
-            keys.append(key)
-        return keys
-
-    def test_gc_honors_size_bound_oldest_first(self, cache):
-        keys = self._populate(cache, 4)
-        sizes = [os.path.getsize(cache._path(key)) for key in keys]
-        budget = sizes[2] + sizes[3]
-        report = cache.gc(max_bytes=budget, now=2000.0)
-        assert report.examined == 4
-        assert report.removed == 2
-        assert report.kept == 2
-        # Deterministic: the two oldest went, the two newest stayed.
-        assert cache.get(keys[0], kind="simulation-result") is None
-        assert cache.get(keys[1], kind="simulation-result") is None
-        assert cache.get(keys[2], kind="simulation-result") is not None
-        assert cache.get(keys[3], kind="simulation-result") is not None
-
-    def test_gc_expires_by_age(self, cache):
-        keys = self._populate(cache, 3)
-        report = cache.gc(max_age_seconds=1.5, now=1002.0)
-        # mtimes 1000/1001/1002: the first is > 1.5s old at now=1002.
-        assert report.removed == 1
-        assert cache.get(keys[0], kind="simulation-result") is None
-        assert cache.get(keys[2], kind="simulation-result") is not None
-
-    def test_gc_sweeps_quarantine_debris(self, cache):
-        key = cache.key("simulation-result", "x")
-        cache.put(key, {"value": 1}, kind="simulation-result")
-        path = cache._path(key)
-        with open(path, "w") as handle:
-            handle.write("junk")
-        cache.get(key, kind="simulation-result")
-        assert os.path.exists(path + QUARANTINE_SUFFIX)
-        cache.gc()
-        assert not os.path.exists(path + QUARANTINE_SUFFIX)
+        for count, damage in enumerate(damages, start=1):
+            cache.put(key, {"value": 41}, kind="simulation-result")
+            with open(path, "rb") as handle:
+                raw = handle.read()
+            with open(path, "wb") as handle:
+                handle.write(damage(raw))
+            assert cache.get(key, kind="simulation-result") is None, damage
+            assert cache.quarantined == count
+            assert os.path.exists(path + QUARANTINE_SUFFIX)
+            assert not os.path.exists(path)
+            # The slot is free again: a recomputed result stores cleanly.
+            cache.put(key, {"value": 41}, kind="simulation-result")
+            assert cache.get(key, kind="simulation-result") == {"value": 41}
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +217,13 @@ class TestSweepCaching:
         victim_key = simulation_cell_key(
             cache, cells[0][0], cells[0][1], ProcessorKeys(7), None
         )
-        with open(cache._path(victim_key), "w") as handle:
-            handle.write("garbage")
+        # A plausible but altered result: only the checksum catches it.
+        path = cache._path(victim_key)
+        with open(path) as handle:
+            entry = json.load(handle)
+        entry["payload"]["elapsed_ns"] += 1.0
+        with open(path, "w") as handle:
+            json.dump(entry, handle)
         warm_cache = ResultCache(cache.directory)
         warm = _run_grid(cells, warm_cache)
         assert warm == cold
@@ -328,27 +305,12 @@ class TestCampaignCaching:
 # ---------------------------------------------------------------------------
 
 
-def test_resume_dir_is_the_store_unless_another_is_named(
-    tmp_path, monkeypatch
-):
+def test_resume_dir_is_the_store(tmp_path):
     from repro.sim.options import ExecutionOptions
 
-    monkeypatch.delenv("REPRO_RESULT_CACHE", raising=False)
-    resume, shared = str(tmp_path / "resume"), str(tmp_path / "shared")
-
-    def store(**flags):
-        cache = ExecutionOptions(**flags).result_cache()
-        return None if cache is None else cache.directory
-
-    assert store() is None
-    assert store(resume=resume) == resume
-    assert store(resume=resume, cache_dir=shared) == shared
-    assert store(resume=resume, cache_dir=shared,
-                 no_result_cache=True) == resume
-    assert store(cache_dir=shared, no_result_cache=True) is None
-    monkeypatch.setenv("REPRO_RESULT_CACHE", shared)
-    assert store(resume=resume) == shared
-    assert store(resume=resume, no_result_cache=True) == resume
+    resume = str(tmp_path / "resume")
+    assert ExecutionOptions().result_cache() is None
+    assert ExecutionOptions(resume=resume).result_cache().directory == resume
 
 
 def test_configure_result_cache_installs_and_disarms(cache):
@@ -357,60 +319,3 @@ def test_configure_result_cache_installs_and_disarms(cache):
     assert active_result_cache() is cache
     configure_result_cache(None)
     assert active_result_cache() is None
-
-
-# ---------------------------------------------------------------------------
-# automatic code stamps (--cache-stamp auto)
-# ---------------------------------------------------------------------------
-
-
-class TestDeriveCacheStamp:
-    def test_prefers_installed_package_version(self, monkeypatch):
-        from importlib import metadata
-
-        from repro.sim.result_cache import derive_cache_stamp
-
-        monkeypatch.setattr(
-            metadata, "version", lambda package: "9.9.9"
-        )
-        assert derive_cache_stamp() == "pkg:9.9.9"
-
-    def test_falls_back_to_git_head(self, monkeypatch, tmp_path):
-        import subprocess
-        from importlib import metadata
-
-        from repro.sim.result_cache import derive_cache_stamp
-
-        def missing(package):
-            raise metadata.PackageNotFoundError(package)
-
-        monkeypatch.setattr(metadata, "version", missing)
-        subprocess.run(
-            ["git", "init", "-q"], cwd=tmp_path, check=True
-        )
-        subprocess.run(
-            [
-                "git", "-c", "user.email=t@example.com",
-                "-c", "user.name=t", "commit",
-                "--allow-empty", "-q", "-m", "stamp",
-            ],
-            cwd=tmp_path,
-            check=True,
-        )
-        stamp = derive_cache_stamp(cwd=str(tmp_path))
-        assert stamp is not None and stamp.startswith("git:")
-        assert len(stamp[len("git:"):]) == 40
-
-    def test_returns_none_when_nothing_available(
-        self, monkeypatch, tmp_path
-    ):
-        from importlib import metadata
-
-        from repro.sim.result_cache import derive_cache_stamp
-
-        def missing(package):
-            raise metadata.PackageNotFoundError(package)
-
-        monkeypatch.setattr(metadata, "version", missing)
-        # An empty directory: not a git repository.
-        assert derive_cache_stamp(cwd=str(tmp_path)) is None

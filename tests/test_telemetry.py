@@ -430,7 +430,6 @@ def test_resumed_run_rewrites_the_same_event_stream(
     from repro.experiments import fig07_clean_evictions
     from repro.experiments.runner import main
 
-    monkeypatch.delenv("REPRO_RESULT_CACHE", raising=False)
     run_fig07 = fig07_clean_evictions.run
     monkeypatch.setattr(
         fig07_clean_evictions,
@@ -443,11 +442,15 @@ def test_resumed_run_rewrites_the_same_event_stream(
     streams, results = [], []
     for name in ("first.jsonl", "again.jsonl"):
         trace_out = tmp_path / name
+        json_out = tmp_path / (name + ".json")
         assert main([
             "fig07", "--resume", str(resume), "--trace-out", str(trace_out),
+            "--json", str(json_out),
         ]) == 0
         streams.append(trace_out.read_bytes())
         results.append((resume / "results.json").read_bytes())
+        # One artifact format: the resume copy is the --json file.
+        assert results[-1] == json_out.read_bytes()
     capsys.readouterr()
     assert streams[0] and streams[0] == streams[1]
     assert results[0] == results[1]
