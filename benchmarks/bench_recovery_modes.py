@@ -19,6 +19,7 @@ from repro.crypto.keys import ProcessorKeys
 from repro.recovery.crash import crash, reincarnate
 from repro.sim.engine import run_simulation
 from repro.traces.profiles import profile
+from repro.traces.replay import replay
 from repro.traces.synthetic import generate_trace
 
 from tests.helpers import small_config
@@ -28,18 +29,13 @@ MIB = 1024 * 1024
 
 def _crashed(config):
     controller = build_controller(config, keys=ProcessorKeys(0))
-    trace = generate_trace(profile("libquantum"), 2500, seed=0)
-    # clamp the workload into the small system
-    for request in trace:
-        if request.address >= config.memory.capacity_bytes:
-            break
-    controller_trace = [
-        request
-        for request in trace
-        if request.address < config.memory.capacity_bytes
-    ]
-    for request in controller_trace:
-        controller.access(request)
+    trace = generate_trace(
+        profile("libquantum"),
+        2500,
+        seed=0,
+        capacity_bytes=config.memory.capacity_bytes,
+    )
+    replay(controller, trace)
     crash(controller)
     return reincarnate(controller)
 

@@ -205,16 +205,10 @@ class EncryptionConfig:
     sgx_counter_bits: int = 56
     stop_loss_limit: int = 4  # Osiris stop-loss N (§5: limit 4)
     counter_recovery: CounterRecoveryKind = CounterRecoveryKind.OSIRIS
-    #: LRU one-time-pad memo entries in the counter-mode engine (a
-    #: model-speed knob, not an architectural one: pads are pure
-    #: functions of key and IV, so memo hits are exact).  0 disables.
-    pad_memo_entries: int = 4096
 
     def __post_init__(self) -> None:
         if self.stop_loss_limit < 1:
             raise ConfigError("stop-loss limit must be >= 1")
-        if self.pad_memo_entries < 0:
-            raise ConfigError("pad memo entries must be >= 0")
         if not 1 <= self.minor_bits <= 16:
             raise ConfigError("minor counter width out of range")
         if self.counter_recovery == CounterRecoveryKind.PHASE:

@@ -23,7 +23,6 @@ from repro.config import (
     SystemConfig,
     TreeKind,
 )
-from repro.controller.access import MemoryRequest, Op
 from repro.crypto.ctr import CounterModeEngine
 from repro.crypto.hashes import mac56_keyed
 from repro.crypto.keys import ProcessorKeys
@@ -78,10 +77,7 @@ class SecureMemoryController(abc.ABC):
         self.nvm = nvm if nvm is not None else NvmDevice(layout.total_size)
         self.wpq = WritePendingQueue(self.nvm, self.channel, config.wpq_entries)
         self.pregs = PersistentRegisters(self.wpq)
-        self.ctr_engine = CounterModeEngine(
-            self.keys,
-            pad_memo_entries=config.encryption.pad_memo_entries,
-        )
+        self.ctr_engine = CounterModeEngine(self.keys)
         self.ecc_codec = SecdedCodec()
         self._data_mac = mac56_keyed(self.keys.mac_key)
 
@@ -89,25 +85,36 @@ class SecureMemoryController(abc.ABC):
     # public API
     # ------------------------------------------------------------------
 
-    def access(self, request: MemoryRequest) -> Optional[bytes]:
-        """Run one request through the controller; returns read data."""
-        self.channel.advance(request.gap_ns)
+    def access(
+        self, address: int, data: Optional[bytes] = None, gap_ns: float = 0.0
+    ) -> Optional[bytes]:
+        """Run one access after ``gap_ns`` of core compute.
+
+        The access is a write of ``data`` when ``data`` is given, and a
+        read returning the line's plaintext otherwise (the rule
+        :class:`~repro.controller.access.MemoryRequest` enforces).
+        """
+        self.channel.advance(gap_ns)
         tracer = self.tracer
         if tracer.enabled:
             # Event timestamps use the *simulated* clock, so traces are
             # identical across worker counts and reruns.  Write straight
             # to the session tracer — this runs once per access.
             tracer.target.now = self.channel.elapsed_ns
-        self.wpq.drain_opportunistic()
+        # Real memory controllers issue queued writes continuously, so
+        # the whole backlog drains at the start of each access: write
+        # coalescing is bounded to a one-access window and persist-heavy
+        # schemes pay their real traffic on the channel.
+        self.wpq.drain_all()
         if tracer.enabled:
             tracer.emit(
                 "mem.access",
-                op=request.op.value,
-                address=request.address,
+                op="read" if data is None else "write",
+                address=address,
             )
-        if request.op == Op.READ:
-            return self.read(request.address)
-        self.write(request.address, request.data)
+        if data is None:
+            return self.read(address)
+        self.write(address, data)
         return None
 
     @abc.abstractmethod

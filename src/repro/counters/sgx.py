@@ -24,6 +24,8 @@ _MAC_BITS = 56
 _COUNTER_MAX = mask(_COUNTER_BITS)
 _MAC_MAX = mask(_MAC_BITS)
 _MAC_OFFSET = _COUNTERS_PER_BLOCK * _COUNTER_BITS
+#: The byte that pads the 504-bit node to its 64-byte line.
+_PAD = bytes(BLOCK_SIZE - (_MAC_OFFSET + _MAC_BITS) // 8)
 
 
 class SgxCounterBlock:
@@ -104,29 +106,25 @@ class SgxCounterBlock:
 
     def to_bytes(self) -> bytes:
         """Serialize: counter *i* at bit 56i, MAC at bit 448."""
-        counters = self.counters
-        mac = self.mac
-        if (
-            min(counters) < 0
-            or max(counters) > _COUNTER_MAX
-            or not 0 <= mac <= _MAC_MAX
-        ):
+        c0, c1, c2, c3, c4, c5, c6, c7 = self.counters
+        try:
+            return b"".join((
+                c0.to_bytes(7, "little"),
+                c1.to_bytes(7, "little"),
+                c2.to_bytes(7, "little"),
+                c3.to_bytes(7, "little"),
+                c4.to_bytes(7, "little"),
+                c5.to_bytes(7, "little"),
+                c6.to_bytes(7, "little"),
+                c7.to_bytes(7, "little"),
+                self.mac.to_bytes(7, "little"),
+                _PAD,
+            ))
+        except OverflowError:
             raise ConfigError(
-                f"SGX block fields out of 56-bit range: {counters}, mac {mac}"
-            )
-        c0, c1, c2, c3, c4, c5, c6, c7 = counters
-        word = (
-            c0
-            | c1 << 56
-            | c2 << 112
-            | c3 << 168
-            | c4 << 224
-            | c5 << 280
-            | c6 << 336
-            | c7 << 392
-            | mac << _MAC_OFFSET
-        )
-        return word.to_bytes(BLOCK_SIZE, "little")
+                f"SGX block fields out of 56-bit range: {self.counters}, "
+                f"mac {self.mac}"
+            ) from None
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "SgxCounterBlock":

@@ -10,19 +10,21 @@ both of which the test suite exercises.
 
 Hot-path notes: the engine sits under every simulated memory access, so
 the XOR is a single whole-line integer operation rather than a per-byte
-loop, IV packing is memoized, pads come from BLAKE2b states keyed once
-per engine (:class:`~repro.crypto.hashes.KeyedHash`), and pads for
-recently seen ``(address, major, minor)`` tuples are kept in a bounded
-LRU memo — pads are pure functions of the key and those three values,
-so a memo hit is exact, and rewrites under a bumped counter miss by
-construction.
+loop and pads come from BLAKE2b states keyed once per engine
+(:class:`~repro.crypto.hashes.KeyedHash`).  The controllers' seal and
+open path, :meth:`CounterModeEngine.encrypt_with_ecc`, packs the IV once
+and hashes both pads from it: a data line is resealed only under a
+bumped counter, so a pad memo there almost never hits.  The bare
+:meth:`~CounterModeEngine.encrypt`/:meth:`~CounterModeEngine.decrypt`
+keep a bounded LRU memo of recently seen ``(address, major, minor)``
+pads — pads are pure functions of the key and those three values, so a
+memo hit is exact.
 ``benchmarks/bench_hot_paths.py`` tracks the resulting speedups.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
 from repro.config import BLOCK_SIZE
@@ -35,15 +37,13 @@ from repro.crypto.keys import ProcessorKeys
 DEFAULT_PAD_MEMO_ENTRIES = 4096
 
 
-@lru_cache(maxsize=1 << 16)
 def make_iv(address: int, major: int, minor: int) -> bytes:
     """Build the 24-byte IV for a line: address ‖ major ‖ minor.
 
     For the split-counter scheme ``major``/``minor`` are the page major
     counter and the line's 7-bit minor counter (Fig. 1).  For SGX-style
     encryption the 56-bit per-line counter is passed as ``major`` with
-    ``minor=0``.  Packing is memoized: replays and sweeps touch the
-    same (address, counter) tuples over and over.
+    ``minor=0``.
     """
     return (
         address.to_bytes(8, "little")
@@ -66,9 +66,9 @@ def xor_bytes(data: bytes, pad: bytes) -> bytes:
 class CounterModeEngine:
     """Stateless encrypt/decrypt engine bound to a processor key.
 
-    ``pad_memo_entries`` bounds the LRU memo of one-time pads (and the
-    matching ECC pads); pass 0 to disable memoization, e.g. when
-    sweeping enormous address spaces where reuse is impossible.
+    ``pad_memo_entries`` bounds the LRU memo of line pads that
+    :meth:`encrypt`/:meth:`decrypt` consult; pass 0 to disable it, e.g.
+    when sweeping enormous address spaces where reuse is impossible.
     """
 
     def __init__(
@@ -129,26 +129,6 @@ class CounterModeEngine:
             memo.move_to_end(key)
         return pad
 
-    def _ecc_pad_int(
-        self, address: int, major: int, minor: int, length: int
-    ) -> int:
-        """The co-located ECC bits' pad as an integer (same memo)."""
-        memo = self._pad_memo
-        key = (address, major, minor, length)
-        if memo is not None:
-            pad = memo.get(key)
-            if pad is not None:
-                memo.move_to_end(key)
-                return pad
-        pad = self._ecc_pad_hash(length).value(
-            b"ecc" + make_iv(address, major, minor)
-        )
-        if memo is not None:
-            memo[key] = pad
-            if len(memo) > self.pad_memo_entries:
-                memo.popitem(last=False)
-        return pad
-
     def _ecc_pad_hash(self, length: int) -> KeyedHash:
         """The pre-keyed generator of ``length``-byte ECC pads; its
         ``.value(b"ecc" + iv)`` is the pad as an integer."""
@@ -156,9 +136,6 @@ class CounterModeEngine:
         if pad is None:
             pad = self._ecc_pads[length] = KeyedHash(self._key, length)
         return pad
-
-    def _xor(self, data: bytes, pad: bytes) -> bytes:
-        return xor_bytes(data, pad)
 
     def encrypt(self, plaintext: bytes, address: int, major: int, minor: int) -> bytes:
         """Encrypt one line under (address, major, minor)."""
@@ -198,13 +175,14 @@ class CounterModeEngine:
         if len(plaintext) != size:
             self._check_len(plaintext)
         ecc_len = len(ecc)
+        iv = make_iv(address, major, minor)
         cipher = (
             int.from_bytes(plaintext, "little")
-            ^ self._line_pad_int(address, major, minor)
+            ^ int.from_bytes(self.one_time_pad(iv), "little")
         ).to_bytes(size, "little")
         ecc_cipher = (
             int.from_bytes(ecc, "little")
-            ^ self._ecc_pad_int(address, major, minor, ecc_len)
+            ^ self._ecc_pad_hash(ecc_len).value(b"ecc" + iv)
         ).to_bytes(ecc_len, "little")
         return cipher, ecc_cipher
 

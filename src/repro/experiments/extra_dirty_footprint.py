@@ -26,7 +26,7 @@ from repro.core.recovery_agit import AgitRecovery
 from repro.crypto.keys import ProcessorKeys
 from repro.experiments.reporting import format_markdown_table
 from repro.recovery.crash import crash, reincarnate
-
+from repro.traces.replay import replay
 from repro.traces.trace import Trace
 from repro.controller.access import MemoryRequest, Op
 
@@ -71,8 +71,7 @@ def run(
                     gap_ns=100.0,
                 )
             )
-        for request in trace:
-            controller.access(request)
+        replay(controller, trace)
         crash(controller)
         reborn = reincarnate(controller)
         report = AgitRecovery(reborn.nvm, reborn.layout, reborn).run()

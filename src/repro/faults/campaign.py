@@ -88,7 +88,6 @@ from repro.traces.profiles import KIB, SyntheticProfile, profile
 from repro.traces.replay import replay_batched
 from repro.traces.synthetic import generate_trace
 from repro.traces.trace import Trace
-from repro.controller.access import Op
 
 #: Exceptions that count as *principled detection*: the controller or
 #: recovery engine noticed the corruption and refused to proceed.

@@ -117,24 +117,6 @@ class WritePendingQueue:
             self.nvm.write_ecc(address, ecc)
         self.channel.write()
 
-    def drain_opportunistic(self) -> int:
-        """Drain the whole backlog at the start of each access window.
-
-        Real memory controllers issue queued writes continuously rather
-        than holding them until the queue fills; modeling that as a
-        full drain per access bounds write coalescing to a one-access
-        window and makes persist-heavy schemes pay their real traffic
-        (each drained write adds its non-overlapped occupancy to the
-        channel, which demand reads then stall behind).
-        """
-        drained = 0
-        while self._pending:
-            self._drain_one()
-            drained += 1
-        if drained and self.tracer.enabled:
-            self.tracer.emit("wpq.drain", count=drained)
-        return drained
-
     def drain_all(self) -> int:
         """Drain every pending entry to NVM (normal operation flush)."""
         drained = 0

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from repro.controller.access import Op
 from repro.controller.base import SecureMemoryController
 from repro.errors import IntegrityError
 from repro.traces.trace import Trace
@@ -65,16 +64,22 @@ def replay(
     blank = bytes(controller.config.memory.block_size)
     sampler = active_sampler()
     tick = sampler.tick if sampler is not None else None
-    start, stop = _bounds(trace, start, stop)
-    for request in trace.iter_range(start, stop):
-        if request.op == Op.WRITE:
-            controller.access(request)
-            shadow[request.address] = request.data
+    access = controller.access
+    addresses = trace.addresses
+    writes = trace.is_write
+    gaps = trace.gaps
+    payloads = trace.data
+    for index in range(*_bounds(trace, start, stop)):
+        address = addresses[index]
+        if writes[index]:
+            data = payloads[index]
+            access(address, data, gaps[index])
+            shadow[address] = data
         else:
-            data = controller.access(request)
-            if check_reads and data != shadow.get(request.address, blank):
+            data = access(address, None, gaps[index])
+            if check_reads and data != shadow.get(address, blank):
                 raise IntegrityError(
-                    f"replay mismatch at {request.address:#x}: "
+                    f"replay mismatch at {address:#x}: "
                     f"controller returned different plaintext than "
                     f"the oracle"
                 )

@@ -8,8 +8,8 @@ every scheme so comparisons see identical access streams.
 A trace stores its accesses as four parallel Python lists —
 ``addresses``, ``is_write``, ``gaps`` and ``data`` (each write's 64B
 payload, None for reads).  The batch replay engine reads those lists
-directly; :class:`MemoryRequest` objects are built only when something
-iterates the trace (scalar replay, tests).
+directly, and so does scalar replay; :class:`MemoryRequest` objects are
+built only when something iterates the trace.
 """
 
 from __future__ import annotations

@@ -21,7 +21,6 @@ import pytest
 from repro.attacks import (
     ATTACK_CLASSES,
     AttackCampaignConfig,
-    LineReplayAttack,
     SUPPORTED_SYSTEMS,
     SecurityClaim,
     SecurityOracle,

@@ -87,33 +87,18 @@ class TestFinalize:
 
 class TestAccessDispatch:
     def test_read_request_returns_data(self, bonsai_controller):
-        from repro.controller.access import MemoryRequest, Op
-
         bonsai_controller.write(line(3), payload(3))
-        result = bonsai_controller.access(
-            MemoryRequest(op=Op.READ, address=line(3), gap_ns=10.0)
-        )
+        result = bonsai_controller.access(line(3), gap_ns=10.0)
         assert result == payload(3)
 
     def test_write_request_returns_none(self, bonsai_controller):
-        from repro.controller.access import MemoryRequest, Op
-
-        result = bonsai_controller.access(
-            MemoryRequest(
-                op=Op.WRITE, address=line(3), data=payload(1), gap_ns=10.0
-            )
-        )
+        result = bonsai_controller.access(line(3), payload(1), 10.0)
         assert result is None
+        assert bonsai_controller.read(line(3)) == payload(1)
 
     def test_gap_advances_clock(self, bonsai_controller):
-        from repro.controller.access import MemoryRequest, Op
-
         before = bonsai_controller.channel.now
-        bonsai_controller.access(
-            MemoryRequest(
-                op=Op.WRITE, address=line(0), data=payload(1), gap_ns=500.0
-            )
-        )
+        bonsai_controller.access(line(0), payload(1), gap_ns=500.0)
         assert bonsai_controller.channel.now >= before + 500.0
 
 

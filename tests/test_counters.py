@@ -204,9 +204,10 @@ class TestSgxWire:
         with pytest.raises(ConfigError):
             block.to_bytes()
 
-    def test_to_bytes_rejects_out_of_range_mac(self):
+    @pytest.mark.parametrize("bad", [1 << 56, -1])
+    def test_to_bytes_rejects_out_of_range_mac(self, bad):
         block = SgxCounterBlock()
-        block.mac = 1 << 56
+        block.mac = bad
         with pytest.raises(ConfigError):
             block.to_bytes()
 

@@ -249,11 +249,16 @@ class TestPreKeyedDigests:
             assert sgx_engine.compute_mac(node, minor) == _fresh_int(
                 keys.tree_key, payload, 8, 56
             )
-            # CTR line pad and ECC pad
-            assert ctr.one_time_pad(iv) == _fresh(keys.encryption_key, iv, 64)
+            # CTR line pad, and the line and ECC pads of the seal path:
+            # sealing zeros yields the pads themselves.
+            line_pad = _fresh(keys.encryption_key, iv, 64)
+            assert ctr.one_time_pad(iv) == line_pad
             for length in (8, 16):
-                assert ctr._ecc_pad_int(address, major, minor, length) == (
-                    _fresh_int(keys.encryption_key, b"ecc" + iv, length)
+                assert ctr.encrypt_with_ecc(
+                    bytes(64), bytes(length), address, major, minor
+                ) == (
+                    line_pad,
+                    _fresh(keys.encryption_key, b"ecc" + iv, length),
                 )
             # Shadow-region tree leaf and node hashes
             assert shadow._leaf_hash(block) == _fresh_int(

@@ -13,7 +13,9 @@ from repro.sim.results import (
     SimulationResult,
     average_overheads,
 )
+from repro.traces.profiles import KIB, SyntheticProfile
 from repro.traces.replay import replay
+from repro.traces.synthetic import generate_trace
 from repro.traces.trace import Trace
 
 from tests.helpers import line, payload, small_config
@@ -74,10 +76,8 @@ class TestReplay:
                     memory=MemoryConfig(block_size=128, page_size=4096)
                 )
 
-            def access(self, request):
-                if request.op == Op.READ:
-                    return bytes(128)
-                return None
+            def access(self, address, data=None, gap_ns=0.0):
+                return bytes(128) if data is None else None
 
         trace = Trace("t")
         trace.append(MemoryRequest(op=Op.READ, address=0, gap_ns=0.0))
@@ -91,6 +91,53 @@ class TestReplay:
             controller, tiny_trace(writes=10, reads=0), oracle=oracle
         )
         assert len(oracle) == 10
+
+
+def _replayed_state(controller):
+    nvm = controller.nvm
+    return {
+        "stats": controller.collect_stats(),
+        "elapsed_ns": controller.elapsed_ns,
+        "wpq": controller.wpq.pending_entries(),
+        "nvm": [
+            (address, data, nvm.read_ecc(address))
+            for address, data in nvm.touched_blocks()
+        ],
+    }
+
+
+class TestReplayMatchesAccessLoop:
+    """:func:`replay` reads the trace's parallel lists; a plain loop of
+    ``access`` calls over the trace's requests must leave the same
+    controller behind."""
+
+    PROFILE = SyntheticProfile(
+        name="mixed",
+        write_fraction=0.5,
+        pattern="hot_cold",
+        footprint_bytes=512 * KIB,
+        hot_bytes=64 * KIB,
+        hot_fraction=0.8,
+    )
+
+    @pytest.mark.parametrize(
+        "scheme",
+        [
+            SchemeKind.WRITE_BACK,
+            SchemeKind.STRICT_PERSISTENCE,
+            SchemeKind.ASIT,
+        ],
+    )
+    def test_same_stats_time_and_nvm(self, scheme):
+        trace = generate_trace(self.PROFILE, 1500, seed=5)
+        config = small_config(scheme, TreeKind.SGX)
+        replayed = build_controller(config, keys=ProcessorKeys(2))
+        replay(replayed, trace)
+        looped = build_controller(config, keys=ProcessorKeys(2))
+        for request in trace:
+            looped.access(request.address, request.data, request.gap_ns)
+        assert replayed.data_writes > 0 and replayed.data_reads > 0
+        assert _replayed_state(replayed) == _replayed_state(looped)
 
 
 class TestRunSimulation:
