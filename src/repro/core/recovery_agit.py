@@ -108,11 +108,8 @@ class AgitRecovery:
     ) -> Set[int]:
         """Collect the tracked addresses from a shadow region in NVM."""
         addresses: Set[int] = set()
-        for group in range(region.num_blocks):
-            block_address = region.block_address(group)
-            if not self.nvm.is_written(block_address):
-                continue  # never-used group: nothing tracked
-            raw = self.nvm.peek(block_address)
+        # A never-used group tracks nothing and is not read.
+        for raw in self.nvm.written_in(region.base, region.num_blocks).values():
             report.memory_reads += 1
             for tracked in ShadowAddressTable.parse_block(raw):
                 if tracked:
@@ -152,16 +149,15 @@ class AgitRecovery:
         report.memory_reads += 1
         block = SplitCounterBlock.from_bytes(raw)
         region_index = self.layout.counter_region.block_index(counter_address)
-        first_line = region_index * self.layout.lines_per_counter_block
+        lines = self.layout.lines_per_counter_block
         block_size = self.config.memory.block_size
+        first_address = region_index * lines * block_size
         changed = False
-        for offset in range(self.layout.lines_per_counter_block):
-            line_address = (first_line + offset) * block_size
-            if not self.nvm.is_written(line_address):
-                # Never written => its true counter is still zero; the
-                # stale copy cannot disagree.
-                continue
-            cipher = self.nvm.peek(line_address)
+        # A never-written line's true counter is still zero; the stale
+        # copy cannot disagree, so only written lines are tried.
+        written = self.nvm.written_in(first_address, lines)
+        for line_address, cipher in written.items():
+            offset = (line_address - first_address) // block_size
             sideband = self.nvm.read_ecc(line_address)
             report.memory_reads += 1
             recovered = self._osiris_trial(

@@ -5,7 +5,9 @@ Recovery:
 
 1. reads the whole Shadow Table from NVM and recomputes the shadow-
    region tree's root; a mismatch with the SHADOW_TREE_ROOT register
-   means the ST was tampered with — unrecoverable, full stop;
+   means the ST was tampered with — unrecoverable, full stop.  The
+   report charges a read and a leaf hash for every slot, while the host
+   reads only the written blocks: every other slot is 64 zero bytes;
 2. for each valid entry, reads the tracked node's stale memory copy and
    splices in the shadow LSBs and MAC (memory supplies only counter
    MSBs, which the LSB-wrap persist rule keeps truthful);
@@ -24,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.config import SystemConfig
+from repro.config import BLOCK_SIZE, SystemConfig
 from repro.core.asit import AsitController
 from repro.core.shadow_table import ShadowRegionTree, StEntry
 from repro.counters.sgx import SgxCounterBlock
@@ -95,38 +97,40 @@ class AsitRecovery:
         self, report: AsitRecoveryReport
     ) -> List[Tuple[int, bytes]]:
         """Check the ST against SHADOW_TREE_ROOT in one scan; returns
-        ``(slot, raw)`` for every block whose valid bit is set."""
-        reads: list = []
-        valid: List[Tuple[int, bytes]] = []
-        peek = self.nvm.peek
-        st_entry_address = self.layout.st_entry_address
+        ``(slot, raw)`` for every block whose valid bit is set.
 
-        def reader(index: int) -> bytes:
-            raw = peek(st_entry_address(index))
-            if raw[0] & 1:  # StEntry's valid bit
-                valid.append((index, raw))
-            return raw
-
+        The model reads and hashes every slot; the host reads only the
+        written blocks, since every other slot holds 64 zero bytes.
+        """
+        written = self._written_entries()
         # Keep the live tree: _commit updates it (and the persistent
         # root register) entry by entry while resetting the ST, so a
         # crash during recovery leaves register and table consistent.
-        self._live_tree = ShadowRegionTree.from_reader(
-            self.controller.keys.shadow_key,
-            self.num_slots,
-            reader,
-            tracker=reads,
+        self._live_tree = ShadowRegionTree(
+            self.controller.keys.shadow_key, self.num_slots, written
         )
         root = self._live_tree.root
-        report.st_blocks_scanned = len(reads)
-        report.memory_reads += len(reads)
-        report.hash_ops += len(reads)  # one leaf hash per block
+        report.st_blocks_scanned = self.num_slots
+        report.memory_reads += self.num_slots
+        report.hash_ops += self.num_slots  # one leaf hash per block
         report.shadow_root_matched = root == self.controller.shadow_tree_root
         if not report.shadow_root_matched:
             raise UnrecoverableError(
                 "ASIT recovery failed: SHADOW_TREE_ROOT mismatch — the "
                 "Shadow Table was tampered with or corrupted"
             )
-        return valid
+        # StEntry's valid bit is the low bit of the first byte.
+        return [(slot, raw) for slot, raw in written.items() if raw[0] & 1]
+
+    def _written_entries(self) -> Dict[int, bytes]:
+        """``{slot: raw}`` for the written ST blocks, in slot order."""
+        base = self.layout.st_entry_address(0)
+        return {
+            (address - base) // BLOCK_SIZE: raw
+            for address, raw in self.nvm.written_in(
+                base, self.num_slots
+            ).items()
+        }
 
     # ------------------------------------------------------------------
     # steps 2-3: splice and verify
@@ -209,14 +213,14 @@ class AsitRecovery:
         # is what makes recovery itself restartable — a crash mid-reset
         # leaves register and table consistent, and the rerun simply
         # re-recovers whatever entries survived (idempotently).
+        # A never-written entry is already empty, so only written ones
+        # are reset, in slot order.
         empty = StEntry.invalid().to_bytes()
-        for slot in range(self.num_slots):
-            st_address = self.layout.st_entry_address(slot)
-            if self.nvm.is_written(st_address):
-                self.nvm.write(st_address, empty)
-                report.memory_writes += 1
-                report.hash_ops += self._live_tree.update(slot, empty)
-                self.controller._persistent_shadow_root = self._live_tree.root
+        for slot in self._written_entries():
+            self.nvm.write(self.layout.st_entry_address(slot), empty)
+            report.memory_writes += 1
+            report.hash_ops += self._live_tree.update(slot, empty)
+            self.controller._persistent_shadow_root = self._live_tree.root
         # The post-reboot controller starts with an empty live shadow
         # tree that now matches NVM; retire the carried-over register.
         if hasattr(self.controller, "_persistent_shadow_root"):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.config import BLOCK_SIZE, TREE_ARITY
 from repro.crypto.hashes import hash64_keyed
@@ -162,13 +162,31 @@ class ShadowRegionTree:
     The value read is always the eager tree's root.
     """
 
-    def __init__(self, key: bytes, num_leaves: int) -> None:
+    def __init__(
+        self,
+        key: bytes,
+        num_leaves: int,
+        blocks: Optional[Mapping[int, bytes]] = None,
+    ) -> None:
+        """A tree over ``blocks`` (``{leaf: block}``); every other leaf
+        is a zero block, as a never-written or invalidated entry is.
+
+        Recovery builds its live tree from the written blocks of the NVM
+        Shadow Table and keeps updating it while it resets entries, so
+        SHADOW_TREE_ROOT can track the reset transactionally.
+        """
         if num_leaves <= 0:
             raise ConfigError("shadow region tree needs leaves")
         self.key = key
         self._hash = hash64_keyed(key)
         self.num_leaves = num_leaves
-        self._build_levels([self._leaf_hash(_ZERO_BLOCK)] * num_leaves)
+        # Every absent leaf hashes the same 64 zero bytes: hash them once.
+        leaves = [self._leaf_hash(_ZERO_BLOCK)] * num_leaves
+        for leaf, block in (blocks or {}).items():
+            if not 0 <= leaf < num_leaves:
+                raise ConfigError(f"leaf {leaf} outside shadow tree")
+            leaves[leaf] = self._leaf_hash(block)
+        self._build_levels(leaves)
 
     def _leaf_hash(self, block: bytes) -> int:
         return self._hash.value(block)
@@ -240,46 +258,10 @@ class ShadowRegionTree:
         return self.levels[-1][0]
 
     @classmethod
-    def from_reader(
-        cls,
-        key: bytes,
-        num_leaves: int,
-        reader: Callable[[int], bytes],
-        tracker: Optional[List[int]] = None,
-    ) -> "ShadowRegionTree":
-        """Build a live tree from ST blocks read via ``reader(index)``.
-
-        Used at recovery time against the NVM copy of the Shadow Table;
-        the recovery engine keeps updating the returned tree while it
-        resets entries, so SHADOW_TREE_ROOT can track the reset
-        transactionally.  ``tracker``, if given, receives one element
-        per block read (for recovery-time accounting).
-        """
-        tree = cls.__new__(cls)
-        tree.key = key
-        tree._hash = hash64_keyed(key)
-        tree.num_leaves = num_leaves
-        # Never-written and invalidated entries are both 64 zero bytes,
-        # so their (keyed, deterministic) leaf hash is computed once.
-        zero_hash = tree._leaf_hash(_ZERO_BLOCK)
-        leaves = []
-        for index in range(num_leaves):
-            block = reader(index)
-            if tracker is not None:
-                tracker.append(index)
-            leaves.append(
-                zero_hash if block == _ZERO_BLOCK else tree._leaf_hash(block)
-            )
-        tree._build_levels(leaves)
-        return tree
-
-    @classmethod
     def compute_root(
-        cls,
-        key: bytes,
-        num_leaves: int,
-        reader: Callable[[int], bytes],
-        tracker: Optional[List[int]] = None,
+        cls, key: bytes, num_leaves: int, reader: Callable[[int], bytes]
     ) -> int:
-        """Root over ST blocks read via ``reader(index)`` (convenience)."""
-        return cls.from_reader(key, num_leaves, reader, tracker).root
+        """Root over the ST blocks ``reader(index)`` returns for every
+        leaf (the reference the tests check against)."""
+        blocks = {index: reader(index) for index in range(num_leaves)}
+        return cls(key, num_leaves, blocks).root

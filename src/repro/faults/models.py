@@ -127,8 +127,8 @@ def _written_blocks(nvm: NvmDevice, regions) -> List[int]:
     """Sorted written block addresses inside any of ``regions``."""
     return sorted(
         address
-        for address, _data in nvm.touched_blocks()
-        if any(region.contains(address) for region in regions)
+        for region in regions
+        for address in nvm.written_in(region.base, region.num_blocks)
     )
 
 

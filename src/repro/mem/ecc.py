@@ -148,14 +148,8 @@ class SecdedCodec:
         """
         if len(line) != BLOCK_SIZE or len(ecc) != ECC_BYTES:
             return False
-        for word_index in range(ECC_BYTES):
-            word = int.from_bytes(
-                line[word_index * 8 : word_index * 8 + 8], "little"
-            )
-            expected = self.encode_word(word)
-            if expected != ecc[word_index]:
-                return False
-        return True
+        # Clean means every word's stored code is its recomputed code.
+        return self.encode_line(line) == ecc
 
     def correct_line(self, line: bytes, ecc: bytes) -> Tuple[bool, bytes]:
         """Correct up to one bit flip per word; ``(ok, corrected_line)``."""

@@ -185,6 +185,35 @@ class NvmDevice:
         self._check(address)
         return address in self._blocks
 
+    def written_in(self, base: int, count: int) -> Dict[int, bytes]:
+        """The written blocks among ``count`` blocks from ``base``.
+
+        Returns ``{address: bytes}`` in ascending address order, without
+        counting device reads: a recovery scan charges its own model,
+        and the host pays only for the blocks that hold something.
+        """
+        if base % BLOCK_SIZE:
+            raise AlignmentError(f"NVM address {base:#x} not 64B-aligned")
+        end = base + count * BLOCK_SIZE
+        if not 0 <= base <= end <= self.size:
+            raise LayoutError(
+                f"NVM range of {count} blocks from {base:#x} outside "
+                f"device of {self.size} bytes"
+            )
+        blocks = self._blocks
+        if count <= len(blocks):
+            get = blocks.get
+            return {
+                address: block
+                for address in range(base, end, BLOCK_SIZE)
+                if (block := get(address)) is not None
+            }
+        return dict(sorted(
+            (address, block)
+            for address, block in blocks.items()
+            if base <= address < end
+        ))
+
     def write_count(self, address: int) -> int:
         """Lifetime write count of one block (endurance accounting)."""
         self._check(address)

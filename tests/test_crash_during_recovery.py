@@ -13,6 +13,7 @@ import pytest
 from repro.config import SchemeKind, TreeKind
 from repro.core.recovery_agit import AgitRecovery
 from repro.core.recovery_asit import AsitRecovery
+from repro.core.shadow_table import ShadowRegionTree
 from repro.recovery.crash import crash, reincarnate
 
 from tests.helpers import line, make_controller, payload
@@ -28,11 +29,14 @@ class _InterruptingNvm:
     def __init__(self, nvm, fail_after: int) -> None:
         self._nvm = nvm
         self._remaining = fail_after
+        #: Addresses of the writes that went through, in order.
+        self.written = []
 
     def write(self, address, data):
         if self._remaining <= 0:
             raise _PowerFailure()
         self._remaining -= 1
+        self.written.append(address)
         return self._nvm.write(address, data)
 
     def __getattr__(self, name):
@@ -124,3 +128,30 @@ class TestAsitRecoveryRestartable:
         assert report.shadow_root_matched
         for address, expected in oracle.items():
             assert reborn.read(address) == expected
+
+    def test_st_reset_in_slot_order_with_register_per_entry(self):
+        """Cut recovery at every device write of the ST reset: the resets
+        so far are the first written slots in ascending order, and
+        SHADOW_TREE_ROOT is the root over the ST as NVM holds it."""
+        controller = make_controller(SchemeKind.ASIT, TreeKind.SGX)
+        run_workload(controller, writes=20)
+        crash(controller)
+        image = controller.nvm.snapshot()
+        st = controller.layout.st
+        written = [a for a, _raw in image.touched_blocks() if st.contains(a)]
+        probe = reincarnate(controller)
+        probe_report = AsitRecovery(image.snapshot(), probe.layout, probe).run()
+        nodes = probe_report.nodes_recovered
+        assert probe_report.memory_writes == nodes + len(written)
+        for cut in range(nodes, probe_report.memory_writes):
+            reborn = reincarnate(controller)
+            nvm = image.snapshot()
+            interrupted = _InterruptingNvm(nvm, cut)
+            with pytest.raises(_PowerFailure):
+                AsitRecovery(interrupted, reborn.layout, reborn).run()
+            assert interrupted.written[nodes:] == written[: cut - nodes]
+            assert reborn.shadow_tree_root == ShadowRegionTree.compute_root(
+                reborn.keys.shadow_key,
+                reborn.metadata_cache.num_slots,
+                lambda slot: nvm.peek(reborn.layout.st_entry_address(slot)),
+            )

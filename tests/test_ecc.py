@@ -126,6 +126,37 @@ class TestLineApi:
     def test_is_sane_rejects_bad_lengths(self, codec):
         assert not codec.is_sane(b"x", b"y")
 
+    def test_is_sane_agrees_with_per_word_check(self, codec):
+        def per_word(line, ecc):
+            if len(line) != 64 or len(ecc) != ECC_BYTES:
+                return False
+            return all(
+                codec.encode_word(int.from_bytes(line[i : i + 8], "little"))
+                == ecc[i // 8]
+                for i in range(0, 64, 8)
+            )
+
+        rng = random.Random(7)
+        cases = [(b"x", b"y"), (LINE, b""), (LINE[:63], bytes(8)),
+                 (LINE + b"\0", codec.encode_line(LINE)),
+                 (LINE, codec.encode_line(LINE) + b"\0")]
+        for _ in range(8):
+            line = rng.randbytes(64)
+            ecc = codec.encode_line(line)
+            cases.append((line, ecc))
+            cases.append((line, rng.randbytes(ECC_BYTES)))
+            for bit in range(64 * 8):
+                flipped = bytearray(line)
+                flipped[bit // 8] ^= 1 << bit % 8
+                cases.append((bytes(flipped), ecc))
+            for bit in range(ECC_BYTES * 8):
+                flipped = bytearray(ecc)
+                flipped[bit // 8] ^= 1 << bit % 8
+                cases.append((line, bytes(flipped)))
+        verdicts = [codec.is_sane(line, ecc) for line, ecc in cases]
+        assert verdicts == [per_word(line, ecc) for line, ecc in cases]
+        assert any(verdicts) and not all(verdicts)
+
     def test_correct_line_fixes_one_flip_per_word(self, codec):
         ecc = codec.encode_line(LINE)
         corrupted = bytearray(LINE)

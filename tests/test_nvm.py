@@ -118,6 +118,44 @@ class TestAccounting:
         assert addresses == [0, 128]
 
 
+class TestWrittenIn:
+    @pytest.mark.parametrize("count", [2, 8, 1000])  # probe and filter
+    def test_matches_is_written_in_ascending_order(self, nvm, count):
+        for address in (640, 64, 384, 448, 128 * 64):
+            nvm.write(address, bytes([address % 251]) * 64)
+        nvm.poke(512, LINE)  # out-of-band content counts as written
+        base = 64
+        expected = [
+            (address, nvm.peek(address))
+            for address in range(base, base + count * 64, 64)
+            if nvm.is_written(address)
+        ]
+        assert list(nvm.written_in(base, count).items()) == expected
+
+    def test_counts_no_reads_and_skips_provider(self, nvm):
+        nvm.default_provider = lambda address: b"\x01" * 64
+        nvm.write(64, LINE)
+        assert nvm.written_in(0, 4) == {64: LINE}
+        assert nvm.reads == 0
+
+    def test_empty_range(self, nvm):
+        nvm.write(0, LINE)
+        assert nvm.written_in(SIZE, 0) == {}
+
+    @pytest.mark.parametrize(
+        "base, count, error",
+        [
+            (32, 1, AlignmentError),
+            (-64, 1, LayoutError),
+            (SIZE - 64, 2, LayoutError),
+            (0, -1, LayoutError),
+        ],
+    )
+    def test_bad_range_rejected(self, nvm, base, count, error):
+        with pytest.raises(error):
+            nvm.written_in(base, count)
+
+
 class TestSideband:
     def test_default_sideband(self, nvm):
         assert nvm.read_ecc(0) == bytes(16)

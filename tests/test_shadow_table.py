@@ -309,14 +309,14 @@ class TestShadowRegionTree:
         )
         assert root == tree.root
 
-    def test_tracker_counts_reads(self, key):
-        reads = []
-        ShadowRegionTree.compute_root(key, 10, lambda i: bytes(64), reads)
-        assert len(reads) == 10
-
     def test_bad_leaf_index_rejected(self, key):
         with pytest.raises(ConfigError):
             ShadowRegionTree(key, 4).update(4, bytes(64))
+
+    @pytest.mark.parametrize("leaf", [-1, 4])
+    def test_bad_leaf_in_block_map_rejected(self, key, leaf):
+        with pytest.raises(ConfigError):
+            ShadowRegionTree(key, 4, {leaf: b"\x01" * 64})
 
     def test_zero_leaves_rejected(self, key):
         with pytest.raises(ConfigError):
@@ -340,7 +340,13 @@ class TestShadowRegionTree:
             else bytes(64)
             for index in range(leaves)
         ]
-        tree = ShadowRegionTree.from_reader(key, leaves, blocks.__getitem__)
+        # The constructor takes only the non-zero blocks, as recovery
+        # passes it only the written ones.
+        tree = ShadowRegionTree(key, leaves, {
+            index: block
+            for index, block in enumerate(blocks)
+            if block != bytes(64)
+        })
         assert tree.root == reference_root(key, blocks)
         blocks[leaves - 1] = b"\x07" * 64
         tree.update(leaves - 1, blocks[leaves - 1])
