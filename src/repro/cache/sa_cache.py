@@ -66,6 +66,7 @@ class SetAssociativeCache:
         self.name = name
         self.num_sets = config.num_sets
         self.ways = config.ways
+        self._block_size = config.block_size
         slots = self.num_sets * self.ways
         #: Per-slot state, indexed by slot number (see module docstring).
         self._tags: List[int] = [0] * slots
@@ -93,17 +94,6 @@ class SetAssociativeCache:
             "evictions_dirty": self.evictions_dirty,
             "first_dirty": self.first_dirty,
         })
-
-    # ------------------------------------------------------------------
-    # indexing
-    # ------------------------------------------------------------------
-
-    def _set_index(self, address: int) -> int:
-        if address % self.config.block_size:
-            raise ConfigError(
-                f"cache address {address:#x} not block-aligned"
-            )
-        return (address // self.config.block_size) % self.num_sets
 
     # ------------------------------------------------------------------
     # queries
@@ -172,8 +162,14 @@ class SetAssociativeCache:
             stamps[slot] = self._clock
             return slot, None
 
-        base = self._set_index(address) * self.ways
-        segment = stamps[base : base + self.ways]
+        block_size = self._block_size
+        if address % block_size:
+            raise ConfigError(
+                f"cache address {address:#x} not block-aligned"
+            )
+        ways = self.ways
+        base = (address // block_size) % self.num_sets * ways
+        segment = stamps[base : base + ways]
         slot = base + segment.index(min(segment))
         eviction = None
         if stamps[slot]:

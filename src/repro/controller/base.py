@@ -167,18 +167,17 @@ class SecureMemoryController(abc.ABC):
     # data-path helpers shared by both tree families
     # ------------------------------------------------------------------
 
-    def read_block(self, address: int) -> Tuple[Optional[bytes], bool]:
+    def read_block(self, address: int) -> Optional[bytes]:
         """Fetch a 64B block with WPQ forwarding.
 
-        Returns ``(bytes, True)`` for a written block and ``(None,
-        False)`` for a never-written one, whose content the caller
-        knows: its tree level's default node.
+        Returns the block's bytes, or None for a never-written block,
+        whose content the caller knows: its tree level's default node.
         """
         forwarded = self.wpq.lookup(address)
         if forwarded is not None:
-            return forwarded, True
+            return forwarded
         self.channel.read()
-        return self.nvm.read_written(address)
+        return self.nvm.read_written(address)[0]
 
     def read_data_line(self, address: int) -> Tuple[bytes, bytes, bool]:
         """Fetch a data line and its sideband with WPQ forwarding.

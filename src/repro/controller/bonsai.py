@@ -24,7 +24,7 @@ policy is also implemented for the §2.6 discussion and its tests.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Optional, Tuple
+from typing import Deque, Optional
 
 from repro.cache.sa_cache import Eviction, SetAssociativeCache
 from repro.config import BLOCK_SIZE, SchemeKind, SystemConfig, UpdatePolicy
@@ -71,7 +71,7 @@ class BonsaiController(SecureMemoryController):
             config.selective_persistent_fraction
             * layout.counter_region.num_blocks
         )
-        self._evictions: Deque[Tuple[str, Eviction]] = deque()
+        self._evictions: Deque[Eviction] = deque()
         self._draining = False
         #: Pre-overflow minor snapshots keyed by counter-block address,
         #: captured just before an increment wraps, consumed by the page
@@ -110,7 +110,8 @@ class BonsaiController(SecureMemoryController):
         )
         major, minor = block.iv_pair(slot)
         cipher, sideband, fresh = self.read_data_line(address)
-        self._drain_evictions()
+        if self._evictions:
+            self._drain_evictions()
         if not fresh:
             # Architectural zeros are only legal while the line's minor
             # counter is zero.  A nonzero minor over never-written cells
@@ -160,7 +161,8 @@ class BonsaiController(SecureMemoryController):
         self._stage_scheme_persists(counter_address, block, slot, overflowed)
         pushed = self.pregs.commit()
         self.persist_writes += pushed
-        self._drain_evictions()
+        if self._evictions:
+            self._drain_evictions()
 
     # ------------------------------------------------------------------
     # per-scheme persistence policy
@@ -202,7 +204,7 @@ class BonsaiController(SecureMemoryController):
                 self.pregs.stage(counter_address, block.to_bytes())
 
     # ------------------------------------------------------------------
-    # counter-block fetch + verification
+    # metadata fills: one fetch-and-verify walk
     # ------------------------------------------------------------------
 
     def _get_counter_block(self, counter_address: int) -> SplitCounterBlock:
@@ -210,27 +212,21 @@ class BonsaiController(SecureMemoryController):
         block = self.counter_cache.access(counter_address)
         if block is not None:
             return block
-        # Flush pending write-backs first so the memory image we verify
-        # against is current (the full drain no-ops when re-entered from
-        # eviction processing; the targeted flush still runs there).
-        self._drain_evictions()
-        self._flush_pending_eviction(counter_address)
-        raw, written = self.read_block(counter_address)
-        self.meta_fetches += 1
-        self._verify_chain(0, counter_address, raw, written)
+        raw = self._fetch_verified(0, counter_address)
         # A never-written block (``raw`` None) verified against
         # default_hashes[0], the digest of the all-zero block, so it
         # needs no parse.
         block = (
             SplitCounterBlock.from_bytes(raw)
-            if written
+            if raw is not None
             else SplitCounterBlock.zero()
         )
         slot, eviction = self.counter_cache.fill(counter_address, block)
         self._on_counter_filled(slot, counter_address)
         if eviction is not None:
-            self._evictions.append(("counter", eviction))
-        self._drain_evictions()
+            self._evictions.append(eviction)
+        if self._evictions:
+            self._drain_evictions()
         return block
 
     def _get_merkle_node(self, level: int, node_address: int) -> BonsaiNode:
@@ -239,98 +235,128 @@ class BonsaiController(SecureMemoryController):
         node = self.merkle_cache.access(node_address)
         if node is not None:
             return node
-        self._drain_evictions()
-        self._flush_pending_eviction(node_address)
-        raw, written = self.read_block(node_address)
-        self.meta_fetches += 1
-        self._verify_chain(level, node_address, raw, written)
-        node = BonsaiNode.from_bytes(
-            raw if written else self.engine.default_node_bytes(level)
+        raw = self._fetch_verified(level, node_address)
+        node = (
+            BonsaiNode.from_bytes(raw)
+            if raw is not None
+            else self.engine.default_node(level)
         )
         slot, eviction = self.merkle_cache.fill(node_address, node)
         self._on_merkle_filled(slot, node_address)
         if eviction is not None:
-            self._evictions.append(("merkle", eviction))
-        self._drain_evictions()
+            self._evictions.append(eviction)
+        if self._evictions:
+            self._drain_evictions()
         return node
 
-    def _verify_chain(
-        self,
-        level: int,
-        block_address: int,
-        block_bytes: Optional[bytes],
-        written: bool,
-    ) -> None:
-        """Verify a fetched metadata block up to the first trusted level.
+    def _fetch_verified(self, level: int, address: int) -> Optional[bytes]:
+        """Fetch the metadata block at stored ``level`` and verify it up
+        to the first trusted level; returns its bytes, or None for a
+        never-written block (which holds its level's default content).
 
-        Walks up with ``index //= arity`` from the block's ``(level,
-        index)``, fetching each missing ancestor from memory, and stops
-        at the first cached (already-verified) node or at the on-chip
-        root; then checks hashes top-down.  Fetched ancestors are
-        inserted into the Merkle cache (§2.3.1).  A block that was never
-        written (``written`` False, bytes None from :meth:`read_block`)
-        holds its level's default bytes, so its digest is the engine's
-        kept ``default_hashes[level]`` instead of a fresh one.
+        Pending write-backs land first, so the memory image the walk
+        verifies against is current.  The walk then goes up with
+        ``index //= arity``, fetching each missing ancestor from memory,
+        and stops at the first cached (already-verified) node or at the
+        on-chip root; then it checks hashes top-down.  A never-written
+        block's digest is the engine's kept ``default_hashes[level]``
+        instead of a fresh hash.  The fetched ancestors are inserted
+        into the Merkle cache (§2.3.1) once every check has passed; a
+        failed check raises with nothing filled.
         """
+        evictions = self._evictions
+        if evictions:
+            # The full drain no-ops when re-entered from eviction
+            # processing; the targeted flush still runs there.
+            self._drain_evictions()
+            if evictions:
+                self._flush_pending_eviction(address)
+        read_block = self.read_block
+        raw = read_block(address)
+        self.meta_fetches += 1
+
         bases = self.layout.level_bases
         arity = self.layout.arity
         root_level = self.layout.root_level
-        peek = self.merkle_cache.peek
-        index = (block_address - bases[level]) // BLOCK_SIZE
-        # (level, address, slot in parent, raw bytes, written), bottom-up
-        chain = [(level, block_address, index % arity, block_bytes, written)]
+        merkle_cache = self.merkle_cache
+        cached = merkle_cache._index
+        payloads = merkle_cache._payloads
+        index = (address - bases[level]) // BLOCK_SIZE
+        # (level, address, slot in parent, raw bytes), bottom-up
+        chain = [(level, address, index % arity, raw)]
+        ancestor_level = level
         while True:
-            level += 1
+            ancestor_level += 1
             index //= arity
-            if level == root_level:
+            if ancestor_level == root_level:
                 trusted = self.engine.root_node
                 break
-            address = bases[level] + index * BLOCK_SIZE
-            trusted = peek(address)
-            if trusted is not None:
+            ancestor = bases[ancestor_level] + index * BLOCK_SIZE
+            slot = cached.get(ancestor)
+            if slot is None and evictions:
+                # An ancestor whose dirty eviction is still queued must
+                # be written back first, or we would read (and then
+                # trust) its stale memory copy.
+                self._flush_pending_eviction(ancestor)
+                slot = cached.get(ancestor)
+            if slot is not None:
+                trusted = payloads[slot]
                 break
-            # An ancestor whose dirty eviction is still queued must be
-            # written back first, or we would read (and then trust) its
-            # stale memory copy.
-            self._flush_pending_eviction(address)
-            trusted = peek(address)
-            if trusted is not None:
-                break
-            raw, raw_written = self.read_block(address)
+            ancestor_raw = read_block(ancestor)
             self.meta_fetches += 1
-            chain.append((level, address, index % arity, raw, raw_written))
+            chain.append(
+                (ancestor_level, ancestor, index % arity, ancestor_raw)
+            )
 
         # Verify top-down: the trusted node vouches for the highest
         # fetched block, each fetched node vouches for the one below it,
-        # and the lowest vouches for the block being verified.
-        default_hashes = self.engine.default_hashes
-        block_hash = self.engine.block_hash
-        parent_node = trusted
+        # and the lowest vouches for the block being verified.  Hash
+        # latency accrues on a local copy of the clock, one add per
+        # check in check order, so its float bits match per-check adds.
+        engine = self.engine
+        default_hashes = engine.default_hashes
+        block_hash = engine.block_hash
+        channel = self.channel
+        hash_ns = channel.timing.hash_ns
+        now = channel.now
+        checks = self.integrity_checks
+        parent = trusted
         verified = []  # parsed fetched ancestors, top-down
         for position in range(len(chain) - 1, -1, -1):
-            level, address, slot, raw, raw_written = chain[position]
-            self.integrity_checks += 1
-            self.channel.hash_latency()
-            digest = block_hash(raw) if raw_written else default_hashes[level]
-            if parent_node.child_hash(slot) != digest:
+            node_level, node_address, slot, node_raw = chain[position]
+            checks += 1
+            now += hash_ns
+            digest = (
+                block_hash(node_raw)
+                if node_raw is not None
+                else default_hashes[node_level]
+            )
+            if parent.hashes[slot] != digest:
+                self.integrity_checks = checks
+                channel.now = now
                 raise IntegrityError(
-                    f"Merkle verification failed for block {address:#x}"
+                    f"Merkle verification failed for block {node_address:#x}"
                 )
             if position:
-                if not raw_written:
-                    raw = self.engine.default_node_bytes(level)
-                parent_node = BonsaiNode.from_bytes(raw)
-                verified.append((address, parent_node))
-            # position 0 verified `block_bytes`; nothing below it
+                parent = (
+                    BonsaiNode.from_bytes(node_raw)
+                    if node_raw is not None
+                    else engine.default_node(node_level)
+                )
+                verified.append((node_address, parent))
+            # position 0 is the block being fetched; its caller parses it
+        self.integrity_checks = checks
+        channel.now = now
 
         # Insert the now-verified ancestors (top-down so lower nodes are
         # the most recently used).
-        for address, node in verified:
-            if not self.merkle_cache.contains(address):
-                slot, eviction = self.merkle_cache.fill(address, node)
-                self._on_merkle_filled(slot, address)
+        for node_address, node in verified:
+            if node_address not in cached:
+                slot, eviction = merkle_cache.fill(node_address, node)
+                self._on_merkle_filled(slot, node_address)
                 if eviction is not None:
-                    self._evictions.append(("merkle", eviction))
+                    evictions.append(eviction)
+        return raw
 
     # ------------------------------------------------------------------
     # tree updates
@@ -399,7 +425,7 @@ class BonsaiController(SecureMemoryController):
         read the stale memory copy and fork the block into two divergent
         versions; the pending payload must land first.
         """
-        for position, (_kind, eviction) in enumerate(self._evictions):
+        for position, eviction in enumerate(self._evictions):
             if eviction.address == address:
                 del self._evictions[position]
                 self._process_eviction(eviction)
@@ -412,8 +438,7 @@ class BonsaiController(SecureMemoryController):
         self._draining = True
         try:
             while self._evictions:
-                _kind, eviction = self._evictions.popleft()
-                self._process_eviction(eviction)
+                self._process_eviction(self._evictions.popleft())
         finally:
             self._draining = False
 

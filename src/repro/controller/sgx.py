@@ -255,17 +255,17 @@ class SgxController(SecureMemoryController):
         record = self.metadata_cache.access(address)
         if record is not None:
             return record
-        raw, written = self.read_block(address)
+        raw = self.read_block(address)
         self.meta_fetches += 1
         self.integrity_checks += 1
         self.channel.hash_latency()
-        if written or parent_nonce:
+        if raw is not None or parent_nonce:
             # A never-written node (``raw`` None) holds the default
             # node's bytes, whose MAC is valid only under nonce 0: under
             # a non-zero nonce (a lost write-back) it fails here.
             node = (
                 SgxCounterBlock.from_bytes(raw)
-                if written
+                if raw is not None
                 else self.engine.default_node()
             )
             if not self.engine.verify(node, parent_nonce):

@@ -67,14 +67,13 @@ class ShadowAddressTable:
         return group, self.group_bytes(group)
 
     def group_bytes(self, group: int) -> bytes:
-        """Serialize one 8-address group to its 64B NVM block."""
-        out = bytearray()
+        """Serialize one 8-address group to its 64B NVM block (slots
+        past the table's end read 0)."""
         base = group * _ADDRESSES_PER_BLOCK
-        for offset in range(_ADDRESSES_PER_BLOCK):
-            index = base + offset
-            value = self.slots[index] if index < self.num_slots else 0
-            out += value.to_bytes(8, "little")
-        return bytes(out)
+        addresses = self.slots[base : base + _ADDRESSES_PER_BLOCK]
+        if len(addresses) < _ADDRESSES_PER_BLOCK:
+            addresses += [0] * (_ADDRESSES_PER_BLOCK - len(addresses))
+        return _NODE.pack(*addresses)
 
     @staticmethod
     def parse_block(raw: bytes) -> List[int]:

@@ -21,7 +21,7 @@ are always probed after recovery.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.config import BLOCK_SIZE, SchemeKind, SystemConfig, TreeKind

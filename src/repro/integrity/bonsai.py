@@ -58,11 +58,17 @@ class BonsaiNode:
         """Inverse of :meth:`to_bytes`."""
         if len(raw) != BLOCK_SIZE:
             raise ConfigError(f"Bonsai node must be {BLOCK_SIZE} bytes")
-        return cls(list(_NODE_STRUCT.unpack(raw)))
+        # Eight unpacked u64s are valid hashes; skip the checked
+        # constructor (metadata fills parse one node per fetch).
+        node = cls.__new__(cls)
+        node.hashes = list(_NODE_STRUCT.unpack(raw))
+        return node
 
     def copy(self) -> "BonsaiNode":
         """Deep copy."""
-        return BonsaiNode(list(self.hashes))
+        node = BonsaiNode.__new__(BonsaiNode)
+        node.hashes = self.hashes[:]
+        return node
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, BonsaiNode) and other.hashes == self.hashes
@@ -103,10 +109,12 @@ class BonsaiTreeEngine:
             self.default_hashes.append(child_hash)
             node = BonsaiNode([child_hash] * TREE_ARITY)
             self._default_bytes.append(node.to_bytes())
+        #: Parsed default node per level, copied by :meth:`default_node`.
+        self._default_nodes: List[BonsaiNode] = [
+            BonsaiNode.from_bytes(raw) for raw in self._default_bytes
+        ]
         #: On-chip root-level node. Survives crashes (NVM register).
-        self.root_node = BonsaiNode.from_bytes(
-            self._default_bytes[layout.root_level]
-        )
+        self.root_node = self.default_node(layout.root_level)
 
     # ------------------------------------------------------------------
     # pure hash math
@@ -123,6 +131,11 @@ class BonsaiTreeEngine:
     def default_node_bytes(self, level: int) -> bytes:
         """Serialized default (all-zero subtree) node for ``level``."""
         return self._default_bytes[level]
+
+    def default_node(self, level: int) -> BonsaiNode:
+        """A fresh default node for tree ``level`` (at least 1): the
+        parse of :meth:`default_node_bytes`, without parsing."""
+        return self._default_nodes[level].copy()
 
     def default_provider(self, address: int) -> bytes:
         """NVM default-content hook: untouched tree blocks read as the

@@ -111,6 +111,52 @@ class TestIntegrityEnforcement:
             with pytest.raises(IntegrityError, match=message):
                 controller.read(written)
 
+    #: (level poked, integrity_checks, meta_fetches, repr(channel.now))
+    #: left behind by the failed read: the walk fetches the counter
+    #: block and all three stored ancestors, then checks top-down and
+    #: stops at the poked level.  Level 0 is the counter block itself.
+    FAILED_WALK_ACCOUNTING = [
+        (0, 8, 8, "4133.333333333334"),
+        (1, 7, 8, "4093.3333333333335"),
+        (2, 6, 8, "4053.3333333333335"),
+        (3, 5, 8, "4013.3333333333335"),
+    ]
+
+    @pytest.mark.parametrize(
+        "level, checks, fetches, now", FAILED_WALK_ACCOUNTING
+    )
+    def test_failed_walk_accounting(self, level, checks, fetches, now):
+        controller = make_controller()
+        layout = controller.layout
+        assert layout.root_level == 4
+        written = 0o1234 * layout.lines_per_counter_block * BLOCK_SIZE
+        controller.write(written, payload(1))
+        controller.writeback_all()
+        counter_address = layout.counter_block_for(written)
+        target = (
+            [counter_address] + layout.ancestors_of_counter(counter_address)
+        )[level]
+        raw = bytearray(controller.nvm.peek(target))
+        raw[0] ^= 1
+        controller.nvm.poke(target, bytes(raw))
+        controller.counter_cache.drop_all_volatile()
+        controller.merkle_cache.drop_all_volatile()
+        # A gap that is not a whole number of ns makes every later add
+        # round, so the clock pins the order of the latency adds.
+        controller.channel.advance(10_000 / 3)
+        message = rf"Merkle verification failed for block {target:#x}$"
+        with pytest.raises(IntegrityError, match=message):
+            controller.read(written)
+        assert (
+            controller.integrity_checks,
+            controller.meta_fetches,
+            repr(controller.channel.now),
+        ) == (checks, fetches, now)
+        # Nothing was filled: a failed walk caches no ancestor.
+        assert controller.counter_cache.occupancy == 0
+        assert controller.merkle_cache.occupancy == 0
+        assert controller.nvm.reads == 8
+
     def test_counter_replay_detected(self):
         """Replaying an older (validly formatted) counter block must be
         caught by the Merkle tree — the attack motivating the tree."""

@@ -79,6 +79,18 @@ class TestDefaults:
             node = BonsaiNode.from_bytes(engine.default_node_bytes(level))
             assert node.hashes == [child_hash] * 8
 
+    def test_default_node_is_a_fresh_parse(self, engine, layout):
+        for level in range(1, layout.root_level + 1):
+            node = engine.default_node(level)
+            assert node == BonsaiNode.from_bytes(
+                engine.default_node_bytes(level)
+            )
+            # Cached nodes are mutated in place: each call owns its list.
+            node.set_child_hash(0, 1)
+            assert engine.default_node(level).to_bytes() == (
+                engine.default_node_bytes(level)
+            )
+
     def test_default_provider_serves_tree_regions(self, engine, layout):
         for level, region in enumerate(layout.level_regions):
             assert engine.default_provider(region.base) == (

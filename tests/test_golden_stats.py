@@ -1,11 +1,12 @@
-"""Golden statistics of two Table-1 figure cells.
+"""Golden statistics of three figure cells.
 
 Every simulated count, float and histogram summary of one Bonsai and one
-SGX cell is pinned here, floats by ``repr``, in the order
-``collect_stats()`` and ``StatGroup.as_dict()`` emit them.  A change to
-how statistics are kept must leave every line unchanged.  The two cells
-take more than 1,024 read-stall samples each, so the histogram's
-reservoir decimation is part of what is pinned.
+SGX Table-1 cell, and of one Bonsai cell in Fig. 7's regime, is pinned
+here, floats by ``repr``, in the order ``collect_stats()`` and
+``StatGroup.as_dict()`` emit them.  A change to how statistics are kept
+must leave every line unchanged.  Each cell takes more than 1,024
+read-stall samples, so the histogram's reservoir decimation is part of
+what is pinned.
 """
 
 from __future__ import annotations
@@ -22,11 +23,12 @@ from repro.traces.synthetic import generate_trace
 ACCESSES = 2_000
 
 
-def _cell(scheme, tree, run, cache_names):
-    controller = build_controller(
-        default_table1_config(scheme, tree), keys=ProcessorKeys(0)
-    )
-    run(controller, generate_trace(profile("mcf"), ACCESSES, seed=0))
+def _cell(scheme, tree, run, cache_names, benchmark="mcf", cache_bytes=None):
+    config = default_table1_config(scheme, tree)
+    if cache_bytes is not None:
+        config = config.with_cache_size(cache_bytes)
+    controller = build_controller(config, keys=ProcessorKeys(0))
+    run(controller, generate_trace(profile(benchmark), ACCESSES, seed=0))
     pairs = [("elapsed_ns", repr(controller.finalize()))]
     pairs += [
         (key, repr(value))
@@ -106,6 +108,44 @@ SGX_ASIT_MCF = [
     ('metadata_cache.misses', '13684'),
 ]
 
+#: Fig. 7's regime: the write-back baseline with both metadata caches
+#: cut to 8 KiB, so the counter cache thrashes and evicts dirty blocks
+#: whose write-backs later fetches must flush first.
+BONSAI_WRITE_BACK_GCC_8KIB = [
+    ('elapsed_ns', '1087692.502331081'),
+    ('ctrl.channel_reads', '6145'),
+    ('ctrl.channel_writes', '2255'),
+    ('ctrl.data_reads', '1383'),
+    ('ctrl.data_writes', '617'),
+    ('ctrl.ecc_corrections', '0'),
+    ('ctrl.integrity_checks', '4764'),
+    ('ctrl.meta_fetches', '4762'),
+    ('ctrl.meta_writebacks', '1638'),
+    ('ctrl.page_reencryptions', '0'),
+    ('ctrl.persist_writes', '617'),
+    ('ctrl.shadow_writes', '0'),
+    ('ctrl.read_stall_ns.count', '6145'),
+    ('ctrl.read_stall_ns.mean', '81.9300244100895'),
+    ('ctrl.read_stall_ns.p50', '60.0'),
+    ('ctrl.read_stall_ns.p95', '180.0'),
+    ('ctrl.read_stall_ns.max', '300.0'),
+    ('wpq.coalesced', '0'),
+    ('wpq.drains', '2255'),
+    ('wpq.inserts', '2255'),
+    ('nvm.reads', '6145'),
+    ('nvm.writes', '2255'),
+    ('counter_cache.evictions_clean', '1237'),
+    ('counter_cache.evictions_dirty', '569'),
+    ('counter_cache.first_dirty', '611'),
+    ('counter_cache.hits', '66'),
+    ('counter_cache.misses', '1934'),
+    ('merkle_cache.evictions_clean', '1631'),
+    ('merkle_cache.evictions_dirty', '1069'),
+    ('merkle_cache.first_dirty', '1133'),
+    ('merkle_cache.hits', '4287'),
+    ('merkle_cache.misses', '32'),
+]
+
 
 @pytest.mark.parametrize(
     "scheme, tree, run, caches, expected",
@@ -129,3 +169,16 @@ SGX_ASIT_MCF = [
 )
 def test_cell_statistics_match_golden(scheme, tree, run, caches, expected):
     assert _cell(scheme, tree, run, caches) == expected
+
+
+def test_fig07_regime_cell_matches_golden():
+    pairs = _cell(
+        SchemeKind.WRITE_BACK,
+        TreeKind.BONSAI,
+        replay_batched,
+        ("counter_cache", "merkle_cache"),
+        benchmark="gcc",
+        cache_bytes=8 * 1024,
+    )
+    assert dict(pairs)["counter_cache.evictions_dirty"] != "0"
+    assert pairs == BONSAI_WRITE_BACK_GCC_8KIB
