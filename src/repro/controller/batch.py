@@ -17,17 +17,20 @@ sideband pad, MAC — the pad memo in `crypto/ctr` is bypassed because
 steady-state seals always use a fresh ``(address, major, minor)`` tuple
 and pads are pure, so memo state is unobservable).  Event tallies
 accumulate per window and are added to the components' plain ``int``
-counters once, and tree-hash propagation for dirtied counters is
-deferred to window/fallback boundaries where any propagation order
-reproduces the scalar final state.
+counters once.  An eager write's tree update makes the scalar update's
+cache touches, dirty marks and AGIT hook calls, and adds its counter
+block and stored ancestors to the controller's one stale set, as the
+scalar write does; :meth:`BonsaiController.settle` hashes them only
+where a hash is observed (see :mod:`repro.controller.bonsai`), so the
+stale set carries across fallbacks and ranges unsettled.
 
 Anything off the hit path — a metadata miss, a counter overflow, a
 pending eviction, an invalid address — drops to the **real** scalar
-controller methods for exactly that access, after flushing deferred
-tree state and syncing the local clocks back, so
-interleaving-sensitive machinery (verification chains, evictions, WPQ
-pressure, AGIT fill hooks, page re-encryption) runs unmodified.  The
-contract, checked by ``batch_supported``:
+controller methods for exactly that access, after syncing the local
+clocks back, so interleaving-sensitive machinery (verification chains,
+evictions and the settles they trigger, WPQ pressure, AGIT fill hooks,
+page re-encryption) runs unmodified.  The contract, checked by
+``batch_supported``:
 
 * results are *identical* to scalar replay — same stats, same timing,
   same NVM/cache/WPQ state, same exceptions at the same access;
@@ -39,9 +42,10 @@ contract, checked by ``batch_supported``:
 
 Strict persistence writes every stored ancestor with each data write.
 Their hashes are deferred like every other tree update, so the fast
-path queues each ancestor as a placeholder and ``_flush_tree`` writes
-its final bytes into NVM at the window boundary; the range's final
-strict write runs scalar, so no placeholder outlives the range.
+path queues each ancestor as a placeholder, and before every real call
+``_settle_placeholders`` settles the stale set and writes the
+placeholders' final bytes into NVM; the range's final strict write
+runs scalar, so no placeholder outlives the range.
 
 Why skipping decrypt/MAC verification on the fast read path is sound:
 within a batched window nothing mutates NVM behind the controller's
@@ -66,14 +70,14 @@ from repro.config import (
 )
 from repro.controller.base import SIDEBAND_BYTES
 from repro.controller.bonsai import BonsaiController
-from repro.counters.split import SplitCounterBlock
+from repro.counters.split import SplitCounterBlock, pack_word
 from repro.telemetry.runtime import live_tracer
 from repro.util.bitops import mask
 
 _MINOR_MAX = mask(SplitCounterBlock.minor_bits)
-#: WPQ entry of a strict-persisted ancestor whose bytes are written at
-#: the window flush; it drains as a None block until then.
-_STALE = (None, None)
+#: WPQ entry of a strict-persisted ancestor whose bytes are written
+#: before the next real call; it drains as a None block until then.
+_PLACEHOLDER = (None, None)
 
 
 def scalar_fallback_reason(controller) -> Optional[str]:
@@ -131,101 +135,42 @@ def batch_supported(controller) -> bool:
     return scalar_fallback_reason(controller) is None
 
 
-def _tree_path(layout, counter_address: int) -> tuple:
-    """``(ancestors, steps)`` of a counter block's tree path.
+def _tree_path(layout, counter_address: int) -> Dict[int, int]:
+    """A counter block's stored (in-memory) ancestor node addresses,
+    bottom-up, each mapped to its stored level.
 
-    ``ancestors`` is the tuple of stored (in-memory) ancestor node
-    addresses, bottom-up — the fast-path residency guard.  ``steps``
-    is the full bottom-up ``(parent_address_or_None, child_slot)``
-    sequence the flusher walks; the final step's address is None (the
-    on-chip root).  Built with the ``index //= arity`` walk over
-    ``layout.level_bases`` that :class:`BonsaiController` uses.
+    The keys are the fast path's residency guard, and the mapping is
+    the form in which a write adds them to the controller's stale set.
+    Built with the ``index //= arity`` walk over ``layout.level_bases``
+    that :class:`BonsaiController` uses.
     """
     bases = layout.level_bases
     arity = layout.arity
     index = (counter_address - bases[0]) // BLOCK_SIZE
-    steps = []
+    levels = {}
     for level in range(1, layout.root_level):
-        slot = index % arity
         index //= arity
-        steps.append((bases[level] + index * BLOCK_SIZE, slot))
-    ancestors = tuple(address for address, _ in steps)
-    steps.append((None, index % arity))
-    return ancestors, tuple(steps)
+        levels[bases[level] + index * BLOCK_SIZE] = level
+    return levels
 
 
-def _flush_tree(
-    controller,
-    pending: Dict[int, SplitCounterBlock],
-    packed: Dict[int, int],
-    stale: Set[int],
-) -> None:
-    """Propagate deferred tree updates for every dirtied counter block.
+def _settle_placeholders(controller, placeholders: Set[int]) -> None:
+    """Settle the stale set, then write the final bytes of every
+    ancestor strict persistence queued as a placeholder into NVM.
 
-    Scalar eager mode re-hashes the whole ancestor path on *every*
-    write; within a batched window those intermediate hashes are
-    unobservable (nothing verifies against a cached node until a miss,
-    and misses flush first), so one bottom-up propagation at the window
-    boundary lands the identical final state: ``set_child_hash`` is
-    last-writer-wins per (node, slot), and propagating level by level —
-    every dirty counter hashed once, then every touched parent hashed
-    once from its *current* bytes, and so on to the root — re-hashes
-    each shared ancestor exactly once while still running strictly
-    after all its children's slot updates.  ``packed`` (the engine's
-    incremental serialization cache) supplies counter bytes without a
-    64-field repack when available.
-
-    ``stale`` holds the ancestors strict persistence queued as
-    placeholders; once the hashes are in, each one's current bytes
-    overwrite its NVM block.  That is exactly what scalar replay left
-    there: every strict write persists its whole path, so an
-    ancestor's last persist in the window carried the state it has
-    now, and the WPQ is empty here (it drains at the top of every
-    access), so every placeholder has already reached NVM.
+    That is exactly what scalar replay left there: every strict write
+    persists its whole path, so an ancestor's last persist carried the
+    state it has once settled, and the WPQ is empty here (it drains at
+    the top of every access), so every placeholder has already reached
+    NVM.
     """
-    engine = controller.engine
-    block_hash = engine.block_hash
-    root_node = engine.root_node
-    merkle_cache = controller.merkle_cache
-    m_index = merkle_cache._index
-    m_payloads = merkle_cache._payloads
-    path_memo = controller._batch_path_memo
-    #: parent address -> remaining bottom-up steps from that parent.
-    frontier: Dict[int, tuple] = {}
-    for counter_address, block in pending.items():
-        steps = path_memo[counter_address][1]
-        parent_address, child_slot = steps[0]
-        word = packed.get(counter_address)
-        child_bytes = (
-            word.to_bytes(BLOCK_SIZE, "little")
-            if word is not None
-            else block.to_bytes()
-        )
-        child_hash = block_hash(child_bytes)
-        if parent_address is None:
-            root_node.set_child_hash(child_slot, child_hash)
-        else:
-            node = m_payloads[m_index[parent_address]]
-            node.set_child_hash(child_slot, child_hash)
-            frontier[parent_address] = steps[1:]
-    while frontier:
-        upper: Dict[int, tuple] = {}
-        for address, steps in frontier.items():
-            node = m_payloads[m_index[address]]
-            child_hash = block_hash(node.to_bytes())
-            parent_address, child_slot = steps[0]
-            if parent_address is None:
-                root_node.set_child_hash(child_slot, child_hash)
-            else:
-                parent = m_payloads[m_index[parent_address]]
-                parent.set_child_hash(child_slot, child_hash)
-                upper[parent_address] = steps[1:]
-        frontier = upper
-    pending.clear()
+    controller.settle()
+    cached = controller.merkle_cache._index
+    payloads = controller.merkle_cache._payloads
     nvm_blocks = controller.nvm._blocks
-    for address in stale:
-        nvm_blocks[address] = m_payloads[m_index[address]].to_bytes()
-    stale.clear()
+    for address in placeholders:
+        nvm_blocks[address] = payloads[cached[address]].to_bytes()
+    placeholders.clear()
 
 
 def run_batched_range(
@@ -299,12 +244,14 @@ def run_batched_range(
     encode_line = controller.ecc_codec.encode_line
     real_read = controller.read
     real_write = controller.write
-    #: counter address -> (ancestors, steps) of its tree path, kept on
-    #: the controller so segmented replays share it.
+    #: counter address -> its ancestors and their levels, kept on the
+    #: controller so segmented replays share it.
     path_memo = getattr(controller, "_batch_path_memo", None)
     if path_memo is None:
         path_memo = controller._batch_path_memo = {}
     minor_bits = SplitCounterBlock.minor_bits
+    stale_counters = controller._stale_counters
+    stale_nodes = controller._stale_nodes
 
     # Dispatch AGIT dirty hooks only when actually overridden.
     counter_hook = (
@@ -320,8 +267,6 @@ def run_batched_range(
         else None
     )
 
-    #: counter address -> live block, for deferred tree propagation.
-    pending_tree: Dict[int, SplitCounterBlock] = {}
     #: counter address -> packed 512-bit serialization of the block's
     #: *current* state.  The fast path owns every mutation between
     #: fallbacks, so each write updates the word with one shifted add
@@ -330,8 +275,8 @@ def run_batched_range(
     #: real call, which may mutate blocks behind it.
     packed: Dict[int, int] = {}
     #: ancestors strict persistence queued as placeholders, whose NVM
-    #: bytes ``_flush_tree`` writes (see its docstring).
-    stale: Set[int] = set()
+    #: bytes ``_settle_placeholders`` writes before every real call.
+    placeholders: Set[int] = set()
 
     # Window tallies, added to the components' counters once on exit.
     t_data_reads = 0
@@ -412,8 +357,8 @@ def run_batched_range(
                     else None
                 )
                 if slot_index is None:
-                    if pending_tree:
-                        _flush_tree(controller, pending_tree, packed, stale)
+                    if placeholders:
+                        _settle_placeholders(controller, placeholders)
                     channel.now = ch_now
                     channel.busy_until = ch_busy
                     counter_cache._clock = c_clock
@@ -476,19 +421,18 @@ def run_batched_range(
                 if minor >= _MINOR_MAX:
                     fast = False  # overflow: page re-encryption path
                 elif eager:
-                    entry = path_memo.get(counter_address)
-                    if entry is None:
-                        entry = path_memo[counter_address] = _tree_path(
+                    ancestors = path_memo.get(counter_address)
+                    if ancestors is None:
+                        ancestors = path_memo[counter_address] = _tree_path(
                             layout, counter_address
                         )
-                    ancestors = entry[0]
                     for ancestor in ancestors:
                         if ancestor not in m_index:
                             fast = False
                             break
             if not fast:
-                if pending_tree:
-                    _flush_tree(controller, pending_tree, packed, stale)
+                if placeholders:
+                    _settle_placeholders(controller, placeholders)
                 channel.now = ch_now
                 channel.busy_until = ch_busy
                 counter_cache._clock = c_clock
@@ -517,11 +461,7 @@ def run_batched_range(
             block.minors[cslot] = new_minor
             word = packed.get(counter_address)
             if word is None:
-                word = block.major
-                shift = 64
-                for m in block.minors:
-                    word |= m << shift
-                    shift += minor_bits
+                word = pack_word(block.major, block.minors)
             else:
                 word += 1 << (64 + minor_bits * cslot)
             packed[counter_address] = word
@@ -546,7 +486,8 @@ def run_batched_range(
                     m_dirty[merkle_slot] = keep_dirty
                     if merkle_hook is not None:
                         merkle_hook(merkle_slot, ancestor, merkle_first)
-                pending_tree[counter_address] = block
+                stale_counters[counter_address] = block
+                stale_nodes.update(ancestors)
 
             # seal_data(), inlined: SECDED, keyed MAC, counter-mode pads
             # straight from BLAKE2b (bypassing the pad memo — the tuple
@@ -593,8 +534,8 @@ def run_batched_range(
                     None,
                 )
                 for ancestor in ancestors:
-                    pending[ancestor] = _STALE
-                stale.update(ancestors)
+                    pending[ancestor] = _PLACEHOLDER
+                placeholders.update(ancestors)
                 pushed = 2 + len(ancestors)
                 t_wpq_inserts += pushed - 1
             elif use_stop_loss and new_minor % stop_loss == 0:
@@ -619,8 +560,8 @@ def run_batched_range(
             channel.busy_until = ch_busy
             counter_cache._clock = c_clock
             merkle_cache._clock = m_clock
-        if pending_tree:
-            _flush_tree(controller, pending_tree, packed, stale)
+        if placeholders:
+            _settle_placeholders(controller, placeholders)
         controller.data_reads += t_data_reads
         controller.data_writes += t_data_writes
         controller.integrity_checks += t_integrity
@@ -641,9 +582,9 @@ class IntegrityErrorAt(Exception):
     """Internal marker: a fast-path read hit the lost-write invariant.
 
     Converted to the scalar path's exact :class:`~repro.errors.
-    IntegrityError` after deferred state is flushed, so post-mortem
-    controller state matches a scalar run that raised at the same
-    access.
+    IntegrityError` after the local clocks and tallies are synced back,
+    so post-mortem controller state (the unsettled stale set included)
+    matches a scalar run that raised at the same access.
     """
 
     def __init__(self, address: int) -> None:

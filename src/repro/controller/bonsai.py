@@ -19,12 +19,30 @@ stop-loss counter mode encryption", §6.1).
 Tree-update policy: eager by default (§2.6 — the on-chip root always
 reflects the latest counters, which AGIT recovery relies on); the lazy
 policy is also implemented for the §2.6 discussion and its tests.
+
+The simulator charges no time for eager update hashes, so only their
+observable results matter, and the controller computes them only where
+they are observed.  An eager write (scalar, or batched by
+:mod:`repro.controller.batch`) makes the same per-level cache touches,
+dirty marks and AGIT hook calls as a hashing update, and records its
+counter block and stored ancestors in one *stale set*: blocks whose
+hash their parent does not hold yet.  :meth:`BonsaiController.settle`
+hashes each stale block once, bottom-up, into its parent and the
+on-chip root.  It runs where a hash is observed: at a fill that evicts
+a stale block (before its bytes can leave the chip), before strict
+persistence stages ancestor bytes, in :meth:`~BonsaiController.
+writeback_all` and :meth:`~BonsaiController.drop_volatile`, and on
+every outside read of ``engine.root_node``.  Stale blocks are always
+resident, so a fetched block and its uncached ancestors are never
+stale, and the cached slot a fetch verifies against already holds the
+eager value.  The lazy policy never records stale state.
 """
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
-from typing import Deque, Optional
+from typing import Deque, Dict, List, Optional
 
 from repro.cache.sa_cache import Eviction, SetAssociativeCache
 from repro.config import BLOCK_SIZE, SchemeKind, SystemConfig, UpdatePolicy
@@ -73,6 +91,16 @@ class BonsaiController(SecureMemoryController):
         )
         self._evictions: Deque[Eviction] = deque()
         self._draining = False
+        #: The stale set of deferred eager updates (see the module
+        #: docstring): counter address -> block, and tree node address
+        #: -> stored level.  Every stale block is resident.
+        self._stale_counters: Dict[int, SplitCounterBlock] = {}
+        self._stale_nodes: Dict[int, int] = {}
+        #: ``(address, slot, hash)`` a settle could not deliver because
+        #: the parent was not resident; the fill of that parent applies
+        #: it (see :meth:`settle`).
+        self._carried: Optional[tuple] = None
+        self.engine.settle_hook = weakref.WeakMethod(self.settle)
         #: Pre-overflow minor snapshots keyed by counter-block address,
         #: captured just before an increment wraps, consumed by the page
         #: re-encryption that follows.
@@ -149,7 +177,8 @@ class BonsaiController(SecureMemoryController):
         self._on_counter_dirtied(cache_slot, counter_address, first)
 
         if self.eager:
-            self._eager_update_ancestors(counter_address, block)
+            self._stale_counters[counter_address] = block
+            self._eager_update_ancestors(counter_address)
 
         major, minor = block.iv_pair(slot)
         cipher, sideband = self.seal_data(address, data, major, minor)
@@ -177,6 +206,7 @@ class BonsaiController(SecureMemoryController):
     ) -> None:
         """Stage the metadata blocks this scheme persists per write."""
         if self.scheme == SchemeKind.STRICT_PERSISTENCE:
+            self.settle()
             self.pregs.stage(counter_address, block.to_bytes())
             self.counter_cache.clean(counter_address)
             # Every stored ancestor; the root is an on-chip NVM register.
@@ -225,6 +255,8 @@ class BonsaiController(SecureMemoryController):
         self._on_counter_filled(slot, counter_address)
         if eviction is not None:
             self._evictions.append(eviction)
+            if eviction.address in self._stale_counters:
+                self.settle()
         if self._evictions:
             self._drain_evictions()
         return block
@@ -243,8 +275,14 @@ class BonsaiController(SecureMemoryController):
         )
         slot, eviction = self.merkle_cache.fill(node_address, node)
         self._on_merkle_filled(slot, node_address)
+        carried = self._carried
+        if carried is not None and carried[0] == node_address:
+            self._carried = None
+            node.hashes[carried[1]] = carried[2]
         if eviction is not None:
             self._evictions.append(eviction)
+            if eviction.address in self._stale_nodes:
+                self.settle(eviction)
         if self._evictions:
             self._drain_evictions()
         return node
@@ -289,7 +327,9 @@ class BonsaiController(SecureMemoryController):
             ancestor_level += 1
             index //= arity
             if ancestor_level == root_level:
-                trusted = self.engine.root_node
+                # The raw root: its entry for a non-resident (so never
+                # stale) top-level node is already the eager value.
+                trusted = self.engine._root
                 break
             ancestor = bases[ancestor_level] + index * BLOCK_SIZE
             slot = cached.get(ancestor)
@@ -356,35 +396,90 @@ class BonsaiController(SecureMemoryController):
                 self._on_merkle_filled(slot, node_address)
                 if eviction is not None:
                     evictions.append(eviction)
+                    if eviction.address in self._stale_nodes:
+                        self.settle(eviction)
         return raw
 
     # ------------------------------------------------------------------
     # tree updates
     # ------------------------------------------------------------------
 
-    def _eager_update_ancestors(
-        self, counter_address: int, block: SplitCounterBlock
-    ) -> None:
-        """Propagate a counter update through every level to the root."""
+    def _eager_update_ancestors(self, counter_address: int) -> None:
+        """Eager update of every stored ancestor, hashes deferred.
+
+        Per level: the node's cache touch (fetching it on a miss), its
+        dirty mark and the AGIT hook, as a hashing update makes them;
+        the node joins the stale set, and :meth:`settle` computes its
+        hashes where they are observed.
+        """
         bases = self.layout.level_bases
         arity = self.layout.arity
-        block_hash = self.engine.block_hash
+        merkle_cache = self.merkle_cache
+        stale_nodes = self._stale_nodes
         index = (counter_address - bases[0]) // BLOCK_SIZE
-        child_bytes = block.to_bytes()
         for level in range(1, self.layout.root_level):
-            child_hash = block_hash(child_bytes)
-            slot = index % arity
             index //= arity
             address = bases[level] + index * BLOCK_SIZE
-            node = self._get_merkle_node(level, address)
-            node.set_child_hash(slot, child_hash)
-            first = self.merkle_cache.mark_dirty(address)
-            cache_slot = self.merkle_cache.slot_of(address)
-            self._on_merkle_dirtied(cache_slot, address, first)
-            child_bytes = node.to_bytes()
-        self.engine.root_node.set_child_hash(
-            index % arity, block_hash(child_bytes)
-        )
+            self._get_merkle_node(level, address)
+            first = merkle_cache.mark_dirty(address)
+            self._on_merkle_dirtied(
+                merkle_cache.slot_of(address), address, first
+            )
+            stale_nodes[address] = level
+
+    def settle(self, victim: Optional[Eviction] = None) -> None:
+        """Hash every stale block into its parent, bottom-up, each once.
+
+        Level by level from the counter blocks: each stale block's
+        digest goes into its parent's slot.  A stale parent is itself
+        hashed in the next round, after all its children, so its digest
+        carries every update; the top stored level's digests go into the
+        on-chip root.  ``victim`` is the eviction that triggered the
+        settle: its block has left the cache index, so it is reached
+        through the eviction's payload.  A parent that is not resident
+        is the node an eager walk is bringing in (a fill inside the walk
+        evicted a node the walk had already marked, which takes fewer
+        ways than stored levels): its digest is carried into it when
+        the walk fills it.
+        """
+        counters = self._stale_counters
+        stale_nodes = self._stale_nodes
+        if not counters and not stale_nodes:
+            return
+        bases = self.layout.level_bases
+        arity = self.layout.arity
+        root_level = self.layout.root_level
+        block_hash = self.engine.block_hash
+        root_hashes = self.engine._root.hashes
+        cached = self.merkle_cache._index
+        payloads = self.merkle_cache._payloads
+        by_level: List[list] = [list(counters.items())]
+        by_level.extend([] for _level in range(1, root_level))
+        for address, level in stale_nodes.items():
+            slot = cached.get(address)
+            node = payloads[slot] if slot is not None else victim.payload
+            by_level[level].append((address, node))
+        for level, blocks in enumerate(by_level):
+            base = bases[level]
+            parent_base = bases[level + 1]
+            for address, block in blocks:
+                index = (address - base) // BLOCK_SIZE
+                digest = block_hash(block.to_bytes())
+                if level + 1 == root_level:
+                    root_hashes[index % arity] = digest
+                    continue
+                parent_address = parent_base + index // arity * BLOCK_SIZE
+                slot = cached.get(parent_address)
+                if slot is not None:
+                    parent = payloads[slot]
+                elif victim is not None and victim.address == parent_address:
+                    parent = victim.payload
+                else:
+                    self._carried = (parent_address, index % arity, digest)
+                    continue
+                parent.hashes[index % arity] = digest
+        counters.clear()
+        stale_nodes.clear()
 
     def _lazy_propagate(self, child_address: int, child_bytes: bytes) -> None:
         """Lazy policy: fold an evicted child's hash into its parent."""
@@ -395,7 +490,7 @@ class BonsaiController(SecureMemoryController):
         level += 1
         index //= layout.arity
         if level == layout.root_level:
-            self.engine.root_node.set_child_hash(slot, child_hash)
+            self.engine._root.set_child_hash(slot, child_hash)
             return
         address = layout.level_bases[level] + index * BLOCK_SIZE
         node = self._get_merkle_node(level, address)
@@ -494,7 +589,12 @@ class BonsaiController(SecureMemoryController):
     # ------------------------------------------------------------------
 
     def drop_volatile(self) -> None:
-        """Lose all cache contents (power failure)."""
+        """Lose all cache contents (power failure).
+
+        The on-chip root survives and reflects the latest counters, so
+        deferred eager updates are settled into it first.
+        """
+        self.settle()
         self.counter_cache.drop_all_volatile()
         self.merkle_cache.drop_all_volatile()
         self._evictions.clear()
@@ -503,6 +603,7 @@ class BonsaiController(SecureMemoryController):
 
     def writeback_all(self) -> None:
         """Orderly shutdown: persist every dirty metadata block."""
+        self.settle()
         for _slot, address, payload, dirty in list(self.counter_cache.resident()):
             if dirty:
                 raw = payload.to_bytes()

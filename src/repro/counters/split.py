@@ -22,11 +22,44 @@ _MINOR_BITS = 7
 _MAJOR_BITS = 64
 _MINORS_PER_BLOCK = 64
 _MINOR_MAX = mask(_MINOR_BITS)
-_MAJOR_MAX = mask(_MAJOR_BITS)
-#: Bit offset of each minor in the 512-bit wire word.
-_MINOR_SHIFTS = tuple(
-    _MAJOR_BITS + i * _MINOR_BITS for i in range(_MINORS_PER_BLOCK)
-)
+
+
+def _lane_steps() -> tuple:
+    """``(low, high, gap)`` masks that pack 8-bit lanes of 7-bit minors
+    into the contiguous 448-bit minor field, one lane width per step.
+
+    At lane width ``w`` (16, 32, .. 512 bits) each lane holds two
+    half-lanes of ``p`` payload bits each (7, 14, .. 224): the low one
+    stays and the high one moves down by ``w/2 - p`` to sit right
+    above it.  The first three steps pack each group of eight minors
+    into its 7 bytes; the last three join the eight groups.
+    """
+    steps = []
+    width, payload = 16, _MINOR_BITS
+    while width <= _MINORS_PER_BLOCK * 8:
+        half = width // 2
+        low = sum(
+            mask(payload) << base
+            for base in range(0, _MINORS_PER_BLOCK * 8, width)
+        )
+        steps.append((low, low << half, half - payload))
+        width *= 2
+        payload *= 2
+    return tuple(steps)
+
+
+_PACK_STEPS = _lane_steps()
+_UNPACK_STEPS = _PACK_STEPS[::-1]
+
+
+def pack_word(major: int, minors: "List[int]") -> int:
+    """The 512-bit wire word: ``major`` in bits [0, 64), minor *i* at
+    bit 64 + 7i.  The minors (each below 128) are packed as bytes,
+    whose lanes the masks of :func:`_lane_steps` squeeze together."""
+    word = int.from_bytes(bytes(minors), "little")
+    for low, high, gap in _PACK_STEPS:
+        word = (word & low) | (word & high) >> gap
+    return major | word << _MAJOR_BITS
 
 
 class SplitCounterBlock:
@@ -90,28 +123,24 @@ class SplitCounterBlock:
 
     def to_bytes(self) -> bytes:
         """Serialize: major in bits [0,64), minor *i* at 64 + 7i."""
-        # Hot path (hashed on every tree update): direct shifts instead
-        # of the checked bit-field helpers.
-        word = self.major
-        offset = _MAJOR_BITS
-        for minor in self.minors:
-            word |= minor << offset
-            offset += _MINOR_BITS
-        return word.to_bytes(BLOCK_SIZE, "little")
+        return pack_word(self.major, self.minors).to_bytes(
+            BLOCK_SIZE, "little"
+        )
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "SplitCounterBlock":
         """Inverse of :meth:`to_bytes`."""
         if len(raw) != BLOCK_SIZE:
             raise ConfigError(f"counter block must be {BLOCK_SIZE} bytes")
-        word = int.from_bytes(raw, "little")
-        # Masked fields are in range by construction, so the checked
-        # constructor's range loop is skipped.
+        # The inverse of pack_word: spread the minor field back into one
+        # byte per minor.  Masked fields are in range by construction,
+        # so the checked constructor's range loop is skipped.
+        word = int.from_bytes(raw[_MAJOR_BITS // 8 :], "little")
+        for low, high, gap in _UNPACK_STEPS:
+            word = (word & low) | (word << gap & high)
         block = cls.__new__(cls)
-        block.major = word & _MAJOR_MAX
-        block.minors = [
-            (word >> shift) & _MINOR_MAX for shift in _MINOR_SHIFTS
-        ]
+        block.major = int.from_bytes(raw[: _MAJOR_BITS // 8], "little")
+        block.minors = list(word.to_bytes(_MINORS_PER_BLOCK, "little"))
         return block
 
     def copy(self) -> "SplitCounterBlock":

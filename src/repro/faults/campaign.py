@@ -567,8 +567,13 @@ def _warmup_images(
     # Replay segment-by-segment between snapshot boundaries; each
     # segment runs through the batched engine (identical results, see
     # traces/replay.py), pausing only where the campaign forks the
-    # persistent domain.  Snapshots always see fully settled state —
-    # the batch engine flushes its deferred work at every range end.
+    # persistent domain.  Deferred eager tree updates stay in the
+    # controller's stale set across pauses, and nothing a snapshot
+    # takes observes them unsettled: stale blocks are resident, so the
+    # NVM image and WPQ never hold their bytes (strict placeholders are
+    # written before every range's final, scalar write), and
+    # capture_chip_state reads the root through engine.root_node,
+    # which settles first.
     warm_trace = Trace("campaign-warmup", requests)
     total = len(requests)
     position = 0

@@ -16,7 +16,8 @@ data MACs bind the line address.
 from __future__ import annotations
 
 import struct
-from typing import List
+import weakref
+from typing import List, Optional
 
 from repro.config import BLOCK_SIZE, TREE_ARITY
 from repro.crypto.hashes import hash64_keyed
@@ -114,7 +115,13 @@ class BonsaiTreeEngine:
             BonsaiNode.from_bytes(raw) for raw in self._default_bytes
         ]
         #: On-chip root-level node. Survives crashes (NVM register).
-        self.root_node = self.default_node(layout.root_level)
+        #: Read it through :attr:`root_node`; only the owning
+        #: controller's fetch walk and tree updates use it raw.
+        self._root = self.default_node(layout.root_level)
+        #: Set by a controller that defers eager tree updates: a weak
+        #: reference to its settle method (the controller owns the
+        #: engine), called before any outside read of the root.
+        self.settle_hook: Optional[weakref.WeakMethod] = None
 
     # ------------------------------------------------------------------
     # pure hash math
@@ -123,6 +130,19 @@ class BonsaiTreeEngine:
     def block_hash(self, block_bytes: bytes) -> int:
         """64-bit keyed hash of a 64B child block (counter block or node)."""
         return self._hash.value(block_bytes)
+
+    @property
+    def root_node(self) -> BonsaiNode:
+        """The on-chip root node, with deferred updates settled."""
+        if self.settle_hook is not None:
+            settle = self.settle_hook()
+            if settle is not None:
+                settle()
+        return self._root
+
+    @root_node.setter
+    def root_node(self, node: BonsaiNode) -> None:
+        self._root = node
 
     def root_value(self) -> int:
         """The root hash — the single value 'kept inside the processor'."""

@@ -107,6 +107,14 @@ def fingerprint(controller) -> dict:
         "wpq": list(controller.wpq.pending_entries()),
     }
     if hasattr(controller, "counter_cache"):
+        # Both replays must leave the same deferred tree updates
+        # unsettled; the node bytes and the root are then compared
+        # settled, as anything outside the controller observes them.
+        state["stale"] = (
+            sorted(controller._stale_counters),
+            sorted(controller._stale_nodes.items()),
+        )
+        controller.settle()
         state["counter_slots"] = _slot_state(
             controller.counter_cache,
             lambda block: (block.major, tuple(block.minors)),
@@ -193,8 +201,8 @@ class TestSegmentedReplay:
 
     def test_strict_segments_match_scalar_at_every_pause(self):
         # Strict persistence queues ancestors whose bytes are written
-        # at the window flush; at every pause NVM, WPQ, LRU stamps and
-        # root must already be what scalar replay leaves there.
+        # before every real call; at every pause NVM, WPQ, LRU stamps
+        # and root must already be what scalar replay leaves there.
         trace = generate_trace(HOT_COLD, 2500, seed=41)
         config = small_config(SchemeKind.STRICT_PERSISTENCE)
         scalar = build_controller(config, keys=ProcessorKeys(7))

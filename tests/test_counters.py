@@ -1,11 +1,13 @@
 """Unit and property tests for the counter-block codecs."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.counters.sgx import SgxCounterBlock
-from repro.counters.split import SplitCounterBlock
+from repro.counters.split import SplitCounterBlock, pack_word
 from repro.errors import ConfigError
 
 
@@ -105,6 +107,53 @@ class TestSplitCounterWire:
         assert decoded == expected
         # 64 + 64 x 7 bits fill the block exactly: every byte survives.
         assert decoded.to_bytes() == raw
+
+
+def _field_loop_bytes(major, minors):
+    """The per-field reference packing: one shift per minor."""
+    word = major
+    for i, minor in enumerate(minors):
+        word |= minor << (64 + 7 * i)
+    return word.to_bytes(64, "little")
+
+
+def _field_loop_parse(raw):
+    word = int.from_bytes(raw, "little")
+    minors = [(word >> (64 + 7 * i)) & 127 for i in range(64)]
+    return word & ((1 << 64) - 1), minors
+
+
+class TestSplitCounterCodec:
+    """The lane-packing codec against the per-field reference loop."""
+
+    def _cases(self):
+        rng = random.Random(2019)
+        cases = [
+            (0, [0] * 64),
+            (0, [0x7F] * 64),
+            ((1 << 64) - 1, [0] * 64),
+            ((1 << 64) - 1, [0x7F] * 64),
+        ]
+        for _ in range(300):
+            cases.append(
+                (rng.getrandbits(64), [rng.randrange(128) for _ in range(64)])
+            )
+        return cases
+
+    def test_pack_matches_field_loop(self):
+        for major, minors in self._cases():
+            expected = _field_loop_bytes(major, minors)
+            assert SplitCounterBlock(major, minors).to_bytes() == expected
+            assert pack_word(major, minors) == int.from_bytes(
+                expected, "little"
+            )
+
+    def test_parse_matches_field_loop(self):
+        for major, minors in self._cases():
+            raw = _field_loop_bytes(major, minors)
+            block = SplitCounterBlock.from_bytes(raw)
+            assert (block.major, block.minors) == _field_loop_parse(raw)
+            assert (block.major, block.minors) == (major, minors)
 
 
 class TestSgxCounterBasics:
