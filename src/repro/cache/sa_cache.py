@@ -128,6 +128,23 @@ class SetAssociativeCache:
         self._stamps[slot] = self._clock
         return self._payloads[slot]
 
+    def touch(self, address: int) -> Optional[Any]:
+        """Payload if resident (refreshes LRU), else None; counts
+        nothing: a re-check of a block whose miss is already counted."""
+        slot = self._index.get(address)
+        if slot is None:
+            return None
+        self._clock += 1
+        self._stamps[slot] = self._clock
+        return self._payloads[slot]
+
+    def record_miss(self, address: int) -> None:
+        """Count a miss the caller found in the index itself (a verify
+        walk's fetched ancestor), with its ``cache.miss`` event."""
+        self.misses += 1
+        if self.tracer.enabled:
+            self.tracer.emit("cache.miss", cache=self.name, address=address)
+
     def slot_of(self, address: int) -> Optional[int]:
         """Fixed slot number of a resident block (None on miss)."""
         return self._index.get(address)

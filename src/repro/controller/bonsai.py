@@ -294,8 +294,9 @@ class BonsaiController(SecureMemoryController):
 
         Pending write-backs land first, so the memory image the walk
         verifies against is current.  The walk then goes up with
-        ``index //= arity``, fetching each missing ancestor from memory,
-        and stops at the first cached (already-verified) node or at the
+        ``index //= arity``, fetching each missing ancestor from memory
+        (one counted ``merkle_cache`` miss each), and stops at the first
+        cached (already-verified) node, which counts nothing, or at the
         on-chip root; then it checks hashes top-down.  A never-written
         block's digest is the engine's kept ``default_hashes[level]``
         instead of a fresh hash.  The fetched ancestors are inserted
@@ -342,6 +343,7 @@ class BonsaiController(SecureMemoryController):
             if slot is not None:
                 trusted = payloads[slot]
                 break
+            merkle_cache.record_miss(ancestor)
             ancestor_raw = read_block(ancestor)
             self.meta_fetches += 1
             chain.append(

@@ -252,7 +252,8 @@ class SgxController(SecureMemoryController):
                 parent = self._get_node(level + 1, parent_index, parent_address)
             parent_nonce = parent.node.counters[index % TREE_ARITY]
 
-        record = self.metadata_cache.access(address)
+        # The miss is counted above; this re-check only refreshes LRU.
+        record = self.metadata_cache.touch(address)
         if record is not None:
             return record
         raw = self.read_block(address)

@@ -33,6 +33,23 @@ class TestBasics:
         assert eviction is None
         assert 0 <= slot < cache.num_slots
 
+    def test_touch_refreshes_lru_and_counts_nothing(self):
+        cache = make_cache()
+        cache.fill(0, "x")
+        stamp = cache._stamps[cache.slot_of(0)]
+        assert cache.touch(64) is None
+        assert cache.touch(0) == "x"
+        assert cache._stamps[cache.slot_of(0)] > stamp
+        assert (cache.hits, cache.misses) == (0, 0)
+
+    def test_record_miss_counts_without_touching(self):
+        cache = make_cache()
+        cache.fill(0, "x")
+        stamps = list(cache._stamps)
+        cache.record_miss(64)
+        assert (cache.hits, cache.misses) == (0, 1)
+        assert cache._stamps == stamps and cache.peek(64) is None
+
     def test_peek_contains_slot(self):
         cache = make_cache()
         slot, _ = cache.fill(0, "x")
