@@ -73,15 +73,6 @@ class SgxCounterBlock:
         lsb_mask = mask(lsb_bits)
         return [counter & lsb_mask for counter in self.counters]
 
-    def lsb_overflow_imminent(self, slot: int, lsb_bits: int) -> bool:
-        """True if the *next* increment of ``slot`` wraps its LSB field.
-
-        When the LSBs wrap, the in-memory (stale) copy's MSBs no longer
-        reconstruct the true counter, so ASIT persists the whole node
-        first (§4.3.1).
-        """
-        return (self.counters[slot] & mask(lsb_bits)) == mask(lsb_bits)
-
     def splice_lsbs(self, lsb_values: List[int], mac: int, lsb_bits: int) -> None:
         """ASIT recovery splice: replace each counter's LSBs (keeping the
         stale copy's MSBs) and the MAC with shadow-table values.

@@ -184,11 +184,6 @@ class TestSgxLsbSupport:
         block = SgxCounterBlock(counters=[(1 << 50) | 5] + [0] * 7)
         assert block.lsbs(49)[0] == 5
 
-    def test_lsb_overflow_imminent(self):
-        block = SgxCounterBlock(counters=[(1 << 49) - 1] + [0] * 7)
-        assert block.lsb_overflow_imminent(0, 49)
-        assert not block.lsb_overflow_imminent(1, 49)
-
     def test_splice_replaces_lsbs_and_mac(self):
         stale = SgxCounterBlock(counters=[(7 << 49) | 3] + [0] * 7, mac=1)
         stale.splice_lsbs([9] + [0] * 7, mac=42, lsb_bits=49)
