@@ -10,8 +10,8 @@ trace's parallel lists to the batch engine
 (:mod:`repro.controller.batch`), which plans each access inline,
 whenever :func:`~repro.controller.batch.batch_supported` accepts the
 controller, and runs :func:`replay` otherwise — under a live telemetry
-session, an armed metric sampler, and for controllers the batch engine
-does not support.  Results are identical to :func:`replay` in all cases; only
+session, an armed metric sampler, and for configurations the batch
+engine refuses.  Results are identical to :func:`replay` in all cases; only
 wall-clock differs.
 """
 
