@@ -36,11 +36,21 @@ The two tree families differ only in the write's metadata update:
   stored level's nonce, each child's ``parent_nonce`` and the on-chip
   root nonce and persists the whole path.
 
-Anything off the hit path — a metadata miss, a counter overflow or an
-ASIT LSB wrap, a pending eviction, an invalid address — drops to the
+An SGX leaf miss is served in the window too, when its walk can be
+reproduced exactly: :func:`_sgx_fill_planner` plans the scalar
+``_get_node`` walk without side effects (the non-resident chain up to
+the first resident ancestor or the on-chip root, each node MAC-checked
+top-down as scalar checks it, each fill's victim picked as ``fill``
+would), and only if every check passes and every victim is clean does
+the window replay the walk's misses, channel reads, hashes, fetch and
+check counts and fills, then continue on the hit path.
+
+Anything else off the hit path — a Bonsai metadata miss, an SGX miss
+that would evict a dirty node or fails a check, a counter overflow or
+an ASIT LSB wrap, a pending eviction, an invalid address — drops to the
 **real** scalar controller methods for exactly that access, after
 syncing the local clocks back, so interleaving-sensitive machinery
-(verification chains, evictions and the settles they trigger, WPQ
+(verification chains, dirty evictions and the settles they trigger, WPQ
 pressure, AGIT fill hooks, page re-encryption, ASIT wrap persists) runs
 unmodified.  The contract, checked by ``batch_supported``:
 
@@ -56,22 +66,25 @@ Bytes that nothing inside a window observes are deferred as
 persistence's per-level MACs and node bytes, and ASIT's node reseal,
 Shadow Table entry bytes, ``st_entries`` slot and shadow-tree update.
 The WPQ carries a placeholder entry where the scalar write queued real
-bytes, and before every real call and at range end
-``_settle_placeholders`` writes each placeholder once, from final
-state.  A range's final strict or ASIT write runs scalar, so no pause
-or crash point sees a placeholder.
+bytes, and before every real call, before a window fill evicts a
+placeholder's node and at range end ``_settle_placeholders`` writes
+each placeholder once, from final state.  A range's final strict or
+ASIT write runs scalar, so no pause or crash point sees a placeholder.
 
-Why a window needs no metadata verification and no decrypt/MAC check on
-its reads: it only ever touches metadata that is already resident, so
-verified when it was filled, and on-chip nodes are trusted (the scalar
-hit path does not re-verify them either).  Within a window nothing
-mutates NVM behind the controller's back, so a fresh line read under
-its current counter decrypts to exactly what the last seal wrote and
-the ECC/MAC checks pass deterministically — recomputing them can only
-burn time, never fail.  Crash, fault, and attack injections violate
-that premise, which is why campaigns replay batched in
-``start``/``stop`` segments and inject only at the pauses between them,
-never inside a batched range (see DESIGN.md).
+What a window verifies: every metadata node it fills, exactly as the
+scalar walk does (a written node's MAC under its parent nonce; a
+never-written node only under nonce 0), so a tampered or lost node
+raises the scalar ``IntegrityError`` at the same access.  Resident
+metadata was verified when it was filled and on-chip nodes are
+trusted, so the hit path re-verifies nothing, as scalar does not.  Its
+reads make no decrypt/MAC check: within a window nothing mutates NVM
+behind the controller's back, so a fresh line read under its current
+counter decrypts to exactly what the last seal wrote and the ECC/MAC
+checks pass deterministically — recomputing them can only burn time,
+never fail.  Crash, fault, and attack injections violate that premise,
+which is why campaigns replay batched in ``start``/``stop`` segments and
+inject only at the pauses between them, never inside a batched range
+(see DESIGN.md).
 """
 
 from __future__ import annotations
@@ -87,7 +100,7 @@ from repro.config import (
 )
 from repro.controller.base import SIDEBAND_BYTES
 from repro.controller.bonsai import BonsaiController
-from repro.controller.sgx import SgxController
+from repro.controller.sgx import CachedNode, SgxController
 from repro.counters.sgx import SgxCounterBlock
 from repro.counters.split import SplitCounterBlock, pack_word
 from repro.telemetry.runtime import live_tracer
@@ -196,6 +209,107 @@ def _sgx_path(layout, leaf_address: int) -> Dict[int, int]:
     return slots
 
 
+def _sgx_fill_planner(controller):
+    """The window's planner of SGX leaf misses, hoisted for one range.
+
+    ``plan(index, clock, path)`` plans the scalar miss walk of leaf
+    version block ``index`` with no side effects.  The walk is
+    :meth:`SgxController._get_node`'s: the non-resident chain from the
+    leaf up to the first resident ancestor or the on-chip root, checked
+    top-down (a written node parsed and MAC-checked, a never-written one
+    accepted under nonce 0 as ``verified_default`` is), and each fill's
+    victim picked as :meth:`~repro.cache.sa_cache.SetAssociativeCache.
+    fill` would, the walk's own earlier fills stamped from ``clock`` on.
+    The WPQ is empty (it drained at the top of the access), so NVM holds
+    every node's bytes.
+
+    It returns the fills top-down as ``(address, record, slot,
+    victim)``, ``victim`` the clean address the fill evicts or None; or
+    None when the access must take the real call: a MAC check fails
+    (scalar then raises it), a victim is dirty, or, given ``path`` (a
+    strict write's stored ancestors), a victim lies on it or an
+    ancestor above the chain is not resident.
+    """
+    cache = controller.metadata_cache
+    resident = cache._index
+    payloads = cache._payloads
+    tags = cache._tags
+    stamps = cache._stamps
+    dirty = cache._dirty
+    ways = cache.ways
+    sets = cache.num_sets
+    bases = controller.layout.level_bases
+    top = controller.layout.root_level - 1
+    engine = controller.engine
+    root_nonces = engine.root_block.counters
+    verify = engine.verify
+    verified_default = engine.verified_default
+    default_node = engine.default_node
+    from_bytes = SgxCounterBlock.from_bytes
+    nvm_blocks = controller.nvm._blocks
+
+    def plan(index: int, clock: int, path) -> Optional[list]:
+        chain = []
+        level = 0
+        while True:
+            chain.append((level, index, bases[level] + index * BLOCK_SIZE))
+            if level == top:
+                nonce = root_nonces[index % TREE_ARITY]
+                break
+            parent = resident.get(
+                bases[level + 1] + index // TREE_ARITY * BLOCK_SIZE
+            )
+            if parent is not None:
+                nonce = payloads[parent].node.counters[index % TREE_ARITY]
+                break
+            level += 1
+            index //= TREE_ARITY
+        if path is not None:
+            planned = {address for _level, _index, address in chain}
+            for ancestor in path:
+                if ancestor not in resident and ancestor not in planned:
+                    return None
+
+        #: slot -> (stamp, address) of the walk's own earlier fills
+        taken: Dict[int, tuple] = {}
+        fills = []
+        node = None
+        for level, index, address in reversed(chain):
+            if node is not None:
+                nonce = node.counters[index % TREE_ARITY]
+            raw = nvm_blocks.get(address)
+            if raw is None and not nonce:
+                node = verified_default()
+            else:
+                node = from_bytes(raw) if raw is not None else default_node()
+                if not verify(node, nonce):
+                    return None
+            base = address // BLOCK_SIZE % sets * ways
+            segment = stamps[base:base + ways]
+            for slot, (stamp, _address) in taken.items():
+                if base <= slot < base + ways:
+                    segment[slot - base] = stamp
+            slot = base + segment.index(min(segment))
+            victim = None
+            if segment[slot - base]:
+                if slot in taken:
+                    victim = taken[slot][1]
+                elif dirty[slot]:
+                    return None
+                else:
+                    victim = tags[slot]
+                if path is not None and victim in path:
+                    return None
+            clock += 1
+            taken[slot] = (clock, address)
+            fills.append(
+                (address, CachedNode(node, nonce, level, index), slot, victim)
+            )
+        return fills
+
+    return plan
+
+
 def _settle_placeholders(controller, placeholders: Set[int]) -> None:
     """Write the final bytes of every placeholder the window queued.
 
@@ -300,6 +414,7 @@ def run_batched_range(
         # Leaf index -> top stored level's node index.
         root_stride = TREE_ARITY ** (layout.root_level - 1)
         st_base = layout.st.base
+        plan_fill = _sgx_fill_planner(controller)
         selective = bonsai_strict = use_stop_loss = False
         counter_hook = merkle_hook = None
     else:
@@ -328,6 +443,7 @@ def run_batched_range(
     c_payloads = counter_cache._payloads
     c_dirty = counter_cache._dirty
     c_stamps = counter_cache._stamps
+    c_tags = counter_cache._tags
     if merkle_cache is not None:
         m_index = merkle_cache._index
         m_dirty = merkle_cache._dirty
@@ -386,6 +502,8 @@ def run_batched_range(
     t_counter_first = 0
     t_merkle_hits = 0
     t_merkle_first = 0
+    t_meta_fills = 0
+    t_meta_evictions = 0
 
     # Channel and LRU clocks live in locals inside the loop; they sync
     # back to their objects around every real (scalar-fallback) call
@@ -443,17 +561,77 @@ def run_batched_range(
                 cslot = line % lines_per_block
 
             is_write = writes[position]
+            if is_write:
+                blob = data[position]
+                ready = (
+                    fast_writes_ok
+                    and position != deferred_last
+                    and valid
+                    and not evictions
+                    and blob is not None
+                    and len(blob) == BLOCK_SIZE
+                )
+            else:
+                ready = valid and not evictions
+            slot_index = c_index.get(counter_address) if ready else None
+            # 0 when the window has just filled the counter block below:
+            # scalar counted that access() as the leaf's miss, not a hit.
+            leaf_hit = 1
+            if slot_index is None and ready and sgx:
+                # ------------- SGX miss walk -------------
+                if is_write and walk:
+                    ancestors = path_memo.get(counter_address)
+                    if ancestors is None:
+                        ancestors = path_memo[counter_address] = (
+                            tree_path(layout, counter_address)
+                        )
+                    fills = plan_fill(counter_index, c_clock, ancestors)
+                else:
+                    fills = plan_fill(counter_index, c_clock, None)
+                if (
+                    fills is not None
+                    and is_write
+                    and fills[-1][1].node.counters[cslot] & lsb_mask
+                    == lsb_mask
+                ):
+                    fills = None  # the hit path's wrap guard
+                if fills is not None:
+                    # Per node, top-down: the counted miss, read_block()
+                    # (channel read and stall), the fetch's hash, then
+                    # fill() with its clean eviction.
+                    for fill_address, fill_record, fill_slot, victim in fills:
+                        started = ch_now if ch_now >= ch_busy else ch_busy
+                        done = started + read_ns
+                        ch_busy = done
+                        observe_stall(done - ch_now)
+                        ch_now = done + hash_ns
+                        if victim is not None:
+                            if victim in placeholders:
+                                _settle_placeholders(controller, placeholders)
+                            del c_index[victim]
+                            t_meta_evictions += 1
+                        c_index[fill_address] = fill_slot
+                        c_tags[fill_slot] = fill_address
+                        c_payloads[fill_slot] = fill_record
+                        c_dirty[fill_slot] = False
+                        c_clock += 1
+                        c_stamps[fill_slot] = c_clock
+                    filled = len(fills)
+                    t_meta_fills += filled
+                    t_channel_reads += filled
+                    t_nvm_reads += filled
+                    t_integrity += filled
+                    # The hit path's leaf touch takes the leaf fill's
+                    # clock tick, so it rewrites the same stamp.
+                    c_clock -= 1
+                    slot_index = fill_slot
+                    leaf_hit = 0
             if not is_write:
                 # ---------------- read ----------------
-                slot_index = (
-                    c_index.get(counter_address)
-                    if valid and not evictions
-                    else None
-                )
                 if slot_index is not None:
                     t_data_reads += 1
                     # The counter block's access() hit: LRU touch + tally.
-                    t_counter_hits += 1
+                    t_counter_hits += leaf_hit
                     c_clock += 1
                     c_stamps[slot_index] = c_clock
                     if sgx:
@@ -484,19 +662,6 @@ def run_batched_range(
                     continue
             else:
                 # ---------------- write ----------------
-                blob = data[position]
-                slot_index = (
-                    c_index.get(counter_address)
-                    if (
-                        fast_writes_ok
-                        and position != deferred_last
-                        and valid
-                        and not evictions
-                        and blob is not None
-                        and len(blob) == BLOCK_SIZE
-                    )
-                    else None
-                )
                 fast = slot_index is not None
                 if fast:
                     if sgx:
@@ -522,7 +687,7 @@ def run_batched_range(
                                 break
                 if fast:
                     t_data_writes += 1
-                    t_counter_hits += 1
+                    t_counter_hits += leaf_hit
                     pushed = 0
                     if sgx:
                         # The leaf's access() hit, then the increment.
@@ -752,6 +917,10 @@ def run_batched_range(
         wpq.drains += t_wpq_drains
         counter_cache.hits += t_counter_hits
         counter_cache.first_dirty += t_counter_first
+        if t_meta_fills:
+            controller.meta_fetches += t_meta_fills
+            counter_cache.misses += t_meta_fills
+            counter_cache.evictions_clean += t_meta_evictions
         if merkle_cache is not None:
             merkle_cache.hits += t_merkle_hits
             merkle_cache.first_dirty += t_merkle_first

@@ -67,10 +67,6 @@ class CachedNode:
     level: int
     index: int
 
-    def to_bytes(self) -> bytes:
-        """Serialize the node (position is derivable from the address)."""
-        return self.node.to_bytes()
-
 
 class SgxController(SecureMemoryController):
     """Counter-mode encryption + SGX-style integrity tree."""
@@ -227,6 +223,11 @@ class SgxController(SecureMemoryController):
         cached it is fetched (and verified) recursively, so the walk
         stops at the first cached ancestor or the on-chip root, exactly
         the §3 procedure.
+
+        This is the reference walk.  The batch engine's window
+        (:func:`repro.controller.batch._sgx_fill_planner`) serves a leaf
+        miss inline when it can reproduce every check and effect of
+        this walk (clean victims only); every other miss calls it.
         """
         record = self.metadata_cache.access(address)
         if record is not None:

@@ -80,64 +80,74 @@ class TestHashes:
         ) != sgx_engine.compute_mac(SgxCounterBlock([1] + [0] * 7, 0), 0)
 
 
+#: An ECC sideband that rides each line's IV.
+ECC = b"\xaa" * 16
+
+
+def seal(engine, plaintext, address, major, minor):
+    """Ciphertext of one line, sealed with its ECC under one IV."""
+    return engine.encrypt_with_ecc(plaintext, ECC, address, major, minor)[0]
+
+
+def unseal(engine, ciphertext, address, major, minor):
+    """Plaintext of one line opened under ``(address, major, minor)``."""
+    return engine.decrypt_with_ecc(ciphertext, ECC, address, major, minor)[0]
+
+
 class TestCounterMode:
     @pytest.fixture
     def engine(self):
         return CounterModeEngine(ProcessorKeys(0))
 
     def test_roundtrip(self, engine):
-        cipher = engine.encrypt(LINE, 0x40, 3, 7)
-        assert engine.decrypt(cipher, 0x40, 3, 7) == LINE
+        cipher = seal(engine, LINE, 0x40, 3, 7)
+        assert unseal(engine, cipher, 0x40, 3, 7) == LINE
 
     def test_ciphertext_differs_from_plaintext(self, engine):
-        assert engine.encrypt(LINE, 0x40, 3, 7) != LINE
+        assert seal(engine, LINE, 0x40, 3, 7) != LINE
 
     def test_wrong_minor_garbles(self, engine):
-        cipher = engine.encrypt(LINE, 0x40, 3, 7)
-        assert engine.decrypt(cipher, 0x40, 3, 8) != LINE
+        cipher = seal(engine, LINE, 0x40, 3, 7)
+        assert unseal(engine, cipher, 0x40, 3, 8) != LINE
 
     def test_wrong_major_garbles(self, engine):
-        cipher = engine.encrypt(LINE, 0x40, 3, 7)
-        assert engine.decrypt(cipher, 0x40, 4, 7) != LINE
+        cipher = seal(engine, LINE, 0x40, 3, 7)
+        assert unseal(engine, cipher, 0x40, 4, 7) != LINE
 
     def test_wrong_address_garbles(self, engine):
-        cipher = engine.encrypt(LINE, 0x40, 3, 7)
-        assert engine.decrypt(cipher, 0x80, 3, 7) != LINE
+        cipher = seal(engine, LINE, 0x40, 3, 7)
+        assert unseal(engine, cipher, 0x80, 3, 7) != LINE
 
     def test_spatial_uniqueness(self, engine):
         # Same data + counter at two addresses: different ciphertext.
-        assert engine.encrypt(LINE, 0x40, 0, 0) != engine.encrypt(
-            LINE, 0x80, 0, 0
-        )
+        assert seal(engine, LINE, 0x40, 0, 0) != seal(engine, LINE, 0x80, 0, 0)
 
     def test_temporal_uniqueness(self, engine):
-        assert engine.encrypt(LINE, 0x40, 0, 0) != engine.encrypt(
-            LINE, 0x40, 0, 1
-        )
+        assert seal(engine, LINE, 0x40, 0, 0) != seal(engine, LINE, 0x40, 0, 1)
 
     def test_pad_reuse_is_xor_leak(self, engine):
         # The classic CTR property the whole counter-integrity story
         # protects against: same IV twice leaks plaintext XOR.
         other = bytes(64)
-        cipher_a = engine.encrypt(LINE, 0x40, 0, 0)
-        cipher_b = engine.encrypt(other, 0x40, 0, 0)
+        cipher_a = seal(engine, LINE, 0x40, 0, 0)
+        cipher_b = seal(engine, other, 0x40, 0, 0)
         xored = bytes(a ^ b for a, b in zip(cipher_a, cipher_b))
         assert xored == bytes(a ^ b for a, b in zip(LINE, other))
 
     def test_rejects_wrong_length(self, engine):
         with pytest.raises(ValueError):
-            engine.encrypt(b"short", 0, 0, 0)
+            seal(engine, b"short", 0, 0, 0)
 
     def test_ecc_rides_same_iv(self, engine):
-        cipher, ecc_cipher = engine.encrypt_with_ecc(LINE, b"\xaa" * 16, 0, 1, 2)
+        cipher, ecc_cipher = engine.encrypt_with_ecc(LINE, ECC, 0, 1, 2)
         plain, ecc = engine.decrypt_with_ecc(cipher, ecc_cipher, 0, 1, 2)
         assert plain == LINE
-        assert ecc == b"\xaa" * 16
+        assert ecc == ECC
 
     def test_ecc_garbled_by_wrong_counter(self, engine):
-        _cipher, ecc_cipher = engine.encrypt_with_ecc(LINE, b"\xaa" * 16, 0, 1, 2)
+        _cipher, ecc_cipher = engine.encrypt_with_ecc(LINE, ECC, 0, 1, 2)
         _plain, ecc = engine.decrypt_with_ecc(LINE, ecc_cipher, 0, 1, 3)
-        assert ecc != b"\xaa" * 16
+        assert ecc != ECC
 
     @given(
         st.binary(min_size=64, max_size=64),
@@ -148,8 +158,8 @@ class TestCounterMode:
     def test_roundtrip_property(self, data, address, major, minor):
         engine = CounterModeEngine(ProcessorKeys(0))
         address &= ~63
-        cipher = engine.encrypt(data, address, major, minor)
-        assert engine.decrypt(cipher, address, major, minor) == data
+        cipher = seal(engine, data, address, major, minor)
+        assert unseal(engine, cipher, address, major, minor) == data
 
 
 class TestIv:
