@@ -81,7 +81,7 @@ def test_ablation_wpq_depth(benchmark, hot_trace):
     benchmark.extra_info["nvm_writes_by_wpq_depth"] = writes
 
 
-def test_ablation_shadow_update_policy(benchmark, read_trace):
+def test_ablation_shadow_tracking_policy(benchmark, read_trace):
     """The AGIT-Read vs AGIT-Plus choice, isolated on the workload that
     separates them most (read-dominated MCF): first-dirty tracking cuts
     shadow writes by an order of magnitude."""

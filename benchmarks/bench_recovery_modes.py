@@ -1,23 +1,16 @@
-"""Ablation bench: counter-recovery mode and tree-update policy.
+"""Ablation bench: counter-recovery mode.
 
-* Phase vs Osiris recovery (§2.4): phase bits make recovery one decrypt
-  per counter at the cost of one cleartext byte per write burst.
-* Eager vs lazy Bonsai tree updates (§2.6): lazy defers hash work but
-  leaves the root stale — which is exactly why AGIT mandates eager.
+Phase vs Osiris recovery (§2.4): phase bits make recovery one decrypt
+per counter at the cost of one cleartext byte per write burst.
 """
 
 from dataclasses import replace
 
-from repro.config import (
-    CounterRecoveryKind,
-    SchemeKind,
-    UpdatePolicy,
-)
+from repro.config import CounterRecoveryKind, SchemeKind
 from repro.controller.factory import build_controller
 from repro.core.recovery_agit import AgitRecovery
 from repro.crypto.keys import ProcessorKeys
 from repro.recovery.crash import crash, reincarnate
-from repro.sim.engine import run_simulation
 from repro.traces.profiles import profile
 from repro.traces.replay import replay
 from repro.traces.synthetic import generate_trace
@@ -68,37 +61,4 @@ def test_ablation_phase_vs_osiris_recovery(benchmark):
     benchmark.extra_info["estimated_ms"] = {
         kind: round(report.estimated_seconds() * 1000, 4)
         for kind, report in reports.items()
-    }
-
-
-def test_ablation_eager_vs_lazy_updates(benchmark):
-    """Run-time comparison of the §2.6 update policies (baseline)."""
-    trace = generate_trace(profile("gcc"), 4000, seed=0)
-
-    def run_pair():
-        results = {}
-        for policy in (UpdatePolicy.EAGER, UpdatePolicy.LAZY):
-            config = replace(
-                small_config(SchemeKind.WRITE_BACK, memory_bytes=64 * MIB),
-                update_policy=policy,
-            )
-            results[policy.value] = run_simulation(
-                config, trace, ProcessorKeys(0)
-            )
-        return results
-
-    results = benchmark.pedantic(run_pair, rounds=1, iterations=1)
-    # Both policies must serve the identical trace; the interesting
-    # output is the traffic trade-off (lazy defers updates to eviction
-    # time, trading per-write ancestor touches for eviction-time parent
-    # fetches — which side wins is workload-dependent, §2.6).
-    assert results["lazy"].requests == results["eager"].requests
-    assert results["lazy"].elapsed_ns > 0
-    benchmark.extra_info["ns_per_access"] = {
-        policy: round(result.ns_per_access, 2)
-        for policy, result in results.items()
-    }
-    benchmark.extra_info["meta_fetches"] = {
-        policy: result.stat("ctrl.meta_fetches")
-        for policy, result in results.items()
     }

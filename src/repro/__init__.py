@@ -42,7 +42,6 @@ from repro.config import (
     SystemConfig,
     TimingConfig,
     TreeKind,
-    UpdatePolicy,
     default_table1_config,
 )
 from repro.controller import (
@@ -110,7 +109,6 @@ __all__ = [
     "SystemConfig",
     "TimingConfig",
     "TreeKind",
-    "UpdatePolicy",
     "default_table1_config",
     # controllers
     "BonsaiController",

@@ -98,8 +98,7 @@ def _command_describe(args: argparse.Namespace) -> int:
     config, _keys = _resolve_system(args)
     layout = build_layout(config)
     print(f"scheme         : {config.scheme.value}")
-    print(f"tree           : {config.tree.value} "
-          f"({config.update_policy.value} updates)")
+    print(f"tree           : {config.tree.value}")
     print(f"capacity       : {config.memory.capacity_bytes // GIB} GiB "
           f"({config.memory.num_pages:,} pages)")
     print(f"counter cache  : {config.counter_cache.size_bytes // KIB} KiB, "

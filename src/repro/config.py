@@ -87,13 +87,6 @@ class TreeKind(enum.Enum):
     SGX = "sgx"        # parallelizable nonce+MAC tree
 
 
-class UpdatePolicy(enum.Enum):
-    """How tree updates propagate through the metadata cache (§2.6)."""
-
-    EAGER = "eager"  # every counter write updates nodes up to the root
-    LAZY = "lazy"    # updates stop at the first cached ancestor
-
-
 @dataclass(frozen=True)
 class MemoryConfig:
     """Geometry of the NVM main memory."""
@@ -241,7 +234,6 @@ class SystemConfig:
 
     scheme: SchemeKind = SchemeKind.WRITE_BACK
     tree: TreeKind = TreeKind.BONSAI
-    update_policy: UpdatePolicy = UpdatePolicy.EAGER
     memory: MemoryConfig = field(default_factory=MemoryConfig)
     counter_cache: CacheConfig = field(
         default_factory=lambda: CacheConfig(size_bytes=256 * KIB, ways=8)
@@ -265,11 +257,6 @@ class SystemConfig:
         if self.scheme in (SchemeKind.AGIT_READ, SchemeKind.AGIT_PLUS):
             if self.tree != TreeKind.BONSAI:
                 raise ConfigError("AGIT only applies to general (Bonsai) trees")
-        if self.tree == TreeKind.SGX and self.update_policy == UpdatePolicy.EAGER:
-            if self.scheme == SchemeKind.ASIT:
-                raise ConfigError(
-                    "ASIT requires the lazy update policy (§4.3.1)"
-                )
         if self.wpq_entries < 4:
             raise ConfigError("WPQ must have at least 4 entries")
         if self.scheme == SchemeKind.SELECTIVE and self.tree != TreeKind.BONSAI:
@@ -283,17 +270,8 @@ class SystemConfig:
         return self.counter_cache.size_bytes + self.merkle_cache.size_bytes
 
     def with_scheme(self, scheme: SchemeKind) -> "SystemConfig":
-        """Copy of this config running a different persistence scheme.
-
-        The update policy is adjusted to the scheme's requirement: ASIT
-        forces lazy updates, AGIT/Bonsai schemes use eager updates.
-        """
-        policy = self.update_policy
-        if scheme == SchemeKind.ASIT:
-            policy = UpdatePolicy.LAZY
-        elif scheme in (SchemeKind.AGIT_READ, SchemeKind.AGIT_PLUS):
-            policy = UpdatePolicy.EAGER
-        return replace(self, scheme=scheme, update_policy=policy)
+        """Copy of this config running a different persistence scheme."""
+        return replace(self, scheme=scheme)
 
     def with_cache_size(self, size_bytes: int) -> "SystemConfig":
         """Copy with both metadata caches resized to ``size_bytes`` each."""
@@ -317,10 +295,4 @@ def default_table1_config(
     controller, matching the "ST in ASIT: 512KB" row.
     """
     memory = MemoryConfig(capacity_bytes=capacity_bytes or 16 * GIB)
-    policy = UpdatePolicy.LAZY if tree == TreeKind.SGX else UpdatePolicy.EAGER
-    return SystemConfig(
-        scheme=scheme,
-        tree=tree,
-        update_policy=policy,
-        memory=memory,
-    )
+    return SystemConfig(scheme=scheme, tree=tree, memory=memory)

@@ -56,10 +56,10 @@ unmodified.  The contract, checked by ``batch_supported``:
 
 * results are *identical* to scalar replay — same stats, same timing,
   same NVM/cache/WPQ state, same exceptions at the same access;
-* anything it cannot replicate exactly (lazy-policy Bonsai strict
-  persistence, a strict persist group larger than the WPQ or the
-  persistent registers, live telemetry sessions, non-64B geometries,
-  single-entry WPQs) is refused up front and handled scalar.
+* anything it cannot replicate exactly (a strict persist group larger
+  than the WPQ or the persistent registers, live telemetry sessions,
+  non-64B geometries, single-entry WPQs) is refused up front and
+  handled scalar.
 
 Bytes that nothing inside a window observes are deferred as
 *placeholders*: Bonsai strict persistence's ancestor bytes, SGX strict
@@ -121,42 +121,30 @@ def scalar_fallback_reason(controller) -> Optional[str]:
 
     * controllers of neither tree family, or a Bonsai controller on
       another tree;
-    * STRICT_PERSISTENCE under the lazy Bonsai policy (which ancestors
-      it persists depends on residency, and their bytes on evictions
-      the fast path never sees), or when one write's persist group —
-      data, counter block and ``root_level - 1`` ancestors — exceeds
-      the WPQ (a mid-group overflow drain) or the persistent registers
-      (the scheme's own error);
+    * STRICT_PERSISTENCE when one write's persist group — data,
+      counter block and ``root_level - 1`` ancestors — exceeds the WPQ
+      (a mid-group overflow drain) or the persistent registers (the
+      scheme's own error);
     * non-64B block geometries (the inline address arithmetic assumes
       the global ``BLOCK_SIZE``);
     * a single-entry WPQ (the inline insert assumes one access's
-      data + metadata pair fits without a mid-insert overflow drain);
-    * an armed metric sampler (the op-tick series must observe every
-      request in scalar order).
+      data + metadata pair fits without a mid-insert overflow drain).
     """
     if isinstance(controller, BonsaiController):
         if controller.config.tree != TreeKind.BONSAI:
             return "tree"
-        eager = controller.eager
-    elif isinstance(controller, SgxController):
-        # SGX strict persistence always walks its whole path.
-        eager = True
-    else:
+    elif not isinstance(controller, SgxController):
         return "controller"
-    if controller.scheme == SchemeKind.STRICT_PERSISTENCE and not (
-        eager
+    if (
+        controller.scheme == SchemeKind.STRICT_PERSISTENCE
         and controller.layout.root_level + 1
-        <= min(controller.wpq.capacity, controller.pregs.capacity)
+        > min(controller.wpq.capacity, controller.pregs.capacity)
     ):
         return "strict_persistence"
     if controller.config.memory.block_size != BLOCK_SIZE:
         return "geometry"
     if controller.wpq.capacity < 2:
         return "wpq"
-    from repro.telemetry.runtime import sampling_active
-
-    if sampling_active():
-        return "sampling"
     return None
 
 
@@ -420,7 +408,7 @@ def run_batched_range(
     else:
         counter_cache = controller.counter_cache
         merkle_cache = controller.merkle_cache
-        walk = controller.eager
+        walk = True  # eager: every write updates its stored ancestors
         tree_path = _bonsai_path
         asit = False
         selective = scheme == SchemeKind.SELECTIVE
@@ -788,25 +776,24 @@ def run_batched_range(
                         c_dirty[slot_index] = keep_dirty
                         if counter_hook is not None:
                             counter_hook(slot_index, counter_address, first)
-                        if walk:
-                            # _eager_update_ancestors(), hash math
-                            # deferred: per level one access() hit touch
-                            # + one mark_dirty().
-                            for ancestor in ancestors:
-                                merkle_slot = m_index[ancestor]
-                                t_merkle_hits += 1
-                                m_clock += 2
-                                m_stamps[merkle_slot] = m_clock
-                                merkle_first = not m_dirty[merkle_slot]
-                                if merkle_first:
-                                    t_merkle_first += 1
-                                m_dirty[merkle_slot] = keep_dirty
-                                if merkle_hook is not None:
-                                    merkle_hook(
-                                        merkle_slot, ancestor, merkle_first
-                                    )
-                            stale_counters[counter_address] = block
-                            stale_nodes.update(ancestors)
+                        # _eager_update_ancestors(), hash math
+                        # deferred: per level one access() hit touch +
+                        # one mark_dirty().
+                        for ancestor in ancestors:
+                            merkle_slot = m_index[ancestor]
+                            t_merkle_hits += 1
+                            m_clock += 2
+                            m_stamps[merkle_slot] = m_clock
+                            merkle_first = not m_dirty[merkle_slot]
+                            if merkle_first:
+                                t_merkle_first += 1
+                            m_dirty[merkle_slot] = keep_dirty
+                            if merkle_hook is not None:
+                                merkle_hook(
+                                    merkle_slot, ancestor, merkle_first
+                                )
+                        stale_counters[counter_address] = block
+                        stale_nodes.update(ancestors)
 
                     # seal_data(), inlined: SECDED, keyed MAC, counter-
                     # mode pads straight from BLAKE2b (bypassing the pad

@@ -16,9 +16,8 @@ metadata-cache fill / first-dirty events to write the Anubis shadow
 tables; the stop-loss machinery is shared (AGIT runs "write-back and
 stop-loss counter mode encryption", §6.1).
 
-Tree-update policy: eager by default (§2.6 — the on-chip root always
-reflects the latest counters, which AGIT recovery relies on); the lazy
-policy is also implemented for the §2.6 discussion and its tests.
+Tree updates are eager (§2.6): the on-chip root always reflects the
+latest counters, which AGIT recovery relies on.
 
 The simulator charges no time for eager update hashes, so only their
 observable results matter, and the controller computes them only where
@@ -35,7 +34,7 @@ writeback_all` and :meth:`~BonsaiController.drop_volatile`, and on
 every outside read of ``engine.root_node``.  Stale blocks are always
 resident, so a fetched block and its uncached ancestors are never
 stale, and the cached slot a fetch verifies against already holds the
-eager value.  The lazy policy never records stale state.
+eager value.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ from collections import deque
 from typing import Deque, Dict, List, Optional
 
 from repro.cache.sa_cache import Eviction, SetAssociativeCache
-from repro.config import BLOCK_SIZE, SchemeKind, SystemConfig, UpdatePolicy
+from repro.config import BLOCK_SIZE, SchemeKind, SystemConfig
 from repro.controller.base import SecureMemoryController
 from repro.counters.split import SplitCounterBlock
 from repro.crypto.keys import ProcessorKeys
@@ -74,7 +73,6 @@ class BonsaiController(SecureMemoryController):
         self.merkle_cache = SetAssociativeCache(
             config.merkle_cache, "merkle_cache"
         )
-        self.eager = config.update_policy == UpdatePolicy.EAGER
         self.scheme = config.scheme
         self.stop_loss = config.encryption.stop_loss_limit
         self._use_stop_loss = self.scheme in (
@@ -176,9 +174,8 @@ class BonsaiController(SecureMemoryController):
         cache_slot = self.counter_cache.slot_of(counter_address)
         self._on_counter_dirtied(cache_slot, counter_address, first)
 
-        if self.eager:
-            self._stale_counters[counter_address] = block
-            self._eager_update_ancestors(counter_address)
+        self._stale_counters[counter_address] = block
+        self._eager_update_ancestors(counter_address)
 
         major, minor = block.iv_pair(slot)
         cipher, sideband = self.seal_data(address, data, major, minor)
@@ -483,37 +480,16 @@ class BonsaiController(SecureMemoryController):
         counters.clear()
         stale_nodes.clear()
 
-    def _lazy_propagate(self, child_address: int, child_bytes: bytes) -> None:
-        """Lazy policy: fold an evicted child's hash into its parent."""
-        layout = self.layout
-        level, index = layout.locate_node(child_address)
-        slot = index % layout.arity
-        child_hash = self.engine.block_hash(child_bytes)
-        level += 1
-        index //= layout.arity
-        if level == layout.root_level:
-            self.engine._root.set_child_hash(slot, child_hash)
-            return
-        address = layout.level_bases[level] + index * BLOCK_SIZE
-        node = self._get_merkle_node(level, address)
-        node.set_child_hash(slot, child_hash)
-        first = self.merkle_cache.mark_dirty(address)
-        cache_slot = self.merkle_cache.slot_of(address)
-        self._on_merkle_dirtied(cache_slot, address, first)
-
     # ------------------------------------------------------------------
     # evictions
     # ------------------------------------------------------------------
 
     def _process_eviction(self, eviction: Eviction) -> None:
-        """Write back one dirty victim (lazy policy folds it upward)."""
+        """Write back one dirty victim."""
         if not eviction.dirty:
             return
-        raw = eviction.payload.to_bytes()
-        if not self.eager:
-            self._lazy_propagate(eviction.address, raw)
         self.meta_writebacks += 1
-        self.wpq.insert(eviction.address, raw)
+        self.wpq.insert(eviction.address, eviction.payload.to_bytes())
 
     def _flush_pending_eviction(self, address: int) -> None:
         """Complete a queued eviction of ``address`` immediately.
@@ -606,26 +582,9 @@ class BonsaiController(SecureMemoryController):
     def writeback_all(self) -> None:
         """Orderly shutdown: persist every dirty metadata block."""
         self.settle()
-        for _slot, address, payload, dirty in list(self.counter_cache.resident()):
-            if dirty:
-                raw = payload.to_bytes()
-                if not self.eager:
-                    self._lazy_propagate(address, raw)
-                self.wpq.insert(address, raw)
-                self.counter_cache.clean(address)
-        # Lazy propagation may dirty more nodes; iterate until stable.
-        for _round in range(self.layout.root_level + 1):
-            dirty_nodes = [
-                (address, payload)
-                for _slot, address, payload, dirty in self.merkle_cache.resident()
-                if dirty
-            ]
-            if not dirty_nodes:
-                break
-            for address, payload in dirty_nodes:
-                raw = payload.to_bytes()
-                if not self.eager:
-                    self._lazy_propagate(address, raw)
-                self.wpq.insert(address, raw)
-                self.merkle_cache.clean(address)
+        for cache in (self.counter_cache, self.merkle_cache):
+            for _slot, address, payload, dirty in cache.resident():
+                if dirty:
+                    self.wpq.insert(address, payload.to_bytes())
+                    cache.clean(address)
         self.wpq.drain_all()

@@ -152,6 +152,10 @@ class SgxController(SecureMemoryController):
         )
         leaf_address = self.layout.level_bases[0] + index * BLOCK_SIZE
         record = self._get_node(0, index, leaf_address)
+        # The fill's drain can bump a dirty victim's parent, and that
+        # parent's fetch can evict the leaf just filled: fetch it again.
+        while self.metadata_cache.peek(leaf_address) is not record:
+            record = self._get_node(0, index, leaf_address)
 
         self.pregs.begin()
         if self.scheme == SchemeKind.STRICT_PERSISTENCE:

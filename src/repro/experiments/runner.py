@@ -291,22 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
         "integrity events) — larger traces, higher overhead",
     )
     parser.add_argument(
-        "--samples-out",
-        metavar="PATH",
-        default=None,
-        help="sample the controller's collect_stats() every "
-        "--sample-interval requests and write the merged NDJSON series "
-        "here (byte-identical for any --jobs count)",
-    )
-    parser.add_argument(
-        "--sample-interval",
-        type=int,
-        metavar="N",
-        default=None,
-        help="requests between metric samples (default: 1024 when "
-        "--samples-out is given)",
-    )
-    parser.add_argument(
         "--progress",
         action="store_true",
         help="render a live progress line on stderr as grid cells finish",
@@ -328,15 +312,8 @@ def main(argv=None) -> int:
     selected = args.experiments or list(EXPERIMENTS)
 
     spec: Optional[TelemetrySpec] = None
-    sample_interval = args.sample_interval
-    if args.samples_out and sample_interval is None:
-        sample_interval = 1024
-    if args.trace_out or args.metrics_out or args.samples_out:
-        spec = TelemetrySpec(
-            events=bool(args.trace_out or args.metrics_out),
-            detail=args.trace_detail,
-            sample_interval=sample_interval or 0,
-        )
+    if args.trace_out or args.metrics_out:
+        spec = TelemetrySpec(detail=args.trace_detail)
     collector = configure_telemetry(spec, progress=args.progress)
     started = time.perf_counter()
 
@@ -375,10 +352,6 @@ def main(argv=None) -> int:
             )
             outputs["metrics"] = args.metrics_out
             print(f"metrics snapshot written to {args.metrics_out}")
-        if args.samples_out:
-            lines = collector.write_samples(args.samples_out)
-            outputs["samples"] = args.samples_out
-            print(f"{lines:,} metric samples written to {args.samples_out}")
     if cache is not None:
         stats = cache.stats()
         print(
@@ -403,7 +376,6 @@ def main(argv=None) -> int:
                     "full": args.full,
                     "jobs": options.jobs,
                     "trace_detail": args.trace_detail,
-                    "sample_interval": sample_interval or 0,
                 },
                 collector=collector,
                 outputs=outputs,
@@ -424,8 +396,7 @@ def _manifest_path(args: argparse.Namespace) -> Optional[str]:
     """
     if args.resume:
         return os.path.join(args.resume, "manifest.json")
-    for base in (args.metrics_out, args.trace_out, args.samples_out,
-                 args.json):
+    for base in (args.metrics_out, args.trace_out, args.json):
         if base:
             return base + ".manifest.json"
     return None

@@ -65,11 +65,6 @@ def run_simulation(
                 "events": len(result.events),
                 "dropped_events": tracer.dropped,
             }
-        if active.sampler is not None:
-            result.samples = active.sampler.drain()
-            if result.telemetry is None:
-                result.telemetry = {}
-            result.telemetry["samples"] = len(result.samples)
         return result
     controller = build_controller(config, keys=keys)
     replay_batched(controller, trace)

@@ -30,9 +30,6 @@ class SimulationResult:
     events: Optional[List[dict]] = None
     #: Telemetry summary (event/drop counts) when events were recorded.
     telemetry: Optional[Dict[str, int]] = None
-    #: Sampled metric-series snapshots; None unless the run asked for
-    #: sampling (``TelemetrySpec.sample_interval > 0``).
-    samples: Optional[List[dict]] = None
 
     @property
     def ns_per_access(self) -> float:
@@ -76,8 +73,6 @@ class SimulationResult:
             payload["events"] = list(self.events)
         if self.telemetry is not None:
             payload["telemetry"] = dict(self.telemetry)
-        if self.samples is not None:
-            payload["samples"] = list(self.samples)
         return payload
 
     @classmethod

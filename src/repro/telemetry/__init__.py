@@ -1,6 +1,6 @@
-"""End-to-end telemetry: event tracing, metric sampling, introspection.
+"""End-to-end telemetry: event tracing and introspection.
 
-Four modules:
+Three modules:
 
 * :mod:`repro.telemetry.events` — the bounded structured
   :class:`EventTracer`, JSONL serialization, schema validation, and
@@ -10,9 +10,7 @@ Four modules:
   parent-side :class:`RunCollector` that merges per-cell streams
   deterministically;
 * :mod:`repro.telemetry.flightrec` — the recovery flight recorder:
-  per-phase analytic + wall-clock profiling of recovery engine runs;
-* :mod:`repro.telemetry.sampling` — the deterministic op-tick sampler
-  of ``collect_stats()`` feeding ``--samples-out`` NDJSON.
+  per-phase analytic + wall-clock profiling of recovery engine runs.
 
 Simulated statistics themselves are plain counters on each component,
 read through :class:`repro.util.stats.StatGroup` views.
@@ -36,7 +34,6 @@ from repro.telemetry.runtime import (
     RunCollector,
     TelemetrySession,
     TelemetrySpec,
-    active_sampler,
     active_spec,
     build_manifest,
     configure_telemetry,
@@ -44,11 +41,9 @@ from repro.telemetry.runtime import (
     git_describe,
     live_tracer,
     run_collector,
-    sampling_active,
     session,
     write_manifest,
 )
-from repro.telemetry.sampling import MetricSampler
 
 __all__ = [
     "DEFAULT_BUFFER_LIMIT",
@@ -61,11 +56,9 @@ __all__ = [
     "write_jsonl",
     "FlightRecorder",
     "breakdown_seconds",
-    "MetricSampler",
     "RunCollector",
     "TelemetrySession",
     "TelemetrySpec",
-    "active_sampler",
     "active_spec",
     "build_manifest",
     "configure_telemetry",
@@ -73,7 +66,6 @@ __all__ = [
     "git_describe",
     "live_tracer",
     "run_collector",
-    "sampling_active",
     "session",
     "write_manifest",
 ]

@@ -100,10 +100,6 @@ EVENT_SCHEMA: Dict[str, Tuple[Tuple[str, ...], str]] = {
         ("reason", "start", "stop"),
         "batched replay dropped to the scalar path for a request window",
     ),
-    "metric.sample": (
-        ("tick", "values"),
-        "sampled metric-series snapshot (op-tick collect_stats() read)",
-    ),
     "integrity.check": (
         ("tree", "ok"),
         "integrity-tree child verification (detail-level only)",

@@ -12,9 +12,9 @@ Three layers:
   rides inside the simulation payload shipped to worker processes
   (spawn workers inherit no parent globals), so a parallel sweep
   records the same events a serial one does.
-* :class:`TelemetrySession` — one tracer plus an optional metric
-  sampler, installable as the process-current session (a stack, so
-  per-cell sessions can shadow a harness session).
+* :class:`TelemetrySession` — one tracer, installable as the
+  process-current session (a stack, so per-cell sessions can shadow a
+  harness session).
 * :class:`RunCollector` — the parent-side aggregator.  Simulation
   results come back carrying their event buffers; the collector merges
   them **in submission order** and labels each stream with its cell
@@ -45,7 +45,6 @@ from repro.telemetry.events import (
     NULL_TRACER,
     write_jsonl,
 )
-from repro.telemetry.sampling import MetricSampler
 
 #: Metric-snapshot schema identifier (bump on breaking changes).
 METRICS_SCHEMA = "repro.telemetry.metrics/1"
@@ -61,15 +60,11 @@ class TelemetrySpec:
     ``events`` turns the structured tracer on; ``detail`` additionally
     emits high-frequency events (cache hits, per-check integrity
     events); ``buffer_limit`` bounds each cell's event buffer.
-    ``sample_interval`` > 0 arms the deterministic metric-series
-    sampler (one ``collect_stats()`` snapshot every N simulated
-    requests).
     """
 
     events: bool = True
     detail: bool = False
     buffer_limit: int = DEFAULT_BUFFER_LIMIT
-    sample_interval: int = 0
 
     def make_tracer(self) -> EventTracer:
         """A fresh tracer honouring this spec."""
@@ -79,20 +74,13 @@ class TelemetrySpec:
             buffer_limit=self.buffer_limit,
         )
 
-    def make_sampler(self) -> Optional[MetricSampler]:
-        """A fresh metric sampler, or None when sampling is off."""
-        if self.sample_interval > 0:
-            return MetricSampler(self.sample_interval)
-        return None
-
 
 class TelemetrySession:
-    """One tracer plus an optional metric sampler, usually per simulation."""
+    """One tracer, usually per simulation."""
 
     def __init__(self, spec: Optional[TelemetrySpec] = None) -> None:
         self.spec = spec if spec is not None else TelemetrySpec()
         self.tracer = self.spec.make_tracer()
-        self.sampler = self.spec.make_sampler()
 
 
 #: Stack of installed sessions; the top is the process-current one.
@@ -237,21 +225,6 @@ def run_collector() -> Optional["RunCollector"]:
     return _COLLECTOR
 
 
-def active_sampler() -> Optional[MetricSampler]:
-    """The current session's metric sampler, or None.
-
-    Replay loops fetch this once per run: a None return keeps the
-    no-telemetry hot path untouched, a sampler gets one ``tick`` per
-    simulated request.
-    """
-    return _SESSIONS[-1].sampler if _SESSIONS else None
-
-
-def sampling_active() -> bool:
-    """Whether the current session samples the metric series."""
-    return bool(_SESSIONS) and _SESSIONS[-1].sampler is not None
-
-
 class RunCollector:
     """Parent-side aggregation of per-cell telemetry, in cell order.
 
@@ -263,16 +236,11 @@ class RunCollector:
 
     def __init__(self, progress: bool = False) -> None:
         self.events: List[dict] = []
-        #: Merged metric-series samples, in cell order (same merge
-        #: discipline as :attr:`events` — byte-identical at any
-        #: ``--jobs``).
-        self.samples: List[dict] = []
         #: Every absorbed result, in cell order — what
         #: :meth:`metrics_snapshot` is usually fed.
         self.results: List = []
         self.cells = 0
         self.total_events = 0
-        self.total_samples = 0
         self.dropped_events = 0
         self.truncated_cells: List[int] = []
         self.started = time.perf_counter()
@@ -299,12 +267,6 @@ class RunCollector:
                 event["cell"] = cell
             self.events.extend(events)
             self.total_events += len(events)
-        samples = getattr(result, "samples", None)
-        if samples:
-            for sample in samples:
-                sample["cell"] = cell
-            self.samples.extend(samples)
-            self.total_samples += len(samples)
         summary = getattr(result, "telemetry", None)
         if summary:
             dropped = int(summary.get("dropped_events", 0))
@@ -361,15 +323,6 @@ class RunCollector:
         with open(path, "w") as stream:
             return write_jsonl(self.events, stream)
 
-    def write_samples(self, path: str) -> int:
-        """Write the merged metric series as JSONL; returns line count.
-
-        Same serialization and merge discipline as :meth:`write_trace`,
-        so the series is byte-identical across ``--jobs`` counts.
-        """
-        with open(path, "w") as stream:
-            return write_jsonl(self.samples, stream)
-
     def metrics_snapshot(self, results: List) -> dict:
         """The stable-schema metrics snapshot of a list of results.
 
@@ -402,7 +355,6 @@ class RunCollector:
         return {
             "cells": self.cells,
             "events": self.total_events,
-            "samples": self.total_samples,
             "dropped_events": self.dropped_events,
             "truncated": self.truncated,
             "truncated_cells": list(self.truncated_cells),

@@ -10,9 +10,8 @@ trace's parallel lists to the batch engine
 (:mod:`repro.controller.batch`), which plans each access inline,
 whenever :func:`~repro.controller.batch.batch_supported` accepts the
 controller, and runs :func:`replay` otherwise — under a live telemetry
-session, an armed metric sampler, and for configurations the batch
-engine refuses.  Results are identical to :func:`replay` in all cases; only
-wall-clock differs.
+session and for configurations the batch engine refuses.  Results are
+identical to :func:`replay` in all cases; only wall-clock differs.
 """
 
 from __future__ import annotations
@@ -52,18 +51,13 @@ def replay(
         Replay only requests ``[start, stop)`` (default: the whole
         trace).
 
-    An armed metric sampler gets one ``tick`` per request.  Returns the
-    (possibly updated) oracle mapping address -> plaintext.
+    Returns the (possibly updated) oracle mapping address -> plaintext.
     """
-    from repro.telemetry.runtime import active_sampler
-
     shadow: Dict[int, bytes] = oracle if oracle is not None else {}
     # Never-written lines read back as zeros of the *configured* block
     # size; hard-coding 64 here made every non-64B geometry report
     # phantom IntegrityErrors on cold reads.
     blank = bytes(controller.config.memory.block_size)
-    sampler = active_sampler()
-    tick = sampler.tick if sampler is not None else None
     access = controller.access
     addresses = trace.addresses
     writes = trace.is_write
@@ -83,8 +77,6 @@ def replay(
                     f"controller returned different plaintext than "
                     f"the oracle"
                 )
-        if tick is not None:
-            tick(controller)
     return shadow
 
 

@@ -16,7 +16,6 @@ from repro.config import (
     SchemeKind,
     SystemConfig,
     TreeKind,
-    UpdatePolicy,
 )
 from repro.controller.factory import build_controller, build_layout
 from repro.crypto.keys import ProcessorKeys
@@ -35,11 +34,9 @@ def small_config(
     memory_bytes: int = SMALL_MEMORY,
 ) -> SystemConfig:
     """A miniature system config exercising full-size code paths."""
-    policy = UpdatePolicy.LAZY if tree == TreeKind.SGX else UpdatePolicy.EAGER
     return SystemConfig(
         scheme=scheme,
         tree=tree,
-        update_policy=policy,
         memory=MemoryConfig(capacity_bytes=memory_bytes),
         counter_cache=CacheConfig(size_bytes=cache_bytes, ways=4),
         merkle_cache=CacheConfig(size_bytes=cache_bytes, ways=4),

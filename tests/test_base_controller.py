@@ -111,15 +111,11 @@ class TestFactoryErrors:
             SystemConfig(scheme=SchemeKind.ASIT, tree=TreeKind.BONSAI)
 
     def test_agit_read_on_sgx_rejected(self):
-        from repro.config import SystemConfig, UpdatePolicy
+        from repro.config import SystemConfig
         from repro.errors import ConfigError
 
         with pytest.raises(ConfigError):
-            SystemConfig(
-                scheme=SchemeKind.AGIT_PLUS,
-                tree=TreeKind.SGX,
-                update_policy=UpdatePolicy.LAZY,
-            )
+            SystemConfig(scheme=SchemeKind.AGIT_PLUS, tree=TreeKind.SGX)
 
     def test_selective_factory_builds_bonsai(self):
         controller = make_controller(SchemeKind.SELECTIVE)

@@ -17,9 +17,9 @@ import dataclasses
 import pytest
 
 from repro.config import (
+    CacheConfig,
     SchemeKind,
     TreeKind,
-    UpdatePolicy,
     default_table1_config,
 )
 from repro.controller.access import MemoryRequest, Op
@@ -234,6 +234,42 @@ class TestBatchScalarIdentity:
         assert state_b == state_s
 
 
+class TestSgxWriteRefetchesEvictedLeaf:
+    """A write's leaf fill can drain a dirty victim whose parent fetch
+    evicts the leaf just filled; the write must fetch the leaf again
+    rather than update a block that is no longer cached."""
+
+    @pytest.mark.parametrize(
+        "scheme", [SchemeKind.WRITE_BACK, SchemeKind.OSIRIS, SchemeKind.ASIT]
+    )
+    @pytest.mark.parametrize(
+        "workload, cache_bytes, ways",
+        [
+            (HOT_COLD, 2 * KIB, 4),
+            (UNIFORM, SMALL_CACHE, 1),
+            (HOT_COLD, SMALL_CACHE, 1),
+        ],
+        ids=["hot_cold-2KiB", "uniform-1way", "hot_cold-1way"],
+    )
+    def test_small_caches_replay(self, workload, cache_bytes, ways, scheme):
+        cache = CacheConfig(cache_bytes, ways=ways)
+        config = dataclasses.replace(
+            _config(scheme, TreeKind.SGX, workload),
+            counter_cache=cache,
+            merkle_cache=cache,
+        )
+        trace = generate_trace(workload, 2500, seed=41)
+        states = []
+        for check_reads in (True, False):
+            controller = build_controller(config, keys=ProcessorKeys(7))
+            if check_reads:
+                replay(controller, trace, check_reads=True)
+            else:
+                replay_batched(controller, trace)
+            states.append(fingerprint(controller))
+        assert states[1] == states[0]
+
+
 def _crash_and_recover(controller, oracle) -> tuple:
     """Crash a fork of ``controller``'s persistent domain, as a fault
     campaign does at a pause, reincarnate it and run ASIT recovery.
@@ -445,13 +481,12 @@ class TestSegmentedReplay:
 class TestStrictRefusals:
     @pytest.mark.parametrize(
         "overrides",
-        [{"update_policy": UpdatePolicy.LAZY}, {"wpq_entries": 4}],
-        ids=["lazy", "wpq4"],
+        [{"wpq_entries": 4}],
+        ids=["wpq4"],
     )
     def test_refused_configs_replay_identically(self, overrides):
-        # Lazy strict persists only resident ancestors; a 4-entry WPQ
-        # cannot take the small tree's 5-entry persist group without an
-        # overflow drain.  Both must replay scalar.
+        # A 4-entry WPQ cannot take the small tree's 5-entry persist
+        # group without an overflow drain, so it must replay scalar.
         config = dataclasses.replace(
             small_config(SchemeKind.STRICT_PERSISTENCE), **overrides
         )

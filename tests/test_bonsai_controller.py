@@ -2,10 +2,9 @@
 
 import pytest
 
-from repro.config import BLOCK_SIZE, SchemeKind, TreeKind, UpdatePolicy
-from repro.controller.factory import build_controller, build_layout
+from repro.config import BLOCK_SIZE, SchemeKind
+from repro.controller.factory import build_layout
 from repro.counters.split import SplitCounterBlock
-from repro.crypto.keys import ProcessorKeys
 from repro.errors import IntegrityError
 
 from tests.helpers import line, make_controller, payload, small_config
@@ -199,43 +198,6 @@ class TestEagerUpdates:
             controller.write(address, payload(index % 250))
         for index, address in enumerate(lines):
             assert controller.read(address) == payload(index % 250)
-
-
-class TestLazyUpdates:
-    def make_lazy(self):
-        from dataclasses import replace
-
-        config = replace(small_config(), update_policy=UpdatePolicy.LAZY)
-        return build_controller(config, keys=ProcessorKeys(1))
-
-    def test_root_stale_until_writeback(self):
-        controller = self.make_lazy()
-        before = controller.engine.root_value()
-        controller.write(line(0), payload(1))
-        assert controller.engine.root_value() == before  # lazy: no change
-        controller.writeback_all()
-        assert controller.engine.root_value() != before
-
-    def test_lazy_roundtrip_with_evictions(self):
-        controller = self.make_lazy()
-        lines = [line(index * 64) for index in range(300)]
-        for index, address in enumerate(lines):
-            controller.write(address, payload(index % 200))
-        for index, address in enumerate(lines):
-            assert controller.read(address) == payload(index % 200)
-
-    def test_lazy_and_eager_agree_after_writeback(self):
-        eager = make_controller(seed=3)
-        lazy = self.make_lazy()
-        # different keys; compare roots within each system instead
-        for controller in (eager, lazy):
-            for index in range(40):
-                controller.write(line(index * 64), payload(index))
-            controller.writeback_all()
-        rebuilt_eager = eager.engine.rebuild_root(eager.nvm.peek)
-        rebuilt_lazy = lazy.engine.rebuild_root(lazy.nvm.peek)
-        assert rebuilt_eager == eager.engine.root_node
-        assert rebuilt_lazy == lazy.engine.root_node
 
 
 class TestStrictPersistence:

@@ -1,5 +1,7 @@
 """Unit tests for system configuration validation and derivation."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.config import (
@@ -8,7 +10,6 @@ from repro.config import (
     SchemeKind,
     SystemConfig,
     TreeKind,
-    UpdatePolicy,
     default_table1_config,
 )
 from repro.errors import ConfigError
@@ -86,26 +87,12 @@ class TestSystemConfig:
 
     def test_agit_requires_bonsai_tree(self):
         with pytest.raises(ConfigError):
-            SystemConfig(
-                scheme=SchemeKind.AGIT_READ,
-                tree=TreeKind.SGX,
-                update_policy=UpdatePolicy.LAZY,
-            )
+            SystemConfig(scheme=SchemeKind.AGIT_READ, tree=TreeKind.SGX)
 
-    def test_asit_requires_lazy(self):
-        with pytest.raises(ConfigError):
-            SystemConfig(
-                scheme=SchemeKind.ASIT,
-                tree=TreeKind.SGX,
-                update_policy=UpdatePolicy.EAGER,
-            )
-
-    def test_with_scheme_adjusts_policy(self):
+    def test_with_scheme_changes_only_scheme(self):
         base = default_table1_config(SchemeKind.WRITE_BACK, TreeKind.SGX)
         asit = base.with_scheme(SchemeKind.ASIT)
-        assert asit.update_policy == UpdatePolicy.LAZY
-        agit = default_table1_config().with_scheme(SchemeKind.AGIT_READ)
-        assert agit.update_policy == UpdatePolicy.EAGER
+        assert asit == replace(base, scheme=SchemeKind.ASIT)
 
     def test_with_cache_size(self):
         resized = default_table1_config().with_cache_size(512 * KIB)
@@ -125,14 +112,15 @@ class TestDefaultTable1:
     def test_bonsai_defaults(self):
         config = default_table1_config()
         assert config.tree == TreeKind.BONSAI
-        assert config.update_policy == UpdatePolicy.EAGER
         assert config.counter_cache.size_bytes == 256 * KIB
         assert config.counter_cache.ways == 8
         assert config.merkle_cache.ways == 16
 
-    def test_sgx_defaults_lazy(self):
-        config = default_table1_config(tree=TreeKind.SGX)
-        assert config.update_policy == UpdatePolicy.LAZY
+    def test_sgx_defaults(self):
+        # One combined 512 KiB metadata cache ("ST in ASIT: 512KB").
+        config = default_table1_config(SchemeKind.ASIT, TreeKind.SGX)
+        assert config.tree == TreeKind.SGX
+        assert config.metadata_cache_bytes == 512 * KIB
 
     def test_timing_matches_table1(self):
         timing = default_table1_config().timing

@@ -15,7 +15,7 @@ import repro
 
 _REPLAY_CELLS = """
 import sys
-from repro.config import SchemeKind, SystemConfig, TreeKind, UpdatePolicy
+from repro.config import SchemeKind, SystemConfig, TreeKind
 from repro.controller.factory import build_controller
 from repro.crypto.keys import ProcessorKeys
 from repro.traces.profiles import profile
@@ -23,11 +23,11 @@ from repro.traces.replay import replay_batched
 from repro.traces.synthetic import generate_trace
 
 trace = generate_trace(profile("libquantum"), 2000, seed=3)
-for scheme, tree, policy in (
-    (SchemeKind.AGIT_PLUS, TreeKind.BONSAI, UpdatePolicy.EAGER),
-    (SchemeKind.ASIT, TreeKind.SGX, UpdatePolicy.LAZY),
+for scheme, tree in (
+    (SchemeKind.AGIT_PLUS, TreeKind.BONSAI),
+    (SchemeKind.ASIT, TreeKind.SGX),
 ):
-    config = SystemConfig(scheme=scheme, tree=tree, update_policy=policy)
+    config = SystemConfig(scheme=scheme, tree=tree)
     controller = build_controller(config, keys=ProcessorKeys(1))
     replay_batched(controller, trace)
     controller.finalize()

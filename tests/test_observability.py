@@ -1,19 +1,14 @@
-"""The recovery flight recorder and sampled metric series.
+"""The recovery flight recorder.
 
-The contracts under test, in order of importance:
-
-1. **Breakdowns partition totals.**  The analytic per-phase recovery
-   breakdowns sum to the headline ``*_recovery_time_s`` values exactly,
-   and a real recovery run's flight-recorder phases partition the
-   report's own ``estimated_ns`` step model.
-2. **Sampling is deterministic and inert.**  Sampled metric series are
-   byte-identical at any ``--jobs`` count, and arming the sampler
-   changes nothing about the simulation results themselves.
+The contract under test: **breakdowns partition totals.**  The
+analytic per-phase recovery breakdowns sum to the headline
+``*_recovery_time_s`` values exactly, and a real recovery run's
+flight-recorder phases partition the report's own ``estimated_ns``
+step model.
 """
 
 from __future__ import annotations
 
-import io
 import json
 
 import pytest
@@ -34,16 +29,8 @@ from repro.core.recovery_time import (
 from repro.crypto.keys import ProcessorKeys
 from repro.recovery.crash import crash, reincarnate
 from repro.sim.engine import run_simulation
-from repro.sim.parallel import ParallelSweepExecutor
-from repro.telemetry import (
-    RunCollector,
-    TelemetrySpec,
-    configure_telemetry,
-    validate_events,
-    write_jsonl,
-)
+from repro.telemetry import TelemetrySpec, validate_events
 from repro.telemetry.flightrec import FlightRecorder, breakdown_seconds
-from repro.telemetry.sampling import MetricSampler
 from repro.traces.profiles import profile
 from repro.traces.replay import replay
 from repro.traces.synthetic import generate_trace
@@ -159,68 +146,6 @@ def test_experiment_breakdowns_match_series():
 
 
 # ---------------------------------------------------------------------------
-# sampled metric series: deterministic, inert, byte-identical
-# ---------------------------------------------------------------------------
-
-
-def test_sampler_rejects_bad_interval():
-    with pytest.raises(ValueError):
-        MetricSampler(0)
-
-
-def test_sampling_does_not_change_results():
-    config = small_config(SchemeKind.AGIT_PLUS, memory_bytes=64 * MIB)
-    trace = generate_trace(
-        profile("gcc"), 400, seed=2,
-        capacity_bytes=config.memory.capacity_bytes,
-    )
-    bare = run_simulation(config, trace, ProcessorKeys(2))
-    sampled = run_simulation(
-        config, trace, ProcessorKeys(2),
-        telemetry=TelemetrySpec(events=False, sample_interval=32),
-    )
-    assert sampled.elapsed_ns == bare.elapsed_ns
-    assert sampled.stats == bare.stats
-    assert sampled.samples, "sampler armed but no samples recorded"
-    ticks = [s["tick"] for s in sampled.samples]
-    assert ticks == sorted(ticks)
-    assert all(t % 32 == 0 for t in ticks)
-
-
-def _collect_samples(jobs):
-    """One small grid with only the sampler armed; serialized series."""
-    config = small_config(memory_bytes=64 * MIB)
-    traces = [
-        generate_trace(profile(name), 400, seed=3)
-        for name in ("gcc", "libquantum")
-    ]
-    cells = [
-        (config.with_scheme(scheme), trace)
-        for trace in traces
-        for scheme in (SchemeKind.WRITE_BACK, SchemeKind.AGIT_PLUS)
-    ]
-    collector = configure_telemetry(
-        TelemetrySpec(events=False, sample_interval=64)
-    )
-    try:
-        executor = ParallelSweepExecutor(jobs)
-        executor.run_simulations(cells, ProcessorKeys(7))
-    finally:
-        configure_telemetry(None)
-    stream = io.StringIO()
-    write_jsonl(collector.samples, stream)
-    return stream.getvalue()
-
-
-@pytest.mark.parametrize("jobs", [2, 4])
-def test_sample_series_identical_across_jobs(jobs):
-    serial = _collect_samples(1)
-    fanned = _collect_samples(jobs)
-    assert fanned == serial
-    assert serial  # non-empty: the sweep actually sampled
-
-
-# ---------------------------------------------------------------------------
 # batch.fallback events: present, schema-valid, result-neutral
 # ---------------------------------------------------------------------------
 
@@ -246,22 +171,6 @@ def test_batch_fallback_event_on_traced_run():
     untraced = run_simulation(config, trace, ProcessorKeys(5))
     assert traced.elapsed_ns == untraced.elapsed_ns
     assert traced.stats == untraced.stats
-
-
-def test_run_collector_merges_samples():
-    collector = RunCollector()
-    from repro.sim.results import SimulationResult
-
-    result = SimulationResult(
-        benchmark="gcc", scheme=SchemeKind.WRITE_BACK,
-        elapsed_ns=1.0, requests=1,
-        samples=[{"kind": "metric.sample", "ns": 0.0, "seq": 0,
-                  "tick": 1, "values": {}}],
-    )
-    collector.absorb(result)
-    assert collector.total_samples == 1
-    assert collector.samples[0]["cell"] == 0
-    assert collector.summary()["samples"] == 1
 
 
 # ---------------------------------------------------------------------------
