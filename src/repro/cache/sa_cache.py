@@ -30,7 +30,9 @@ non-zero: every touch stamps a slot with the next value of a clock
 that starts at 1, so valid stamps are unique and at least 1 and an
 invalid slot reads 0.  The victim of a fill is then the first minimum
 stamp of the set's segment — the first invalid way if there is one,
-else the least recently used way.
+else the least recently used way.  :meth:`SetAssociativeCache.victim`
+is that rule's one home: ``fill`` and the batch window's miss planners,
+which overlay a walk's planned fills, all ask it.
 """
 
 from __future__ import annotations
@@ -154,6 +156,34 @@ class SetAssociativeCache:
         slot = self._index.get(address)
         return slot is not None and self._dirty[slot]
 
+    def victim(
+        self, address: int, planned: Optional[dict] = None
+    ) -> Tuple[int, Optional[int]]:
+        """The slot :meth:`fill` gives a non-resident ``address``, and
+        the address that slot holds (None for an invalid way).
+
+        This is the one replacement rule: the first minimum stamp of the
+        set's segment, so the first invalid way if there is one, else
+        the least recently used way.  ``planned`` maps slot -> ``(stamp,
+        address)`` for fills a caller plans ahead of this one (a miss
+        walk's earlier fills): they overlay the set as if made, and a
+        planned slot's victim is its planned address.
+        """
+        ways = self.ways
+        base = address // self._block_size % self.num_sets * ways
+        segment = self._stamps[base : base + ways]
+        if planned:
+            for slot, (stamp, _address) in planned.items():
+                if base <= slot < base + ways:
+                    segment[slot - base] = stamp
+        way = segment.index(min(segment))
+        slot = base + way
+        if not segment[way]:
+            return slot, None
+        if planned and slot in planned:
+            return slot, planned[slot][1]
+        return slot, self._tags[slot]
+
     # ------------------------------------------------------------------
     # mutation
     # ------------------------------------------------------------------
@@ -163,10 +193,9 @@ class SetAssociativeCache:
     ) -> Tuple[int, Optional[Eviction]]:
         """Fill ``address``; returns ``(slot, eviction)``.
 
-        The victim is an invalid way if one exists, else the LRU way,
-        and its eviction is counted clean or dirty.  Filling an
-        already-resident address replaces its payload in place (no
-        eviction).
+        The slot is :meth:`victim`'s, and the eviction of a valid
+        victim is counted clean or dirty.  Filling an already-resident
+        address replaces its payload in place (no eviction).
         """
         index = self._index
         stamps = self._stamps
@@ -179,17 +208,13 @@ class SetAssociativeCache:
             stamps[slot] = self._clock
             return slot, None
 
-        block_size = self._block_size
-        if address % block_size:
+        if address % self._block_size:
             raise ConfigError(
                 f"cache address {address:#x} not block-aligned"
             )
-        ways = self.ways
-        base = (address // block_size) % self.num_sets * ways
-        segment = stamps[base : base + ways]
-        slot = base + segment.index(min(segment))
+        slot, victim = self.victim(address)
         eviction = None
-        if stamps[slot]:
+        if victim is not None:
             eviction = self._release(slot)
             del index[eviction.address]
             if eviction.dirty:

@@ -36,30 +36,40 @@ The two tree families differ only in the write's metadata update:
   stored level's nonce, each child's ``parent_nonce`` and the on-chip
   root nonce and persists the whole path.
 
-An SGX leaf miss is served in the window too, when its walk can be
-reproduced exactly: :func:`_sgx_fill_planner` plans the scalar
-``_get_node`` walk without side effects (the non-resident chain up to
-the first resident ancestor or the on-chip root, each node MAC-checked
-top-down as scalar checks it, each fill's victim picked as ``fill``
-would), and only if every check passes and every victim is clean does
-the window replay the walk's misses, channel reads, hashes, fetch and
-check counts and fills, then continue on the hit path.
+A counter-block miss is served in the window too, on both trees, when
+its walk can be reproduced exactly.  A planner plans the scalar walk
+without side effects: :func:`_sgx_fill_planner` the SGX ``_get_node``
+walk (each node MAC-checked top-down as scalar checks it, read and
+hashed node by node), :func:`_bonsai_miss_planner` the Bonsai
+``_get_counter_block`` walk through ``_fetch_verified`` (the chain
+checked by the controller's own ``_check_chain``, every block read
+before the first hash).  Each walks the non-resident chain up to the
+first resident ancestor or the on-chip root, and each names every
+fill's victim through :meth:`~repro.cache.sa_cache.SetAssociativeCache.
+victim`, the cache's one replacement rule, over the walk's own earlier
+fills.  Only if every check passes and every victim is clean (and, on
+Bonsai, not stale, with no ``_carried`` digest pending) does the window
+replay the walk's misses, channel reads, hashes, fetch and check
+counts, fills and fill hooks (AGIT-Read's SCT/SMT writes), then
+continue on the hit path.
 
-Anything else off the hit path — a Bonsai metadata miss, an SGX miss
-that would evict a dirty node or fails a check, a counter overflow or
-an ASIT LSB wrap, a pending eviction, an invalid address — drops to the
+Anything else off the hit path — a miss that would evict a dirty or
+stale block, fails a check, or (for a write) evicts a block on its own
+path or leaves a stored ancestor non-resident, a counter overflow or an
+ASIT LSB wrap, a pending eviction, an invalid address — drops to the
 **real** scalar controller methods for exactly that access, after
 syncing the local clocks back, so interleaving-sensitive machinery
-(verification chains, dirty evictions and the settles they trigger, WPQ
-pressure, AGIT fill hooks, page re-encryption, ASIT wrap persists) runs
+(dirty evictions and the settles they trigger, failed verifications,
+WPQ pressure, page re-encryption, ASIT wrap persists) runs
 unmodified.  The contract, checked by ``batch_supported``:
 
 * results are *identical* to scalar replay — same stats, same timing,
   same NVM/cache/WPQ state, same exceptions at the same access;
 * anything it cannot replicate exactly (a strict persist group larger
-  than the WPQ or the persistent registers, live telemetry sessions,
-  non-64B geometries, single-entry WPQs) is refused up front and
-  handled scalar.
+  than the WPQ or the persistent registers, an access's AGIT shadow
+  writes and persist group larger than the WPQ, live telemetry
+  sessions, non-64B geometries) is refused up front and handled
+  scalar.
 
 Bytes that nothing inside a window observes are deferred as
 *placeholders*: Bonsai strict persistence's ancestor bytes, SGX strict
@@ -71,20 +81,21 @@ placeholder's node and at range end ``_settle_placeholders`` writes
 each placeholder once, from final state.  A range's final strict or
 ASIT write runs scalar, so no pause or crash point sees a placeholder.
 
-What a window verifies: every metadata node it fills, exactly as the
-scalar walk does (a written node's MAC under its parent nonce; a
-never-written node only under nonce 0), so a tampered or lost node
-raises the scalar ``IntegrityError`` at the same access.  Resident
-metadata was verified when it was filled and on-chip nodes are
-trusted, so the hit path re-verifies nothing, as scalar does not.  Its
-reads make no decrypt/MAC check: within a window nothing mutates NVM
-behind the controller's back, so a fresh line read under its current
-counter decrypts to exactly what the last seal wrote and the ECC/MAC
-checks pass deterministically — recomputing them can only burn time,
-never fail.  Crash, fault, and attack injections violate that premise,
-which is why campaigns replay batched in ``start``/``stop`` segments and
-inject only at the pauses between them, never inside a batched range
-(see DESIGN.md).
+What a window verifies: every metadata block it fills, exactly as the
+scalar walk does (on SGX a written node's MAC under its parent nonce, a
+never-written node only under nonce 0; on Bonsai each block's digest
+against its parent's entry, ``default_hashes`` for a never-written
+one), so a tampered or lost block raises the scalar ``IntegrityError``
+at the same access.  Resident metadata was verified when it was filled
+and on-chip nodes are trusted, so the hit path re-verifies nothing, as
+scalar does not.  Its reads make no decrypt/MAC check: within a window
+nothing mutates NVM behind the controller's back, so a fresh line read
+under its current counter decrypts to exactly what the last seal wrote
+and the ECC/MAC checks pass deterministically — recomputing them can
+only burn time, never fail.  Crash, fault, and attack injections
+violate that premise, which is why campaigns replay batched in
+``start``/``stop`` segments and inject only at the pauses between them,
+never inside a batched range (see DESIGN.md).
 """
 
 from __future__ import annotations
@@ -127,8 +138,12 @@ def scalar_fallback_reason(controller) -> Optional[str]:
       scheme's own error);
     * non-64B block geometries (the inline address arithmetic assumes
       the global ``BLOCK_SIZE``);
-    * a single-entry WPQ (the inline insert assumes one access's
-      data + metadata pair fits without a mid-insert overflow drain).
+    * a WPQ that one access's inserts could overflow: the window
+      inserts inline and never drains mid-access.  Every scheme queues
+      at most the data line and its counter block, but AGIT also writes
+      a shadow entry per tracked block (``root_level`` of them: the
+      counter block and each stored ancestor, first-dirtied by AGIT-Plus
+      or filled by AGIT-Read), so its group is ``root_level + 2``.
     """
     if isinstance(controller, BonsaiController):
         if controller.config.tree != TreeKind.BONSAI:
@@ -143,7 +158,10 @@ def scalar_fallback_reason(controller) -> Optional[str]:
         return "strict_persistence"
     if controller.config.memory.block_size != BLOCK_SIZE:
         return "geometry"
-    if controller.wpq.capacity < 2:
+    group = 2
+    if controller.scheme in (SchemeKind.AGIT_READ, SchemeKind.AGIT_PLUS):
+        group += controller.layout.root_level
+    if controller.wpq.capacity < group:
         return "wpq"
     return None
 
@@ -158,6 +176,15 @@ def batch_supported(controller) -> bool:
     if live_tracer().enabled:
         return False
     return scalar_fallback_reason(controller) is None
+
+
+def _override(controller, name: str):
+    """The controller's bound hook ``name`` when its class overrides
+    :class:`BonsaiController`'s no-op, else None: the window dispatches
+    only hooks that do something."""
+    if getattr(type(controller), name) is getattr(BonsaiController, name):
+        return None
+    return getattr(controller, name)
 
 
 def _bonsai_path(layout, counter_address: int) -> Dict[int, int]:
@@ -206,8 +233,8 @@ def _sgx_fill_planner(controller):
     leaf up to the first resident ancestor or the on-chip root, checked
     top-down (a written node parsed and MAC-checked, a never-written one
     accepted under nonce 0 as ``verified_default`` is), and each fill's
-    victim picked as :meth:`~repro.cache.sa_cache.SetAssociativeCache.
-    fill` would, the walk's own earlier fills stamped from ``clock`` on.
+    victim named by :meth:`~repro.cache.sa_cache.SetAssociativeCache.
+    victim`, over the walk's own earlier fills stamped from ``clock`` on.
     The WPQ is empty (it drained at the top of the access), so NVM holds
     every node's bytes.
 
@@ -221,11 +248,8 @@ def _sgx_fill_planner(controller):
     cache = controller.metadata_cache
     resident = cache._index
     payloads = cache._payloads
-    tags = cache._tags
-    stamps = cache._stamps
     dirty = cache._dirty
-    ways = cache.ways
-    sets = cache.num_sets
+    pick_victim = cache.victim
     bases = controller.layout.level_bases
     top = controller.layout.root_level - 1
     engine = controller.engine
@@ -272,20 +296,10 @@ def _sgx_fill_planner(controller):
                 node = from_bytes(raw) if raw is not None else default_node()
                 if not verify(node, nonce):
                     return None
-            base = address // BLOCK_SIZE % sets * ways
-            segment = stamps[base:base + ways]
-            for slot, (stamp, _address) in taken.items():
-                if base <= slot < base + ways:
-                    segment[slot - base] = stamp
-            slot = base + segment.index(min(segment))
-            victim = None
-            if segment[slot - base]:
-                if slot in taken:
-                    victim = taken[slot][1]
-                elif dirty[slot]:
+            slot, victim = pick_victim(address, taken)
+            if victim is not None:
+                if slot not in taken and dirty[slot]:
                     return None
-                else:
-                    victim = tags[slot]
                 if path is not None and victim in path:
                     return None
             clock += 1
@@ -294,6 +308,117 @@ def _sgx_fill_planner(controller):
                 (address, CachedNode(node, nonce, level, index), slot, victim)
             )
         return fills
+
+    return plan
+
+
+def _bonsai_miss_planner(controller):
+    """The window's planner of Bonsai counter-block misses, hoisted for
+    one range.
+
+    ``plan(counter_index, counter_address, clock, path)`` plans the
+    scalar miss of counter block ``counter_index`` with no side effects.
+    The walk is :meth:`BonsaiController._get_counter_block`'s through
+    ``_fetch_verified``: the counter block, then its non-resident
+    ancestors up to the first cached node or the on-chip root, checked
+    top-down by the controller's own ``_check_chain``.  The ancestors
+    fill the Merkle cache top-down, each victim named by :meth:`~repro.
+    cache.sa_cache.SetAssociativeCache.victim` over the walk's earlier
+    fills (stamped from ``clock`` on), and then the counter block fills
+    the counter cache.  No eviction is queued and the WPQ is empty (it
+    drained at the top of the access), so NVM holds every block's bytes.
+
+    It returns ``(block, slot, victim, fills)``: the parsed counter
+    block, its counter-cache slot and the clean address it evicts or
+    None, and the Merkle fills top-down as ``(address, node, slot,
+    victim)``.  Or None when the access must take the real call: a
+    ``_carried`` digest is pending, a check fails (scalar then raises
+    it), a victim is dirty or stale (its eviction would settle), or,
+    given ``path`` (a write's stored ancestors), an ancestor is neither
+    resident nor planned or a victim lies on the path.  Placeholders
+    (strict persistence's ancestors) are always stale, so no victim
+    holds one.
+    """
+    counter_cache = controller.counter_cache
+    merkle_cache = controller.merkle_cache
+    counter_victim = counter_cache.victim
+    merkle_victim = merkle_cache.victim
+    c_dirty = counter_cache._dirty
+    resident = merkle_cache._index
+    payloads = merkle_cache._payloads
+    m_dirty = merkle_cache._dirty
+    stale_counters = controller._stale_counters
+    stale_nodes = controller._stale_nodes
+    check_chain = controller._check_chain
+    engine = controller.engine
+    layout = controller.layout
+    bases = layout.level_bases
+    arity = layout.arity
+    root_level = layout.root_level
+    nvm_blocks = controller.nvm._blocks
+    from_bytes = SplitCounterBlock.from_bytes
+    zero = SplitCounterBlock.zero
+
+    def plan(
+        counter_index: int, counter_address: int, clock: int, path
+    ) -> Optional[tuple]:
+        if controller._carried is not None:
+            return None
+        # The counter block's victim first: a dirty one (Fig. 7's
+        # thrashing counter cache) refuses before the climb.
+        counter_slot, evicted = counter_victim(counter_address)
+        if evicted is not None and (
+            c_dirty[counter_slot] or evicted in stale_counters
+        ):
+            return None
+        raw = nvm_blocks.get(counter_address)
+        # (level, address, slot in parent, raw bytes), bottom-up
+        chain = [(0, counter_address, counter_index % arity, raw)]
+        index = counter_index
+        for level in range(1, root_level):
+            index //= arity
+            address = bases[level] + index * BLOCK_SIZE
+            slot = resident.get(address)
+            if slot is not None:
+                trusted = payloads[slot]
+                break
+            chain.append(
+                (level, address, index % arity, nvm_blocks.get(address))
+            )
+        else:
+            trusted = engine._root
+        if path is not None:
+            for ancestor, level in path.items():
+                if level >= len(chain) and ancestor not in resident:
+                    return None
+
+        #: slot -> (stamp, address) of the walk's own earlier fills
+        taken: Dict[int, tuple] = {}
+        slots = []
+        for position in range(len(chain) - 1, 0, -1):
+            address = chain[position][1]
+            slot, victim = merkle_victim(address, taken)
+            if victim is not None:
+                if slot not in taken and (
+                    m_dirty[slot] or victim in stale_nodes
+                ):
+                    return None
+                if path is not None and victim in path:
+                    return None
+            clock += 1
+            taken[slot] = (clock, address)
+            slots.append((slot, victim))
+
+        _checks, verified = check_chain(chain, trusted)
+        if verified is None:
+            return None
+        block = from_bytes(raw) if raw is not None else zero()
+        fills = [
+            (address, node, node_slot, node_victim)
+            for (address, node), (node_slot, node_victim)
+            in zip(verified, slots)
+        ]
+        return block, counter_slot, evicted, fills
 
     return plan
 
@@ -414,19 +539,12 @@ def run_batched_range(
         selective = scheme == SchemeKind.SELECTIVE
         bonsai_strict = strict
         use_stop_loss = controller._use_stop_loss
-        # Dispatch AGIT dirty hooks only when actually overridden.
-        counter_hook = (
-            controller._on_counter_dirtied
-            if type(controller)._on_counter_dirtied
-            is not BonsaiController._on_counter_dirtied
-            else None
-        )
-        merkle_hook = (
-            controller._on_merkle_dirtied
-            if type(controller)._on_merkle_dirtied
-            is not BonsaiController._on_merkle_dirtied
-            else None
-        )
+        # AGIT's dirty (AGIT-Plus) and fill (AGIT-Read) hooks.
+        counter_hook = _override(controller, "_on_counter_dirtied")
+        merkle_hook = _override(controller, "_on_merkle_dirtied")
+        counter_fill_hook = _override(controller, "_on_counter_filled")
+        merkle_fill_hook = _override(controller, "_on_merkle_filled")
+        plan_miss = _bonsai_miss_planner(controller)
     c_index = counter_cache._index
     c_payloads = counter_cache._payloads
     c_dirty = counter_cache._dirty
@@ -436,6 +554,8 @@ def run_batched_range(
         m_index = merkle_cache._index
         m_dirty = merkle_cache._dirty
         m_stamps = merkle_cache._stamps
+        m_tags = merkle_cache._tags
+        m_payloads = merkle_cache._payloads
     else:
         m_index = c_index
     # Bonsai strict persistence cleans the counter and every ancestor
@@ -490,8 +610,11 @@ def run_batched_range(
     t_counter_first = 0
     t_merkle_hits = 0
     t_merkle_first = 0
-    t_meta_fills = 0
-    t_meta_evictions = 0
+    t_meta_fetches = 0
+    t_counter_misses = 0
+    t_counter_evictions = 0
+    t_merkle_misses = 0
+    t_merkle_evictions = 0
 
     # Channel and LRU clocks live in locals inside the loop; they sync
     # back to their objects around every real (scalar-fallback) call
@@ -597,7 +720,7 @@ def run_batched_range(
                             if victim in placeholders:
                                 _settle_placeholders(controller, placeholders)
                             del c_index[victim]
-                            t_meta_evictions += 1
+                            t_counter_evictions += 1
                         c_index[fill_address] = fill_slot
                         c_tags[fill_slot] = fill_address
                         c_payloads[fill_slot] = fill_record
@@ -605,12 +728,86 @@ def run_batched_range(
                         c_clock += 1
                         c_stamps[fill_slot] = c_clock
                     filled = len(fills)
-                    t_meta_fills += filled
+                    t_meta_fetches += filled
+                    t_counter_misses += filled
                     t_channel_reads += filled
                     t_nvm_reads += filled
                     t_integrity += filled
                     # The hit path's leaf touch takes the leaf fill's
                     # clock tick, so it rewrites the same stamp.
+                    c_clock -= 1
+                    slot_index = fill_slot
+                    leaf_hit = 0
+            elif slot_index is None and ready:
+                # ------------- Bonsai miss walk -------------
+                if is_write:
+                    ancestors = path_memo.get(counter_address)
+                    if ancestors is None:
+                        ancestors = path_memo[counter_address] = (
+                            tree_path(layout, counter_address)
+                        )
+                    planned = plan_miss(
+                        counter_index, counter_address, m_clock, ancestors
+                    )
+                    if (
+                        planned is not None
+                        and planned[0].minors[cslot] >= _MINOR_MAX
+                    ):
+                        planned = None  # the hit path's overflow guard
+                else:
+                    planned = plan_miss(
+                        counter_index, counter_address, m_clock, None
+                    )
+                if planned is not None:
+                    block, fill_slot, victim, fills = planned
+                    # _fetch_verified(): one read_block() (channel read
+                    # and stall) per fetched block, the counter block
+                    # first, then one hash per check.
+                    fetched = len(fills) + 1
+                    for _fetch in range(fetched):
+                        started = ch_now if ch_now >= ch_busy else ch_busy
+                        done = started + read_ns
+                        ch_busy = done
+                        observe_stall(done - ch_now)
+                        ch_now = done
+                    for _check in range(fetched):
+                        ch_now += hash_ns
+                    # The ancestors' fills top-down, each with its fill
+                    # hook, then the counter block's; every victim is
+                    # clean, so its eviction only counts.
+                    for node_address, node, node_slot, node_victim in fills:
+                        if node_victim is not None:
+                            del m_index[node_victim]
+                            t_merkle_evictions += 1
+                        m_index[node_address] = node_slot
+                        m_tags[node_slot] = node_address
+                        m_payloads[node_slot] = node
+                        m_dirty[node_slot] = False
+                        m_clock += 1
+                        m_stamps[node_slot] = m_clock
+                        if merkle_fill_hook is not None:
+                            merkle_fill_hook(node_slot, node_address)
+                    if victim is not None:
+                        del c_index[victim]
+                        t_counter_evictions += 1
+                        packed.pop(victim, None)
+                    packed.pop(counter_address, None)
+                    c_index[counter_address] = fill_slot
+                    c_tags[fill_slot] = counter_address
+                    c_payloads[fill_slot] = block
+                    c_dirty[fill_slot] = False
+                    c_clock += 1
+                    c_stamps[fill_slot] = c_clock
+                    if counter_fill_hook is not None:
+                        counter_fill_hook(fill_slot, counter_address)
+                    t_meta_fetches += fetched
+                    t_counter_misses += 1
+                    t_merkle_misses += fetched - 1
+                    t_channel_reads += fetched
+                    t_nvm_reads += fetched
+                    t_integrity += fetched
+                    # As on SGX, the hit path's touch takes the fill's
+                    # clock tick.
                     c_clock -= 1
                     slot_index = fill_slot
                     leaf_hit = 0
@@ -904,13 +1101,15 @@ def run_batched_range(
         wpq.drains += t_wpq_drains
         counter_cache.hits += t_counter_hits
         counter_cache.first_dirty += t_counter_first
-        if t_meta_fills:
-            controller.meta_fetches += t_meta_fills
-            counter_cache.misses += t_meta_fills
-            counter_cache.evictions_clean += t_meta_evictions
+        if t_meta_fetches:
+            controller.meta_fetches += t_meta_fetches
+            counter_cache.misses += t_counter_misses
+            counter_cache.evictions_clean += t_counter_evictions
         if merkle_cache is not None:
             merkle_cache.hits += t_merkle_hits
             merkle_cache.first_dirty += t_merkle_first
+            merkle_cache.misses += t_merkle_misses
+            merkle_cache.evictions_clean += t_merkle_evictions
 
 
 class IntegrityErrorAt(Exception):

@@ -294,11 +294,10 @@ class BonsaiController(SecureMemoryController):
         ``index //= arity``, fetching each missing ancestor from memory
         (one counted ``merkle_cache`` miss each), and stops at the first
         cached (already-verified) node, which counts nothing, or at the
-        on-chip root; then it checks hashes top-down.  A never-written
-        block's digest is the engine's kept ``default_hashes[level]``
-        instead of a fresh hash.  The fetched ancestors are inserted
-        into the Merkle cache (§2.3.1) once every check has passed; a
-        failed check raises with nothing filled.
+        on-chip root; then :meth:`_check_chain` checks hashes top-down.
+        The fetched ancestors are inserted into the Merkle cache
+        (§2.3.1) once every check has passed; a failed check raises with
+        nothing filled.
         """
         evictions = self._evictions
         if evictions:
@@ -347,45 +346,21 @@ class BonsaiController(SecureMemoryController):
                 (ancestor_level, ancestor, index % arity, ancestor_raw)
             )
 
-        # Verify top-down: the trusted node vouches for the highest
-        # fetched block, each fetched node vouches for the one below it,
-        # and the lowest vouches for the block being verified.  Hash
-        # latency accrues on a local copy of the clock, one add per
+        # Hash latency accrues on a local copy of the clock, one add per
         # check in check order, so its float bits match per-check adds.
-        engine = self.engine
-        default_hashes = engine.default_hashes
-        block_hash = engine.block_hash
+        checks, verified = self._check_chain(chain, trusted)
         channel = self.channel
         hash_ns = channel.timing.hash_ns
         now = channel.now
-        checks = self.integrity_checks
-        parent = trusted
-        verified = []  # parsed fetched ancestors, top-down
-        for position in range(len(chain) - 1, -1, -1):
-            node_level, node_address, slot, node_raw = chain[position]
-            checks += 1
+        for _check in range(checks):
             now += hash_ns
-            digest = (
-                block_hash(node_raw)
-                if node_raw is not None
-                else default_hashes[node_level]
-            )
-            if parent.hashes[slot] != digest:
-                self.integrity_checks = checks
-                channel.now = now
-                raise IntegrityError(
-                    f"Merkle verification failed for block {node_address:#x}"
-                )
-            if position:
-                parent = (
-                    BonsaiNode.from_bytes(node_raw)
-                    if node_raw is not None
-                    else engine.default_node(node_level)
-                )
-                verified.append((node_address, parent))
-            # position 0 is the block being fetched; its caller parses it
-        self.integrity_checks = checks
         channel.now = now
+        self.integrity_checks += checks
+        if verified is None:
+            raise IntegrityError(
+                "Merkle verification failed for block "
+                f"{chain[len(chain) - checks][1]:#x}"
+            )
 
         # Insert the now-verified ancestors (top-down so lower nodes are
         # the most recently used).
@@ -398,6 +373,42 @@ class BonsaiController(SecureMemoryController):
                     if eviction.address in self._stale_nodes:
                         self.settle(eviction)
         return raw
+
+    def _check_chain(self, chain: list, trusted: BonsaiNode) -> tuple:
+        """Check a fetched chain top-down, with no side effects.
+
+        ``chain`` holds ``(level, address, slot in parent, raw)`` per
+        fetched block, bottom-up, and ``trusted`` is the cached node or
+        on-chip root above its top.  The trusted node vouches for the
+        highest fetched block, each fetched node for the one below it,
+        and the lowest for the block being verified; a never-written
+        block's digest is ``default_hashes[level]``.  Returns ``(checks,
+        verified)``: the checks made, and the parsed fetched ancestors
+        top-down as ``(address, node)``, or None when the last check
+        made failed.  The scalar walk and the batch window's miss
+        planner both verify through here.
+        """
+        engine = self.engine
+        default_hashes = engine.default_hashes
+        block_hash = engine.block_hash
+        parent = trusted
+        verified = []
+        for position in range(len(chain) - 1, -1, -1):
+            level, address, slot, raw = chain[position]
+            digest = (
+                block_hash(raw) if raw is not None
+                else default_hashes[level]
+            )
+            if parent.hashes[slot] != digest:
+                return len(chain) - position, None
+            if position:
+                parent = (
+                    BonsaiNode.from_bytes(raw) if raw is not None
+                    else engine.default_node(level)
+                )
+                verified.append((address, parent))
+            # position 0 is the block being fetched; its caller parses it
+        return len(chain), verified
 
     # ------------------------------------------------------------------
     # tree updates

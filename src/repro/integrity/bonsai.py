@@ -24,7 +24,6 @@ from repro.crypto.hashes import hash64_keyed
 from repro.crypto.keys import ProcessorKeys
 from repro.errors import ConfigError
 from repro.mem.layout import MemoryLayout
-from repro.telemetry.runtime import live_tracer
 
 _NODE_STRUCT = struct.Struct("<8Q")
 _ZERO_BLOCK = bytes(BLOCK_SIZE)
@@ -93,9 +92,6 @@ class BonsaiTreeEngine:
     def __init__(self, keys: ProcessorKeys, layout: MemoryLayout) -> None:
         self.keys = keys
         self.layout = layout
-        # The live-session facade: disabled outside a telemetry
-        # session, so the hot-path guard is one attribute test.
-        self._tracer = live_tracer()
         self._hash = hash64_keyed(keys.tree_key)
         # Per-level default node bytes for untouched regions. Level 0's
         # default is the all-zero split-counter block (which serializes
@@ -162,30 +158,6 @@ class BonsaiTreeEngine:
         level's default node, so a fresh system verifies end to end."""
         level = self.layout.level_of(address)
         return self._default_bytes[level] if level >= 0 else _ZERO_BLOCK
-
-    def verify_child(
-        self, parent: BonsaiNode, child_slot: int, child_bytes: bytes
-    ) -> bool:
-        """Does the parent's recorded hash match the child's content?"""
-        ok = parent.child_hash(child_slot) == self.block_hash(child_bytes)
-        tracer = self._tracer
-        if tracer.enabled and tracer.detail:
-            tracer.emit("integrity.check", tree="bonsai", ok=ok)
-        return ok
-
-    # ------------------------------------------------------------------
-    # root maintenance (eager update scheme keeps this current)
-    # ------------------------------------------------------------------
-
-    def update_root_child(self, child_index: int, child_bytes: bytes) -> None:
-        """Record a top-stored-level node's new hash in the on-chip root."""
-        slot = self.layout.child_slot(child_index)
-        self.root_node.set_child_hash(slot, self.block_hash(child_bytes))
-
-    def verify_against_root(self, child_index: int, child_bytes: bytes) -> bool:
-        """Verify a top-stored-level node directly against the root."""
-        slot = self.layout.child_slot(child_index)
-        return self.root_node.child_hash(slot) == self.block_hash(child_bytes)
 
     # ------------------------------------------------------------------
     # whole-tree reconstruction (used by Osiris-style full recovery and

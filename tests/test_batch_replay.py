@@ -13,6 +13,7 @@ of Fig. 11's high-hit benchmarks.
 from __future__ import annotations
 
 import dataclasses
+import random
 
 import pytest
 
@@ -37,9 +38,7 @@ from repro.traces.replay import replay, replay_batched
 from repro.traces.synthetic import generate_trace
 from repro.traces.trace import Trace
 
-from tests.helpers import SMALL_CACHE, SMALL_MEMORY, small_config
-
-KIB = 1024
+from tests.helpers import KIB, MIB, SMALL_CACHE, SMALL_MEMORY, small_config
 
 UNIFORM = SyntheticProfile(
     name="uniform",
@@ -499,6 +498,154 @@ class TestStrictRefusals:
         assert outcomes[1] == outcomes[0]
 
 
+#: Fig. 7's system: Table-1 with 8 KiB metadata caches.
+FIG07_CACHE = 8 * KIB
+
+
+def _table1(scheme, cache_bytes=None):
+    config = default_table1_config(scheme, TreeKind.BONSAI)
+    return config if cache_bytes is None else config.with_cache_size(
+        cache_bytes
+    )
+
+
+class TestBonsaiMissPlanner:
+    @pytest.mark.parametrize("scheme", BONSAI_SCHEMES)
+    @pytest.mark.parametrize(
+        "cache_bytes", [None, FIG07_CACHE], ids=["table1", "fig07"]
+    )
+    @pytest.mark.parametrize("name", ["mcf", "omnetpp", "soplex"])
+    def test_miss_bound_cells_match_scalar(self, name, cache_bytes, scheme):
+        # The window plans counter-block misses and replays their walks;
+        # at Fig. 7's 8 KiB caches dirty and stale victims, strict
+        # victims on a write's own path and written chain nodes come up
+        # between them.
+        trace = generate_trace(profile(name), 2000, seed=0)
+        outcomes = []
+        for run in (replay, replay_batched):
+            controller = build_controller(
+                _table1(scheme, cache_bytes), keys=ProcessorKeys(0)
+            )
+            outcomes.append((run(controller, trace), fingerprint(controller)))
+        assert outcomes[1] == outcomes[0]
+
+    @pytest.mark.parametrize(
+        "scheme",
+        [SchemeKind.WRITE_BACK, SchemeKind.STRICT_PERSISTENCE,
+         SchemeKind.AGIT_READ],
+    )
+    @pytest.mark.parametrize("level", [0, 1], ids=["counter", "ancestor"])
+    @pytest.mark.parametrize("damage", ["tamper", "lost"])
+    def test_damaged_block_fails_at_same_access(self, damage, level, scheme):
+        # At a pause, a written counter block (level 0) or level-1 tree
+        # node that is not resident is tampered with (one flipped bit)
+        # or loses its write-back (it reads as never written).  Its next
+        # fetch fails its hash check: the planner must leave that access
+        # to the scalar walk, which raises at the same access with the
+        # same state behind it.
+        trace = generate_trace(HOT_COLD, 3000, seed=41)
+        config = _config(scheme, TreeKind.BONSAI, HOT_COLD, 2 * KIB)
+        outcomes = []
+        for run in (replay, replay_batched):
+            controller = build_controller(config, keys=ProcessorKeys(7))
+            oracle = run(controller, trace, stop=1500)
+            layout = controller.layout
+            cache = (
+                controller.merkle_cache if level else
+                controller.counter_cache
+            )
+            blocks = controller.nvm._blocks
+            upcoming = [
+                layout.counter_block_for(trace.addresses[index])
+                for index in range(1500, len(trace))
+            ]
+            if level:
+                upcoming = [
+                    layout.ancestors_of_counter(block)[0]
+                    for block in upcoming
+                ]
+            target = next(
+                block for block in upcoming
+                if block in blocks and not cache.contains(block)
+            )
+            if damage == "tamper":
+                raw = bytearray(blocks[target])
+                raw[0] ^= 1
+                controller.nvm.poke(target, bytes(raw))
+            else:
+                del blocks[target]
+            with pytest.raises(IntegrityError) as raised:
+                run(controller, trace, oracle, start=1500)
+            outcomes.append(
+                (target, str(raised.value), oracle, fingerprint(controller))
+            )
+        assert f"Merkle verification failed for block {outcomes[0][0]:#x}" \
+            in outcomes[0][1]
+        assert outcomes[1] == outcomes[0]
+
+
+    @pytest.mark.parametrize(
+        "scheme", [SchemeKind.WRITE_BACK, SchemeKind.AGIT_PLUS]
+    )
+    def test_write_miss_one_bump_short_of_overflow_takes_the_real_call(
+        self, scheme
+    ):
+        # A line written 127 times holds the largest 7-bit minor; its
+        # counter block is then evicted by a conflicting one and
+        # fetched again by the next write, which overflows the minor
+        # and re-encrypts the page.  The planner must refuse that write
+        # before it replays the fill.
+        config = dataclasses.replace(
+            small_config(scheme),
+            counter_cache=CacheConfig(size_bytes=16 * 64, ways=1),
+        )
+        conflicting = 16 * 64 * 64  # 16 counter blocks on: same set
+        requests = [
+            MemoryRequest(Op.WRITE, 0, bytes([n]) * 64, 10.0)
+            for n in range(127)
+        ]
+        requests.append(MemoryRequest(Op.READ, conflicting, None, 10.0))
+        requests.append(MemoryRequest(Op.WRITE, 0, bytes(64), 10.0))
+        requests.append(MemoryRequest(Op.READ, 64, None, 10.0))
+        trace = Trace("overflow_after_refetch", requests)
+        outcomes = []
+        for run in (replay, replay_batched):
+            controller = build_controller(config, keys=ProcessorKeys(7))
+            outcomes.append((run(controller, trace), fingerprint(controller)))
+        assert outcomes[1] == outcomes[0]
+        assert outcomes[0][1]["stats"]["ctrl.page_reencryptions"] == 1
+
+
+class TestWpqPressure:
+    def test_agit_plus_group_larger_than_the_wpq_replays_scalar(self):
+        # An AGIT-Plus write that first-dirties its counter block and
+        # three ancestors queues four shadow entries before its data
+        # line, so a 4-entry WPQ drains one entry at the data insert.
+        # The window inserts inline and never drains mid-access, so
+        # AGIT on a WPQ shallower than its group replays scalar.
+        workload = dataclasses.replace(UNIFORM, footprint_bytes=4 * MIB)
+        config = dataclasses.replace(
+            _config(SchemeKind.AGIT_PLUS, TreeKind.BONSAI, workload,
+                    cache_bytes=4 * KIB),
+            wpq_entries=4,
+        )
+        rng = random.Random(0)
+        requests = []
+        for _pair in range(800):
+            address = rng.randrange(4 * MIB // 64) * 64
+            requests.append(MemoryRequest(Op.READ, address, None, 10.0))
+            requests.append(
+                MemoryRequest(Op.WRITE, address, rng.randbytes(64), 10.0)
+            )
+        trace = Trace("read_then_write", requests)
+        outcomes = []
+        for run in (replay, replay_batched):
+            controller = build_controller(config, keys=ProcessorKeys(7))
+            assert scalar_fallback_reason(controller) == "wpq"
+            outcomes.append((run(controller, trace), fingerprint(controller)))
+        assert outcomes[1] == outcomes[0]
+
+
 def _scalar_engine(monkeypatch):
     """Make ``run_simulation`` replay through scalar :func:`replay`."""
     monkeypatch.setattr(
@@ -722,3 +869,15 @@ class TestCarriedShare:
         )
         # Each cell reads 0.953 (omnetpp) to 1.000 at 4,000 accesses.
         assert all(share >= 0.9 for share in carried.values()), carried
+
+    def test_window_carries_miss_bound_fig10_accesses(self):
+        # Fig. 10's miss-bound cells miss their counter block on most
+        # accesses; the window serves every miss whose walk it can
+        # replay (clean, non-stale victims), AGIT-Read's fill hooks
+        # included.
+        carried = _carried_shares(
+            TreeKind.BONSAI, fig10_agit_perf.SCHEMES, ("mcf", "omnetpp"),
+            4000,
+        )
+        # Each cell reads 0.983 to 0.9995 at 4,000 accesses.
+        assert all(share >= 0.95 for share in carried.values()), carried

@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 from repro.config import MemoryConfig, TreeKind
 from repro.counters.split import SplitCounterBlock
 from repro.crypto.keys import ProcessorKeys
-from repro.errors import ConfigError
+from repro.errors import ConfigError, IntegrityError
 from repro.integrity.bonsai import BonsaiNode, BonsaiTreeEngine
 from repro.mem.layout import MemoryLayout
+
+from tests.helpers import line, make_controller, payload
 
 MIB = 1024 * 1024
 
@@ -107,29 +109,58 @@ class TestDefaults:
 
 
 class TestVerification:
-    def test_verify_child_matches(self, engine):
-        child = SplitCounterBlock().to_bytes()
-        parent = BonsaiNode()
-        parent.set_child_hash(3, engine.block_hash(child))
-        assert engine.verify_child(parent, 3, child)
+    """Child and root checks, reached through a controller's fetch walk
+    and its settled on-chip root."""
 
-    def test_verify_child_detects_tamper(self, engine):
-        child = bytearray(SplitCounterBlock().to_bytes())
-        parent = BonsaiNode()
-        parent.set_child_hash(3, engine.block_hash(bytes(child)))
-        child[0] ^= 1
-        assert not engine.verify_child(parent, 3, bytes(child))
+    @staticmethod
+    def _refetch(controller, counter_address, damage=None):
+        """Write back everything, optionally damage the counter block's
+        memory copy, and drop the caches so the next read fetches it."""
+        controller.writeback_all()
+        if damage is not None:
+            raw = bytearray(controller.nvm.peek(counter_address))
+            raw[damage] ^= 1
+            controller.nvm.poke(counter_address, bytes(raw))
+        controller.counter_cache.drop_all_volatile()
+        controller.merkle_cache.drop_all_volatile()
 
-    def test_root_update_and_verify(self, engine):
-        fake_top = b"\x01" * 64
-        engine.update_root_child(1, fake_top)
-        assert engine.verify_against_root(1, fake_top)
-        assert not engine.verify_against_root(1, b"\x02" * 64)
+    def test_refetched_counter_block_verifies(self):
+        controller = make_controller()
+        controller.write(line(0), payload(1))
+        self._refetch(controller, controller.layout.counter_block_for(0))
+        assert controller.read(line(0)) == payload(1)
 
-    def test_root_value_changes_with_root_node(self, engine):
-        before = engine.root_value()
-        engine.update_root_child(0, b"\x07" * 64)
-        assert engine.root_value() != before
+    def test_tampered_counter_block_raises_on_read(self):
+        controller = make_controller()
+        controller.write(line(0), payload(1))
+        counter_address = controller.layout.counter_block_for(0)
+        self._refetch(controller, counter_address, damage=0)
+        with pytest.raises(IntegrityError, match=f"{counter_address:#x}"):
+            controller.read(line(0))
+
+    def test_root_holds_top_node_hash_after_writeback(self):
+        controller = make_controller()
+        controller.write(line(0), payload(1))
+        controller.writeback_all()
+        layout = controller.layout
+        top = layout.ancestors_of_counter(layout.counter_block_for(0))[-1]
+        engine = controller.engine
+        assert engine.root_node.child_hash(0) == engine.block_hash(
+            controller.nvm.peek(top)
+        )
+
+    def test_write_changes_root_value_after_settle(self):
+        controller = make_controller()
+        before = controller.engine.root_value()
+        controller.write(line(0), payload(1))
+        # The write's tree update is deferred until a hash is observed.
+        assert controller.engine._root.to_bytes() == (
+            controller.engine.default_node_bytes(
+                controller.layout.root_level
+            )
+        )
+        controller.settle()
+        assert controller.engine.root_value() != before
 
 
 class TestRebuild:
