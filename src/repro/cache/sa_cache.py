@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from typing import Any, Iterator, List, NamedTuple, Optional, Tuple
 
-from repro.config import CacheConfig
+from repro.config import BLOCK_SIZE, CacheConfig
 from repro.errors import ConfigError
 from repro.telemetry.runtime import live_tracer
 from repro.util.stats import StatGroup
@@ -68,7 +68,6 @@ class SetAssociativeCache:
         self.name = name
         self.num_sets = config.num_sets
         self.ways = config.ways
-        self._block_size = config.block_size
         slots = self.num_sets * self.ways
         #: Per-slot state, indexed by slot number (see module docstring).
         self._tags: List[int] = [0] * slots
@@ -170,7 +169,7 @@ class SetAssociativeCache:
         planned slot's victim is its planned address.
         """
         ways = self.ways
-        base = address // self._block_size % self.num_sets * ways
+        base = address // BLOCK_SIZE % self.num_sets * ways
         segment = self._stamps[base : base + ways]
         if planned:
             for slot, (stamp, _address) in planned.items():
@@ -208,7 +207,7 @@ class SetAssociativeCache:
             stamps[slot] = self._clock
             return slot, None
 
-        if address % self._block_size:
+        if address % BLOCK_SIZE:
             raise ConfigError(
                 f"cache address {address:#x} not block-aligned"
             )

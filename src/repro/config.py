@@ -51,15 +51,6 @@ class SchemeKind(enum.Enum):
     ASIT = "asit"
 
     @property
-    def is_anubis(self) -> bool:
-        """True for the schemes introduced by the paper."""
-        return self in (
-            SchemeKind.AGIT_READ,
-            SchemeKind.AGIT_PLUS,
-            SchemeKind.ASIT,
-        )
-
-    @property
     def is_recoverable_general(self) -> bool:
         """True if the scheme can recover a general (Bonsai) tree.
 
@@ -89,53 +80,44 @@ class TreeKind(enum.Enum):
 
 @dataclass(frozen=True)
 class MemoryConfig:
-    """Geometry of the NVM main memory."""
+    """Size of the NVM main memory (64B lines, 4KB pages: §2.2)."""
 
     capacity_bytes: int = 16 * GIB
-    block_size: int = BLOCK_SIZE
-    page_size: int = PAGE_SIZE
 
     def __post_init__(self) -> None:
-        if not is_power_of_two(self.block_size):
-            raise ConfigError(f"block size must be a power of two: {self.block_size}")
-        if not is_power_of_two(self.page_size):
-            raise ConfigError(f"page size must be a power of two: {self.page_size}")
-        if self.page_size % self.block_size:
-            raise ConfigError("page size must be a multiple of block size")
-        if self.capacity_bytes % self.page_size:
+        if self.capacity_bytes % PAGE_SIZE:
             raise ConfigError("capacity must be a whole number of pages")
 
     @property
     def num_blocks(self) -> int:
         """Number of data cache lines the memory holds."""
-        return self.capacity_bytes // self.block_size
+        return self.capacity_bytes // BLOCK_SIZE
 
     @property
     def num_pages(self) -> int:
         """Number of 4KB pages the memory holds."""
-        return self.capacity_bytes // self.page_size
+        return self.capacity_bytes // PAGE_SIZE
 
     @property
     def blocks_per_page(self) -> int:
-        """Cache lines per page (64 for the default geometry)."""
-        return self.page_size // self.block_size
+        """Cache lines per page (64)."""
+        return PAGE_SIZE // BLOCK_SIZE
 
 
 @dataclass(frozen=True)
 class CacheConfig:
-    """Shape of an on-chip metadata cache."""
+    """Shape of an on-chip metadata cache of 64B blocks."""
 
     size_bytes: int
     ways: int
-    block_size: int = BLOCK_SIZE
 
     def __post_init__(self) -> None:
         if self.size_bytes <= 0 or self.ways <= 0:
             raise ConfigError("cache size and associativity must be positive")
-        if self.size_bytes % (self.ways * self.block_size):
+        if self.size_bytes % (self.ways * BLOCK_SIZE):
             raise ConfigError(
                 f"cache of {self.size_bytes}B cannot be split into "
-                f"{self.ways}-way sets of {self.block_size}B blocks"
+                f"{self.ways}-way sets of {BLOCK_SIZE}B blocks"
             )
         if not is_power_of_two(self.num_sets):
             raise ConfigError(
@@ -145,7 +127,7 @@ class CacheConfig:
     @property
     def num_blocks(self) -> int:
         """Total block slots in the cache."""
-        return self.size_bytes // self.block_size
+        return self.size_bytes // BLOCK_SIZE
 
     @property
     def num_sets(self) -> int:
@@ -157,16 +139,15 @@ class CacheConfig:
 class TimingConfig:
     """Event costs in nanoseconds.
 
-    PCM latencies follow Table 1 (read 60ns, write 150ns).  The recovery
-    step cost of 100ns (fetch + hash and/or decrypt) follows footnote 1 of
-    the paper.  ``hash_ns`` models the on-chip hash engine exercised on
-    tree updates/verifications during normal operation.
+    PCM latencies follow Table 1 (read 60ns, write 150ns).  ``hash_ns``
+    models the on-chip hash engine exercised on tree updates/verifications
+    during normal operation.  Recovery is priced apart, at footnote 1's
+    100ns per step (:data:`repro.core.recovery_time.STEP_NS`).
     """
 
     nvm_read_ns: float = 60.0
     nvm_write_ns: float = 150.0
     hash_ns: float = 40.0
-    recovery_step_ns: float = 100.0
     #: Fraction of a posted write's cost hidden by write buffering /
     #: bank-level parallelism.  Calibrated so the Fig. 10/11 baseline
     #: scheme overheads land near the paper's magnitudes (see
@@ -191,19 +172,18 @@ class CounterRecoveryKind(enum.Enum):
 
 @dataclass(frozen=True)
 class EncryptionConfig:
-    """Counter-mode encryption parameters (§2.2)."""
+    """Counter recovery parameters (§2.4).
 
-    minor_bits: int = 7     # split-counter minor width
-    major_bits: int = 64    # split-counter major width
-    sgx_counter_bits: int = 56
+    The counter widths are fixed by the block formats: 64-bit majors and
+    7-bit minors in a split-counter block, 56-bit SGX counters (§2.2).
+    """
+
     stop_loss_limit: int = 4  # Osiris stop-loss N (§5: limit 4)
     counter_recovery: CounterRecoveryKind = CounterRecoveryKind.OSIRIS
 
     def __post_init__(self) -> None:
         if self.stop_loss_limit < 1:
             raise ConfigError("stop-loss limit must be >= 1")
-        if not 1 <= self.minor_bits <= 16:
-            raise ConfigError("minor counter width out of range")
         if self.counter_recovery == CounterRecoveryKind.PHASE:
             if not is_power_of_two(self.stop_loss_limit):
                 raise ConfigError(
@@ -223,9 +203,6 @@ class AnubisConfig:
 
     #: Bits of counter LSBs stored per counter in an ASIT shadow entry.
     asit_lsb_bits: int = 49
-    #: Fraction of the metadata cache reserved for the shadow-region tree
-    #: (avoids the eviction deadlock described in §4.3.1).
-    asit_reserved_fraction: float = 0.05
 
 
 @dataclass(frozen=True)

@@ -274,11 +274,6 @@ class SecureMemoryController(abc.ABC):
             raise IntegrityError(f"data MAC mismatch at {address:#x}")
         return plaintext
 
-    def persist_metadata(self, address: int, block: bytes) -> None:
-        """Push one metadata block into the persistent domain."""
-        self.persist_writes += 1
-        self.wpq.insert(address, block)
-
     def shadow_write(
         self, address: int, block: bytes, table: str = "shadow"
     ) -> None:

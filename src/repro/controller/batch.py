@@ -136,8 +136,6 @@ def scalar_fallback_reason(controller) -> Optional[str]:
       counter block and ``root_level - 1`` ancestors — exceeds the WPQ
       (a mid-group overflow drain) or the persistent registers (the
       scheme's own error);
-    * non-64B block geometries (the inline address arithmetic assumes
-      the global ``BLOCK_SIZE``);
     * a WPQ that one access's inserts could overflow: the window
       inserts inline and never drains mid-access.  Every scheme queues
       at most the data line and its counter block, but AGIT also writes
@@ -156,8 +154,6 @@ def scalar_fallback_reason(controller) -> Optional[str]:
         > min(controller.wpq.capacity, controller.pregs.capacity)
     ):
         return "strict_persistence"
-    if controller.config.memory.block_size != BLOCK_SIZE:
-        return "geometry"
     group = 2
     if controller.scheme in (SchemeKind.AGIT_READ, SchemeKind.AGIT_PLUS):
         group += controller.layout.root_level

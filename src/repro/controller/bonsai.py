@@ -558,7 +558,7 @@ class BonsaiController(SecureMemoryController):
         region_index = self.layout.counter_region.block_index(counter_address)
         first_line = region_index * self.layout.lines_per_counter_block
         for offset in range(self.layout.lines_per_counter_block):
-            line_address = (first_line + offset) * self.config.memory.block_size
+            line_address = (first_line + offset) * BLOCK_SIZE
             if line_address == skip_line:
                 continue
             cipher, sideband, fresh = self.read_data_line(line_address)

@@ -86,7 +86,6 @@ class SgxController(SecureMemoryController):
         combined = CacheConfig(
             size_bytes=config.metadata_cache_bytes,
             ways=config.merkle_cache.ways,
-            block_size=config.merkle_cache.block_size,
         )
         self.metadata_cache = SetAssociativeCache(combined, "metadata_cache")
         self.scheme = config.scheme

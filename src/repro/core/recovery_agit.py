@@ -25,8 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
-from repro.config import CounterRecoveryKind, SystemConfig
+from repro.config import BLOCK_SIZE, CounterRecoveryKind, SystemConfig
 from repro.controller.bonsai import BonsaiController
+from repro.core.recovery_time import STEP_NS
 from repro.core.shadow_table import ShadowAddressTable
 from repro.counters.split import SplitCounterBlock
 from repro.crypto.ctr import CounterModeEngine
@@ -60,7 +61,7 @@ class AgitRecoveryReport:
         """Phase -> analytic seconds; sums to :meth:`estimated_seconds`."""
         return breakdown_seconds(self.phases)
 
-    def estimated_ns(self, step_ns: float = 100.0) -> float:
+    def estimated_ns(self) -> float:
         """Recovery time under the paper's 100ns-per-step model.
 
         Each memory fetch (data line for a trial, shadow block, child
@@ -68,11 +69,11 @@ class AgitRecoveryReport:
         beyond the first are additional decrypt steps at the same cost.
         """
         steps = self.memory_reads + self.osiris_trials + self.hash_ops
-        return steps * step_ns
+        return steps * STEP_NS
 
-    def estimated_seconds(self, step_ns: float = 100.0) -> float:
+    def estimated_seconds(self) -> float:
         """:meth:`estimated_ns` in seconds."""
-        return self.estimated_ns(step_ns) / 1e9
+        return self.estimated_ns() / 1e9
 
 
 class AgitRecovery:
@@ -130,7 +131,7 @@ class AgitRecovery:
             # The SCT names counter blocks (level 0); the SMT mirrors the
             # Merkle cache, which holds nodes of any stored level above.
             in_table = level == 0 if table == "SCT" else level >= 1
-            if in_table and address % self.config.memory.block_size == 0:
+            if in_table and address % BLOCK_SIZE == 0:
                 continue
             raise UnrecoverableError(
                 f"{table} entry names an invalid block {address:#x} — "
@@ -150,14 +151,13 @@ class AgitRecovery:
         block = SplitCounterBlock.from_bytes(raw)
         region_index = self.layout.counter_region.block_index(counter_address)
         lines = self.layout.lines_per_counter_block
-        block_size = self.config.memory.block_size
-        first_address = region_index * lines * block_size
+        first_address = region_index * lines * BLOCK_SIZE
         changed = False
         # A never-written line's true counter is still zero; the stale
         # copy cannot disagree, so only written lines are tried.
         written = self.nvm.written_in(first_address, lines)
         for line_address, cipher in written.items():
-            offset = (line_address - first_address) // block_size
+            offset = (line_address - first_address) // BLOCK_SIZE
             sideband = self.nvm.read_ecc(line_address)
             report.memory_reads += 1
             recovered = self._osiris_trial(

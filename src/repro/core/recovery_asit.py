@@ -28,6 +28,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.config import BLOCK_SIZE, SystemConfig
 from repro.core.asit import AsitController
+from repro.core.recovery_time import STEP_NS
 from repro.core.shadow_table import ShadowRegionTree, StEntry
 from repro.counters.sgx import SgxCounterBlock
 from repro.errors import MacMismatchError, UnrecoverableError
@@ -57,13 +58,13 @@ class AsitRecoveryReport:
         """Phase -> analytic seconds; sums to :meth:`estimated_seconds`."""
         return breakdown_seconds(self.phases)
 
-    def estimated_ns(self, step_ns: float = 100.0) -> float:
+    def estimated_ns(self) -> float:
         """Recovery time under the paper's 100ns-per-step model."""
-        return (self.memory_reads + self.hash_ops) * step_ns
+        return (self.memory_reads + self.hash_ops) * STEP_NS
 
-    def estimated_seconds(self, step_ns: float = 100.0) -> float:
+    def estimated_seconds(self) -> float:
         """:meth:`estimated_ns` in seconds."""
-        return self.estimated_ns(step_ns) / 1e9
+        return self.estimated_ns() / 1e9
 
 
 class AsitRecovery:
@@ -147,7 +148,7 @@ class AsitRecovery:
             # check already rejects wholesale ST tampering, but fail as
             # *detected* corruption — not a layout crash — if a bogus
             # address slips through (defense in depth).
-            aligned = entry.address % self.config.memory.block_size == 0
+            aligned = entry.address % BLOCK_SIZE == 0
             if not aligned or self.layout.level_of(entry.address) < 0:
                 raise UnrecoverableError(
                     f"ST entry {slot} names an invalid node "

@@ -30,6 +30,10 @@ STEP_NS = 100.0
 #: only the AES/ECC pipeline is paid again.
 TRIAL_NS = 40.0
 
+#: Share of ASIT's recovered nodes whose parent is not itself recovered,
+#: so its MAC check costs one extra parent fetch.
+PARENT_MISS_FRACTION = 0.5
+
 
 def _tree_node_count(leaf_count: int, arity: int = TREE_ARITY) -> int:
     """Total internal nodes above ``leaf_count`` leaves (excl. leaves)."""
@@ -47,10 +51,7 @@ def average_trials(stop_loss: int) -> float:
 
 
 def osiris_recovery_breakdown(
-    capacity_bytes: int,
-    stop_loss: int = 4,
-    step_ns: float = STEP_NS,
-    trial_ns: float = TRIAL_NS,
+    capacity_bytes: int, stop_loss: int = 4
 ) -> Dict[str, float]:
     """Per-phase split of :func:`osiris_recovery_time_s`, in seconds.
 
@@ -61,46 +62,34 @@ def osiris_recovery_breakdown(
     data_blocks = capacity_bytes // BLOCK_SIZE
     counter_blocks = capacity_bytes // PAGE_SIZE
     return {
-        "data_fetch": data_blocks * step_ns / 1e9,
+        "data_fetch": data_blocks * STEP_NS / 1e9,
         "counter_trials": (
-            data_blocks * average_trials(stop_loss) * trial_ns / 1e9
+            data_blocks * average_trials(stop_loss) * TRIAL_NS / 1e9
         ),
         "tree_rebuild": (
             (_tree_node_count(counter_blocks) + counter_blocks)
-            * step_ns
+            * STEP_NS
             / 1e9
         ),
     }
 
 
-def osiris_recovery_time_s(
-    capacity_bytes: int,
-    stop_loss: int = 4,
-    step_ns: float = STEP_NS,
-    trial_ns: float = TRIAL_NS,
-) -> float:
+def osiris_recovery_time_s(capacity_bytes: int, stop_loss: int = 4) -> float:
     """Fig. 5: whole-memory recovery time for a given capacity.
 
-    Every 64B data line is fetched (``step_ns``) and trial-decrypted
-    (``trial_ns`` per expected trial); then the whole Merkle tree over
-    the split-counter blocks is recomputed (one hashing step per node).
-    At 8TB with stop-loss 4 this yields ≈7.7 hours, matching the
-    paper's 7.8-hour average.
+    Every 64B data line is fetched (:data:`STEP_NS`) and trial-decrypted
+    (:data:`TRIAL_NS` per expected trial); then the whole Merkle tree
+    over the split-counter blocks is recomputed (one hashing step per
+    node).  At 8TB with stop-loss 4 this yields ≈7.7 hours, matching
+    the paper's 7.8-hour average.
     """
-    return sum(
-        osiris_recovery_breakdown(
-            capacity_bytes, stop_loss, step_ns, trial_ns
-        ).values()
-    )
+    return sum(osiris_recovery_breakdown(capacity_bytes, stop_loss).values())
 
 
 def agit_recovery_time_s(
     counter_cache_bytes: int,
     merkle_cache_bytes: int,
     stop_loss: int = 4,
-    lines_per_counter_block: int = PAGE_SIZE // BLOCK_SIZE,
-    step_ns: float = STEP_NS,
-    trial_ns: float = TRIAL_NS,
 ) -> float:
     """Fig. 12 (AGIT): recovery time as a function of the cache sizes.
 
@@ -115,12 +104,7 @@ def agit_recovery_time_s(
     """
     return sum(
         agit_recovery_breakdown(
-            counter_cache_bytes,
-            merkle_cache_bytes,
-            stop_loss=stop_loss,
-            lines_per_counter_block=lines_per_counter_block,
-            step_ns=step_ns,
-            trial_ns=trial_ns,
+            counter_cache_bytes, merkle_cache_bytes, stop_loss=stop_loss
         ).values()
     )
 
@@ -129,9 +113,6 @@ def agit_recovery_breakdown(
     counter_cache_bytes: int,
     merkle_cache_bytes: int,
     stop_loss: int = 4,
-    lines_per_counter_block: int = PAGE_SIZE // BLOCK_SIZE,
-    step_ns: float = STEP_NS,
-    trial_ns: float = TRIAL_NS,
 ) -> Dict[str, float]:
     """Per-phase split of :func:`agit_recovery_time_s`, in seconds.
 
@@ -143,13 +124,15 @@ def agit_recovery_breakdown(
     """
     sct_entries = counter_cache_bytes // BLOCK_SIZE
     smt_entries = merkle_cache_bytes // BLOCK_SIZE
-    per_counter_ns = max(step_ns, average_trials(stop_loss) * trial_ns)
-    per_counter_block_ns = step_ns + lines_per_counter_block * per_counter_ns
-    per_node_ns = step_ns + step_ns  # fetch children (cached run) + hash
+    per_counter_ns = max(STEP_NS, average_trials(stop_loss) * TRIAL_NS)
+    per_counter_block_ns = (
+        STEP_NS + PAGE_SIZE // BLOCK_SIZE * per_counter_ns
+    )
+    per_node_ns = STEP_NS + STEP_NS  # fetch children (cached run) + hash
     shadow_scan_ns = (
         (sct_entries + smt_entries)
         / 8.0
-        * step_ns  # 8 addresses per shadow block
+        * STEP_NS  # 8 addresses per shadow block
     )
     return {
         "shadow_scan": shadow_scan_ns / 1e9,
@@ -158,31 +141,19 @@ def agit_recovery_breakdown(
     }
 
 
-def asit_recovery_time_s(
-    metadata_cache_bytes: int,
-    parent_miss_fraction: float = 0.5,
-    step_ns: float = STEP_NS,
-) -> float:
+def asit_recovery_time_s(metadata_cache_bytes: int) -> float:
     """Fig. 12 (ASIT): recovery time for the combined metadata cache.
 
     Each slot's Shadow Table block is read and hashed for the root
     check; each valid entry costs one stale-node fetch and, for the
-    ``parent_miss_fraction`` whose parent is not itself recovered, one
-    extra parent fetch for MAC verification (§6.3.1).  MAC generation
-    itself is "negligible compared to the read latency".
+    :data:`PARENT_MISS_FRACTION` whose parent is not itself recovered,
+    one extra parent fetch for MAC verification (§6.3.1).  MAC
+    generation itself is "negligible compared to the read latency".
     """
-    return sum(
-        asit_recovery_breakdown(
-            metadata_cache_bytes, parent_miss_fraction, step_ns
-        ).values()
-    )
+    return sum(asit_recovery_breakdown(metadata_cache_bytes).values())
 
 
-def asit_recovery_breakdown(
-    metadata_cache_bytes: int,
-    parent_miss_fraction: float = 0.5,
-    step_ns: float = STEP_NS,
-) -> Dict[str, float]:
+def asit_recovery_breakdown(metadata_cache_bytes: int) -> Dict[str, float]:
     """Per-phase split of :func:`asit_recovery_time_s`, in seconds.
 
     ``st_scan`` reads every Shadow Table block, ``splice_read``
@@ -192,9 +163,9 @@ def asit_recovery_breakdown(
     """
     entries = metadata_cache_bytes // BLOCK_SIZE
     return {
-        "st_scan": entries * step_ns / 1e9,
-        "splice_read": entries * step_ns / 1e9,
-        "parent_fetch": entries * parent_miss_fraction * step_ns / 1e9,
+        "st_scan": entries * STEP_NS / 1e9,
+        "splice_read": entries * STEP_NS / 1e9,
+        "parent_fetch": entries * PARENT_MISS_FRACTION * STEP_NS / 1e9,
     }
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.config import BLOCK_SIZE, TREE_ARITY
 from repro.crypto.hashes import hash64_keyed
@@ -84,15 +84,6 @@ class ShadowAddressTable:
             int.from_bytes(raw[offset : offset + 8], "little")
             for offset in range(0, BLOCK_SIZE, 8)
         ]
-
-    @property
-    def num_groups(self) -> int:
-        """Number of 64B group blocks backing this table."""
-        return (self.num_slots + _ADDRESSES_PER_BLOCK - 1) // _ADDRESSES_PER_BLOCK
-
-    def tracked_addresses(self) -> List[int]:
-        """All non-empty tracked addresses (mirror view)."""
-        return [address for address in self.slots if address]
 
 
 @dataclass(frozen=True)
@@ -255,12 +246,3 @@ class ShadowRegionTree:
         if self._pending:
             self._flush()
         return self.levels[-1][0]
-
-    @classmethod
-    def compute_root(
-        cls, key: bytes, num_leaves: int, reader: Callable[[int], bytes]
-    ) -> int:
-        """Root over the ST blocks ``reader(index)`` returns for every
-        leaf (the reference the tests check against)."""
-        blocks = {index: reader(index) for index in range(num_leaves)}
-        return cls(key, num_leaves, blocks).root

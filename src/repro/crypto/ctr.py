@@ -74,35 +74,22 @@ class CounterModeEngine:
     def __init__(
         self,
         keys: ProcessorKeys,
-        block_size: int = BLOCK_SIZE,
         pad_memo_entries: int = DEFAULT_PAD_MEMO_ENTRIES,
     ) -> None:
         self._key = keys.encryption_key
         #: Pre-keyed pad generators: the 64-byte line pad, and one ECC
         #: pad per sideband length (built on first use).
-        self.line_pad = KeyedHash(self._key, 64)
+        self.line_pad = KeyedHash(self._key, BLOCK_SIZE)
         self._ecc_pads: Dict[int, KeyedHash] = {}
-        self.block_size = block_size
         self.pad_memo_entries = pad_memo_entries
         self._pad_memo: Optional[OrderedDict] = (
             OrderedDict() if pad_memo_entries > 0 else None
         )
 
     def one_time_pad(self, iv: bytes) -> bytes:
-        """Generate the pad for one line from its IV.
-
-        BLAKE2b yields 64 bytes per call, exactly one cache line, so a
-        single invocation suffices for the default geometry; larger
-        blocks chain counter-suffixed calls.
-        """
-        if self.block_size <= 64:
-            return self.line_pad.digest(iv)[: self.block_size]
-        pad = bytearray()
-        chunk_index = 0
-        while len(pad) < self.block_size:
-            pad += self.line_pad.digest(iv + chunk_index.to_bytes(4, "little"))
-            chunk_index += 1
-        return bytes(pad[: self.block_size])
+        """Generate the pad for one line from its IV: one BLAKE2b call
+        yields 64 bytes, exactly one cache line."""
+        return self.line_pad.digest(iv)
 
     def _line_pad_int(self, address: int, major: int, minor: int) -> int:
         """The line's one-time pad as a little-endian integer.
@@ -139,7 +126,7 @@ class CounterModeEngine:
 
     def encrypt(self, plaintext: bytes, address: int, major: int, minor: int) -> bytes:
         """Encrypt one line under (address, major, minor)."""
-        size = self.block_size
+        size = BLOCK_SIZE
         if len(plaintext) != size:
             self._check_len(plaintext)
         return (
@@ -149,7 +136,7 @@ class CounterModeEngine:
 
     def decrypt(self, ciphertext: bytes, address: int, major: int, minor: int) -> bytes:
         """Decrypt one line; XOR with the same pad inverts :meth:`encrypt`."""
-        size = self.block_size
+        size = BLOCK_SIZE
         if len(ciphertext) != size:
             self._check_len(ciphertext)
         return (
@@ -171,7 +158,7 @@ class CounterModeEngine:
         with the data: decrypting with a wrong counter scrambles both,
         so the ECC check fails with overwhelming probability.
         """
-        size = self.block_size
+        size = BLOCK_SIZE
         if len(plaintext) != size:
             self._check_len(plaintext)
         ecc_len = len(ecc)
@@ -198,7 +185,7 @@ class CounterModeEngine:
         return self.encrypt_with_ecc(ciphertext, ecc_cipher, address, major, minor)
 
     def _check_len(self, data: bytes) -> None:
-        if len(data) != self.block_size:
+        if len(data) != BLOCK_SIZE:
             raise ValueError(
-                f"line must be {self.block_size} bytes, got {len(data)}"
+                f"line must be {BLOCK_SIZE} bytes, got {len(data)}"
             )

@@ -47,11 +47,6 @@ class EccError(ReproError):
     """Decoded data failed its ECC sanity check (wrong counter or corrupt)."""
 
 
-class CounterOverflowError(ReproError):
-    """A minor counter overflowed and page re-encryption is required but
-    the caller disabled it."""
-
-
 class RecoveryError(ReproError):
     """Crash recovery could not restore a consistent, verified state."""
 

@@ -20,7 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.config import KIB, SchemeKind, TreeKind, default_table1_config
+from repro.config import (
+    KIB,
+    PAGE_SIZE,
+    SchemeKind,
+    TreeKind,
+    default_table1_config,
+)
 from repro.controller.factory import build_controller
 from repro.core.recovery_agit import AgitRecovery
 from repro.crypto.keys import ProcessorKeys
@@ -66,7 +72,7 @@ def run(
             trace.append(
                 MemoryRequest(
                     op=Op.WRITE,
-                    address=page * config.memory.page_size,
+                    address=page * PAGE_SIZE,
                     data=bytes([page % 256]) * 64,
                     gap_ns=100.0,
                 )

@@ -79,24 +79,6 @@ _BYTE_TABLES: List[bytes] = [
 class SecdedCodec:
     """Hamming(72,64) SECDED over each 64-bit word of a 64B line."""
 
-    def encode_word(self, word: int) -> int:
-        """Compute the 8-bit SECDED code of a 64-bit word.
-
-        Bits 0..6 are the Hamming parity bits; bit 7 is the overall
-        parity over data and Hamming bits.
-        """
-        t0, t1, t2, t3, t4, t5, t6, t7 = _BYTE_TABLES
-        return (
-            t0[word & 0xFF]
-            ^ t1[(word >> 8) & 0xFF]
-            ^ t2[(word >> 16) & 0xFF]
-            ^ t3[(word >> 24) & 0xFF]
-            ^ t4[(word >> 32) & 0xFF]
-            ^ t5[(word >> 40) & 0xFF]
-            ^ t6[(word >> 48) & 0xFF]
-            ^ t7[(word >> 56) & 0xFF]
-        )
-
     def check_word(self, word: int, code: int) -> Tuple[bool, int]:
         """Check one word; returns ``(clean_or_corrected, corrected_word)``.
 

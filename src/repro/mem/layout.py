@@ -242,26 +242,9 @@ class MemoryLayout:
             path.append(self.node_address(level, index))
         return path
 
-    @property
-    def stored_tree_levels(self) -> int:
-        """Number of tree levels held in memory (excludes on-chip root)."""
-        return self.root_level
-
     # ------------------------------------------------------------------
     # shadow regions
     # ------------------------------------------------------------------
-
-    def sct_entry_address(self, slot: int) -> int:
-        """SCT block tracking counter-cache slot ``slot``.
-
-        Eight 64-bit addresses pack into each 64B shadow block
-        (Fig. 9a), so slot *s* lives in shadow block *s // 8*.
-        """
-        return self.sct.block_address(slot // 8)
-
-    def smt_entry_address(self, slot: int) -> int:
-        """SMT block tracking Merkle-cache slot ``slot``."""
-        return self.smt.block_address(slot // 8)
 
     def st_entry_address(self, slot: int) -> int:
         """ASIT Shadow Table entry for metadata-cache slot ``slot``.

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Set
 from repro.config import SystemConfig
 from repro.controller.bonsai import BonsaiController
 from repro.core.recovery_agit import AgitRecovery, AgitRecoveryReport
-from repro.core.recovery_time import osiris_recovery_time_s
+from repro.core.recovery_time import STEP_NS, osiris_recovery_time_s
 from repro.errors import RootMismatchError
 from repro.mem.layout import MemoryLayout
 from repro.mem.nvm import NvmDevice
@@ -50,9 +50,9 @@ class OsirisRecoveryReport:
     #: :meth:`estimated_seconds` exactly; wall_seconds is diagnostic).
     phases: List[dict] = field(default_factory=list)
 
-    def estimated_seconds(self, step_ns: float = 100.0) -> float:
+    def estimated_seconds(self) -> float:
         """Cost of the work actually performed on the sparse image."""
-        return (self.memory_reads + self.osiris_trials) * step_ns / 1e9
+        return (self.memory_reads + self.osiris_trials) * STEP_NS / 1e9
 
     def breakdown_seconds(self) -> Dict[str, float]:
         """Phase -> analytic seconds; sums to :meth:`estimated_seconds`."""

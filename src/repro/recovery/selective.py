@@ -25,6 +25,7 @@ from typing import Optional, Set
 
 from repro.config import SystemConfig
 from repro.controller.bonsai import BonsaiController
+from repro.core.recovery_time import STEP_NS
 from repro.mem.layout import MemoryLayout
 from repro.mem.nvm import NvmDevice
 
@@ -42,10 +43,10 @@ class SelectiveRestoreReport:
     memory_reads: int = 0
     adopted_new_root: bool = False
 
-    def estimated_seconds(self, step_ns: float = 100.0) -> float:
+    def estimated_seconds(self) -> float:
         """Restore cost under the 100ns-per-step model (still O(n):
         the whole tree over the touched region is recomputed)."""
-        return (self.memory_reads + self.nodes_rebuilt) * step_ns / 1e9
+        return (self.memory_reads + self.nodes_rebuilt) * STEP_NS / 1e9
 
 
 class SelectiveRestore:

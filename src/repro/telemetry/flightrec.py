@@ -68,15 +68,6 @@ class FlightRecorder:
                 dur_ns=record["analytic_ns"],
             )
 
-    def breakdown_ns(self) -> Dict[str, float]:
-        """Phase name -> analytic nanoseconds, in execution order."""
-        totals: Dict[str, float] = {}
-        for record in self.phases:
-            totals[record["phase"]] = (
-                totals.get(record["phase"], 0.0) + record["analytic_ns"]
-            )
-        return totals
-
     def total_ns(self) -> float:
         """Sum of the recorded phases' analytic nanoseconds."""
         return sum(record["analytic_ns"] for record in self.phases)

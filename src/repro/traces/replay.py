@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
+from repro.config import BLOCK_SIZE
 from repro.controller.base import SecureMemoryController
 from repro.errors import IntegrityError
 from repro.traces.trace import Trace
@@ -54,10 +55,8 @@ def replay(
     Returns the (possibly updated) oracle mapping address -> plaintext.
     """
     shadow: Dict[int, bytes] = oracle if oracle is not None else {}
-    # Never-written lines read back as zeros of the *configured* block
-    # size; hard-coding 64 here made every non-64B geometry report
-    # phantom IntegrityErrors on cold reads.
-    blank = bytes(controller.config.memory.block_size)
+    # Never-written lines read back as zeros.
+    blank = bytes(BLOCK_SIZE)
     access = controller.access
     addresses = trace.addresses
     writes = trace.is_write

@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 from typing import Iterable, Iterator, List, Optional
 
+from repro.config import BLOCK_SIZE
 from repro.controller.access import MemoryRequest, Op
 from repro.errors import TraceError
 
@@ -142,25 +143,25 @@ class Trace:
         """Bytes of distinct 64B lines touched."""
         return 64 * len(set(self.addresses))
 
-    def validate(self, capacity_bytes: int, block_size: int = 64) -> None:
-        """Check every request against a memory geometry."""
+    def validate(self, capacity_bytes: int) -> None:
+        """Check every request against a memory of ``capacity_bytes``."""
         writes = self.is_write
         data = self.data
         for position, address in enumerate(self.addresses):
-            if address % block_size:
+            if address % BLOCK_SIZE:
                 raise TraceError(
                     f"request {position}: address {address:#x} "
-                    f"not {block_size}B-aligned"
+                    f"not {BLOCK_SIZE}B-aligned"
                 )
             if not 0 <= address < capacity_bytes:
                 raise TraceError(
                     f"request {position}: address {address:#x} "
                     f"outside {capacity_bytes}-byte memory"
                 )
-            if writes[position] and len(data[position]) != block_size:
+            if writes[position] and len(data[position]) != BLOCK_SIZE:
                 raise TraceError(
                     f"request {position}: write data is "
-                    f"{len(data[position])} bytes, expected {block_size}"
+                    f"{len(data[position])} bytes, expected {BLOCK_SIZE}"
                 )
 
     def __repr__(self) -> str:

@@ -18,6 +18,7 @@ from repro.config import (
     TreeKind,
 )
 from repro.controller.factory import build_controller, build_layout
+from repro.core.shadow_table import ShadowRegionTree
 from repro.crypto.keys import ProcessorKeys
 
 MIB = 1024 * 1024
@@ -104,3 +105,11 @@ def line(index: int) -> int:
 def payload(tag: int) -> bytes:
     """A distinctive 64B payload."""
     return bytes((tag + offset) % 256 for offset in range(64))
+
+
+def compute_shadow_root(key: bytes, num_leaves: int, reader) -> int:
+    """Root over the ST blocks ``reader(index)`` returns for every leaf,
+    built from scratch: the reference SHADOW_TREE_ROOT is checked
+    against."""
+    blocks = {index: reader(index) for index in range(num_leaves)}
+    return ShadowRegionTree(key, num_leaves, blocks).root

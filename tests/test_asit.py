@@ -7,7 +7,13 @@ from repro.core.asit import AsitController
 from repro.core.shadow_table import StEntry
 from repro.errors import ConfigError
 
-from tests.helpers import line, make_controller, payload, small_config
+from tests.helpers import (
+    compute_shadow_root,
+    line,
+    make_controller,
+    payload,
+    small_config,
+)
 
 
 def make_asit(**kwargs) -> AsitController:
@@ -119,13 +125,11 @@ class TestShadowTree:
         assert controller.shadow_tree.root != before
 
     def test_root_matches_nvm_recomputation(self):
-        from repro.core.shadow_table import ShadowRegionTree
-
         controller = make_asit()
         for index in range(25):
             controller.write(line(index * 8), payload(index))
         controller.wpq.drain_all()
-        recomputed = ShadowRegionTree.compute_root(
+        recomputed = compute_shadow_root(
             controller.keys.shadow_key,
             controller.metadata_cache.num_slots,
             lambda slot: controller.nvm.peek(
@@ -147,7 +151,6 @@ class TestShadowTree:
         pause SHADOW_TREE_ROOT is the root over the ST as it stands,
         and a crash carries exactly that value into the reborn
         controller."""
-        from repro.core.shadow_table import ShadowRegionTree
         from repro.faults.campaign import campaign_profile
         from repro.recovery.crash import crash, reincarnate
         from repro.traces.replay import replay_batched
@@ -168,7 +171,7 @@ class TestShadowTree:
             )
             position = boundary
             entries = controller.st_entries
-            expected = ShadowRegionTree.compute_root(
+            expected = compute_shadow_root(
                 controller.keys.shadow_key,
                 len(entries),
                 lambda slot: entries[slot].to_bytes(),

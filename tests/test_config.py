@@ -22,18 +22,14 @@ class TestMemoryConfig:
     def test_defaults_are_table1(self):
         memory = MemoryConfig()
         assert memory.capacity_bytes == 16 * GIB
-        assert memory.block_size == 64
-        assert memory.page_size == 4096
+        assert memory.num_blocks == 16 * GIB // 64
+        assert memory.num_pages == 16 * GIB // 4096
 
     def test_derived_counts(self):
         memory = MemoryConfig(capacity_bytes=4 * 1024 * 1024)
         assert memory.num_blocks == 65536
         assert memory.num_pages == 1024
         assert memory.blocks_per_page == 64
-
-    def test_rejects_non_power_of_two_block(self):
-        with pytest.raises(ConfigError):
-            MemoryConfig(block_size=48)
 
     def test_rejects_fractional_pages(self):
         with pytest.raises(ConfigError):
@@ -60,12 +56,6 @@ class TestCacheConfig:
 
 
 class TestSchemeKind:
-    def test_anubis_flag(self):
-        assert SchemeKind.AGIT_READ.is_anubis
-        assert SchemeKind.AGIT_PLUS.is_anubis
-        assert SchemeKind.ASIT.is_anubis
-        assert not SchemeKind.OSIRIS.is_anubis
-
     def test_general_recoverability(self):
         assert SchemeKind.OSIRIS.is_recoverable_general
         assert SchemeKind.AGIT_PLUS.is_recoverable_general

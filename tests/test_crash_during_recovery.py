@@ -13,10 +13,9 @@ import pytest
 from repro.config import SchemeKind, TreeKind
 from repro.core.recovery_agit import AgitRecovery
 from repro.core.recovery_asit import AsitRecovery
-from repro.core.shadow_table import ShadowRegionTree
 from repro.recovery.crash import crash, reincarnate
 
-from tests.helpers import line, make_controller, payload
+from tests.helpers import compute_shadow_root, line, make_controller, payload
 
 
 class _PowerFailure(Exception):
@@ -150,7 +149,7 @@ class TestAsitRecoveryRestartable:
             with pytest.raises(_PowerFailure):
                 AsitRecovery(interrupted, reborn.layout, reborn).run()
             assert interrupted.written[nodes:] == written[: cut - nodes]
-            assert reborn.shadow_tree_root == ShadowRegionTree.compute_root(
+            assert reborn.shadow_tree_root == compute_shadow_root(
                 reborn.keys.shadow_key,
                 reborn.metadata_cache.num_slots,
                 lambda slot: nvm.peek(reborn.layout.st_entry_address(slot)),

@@ -4,9 +4,18 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from repro.config import BLOCK_SIZE, PAGE_SIZE, MemoryConfig, TreeKind
+from repro.config import (
+    BLOCK_SIZE,
+    PAGE_SIZE,
+    MemoryConfig,
+    SchemeKind,
+    TreeKind,
+)
+from repro.core.shadow_table import ShadowAddressTable
 from repro.errors import AlignmentError, LayoutError
 from repro.mem.layout import MemoryLayout, Region
+
+from tests.helpers import make_controller, payload
 
 MIB = 1024 * 1024
 
@@ -77,8 +86,7 @@ class TestBonsaiGeometry:
 
     def test_stored_levels_exclude_root(self):
         layout = small_layout()
-        assert len(layout.level_regions) == 4
-        assert layout.stored_tree_levels == 4
+        assert len(layout.level_regions) == layout.root_level == 4
 
     def test_regions_are_disjoint_and_ordered(self):
         layout = small_layout()
@@ -244,17 +252,45 @@ class TestTreeNavigation:
                 assert index == 0
 
 
+def _shadow_entries(cache, region, controller):
+    """Each resident block of ``cache`` next to the address its slot's
+    entry in the shadow ``region`` names: slot *s* is word *s % 8* of
+    block *s // 8*."""
+    pairs = []
+    for slot, address, _payload, _dirty in cache.resident():
+        block = controller.nvm.peek(region.block_address(slot // 8))
+        tracked = ShadowAddressTable.parse_block(block)[slot % 8]
+        pairs.append((address, tracked))
+    return pairs
+
+
+def _tracking_controller():
+    """AGIT-Read (tracks every fill) after writes to five pages, with
+    its shadow writes drained to NVM."""
+    controller = make_controller(SchemeKind.AGIT_READ)
+    for page in range(5):
+        controller.write(page * PAGE_SIZE, payload(page))
+    controller.wpq.drain_all()
+    return controller
+
+
 class TestShadowRegions:
     def test_sct_packs_eight_addresses_per_block(self):
-        layout = small_layout()
-        assert layout.sct_entry_address(0) == layout.sct.base
-        assert layout.sct_entry_address(7) == layout.sct.base
-        assert layout.sct_entry_address(8) == layout.sct.base + 64
+        controller = _tracking_controller()
+        cache = controller.counter_cache
+        slots = [slot for slot, *_rest in cache.resident()]
+        assert min(slots) < 8 <= max(slots)
+        pairs = _shadow_entries(cache, controller.layout.sct, controller)
+        assert [tracked for _address, tracked in pairs] == [
+            address for address, _tracked in pairs
+        ]
 
     def test_smt_separate_from_sct(self):
-        layout = small_layout()
-        assert layout.smt_entry_address(0) == layout.smt.base
+        controller = _tracking_controller()
+        layout = controller.layout
         assert layout.smt.base != layout.sct.base
+        pairs = _shadow_entries(controller.merkle_cache, layout.smt, controller)
+        assert pairs and all(address == tracked for address, tracked in pairs)
 
     def test_st_one_entry_per_slot(self):
         layout = small_layout(TreeKind.SGX)

@@ -4,11 +4,11 @@ import pytest
 
 from repro.config import SchemeKind, TreeKind
 from repro.core.recovery_asit import AsitRecovery
-from repro.core.shadow_table import ShadowRegionTree, StEntry
+from repro.core.shadow_table import StEntry
 from repro.errors import MacMismatchError, UnrecoverableError
 from repro.recovery.crash import crash, reincarnate
 
-from tests.helpers import line, make_controller, payload
+from tests.helpers import compute_shadow_root, line, make_controller, payload
 
 
 def make_asit(**kwargs):
@@ -201,7 +201,7 @@ def plant_st_entry(reborn, slot, address, valid=True):
     root check to its address check."""
     entry = StEntry(valid=valid, address=address, mac=0, lsbs=(0,) * 8)
     reborn.nvm.poke(reborn.layout.st_entry_address(slot), entry.to_bytes())
-    reborn._persistent_shadow_root = ShadowRegionTree.compute_root(
+    reborn._persistent_shadow_root = compute_shadow_root(
         reborn.keys.shadow_key,
         reborn.metadata_cache.num_slots,
         lambda index: reborn.nvm.peek(reborn.layout.st_entry_address(index)),

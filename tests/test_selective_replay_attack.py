@@ -29,7 +29,7 @@ Campaign-scale coverage lives in ``tests/test_attacks.py``.
 import pytest
 
 from repro.attacks import LineReplayAttack
-from repro.config import SchemeKind
+from repro.config import PAGE_SIZE, SchemeKind
 from repro.core.recovery_agit import AgitRecovery
 from repro.errors import IntegrityError, RootMismatchError
 from repro.recovery.crash import crash, reincarnate
@@ -44,7 +44,7 @@ SECRET_V2 = payload(222)
 def non_persistent_line(controller) -> int:
     """A data line whose counter the SELECTIVE scheme never persists."""
     boundary_pages = controller._selective_boundary
-    return (boundary_pages + 1) * controller.config.memory.page_size
+    return (boundary_pages + 1) * PAGE_SIZE
 
 
 def stage_attack(controller, victim_address):
@@ -121,7 +121,7 @@ class TestSelectiveCostProfile:
         for controller in (selective, strict):
             for page in range(boundary * 2):
                 controller.write(
-                    page * controller.config.memory.page_size, payload(page)
+                    page * PAGE_SIZE, payload(page)
                 )
         assert selective.persist_writes < strict.persist_writes
 
@@ -140,7 +140,7 @@ class TestSelectiveCostProfile:
             controller = build_controller(config, keys=ProcessorKeys(1))
             for page in range(200):
                 controller.write(
-                    page * config.memory.page_size, payload(page % 250)
+                    page * PAGE_SIZE, payload(page % 250)
                 )
             writes[fraction] = controller.persist_writes
         assert writes[0.9] > writes[0.1]
@@ -151,7 +151,7 @@ class TestSelectiveCostProfile:
         controller = make_controller(SchemeKind.SELECTIVE)
         for page in range(120):
             controller.write(
-                page * controller.config.memory.page_size, payload(page % 250)
+                page * PAGE_SIZE, payload(page % 250)
             )
         crash(controller)
         reborn = reincarnate(controller)

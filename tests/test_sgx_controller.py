@@ -185,7 +185,7 @@ class TestStrictPersistence:
         controller = make_sgx(SchemeKind.STRICT_PERSISTENCE)
         controller.write(line(0), payload(1))
         # data + every stored tree level
-        expected = 1 + controller.layout.stored_tree_levels
+        expected = 1 + controller.layout.root_level
         assert controller.persist_writes == expected
 
     def test_root_advances_per_write(self):

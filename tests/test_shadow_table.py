@@ -4,6 +4,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from repro.config import PAGE_SIZE, SchemeKind
+from repro.core.recovery_agit import AgitRecovery
+from repro.core.recovery_time import STEP_NS
 from repro.core.shadow_table import (
     ShadowAddressTable,
     ShadowRegionTree,
@@ -12,6 +15,9 @@ from repro.core.shadow_table import (
 from repro.crypto.hashes import hash64
 from repro.crypto.keys import ProcessorKeys
 from repro.errors import ConfigError
+from repro.recovery.crash import crash, reincarnate
+
+from tests.helpers import compute_shadow_root, make_controller, payload
 
 
 def reference_st_bytes(valid, address, mac, lsbs):
@@ -25,6 +31,23 @@ def reference_st_bytes(valid, address, mac, lsbs):
     for position, bit in enumerate(bits):
         out[position // 8] |= bit << (position % 8)
     return bytes(out)
+
+
+def _agit_read_recovery(pages):
+    """Write one line in each of ``pages`` pages under AGIT-Read (which
+    tracks every fill), crash, and recover; returns the report and the
+    filled counter- and Merkle-cache slots at the crash."""
+    controller = make_controller(SchemeKind.AGIT_READ)
+    for page in range(pages):
+        controller.write(page * PAGE_SIZE, payload(page))
+    filled = [
+        {slot for slot, *_rest in cache.resident()}
+        for cache in (controller.counter_cache, controller.merkle_cache)
+    ]
+    crash(controller)
+    reborn = reincarnate(controller)
+    report = AgitRecovery(reborn.nvm, reborn.layout, reborn).run()
+    return report, filled
 
 
 def reference_root(key, blocks):
@@ -62,10 +85,10 @@ class TestShadowAddressTable:
         assert ShadowAddressTable.parse_block(block)[0] == 0x2000
 
     def test_tracked_addresses_skip_empty(self):
-        table = ShadowAddressTable(8)
-        table.record(2, 0x1000)
-        table.record(5, 0x2000)
-        assert sorted(table.tracked_addresses()) == [0x1000, 0x2000]
+        # Five counter blocks share the SCT groups with empty slots;
+        # recovery tracks exactly the five.
+        report = _agit_read_recovery(pages=5)[0]
+        assert report.tracked_counter_blocks == 5
 
     def test_partial_last_group_pads_zero(self):
         table = ShadowAddressTable(10)  # 2 groups, last partly used
@@ -76,8 +99,13 @@ class TestShadowAddressTable:
         assert parsed[2:] == [0] * 6
 
     def test_num_groups(self):
-        assert ShadowAddressTable(16).num_groups == 2
-        assert ShadowAddressTable(17).num_groups == 3
+        # Recovery's scan reads one 64B block per written group of eight
+        # slots, in the SCT and the SMT.
+        report, filled = _agit_read_recovery(pages=5)
+        groups = sum(len({slot // 8 for slot in slots}) for slots in filled)
+        assert groups < sum(map(len, filled))
+        scan = [phase for phase in report.phases if phase["phase"] == "scan"]
+        assert scan[0]["analytic_ns"] == groups * STEP_NS
 
     def test_bad_slot_rejected(self):
         with pytest.raises(ConfigError):
@@ -104,7 +132,7 @@ class TestShadowAddressTable:
         table = ShadowAddressTable(16)
         for slot, raw_address in updates:
             table.record(slot, raw_address * 64)
-        for group in range(table.num_groups):
+        for group in range(2):
             parsed = ShadowAddressTable.parse_block(table.group_bytes(group))
             for offset, value in enumerate(parsed):
                 assert value == table.slots[group * 8 + offset]
@@ -206,7 +234,7 @@ class TestShadowRegionTree:
     def test_fresh_tree_matches_zero_blocks(self, key):
         tree = ShadowRegionTree(key, 20)
         blocks = {index: bytes(64) for index in range(20)}
-        root = ShadowRegionTree.compute_root(key, 20, lambda i: blocks[i])
+        root = compute_shadow_root(key, 20, lambda i: blocks[i])
         assert root == tree.root
 
     def test_update_changes_root(self, key):
@@ -221,7 +249,7 @@ class TestShadowRegionTree:
         for index, content in [(0, b"\x01" * 64), (13, b"\x02" * 64)]:
             tree.update(index, content)
             blocks[index] = content
-        root = ShadowRegionTree.compute_root(key, 20, lambda i: blocks[i])
+        root = compute_shadow_root(key, 20, lambda i: blocks[i])
         assert root == tree.root
 
     def test_tamper_detected(self, key):
@@ -230,7 +258,7 @@ class TestShadowRegionTree:
         blocks = {index: bytes(64) for index in range(20)}
         blocks[0] = b"\x01" * 64
         blocks[5] = b"\xff" * 64  # attacker edit
-        root = ShadowRegionTree.compute_root(key, 20, lambda i: blocks[i])
+        root = compute_shadow_root(key, 20, lambda i: blocks[i])
         assert root != tree.root
 
     def test_update_reports_hash_count(self, key):
@@ -292,7 +320,7 @@ class TestShadowRegionTree:
         blocks = [bytes(64)] * leaves
         for operation in operations + [None]:
             if operation is None:
-                expected = ShadowRegionTree.compute_root(
+                expected = compute_shadow_root(
                     key, leaves, blocks.__getitem__
                 )
                 assert tree.root == expected
@@ -304,7 +332,7 @@ class TestShadowRegionTree:
     def test_single_leaf_tree(self, key):
         tree = ShadowRegionTree(key, 1)
         tree.update(0, b"\x05" * 64)
-        root = ShadowRegionTree.compute_root(
+        root = compute_shadow_root(
             key, 1, lambda i: b"\x05" * 64
         )
         assert root == tree.root
@@ -326,7 +354,7 @@ class TestShadowRegionTree:
     def test_fresh_root_matches_reference(self, key, leaves):
         expected = reference_root(key, [bytes(64)] * leaves)
         assert ShadowRegionTree(key, leaves).root == expected
-        zero = ShadowRegionTree.compute_root(key, leaves, lambda i: bytes(64))
+        zero = compute_shadow_root(key, leaves, lambda i: bytes(64))
         assert zero == expected
 
     @pytest.mark.parametrize("leaves", [9, 64, 4097])
