@@ -11,7 +11,10 @@ with cold misses reach guards no fixed input does.
 
 Scalar replay runs with ``check_reads=True``, batched replay runs in
 segments, and the two ``fingerprint``s must agree at every pause, as
-must any error either raises.  Tier-1 runs a small derandomized budget;
+must any error either raises.  After the last pause (or the error), a
+scheme with a recovery engine crashes both controllers, reincarnates
+them and recovers: the reports and the recovered NVM contents must
+agree too.  Tier-1 runs a small derandomized budget;
 ``--hypothesis-profile window-fuzz`` (registered in ``conftest.py``)
 runs a larger, randomized one.
 """
@@ -27,6 +30,8 @@ from repro.config import CacheConfig, TreeKind
 from repro.controller.access import MemoryRequest, Op
 from repro.controller.factory import build_controller
 from repro.crypto.keys import ProcessorKeys
+from repro.faults.campaign import _recovery_engine, has_recovery_engine
+from repro.recovery.crash import crash, reincarnate
 from repro.traces.profiles import SyntheticProfile
 from repro.traces.replay import replay, replay_batched
 from repro.traces.synthetic import generate_trace
@@ -160,6 +165,28 @@ def _segment(run, controller, trace, oracle, start, stop, **kwargs):
     return None
 
 
+def _crash_and_recover(config, controller):
+    """Crash ``controller``, reincarnate it and run its scheme's
+    recovery engine; returns what the run reports (its error, if any),
+    with the phases' host wall times left out, and the recovered NVM's
+    blocks."""
+    crash(controller)
+    reborn = reincarnate(controller)
+    engine = _recovery_engine(config, reborn, reborn.nvm)
+    try:
+        report = engine.run()
+    except Exception as error:  # noqa: BLE001 - compared, not handled
+        return type(error), str(error)
+    fields = dict(vars(report))
+    fields["phases"] = [
+        (phase["phase"], phase["analytic_ns"])
+        for phase in fields.get("phases", [])
+    ]
+    if hasattr(report, "estimated_ns"):
+        fields["estimated_ns"] = report.estimated_ns()
+    return fields, list(reborn.nvm.touched_blocks())
+
+
 class TestWindowFuzz:
     @_budget()
     @given(
@@ -198,3 +225,7 @@ class TestWindowFuzz:
             if error_s is not None:
                 break
             start = stop
+        if has_recovery_engine(config):
+            assert _crash_and_recover(config, batched) == (
+                _crash_and_recover(config, scalar)
+            )
