@@ -12,13 +12,25 @@ resident, no pending evictions — with the exact same state mutations
 the scalar controller performs, in the exact same order.  The loop
 keeps the channel clocks and cache LRU clocks in local variables
 (synced back at every fallback boundary), drains/fills the WPQ and
-seals lines inline (SECDED via :meth:`~repro.mem.ecc.SecdedCodec.
-encode_line`, then three digests per write from the controller's
-pre-keyed BLAKE2b states: line pad, sideband pad, MAC — the pad memo in
-`crypto/ctr` is bypassed because steady-state seals always use a fresh
-``(address, major, minor)`` tuple and pads are pure, so memo state is
-unobservable).  Event tallies accumulate per window and are added to
-the components' plain ``int`` counters once.
+seals lines inline.  Event tallies accumulate per window and are added
+to the components' plain ``int`` counters once.
+
+A write's seal — the SECDED code (:func:`~repro.mem.ecc.line_code`),
+then three digests from the controller's pre-keyed BLAKE2b states: data
+MAC, line pad and sideband pad — is a pure function of the keys, the
+address, the counter ``(major, minor)`` and the payload.  Figure runs
+replay one trace under many cells, and within a tree family a line's
+counter moves the same way under every scheme and cache size, so the
+window keeps each seal in the trace's seal memo (:meth:`~repro.traces.
+trace.Trace.seal_memo`, one per key set and tree family, indexed by
+trace position) and reuses an entry only when it was sealed under the
+write's counter; otherwise it seals and stores the result.  Phase
+recovery's cleartext phase byte is appended after the lookup, never
+memoized.  Serial runs share seals across cells; ``--jobs`` workers
+each unpickle their own copy of the trace, and the memo stays out of
+pickles, so they do not.  The pad memo in ``crypto/ctr`` is bypassed:
+a fresh seal's ``(address, major, minor)`` tuple is new and pads are
+pure, so that memo's state is unobservable.
 
 The two tree families differ only in the write's metadata update:
 
@@ -100,7 +112,8 @@ never inside a batched range (see DESIGN.md).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set
+from array import array
+from typing import Dict, Optional, Set, Tuple
 
 from repro.config import (
     BLOCK_SIZE,
@@ -114,6 +127,7 @@ from repro.controller.bonsai import BonsaiController
 from repro.controller.sgx import CachedNode, SgxController
 from repro.counters.sgx import SgxCounterBlock
 from repro.counters.split import SplitCounterBlock, pack_word
+from repro.mem.ecc import ECC_BYTES, line_code
 from repro.telemetry.runtime import live_tracer
 from repro.util.bitops import mask
 
@@ -122,6 +136,10 @@ _SGX_COUNTER_MAX = mask(SgxCounterBlock.counter_bits)
 #: WPQ entry whose bytes are written before the next real call; it
 #: drains as a None block until then.
 _PLACEHOLDER = (None, None)
+#: Bytes of one memoized seal: the ciphertext, then the sealed sideband.
+_SEAL_BYTES = BLOCK_SIZE + SIDEBAND_BYTES
+#: Counter tags that fit the memo's unsigned 64-bit tag array.
+_TAG_LIMIT = 1 << 64
 
 
 def scalar_fallback_reason(controller) -> Optional[str]:
@@ -461,6 +479,30 @@ def _settle_placeholders(controller, placeholders: Set[int]) -> None:
     placeholders.clear()
 
 
+def _seal_memo(controller, trace) -> Tuple[memoryview, array]:
+    """The trace's seal memo for the controller's key set and tree
+    family, created empty on first use.
+
+    It is ``(seals, tags)``: a view of one ``bytearray`` holding
+    position ``p``'s seal at ``seals[p * _SEAL_BYTES:]``, its ciphertext
+    then its sealed sideband, and ``tags[p]``, the counter it was sealed
+    under, ``major << minor_bits | minor`` (0: none; every write's
+    counter is nonzero).  Keeping the families apart lets one trace
+    alternate Bonsai and SGX cells (Fig. 12) without their counters
+    overwriting each other's entries.
+    """
+    memos = trace.seal_memo()
+    key = (controller.keys, controller.config.tree)
+    memo = memos.get(key)
+    if memo is None:
+        length = len(trace)
+        memo = memos[key] = (
+            memoryview(bytearray(_SEAL_BYTES * length)),
+            array("Q", [0]) * length,
+        )
+    return memo
+
+
 def run_batched_range(
     controller,
     trace,
@@ -567,7 +609,7 @@ def run_batched_range(
     line_pad = controller.ctr_engine.line_pad.value
     side_pad = controller.ctr_engine._ecc_pad_hash(SIDEBAND_BYTES).value
     int_from = int.from_bytes
-    encode_line = controller.ecc_codec.encode_line
+    seals, seal_tags = _seal_memo(controller, trace)
     real_read = controller.read
     real_write = controller.write
     #: counter address -> its ancestors, kept on the controller so
@@ -988,25 +1030,39 @@ def run_batched_range(
                         stale_counters[counter_address] = block
                         stale_nodes.update(ancestors)
 
-                    # seal_data(), inlined: SECDED, keyed MAC, counter-
-                    # mode pads straight from BLAKE2b (bypassing the pad
-                    # memo — the tuple is fresh, so a memo round-trip is
-                    # pure overhead), optional phase byte.  Bit-for-bit
-                    # the scalar seal.
-                    ecc = encode_line(blob)
-                    iv = (
-                        address.to_bytes(8, "little")
-                        + iv_major.to_bytes(8, "little")
-                        + iv_minor.to_bytes(8, "little")
-                    )
-                    mac = data_mac(iv + blob)
-                    cipher = (
-                        int_from(blob, "little") ^ line_pad(iv)
-                    ).to_bytes(BLOCK_SIZE, "little")
-                    sideband = (
-                        int_from(ecc + mac.to_bytes(8, "little"), "little")
-                        ^ side_pad(b"ecc" + iv)
-                    ).to_bytes(SIDEBAND_BYTES, "little")
+                    # seal_data(), inlined: the trace's memoized seal
+                    # when it was made under this counter, else SECDED,
+                    # keyed MAC and counter-mode pads straight from
+                    # BLAKE2b (bypassing the pad memo — the tuple is
+                    # fresh, so a memo round-trip is pure overhead),
+                    # memoized.  Then the optional phase byte.
+                    # Bit-for-bit the scalar seal.
+                    tag = iv_major << minor_bits | iv_minor
+                    offset = position * _SEAL_BYTES
+                    if seal_tags[position] == tag:
+                        cipher = bytes(seals[offset : offset + BLOCK_SIZE])
+                        sideband = bytes(
+                            seals[offset + BLOCK_SIZE : offset + _SEAL_BYTES]
+                        )
+                    else:
+                        iv = (
+                            address.to_bytes(8, "little")
+                            + iv_major.to_bytes(8, "little")
+                            + iv_minor.to_bytes(8, "little")
+                        )
+                        mac = data_mac(iv + blob)
+                        cipher = (
+                            int_from(blob, "little") ^ line_pad(iv)
+                        ).to_bytes(BLOCK_SIZE, "little")
+                        sideband = (
+                            (line_code(blob) | mac << 8 * ECC_BYTES)
+                            ^ side_pad(b"ecc" + iv)
+                        ).to_bytes(SIDEBAND_BYTES, "little")
+                        if tag < _TAG_LIMIT:
+                            seals[offset : offset + _SEAL_BYTES] = (
+                                cipher + sideband
+                            )
+                            seal_tags[position] = tag
                     if phase_recovery:
                         sideband += bytes([line_counter & phase_mask])
 

@@ -76,6 +76,18 @@ _BYTE_TABLES: List[bytes] = [
 ]
 
 
+def line_code(line: bytes) -> int:
+    """The SECDED code of a 64B line as a little-endian integer: byte
+    ``k`` is word ``k``'s code (the integer form of
+    :meth:`SecdedCodec.encode_line`, for callers that pack it)."""
+    # line[k::8] is byte k of every word; translating it through byte
+    # k's table gives that byte's share of all eight codes.
+    codes = 0
+    for k, table in enumerate(_BYTE_TABLES):
+        codes ^= int.from_bytes(line[k::8].translate(table), "little")
+    return codes
+
+
 class SecdedCodec:
     """Hamming(72,64) SECDED over each 64-bit word of a 64B line."""
 
@@ -114,12 +126,7 @@ class SecdedCodec:
         """ECC bytes (8) for a 64B line, one code per 64-bit word."""
         if len(line) != BLOCK_SIZE:
             raise ValueError(f"line must be {BLOCK_SIZE} bytes")
-        # line[k::8] is byte k of every word; translating it through
-        # byte k's table gives that byte's share of all eight codes.
-        codes = 0
-        for k, table in enumerate(_BYTE_TABLES):
-            codes ^= int.from_bytes(line[k::8].translate(table), "little")
-        return codes.to_bytes(ECC_BYTES, "little")
+        return line_code(line).to_bytes(ECC_BYTES, "little")
 
     def is_sane(self, line: bytes, ecc: bytes) -> bool:
         """Osiris sanity check: True iff every word is clean (no errors).

@@ -10,12 +10,18 @@ A trace stores its accesses as four parallel Python lists —
 payload, None for reads).  The batch replay engine reads those lists
 directly, and so does scalar replay; :class:`MemoryRequest` objects are
 built only when something iterates the trace.
+
+A trace also carries two memos of work that is a pure function of its
+content: its :meth:`~Trace.content_digest`, and the batch replay
+engine's seals of its writes (:meth:`~Trace.seal_memo`).  Both are reset
+by :meth:`~Trace.append`/:meth:`~Trace.extend`; the seal memo stays out
+of equality, the content digest and pickles.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Iterator, List, Optional
+from typing import Any, Dict, Hashable, Iterable, Iterator, List, Optional
 
 from repro.config import BLOCK_SIZE
 from repro.controller.access import MemoryRequest, Op
@@ -29,7 +35,10 @@ _DIGEST_CHUNK = 1 << 20
 class Trace:
     """An ordered memory-access stream."""
 
-    __slots__ = ("name", "addresses", "is_write", "gaps", "data", "_digest_memo")
+    __slots__ = (
+        "name", "addresses", "is_write", "gaps", "data", "_digest_memo",
+        "_seal_memo",
+    )
 
     def __init__(
         self, name: str, requests: Optional[Iterable[MemoryRequest]] = None
@@ -40,6 +49,7 @@ class Trace:
         self.gaps: List[float] = []
         self.data: List[Optional[bytes]] = []
         self._digest_memo: Optional[str] = None
+        self._seal_memo: Optional[Dict[Hashable, Any]] = None
         if requests is not None:
             self.extend(requests)
 
@@ -76,6 +86,7 @@ class Trace:
     def append(self, request: MemoryRequest) -> None:
         """Add one request to the end of the trace."""
         self._digest_memo = None
+        self._seal_memo = None
         self.addresses.append(request.address)
         self.is_write.append(request.op is Op.WRITE)
         self.gaps.append(request.gap_ns)
@@ -85,6 +96,36 @@ class Trace:
         """Add many requests to the end of the trace."""
         for request in requests:
             self.append(request)
+
+    def __getstate__(self):
+        # The seal memo is a per-process cache: pickles (``--jobs``
+        # payloads) carry what a fresh trace's would.
+        return None, {
+            name: getattr(self, name)
+            for name in self.__slots__
+            if name != "_seal_memo"
+        }
+
+    def __setstate__(self, state) -> None:
+        for name, value in state[1].items():
+            setattr(self, name, value)
+        self._seal_memo = None
+
+    def seal_memo(self) -> Dict[Hashable, Any]:
+        """The batch replay engine's memo of this trace's write seals.
+
+        A write's seal is a pure function of the processor keys, its
+        address and payload and the counter it is sealed under, so
+        cells that replay one trace can share it.  The dict maps a (key
+        set, tree family) to its entries, laid out by
+        :mod:`repro.controller.batch`, which also checks each entry's
+        counter before using it.  Created empty on first use and reset
+        by :meth:`append`/:meth:`extend`.
+        """
+        memo = self._seal_memo
+        if memo is None:
+            memo = self._seal_memo = {}
+        return memo
 
     def content_digest(self) -> str:
         """Full sha256 hex digest of this trace's content, memoized.

@@ -13,12 +13,14 @@ of Fig. 11's high-hit benchmarks.
 from __future__ import annotations
 
 import dataclasses
+import pickle
 import random
 
 import pytest
 
 from repro.config import (
     CacheConfig,
+    CounterRecoveryKind,
     SchemeKind,
     TreeKind,
     default_table1_config,
@@ -697,6 +699,91 @@ class TestEngineAndKnob:
             small_config(SchemeKind.WRITE_BACK), keys=ProcessorKeys(7)
         )
         assert replay_batched(reference, trace) == oracle
+
+
+class TestSharedTraceSeals:
+    """Serial figure runs replay one trace under many cells, which share
+    the trace's seal memo (:meth:`~repro.traces.trace.Trace.seal_memo`):
+    per key set and tree family, an entry is used only when the write's
+    counter is the one it was sealed under."""
+
+    def _cell(self, trace, config, keys, passes=1):
+        """Batched replay of ``trace`` against scalar replay of a fresh
+        copy, ``passes`` times through one controller each."""
+        batched = build_controller(config, keys=keys)
+        scalar = build_controller(config, keys=keys)
+        fresh = Trace(trace.name, trace)
+        for _ in range(passes):
+            oracle_b = replay_batched(batched, trace)
+            oracle_s = replay(scalar, fresh)
+            assert oracle_b == oracle_s
+            assert fingerprint(batched) == fingerprint(scalar)
+
+    def test_cells_sharing_one_trace_match_scalar(self):
+        trace = generate_trace(HOT_COLD, 1500, seed=5)
+        phase = dataclasses.replace(
+            small_config().encryption,
+            counter_recovery=CounterRecoveryKind.PHASE,
+        )
+        for seed in (7, 8):
+            keys = ProcessorKeys(seed)
+            # Fig. 10, then Fig. 11, on one trace.
+            for scheme in fig10_agit_perf.SCHEMES:
+                self._cell(
+                    trace, _config(scheme, TreeKind.BONSAI, HOT_COLD), keys
+                )
+            for scheme in fig11_asit_perf.SCHEMES:
+                self._cell(trace, _config(scheme, TreeKind.SGX, HOT_COLD), keys)
+            # Fig. 12: AGIT-Plus (phase bytes) and ASIT alternate over
+            # cache sizes, so both families' entries are reused.
+            for cache_bytes in (4 * KIB, 8 * KIB):
+                agit = _config(
+                    SchemeKind.AGIT_PLUS, TreeKind.BONSAI, HOT_COLD,
+                    cache_bytes,
+                )
+                self._cell(
+                    trace, dataclasses.replace(agit, encryption=phase), keys
+                )
+                self._cell(
+                    trace,
+                    _config(SchemeKind.ASIT, TreeKind.SGX, HOT_COLD,
+                            cache_bytes),
+                    keys,
+                )
+            # A second pass writes every line under later counters than
+            # the entries hold.
+            self._cell(
+                trace,
+                _config(SchemeKind.WRITE_BACK, TreeKind.BONSAI, HOT_COLD),
+                keys,
+                passes=2,
+            )
+        # A grown trace's positions start with no entries.
+        trace.append(MemoryRequest(Op.WRITE, 0, bytes(range(64)), 10.0))
+        self._cell(
+            trace,
+            _config(SchemeKind.WRITE_BACK, TreeKind.BONSAI, HOT_COLD),
+            ProcessorKeys(7),
+        )
+
+    def test_memo_is_invisible(self):
+        trace = generate_trace(HOT_COLD, 600, seed=5)
+        for tree, scheme in (
+            (TreeKind.BONSAI, SchemeKind.WRITE_BACK),
+            (TreeKind.SGX, SchemeKind.ASIT),
+        ):
+            replay_batched(
+                build_controller(
+                    _config(scheme, tree, HOT_COLD), keys=ProcessorKeys(7)
+                ),
+                trace,
+            )
+        assert len(trace.seal_memo()) == 2
+        fresh = generate_trace(HOT_COLD, 600, seed=5)
+        assert pickle.dumps(trace) == pickle.dumps(fresh)
+        assert trace == fresh
+        assert trace.content_digest() == fresh.content_digest()
+        assert pickle.loads(pickle.dumps(trace)).seal_memo() == {}
 
 
 _INVALID = [
